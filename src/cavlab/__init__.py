@@ -10,7 +10,8 @@ and sweep harness.
 __version__ = "0.1.0"
 
 from .config import RunConfig, parse_config            # noqa: F401
-from .evaluate import evaluate, run_sweep               # noqa: F401
+# `evaluate` is not re-exported: the function would hide the submodule.
+from .evaluate import run_sweep                         # noqa: F401
 from .graph import build_adjacency, degree_normalize    # noqa: F401
 from .idm import IdmParams, equilibrium_speed           # noqa: F401
 from .networks import FigureEightSpec, MergeSpec, RingSpec  # noqa: F401

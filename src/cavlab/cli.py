@@ -19,7 +19,7 @@ from .config import RunConfig, emit_config, parse_config
 from .errors import CavlabError, IncompatibleCheckpoint
 from .evaluate import (SweepSpec, decentralization_check, evaluate, run_sweep,
                        space_time_export)
-from .graph import adjacency_csv_rows, build_adjacency
+from .graph import adjacency_csv_rows
 from .layers import NetConfig
 from .sim import export_trajectory_csv, vehicle_table_rows
 from .trainer import PolicyBundle, make_policy, init_stream, train
@@ -50,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's seed list with one seed")
         p.add_argument("--out", default=None, help="override output_dir")
-        p.add_argument("--dump-adjacency", action="store_true",
-                       help="export adjacency matrices of the first episode")
 
     p_train = sub.add_parser("train", help="train a policy per seed")
     common(p_train)
@@ -61,6 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--episodes", type=int, default=5)
+    p_eval.add_argument("--dump-adjacency", action="store_true",
+                        help="export adjacency matrices of the first episode")
     p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="train+evaluate across a variable")
@@ -101,30 +101,6 @@ def _write_summary(out: Path, cfg: RunConfig, seeds: list[int], metrics: dict) -
         fh.write("\n")
 
 
-def _dump_adjacency(cfg: RunConfig, bundle: PolicyBundle | None, out: Path,
-                    seed: int, every: int = 100) -> None:
-    env = cfg.env_spec()
-    from .evaluate import eval_episode_seed
-    from .sim import step
-    from .trainer import policy_actions
-    state = env.build(eval_episode_seed(seed, 0))
-    adj_dir = out / "adjacency"
-    adj_dir.mkdir(exist_ok=True)
-    for t in range(cfg.scenario.horizon):
-        if state.cavs():
-            adj = build_adjacency(state, env.scheme, env.scan_scale)
-            if t % every == 0:
-                rows = adjacency_csv_rows(adj)
-                (adj_dir / f"adjacency_step{t:05d}.csv").write_text("\n".join(rows) + "\n")
-        if bundle is None:
-            actions = {}
-        else:
-            _, actions = policy_actions(bundle, state, env, None)
-        state, _ = step(state, actions, env.dt)
-        if state.collided:
-            break
-
-
 def cmd_train(args) -> int:
     cfg, out, seeds = _load(args)
     ckpt_dir = out / "checkpoints"
@@ -153,15 +129,16 @@ def cmd_train(args) -> int:
 
 def _bundle_from_checkpoint(path, cfg: RunConfig) -> PolicyBundle:
     params, arch, _ = load_checkpoint(path)
+    # Older checkpoints record the removed literal-ratio attention switch;
+    # only its default (off) matches the attention this version computes.
+    if arch.get("literal_ratio_attention", False):
+        raise IncompatibleCheckpoint(
+            f"{path} uses literal-ratio attention, which is no longer supported")
     net = NetConfig(obs_dim=arch["obs_dim"], hidden=arch["hidden"],
                     heads=arch["heads"], activation=arch["activation"],
-                    literal_ratio_attention=arch["literal_ratio_attention"],
                     action_low=arch["action_low"], action_high=arch["action_high"])
     bundle = make_policy(net, init_stream(0))
-    try:
-        restore_params(bundle.parameters(), params)
-    except IncompatibleCheckpoint:
-        raise
+    restore_params(bundle.parameters(), params)
     return bundle
 
 
@@ -181,8 +158,13 @@ def cmd_eval(args) -> int:
     infos = report.first_episode_infos[seeds[0]]
     export_trajectory_csv(infos, eval_dir / "trajectory.csv")
     (eval_dir / "vehicles.csv").write_text("\n".join(vehicle_table_rows(infos)) + "\n")
-    if args.dump_adjacency:
-        _dump_adjacency(cfg, bundle, out, seeds[0])
+    if args.dump_adjacency:  # decision-time adjacency of every 100th step
+        adj_dir = out / "adjacency"
+        adj_dir.mkdir(exist_ok=True)
+        for tr in report.first_episode_transitions:
+            if tr.step_index % 100 == 0:
+                (adj_dir / f"adjacency_step{tr.step_index:05d}.csv").write_text(
+                    "\n".join(adjacency_csv_rows(tr)) + "\n")
     dec = decentralization_check(bundle, env, seeds[0], samples=20,
                                  horizon=min(cfg.scenario.horizon, 200))
     _write_summary(out, cfg, seeds, {
@@ -219,8 +201,6 @@ def cmd_baseline(args) -> int:
     export_trajectory_csv(infos, eval_dir / "baseline_trajectory.csv")
     (eval_dir / "baseline_vehicles.csv").write_text(
         "\n".join(vehicle_table_rows(infos)) + "\n")
-    if args.dump_adjacency:
-        _dump_adjacency(human_cfg, None, out, seeds[0])
     _write_summary(out, cfg, seeds, {"baseline": report.summary()})
     print(f"IDM baseline: mean_velocity={report.mean_velocity:.3f} "
           f"return={report.episode_return:.2f} collision_rate={report.collision_rate:.2f}")

@@ -71,7 +71,6 @@ class GraphConfig:
     scheme: str = "gaussian_speed_field"
     scan_scale: float = 30.0
     sigma: float = 4.0
-    amplitude: float = 1.0
     epsilon: float = 0.01
 
 
@@ -80,7 +79,6 @@ class NnConfig:
     hidden: int = 64
     heads: int = 8
     activation: str = "tanh"
-    literal_ratio_attention: bool = False
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,7 @@ class RunConfig:
     def adjacency_scheme(self):
         g = self.graph
         if g.scheme == "gaussian_speed_field":
-            return GaussianSpeedField(KernelSpec(amplitude=g.amplitude,
-                                                 length_scale=g.sigma))
+            return GaussianSpeedField(KernelSpec(length_scale=g.sigma))
         if g.scheme == "position_only":
             return PositionOnly()
         if g.scheme == "velocity_only":
@@ -170,7 +167,6 @@ class RunConfig:
     def net_config(self) -> NetConfig:
         s, n = self.scenario, self.nn
         return NetConfig(hidden=n.hidden, heads=n.heads, activation=n.activation,
-                         literal_ratio_attention=n.literal_ratio_attention,
                          action_low=s.cav_accel_min, action_high=s.cav_accel_max)
 
     def ppo_config(self) -> PpoConfig:
@@ -204,8 +200,8 @@ class RunConfig:
                 f"nn.hidden={self.nn.hidden} must be divisible by nn.heads={self.nn.heads}")
         if self.graph.scan_scale <= 0:
             raise ValidationError("graph.scan_scale must be positive")
-        if self.graph.sigma <= 0 or self.graph.amplitude <= 0:
-            raise ValidationError("graph.sigma and graph.amplitude must be positive")
+        if self.graph.sigma <= 0:
+            raise ValidationError("graph.sigma must be positive")
         if self.graph.epsilon <= 0:
             raise ValidationError("graph.epsilon must be positive")
         try:

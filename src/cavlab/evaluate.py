@@ -1,9 +1,11 @@
 """Deterministic evaluation, sweeps, and the decentralized-execution check.
 
 Evaluation runs the policy mean (no sampling), aggregates mean/std across
-seeds, and keeps the first episode per seed for space-time export. Sweeps
-train (or reuse) a policy per cell and evaluate it, continuing past failed
-cells.
+seeds, and keeps the first episode per seed for space-time export. Every
+episode, the IDM-only baseline and the decentralization check's state
+sampler included, runs through `trainer.collect_rollout`. Sweeps train (or
+reuse) a policy per cell and evaluate it, continuing past cells that fail
+with a `CavlabError`.
 """
 from __future__ import annotations
 
@@ -14,13 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import CavlabError, InvalidSpec
 from .graph import (AdjacencyScheme, GaussianSpeedField, PositionOnly,
                     VelocityOnly)
 from .layers import NetConfig
-from .rewards import step_reward
-from .sim import SimState, StepInfo, VehicleKind, cav_neighbors, route_distance
-from .trainer import (EnvSpec, PolicyBundle, PpoConfig, collect_rollout,
+from .sim import (SimState, StepInfo, VehicleKind, cav_neighbors, route_distance,
+                  route_length)
+from .trainer import (EnvSpec, PolicyBundle, PpoConfig, Transition, collect_rollout,
                       policy_actions, train)
 
 
@@ -39,6 +41,8 @@ class EvalReport:
     return_std: float
     velocity_std: float
     first_episode_infos: dict[int, list[StepInfo]] = field(default_factory=dict)
+    # decision-time transitions of the first episode of the first seed
+    first_episode_transitions: list[Transition] = field(default_factory=list)
 
     def summary(self) -> dict:
         return {
@@ -72,21 +76,20 @@ def evaluate(bundle: PolicyBundle | None, env: EnvSpec, horizon: int,
 
     returns, velocities, accels, collisions = [], [], [], []
     first_infos: dict[int, list[StepInfo]] = {}
+    first_transitions: list[Transition] = []
     for seed in seeds:
         for ep in range(episodes):
-            env_seed = eval_episode_seed(seed, ep)
             keep = ep == 0
-            if bundle is None:
-                episode = _idm_only_rollout(env, ppo, env_seed, keep)
-            else:
-                episode = collect_rollout(bundle, env, ppo, env_seed, None,
-                                          keep_infos=keep)
+            episode = collect_rollout(bundle, env, ppo, eval_episode_seed(seed, ep),
+                                      None, keep_infos=keep)
             returns.append(episode.episode_return)
             velocities.append(episode.mean_speed)
             accels.append(episode.mean_abs_accel)
             collisions.append(episode.collided)
             if keep:
                 first_infos[seed] = episode.infos
+                if seed == seeds[0]:
+                    first_transitions = episode.transitions
 
     speed_matrix, pos_matrix, ids = _stack_matrices(first_infos[seeds[0]])
     per_seed_returns = [float(np.mean(returns[i * episodes:(i + 1) * episodes]))
@@ -107,33 +110,8 @@ def evaluate(bundle: PolicyBundle | None, env: EnvSpec, horizon: int,
         return_std=float(np.std(per_seed_returns)),
         velocity_std=float(np.std(per_seed_vel)),
         first_episode_infos=first_infos,
+        first_episode_transitions=first_transitions,
     )
-
-
-def _idm_only_rollout(env: EnvSpec, ppo: PpoConfig, env_seed, keep_infos: bool):
-    from .sim import step  # local import keeps module top tidy
-    from .trainer import EpisodeResult
-    state = env.build(env_seed)
-    if state.cavs():
-        raise InvalidSpec("IDM-only evaluation needs a CAV-free scenario")
-    rewards, infos = [], []
-    speed_sum = speed_count = 0.0
-    for t in range(ppo.horizon):
-        if any(v.kind is VehicleKind.CAV for v in state.vehicles):
-            # merge networks may spawn CAVs; IDM-only runs use cav_fraction 0
-            raise InvalidSpec("CAV spawned during an IDM-only run")
-        state, info = step(state, {}, env.dt)
-        rewards.append(step_reward(info, env.reward) if info.vehicle_ids else 0.0)
-        if keep_infos:
-            infos.append(info)
-        speed_sum += float(info.speeds.sum())
-        speed_count += len(info.vehicle_ids)
-        if state.collided:
-            break
-    return EpisodeResult(
-        transitions=[], rewards=rewards, episode_return=float(sum(rewards)),
-        mean_speed=speed_sum / max(speed_count, 1), mean_abs_accel=0.0,
-        length=len(rewards), collided=state.collided, infos=infos)
 
 
 def _stack_matrices(infos: list[StepInfo]):
@@ -279,14 +257,19 @@ def _cell_env_net(env: EnvSpec, net: NetConfig, variable: str, value):
 TRAIN_TARGET_SPEED_BASE = 20.0 / 3.6  # 20 km/h training baseline for the sweep
 
 
+def _describe(exc: CavlabError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_sweep(spec: SweepSpec, env: EnvSpec, ppo: PpoConfig, net: NetConfig,
               horizon: int | None = None) -> SweepResult:
     """Train and evaluate one cell per (value, seed).
 
     target_speed is a generalization sweep: the policy is trained once per
     seed at 20 km/h and evaluated under each target speed; the percentage
-    return change against the 20 km/h cell is emitted alongside. Failed cells
-    are marked and the sweep continues.
+    return change against the 20 km/h cell is emitted alongside. A cell that
+    fails with a `CavlabError` is marked and the sweep continues; any other
+    exception is a program error and propagates.
     """
     spec.validate()
     horizon = horizon if horizon is not None else ppo.horizon
@@ -298,10 +281,10 @@ def run_sweep(spec: SweepSpec, env: EnvSpec, ppo: PpoConfig, net: NetConfig,
             base_env = _with_target_speed(env, TRAIN_TARGET_SPEED_BASE)
             try:
                 result = train(base_env, ppo, net, master_seed=seed)
-            except Exception as exc:  # noqa: BLE001 - cell isolation
+            except CavlabError as exc:
                 for value in spec.values:
                     cells.append(SweepCell(spec.variable, value, seed,
-                                           failed=True, error=str(exc)))
+                                           failed=True, error=_describe(exc)))
                 continue
             baseline_return = None
             for value in spec.values:
@@ -315,9 +298,9 @@ def run_sweep(spec: SweepSpec, env: EnvSpec, ppo: PpoConfig, net: NetConfig,
                     cell.mean_abs_accel = report.mean_abs_accel
                     if math.isclose(float(value), TRAIN_TARGET_SPEED_BASE):
                         baseline_return = report.episode_return
-                except Exception as exc:  # noqa: BLE001
+                except CavlabError as exc:
                     cell.failed = True
-                    cell.error = str(exc)
+                    cell.error = _describe(exc)
                 cells.append(cell)
             if baseline_return is None:
                 base_cell_env = _with_target_speed(env, TRAIN_TARGET_SPEED_BASE)
@@ -341,9 +324,9 @@ def run_sweep(spec: SweepSpec, env: EnvSpec, ppo: PpoConfig, net: NetConfig,
                 cell.episode_return = report.episode_return
                 cell.mean_velocity = report.mean_velocity
                 cell.mean_abs_accel = report.mean_abs_accel
-            except Exception as exc:  # noqa: BLE001 - cell isolation
+            except CavlabError as exc:
                 cell.failed = True
-                cell.error = str(exc)
+                cell.error = _describe(exc)
             cells.append(cell)
     return SweepResult(cells=cells)
 
@@ -403,26 +386,26 @@ def decentralization_check(bundle: PolicyBundle, env: EnvSpec, seed: int,
                            samples: int = 100, horizon: int = 500,
                            tol: float = 1e-9) -> DecentralizationReport:
     """Perturb vehicles outside each agent's receptive field; the agent's
-    deterministic action must not change (one-sided check)."""
+    deterministic action must not change (one-sided check).
+
+    States are sampled every 7th step of deterministic episodes that are
+    free of collisions up to that step.
+    """
     ppo = PpoConfig(horizon=horizon, episodes=1, batch_size=1)
     states: list[SimState] = []
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(20,)))
-    episode_idx = 0
-    from .sim import step
-    while len(states) < samples:
-        state = env.build(np.random.SeedSequence(entropy=seed, spawn_key=(21, episode_idx)))
-        for t in range(horizon):
-            actions = _deterministic_actions(bundle, state, env)
-            state, _ = step(state, actions, env.dt)
-            if state.collided:
-                break
-            if t % 7 == 3 and state.cavs():
-                states.append(copy.deepcopy(state))
-                if len(states) >= samples:
-                    break
-        episode_idx += 1
-        if episode_idx > 50:
+
+    def sample(t: int, state: SimState) -> bool:
+        if t % 7 == 3 and not state.collided and state.cavs():
+            states.append(copy.deepcopy(state))
+        return len(states) >= samples
+
+    for episode_idx in range(51):
+        if len(states) >= samples:
             break
+        collect_rollout(bundle, env, ppo,
+                        np.random.SeedSequence(entropy=seed, spawn_key=(21, episode_idx)),
+                        None, on_step=sample)
 
     violations: list[tuple[int, int, float]] = []
     checked = perturbed_total = 0
@@ -442,7 +425,7 @@ def decentralization_check(bundle: PolicyBundle, env: EnvSpec, seed: int,
                 if v.kind is VehicleKind.HUMAN:
                     v.speed = max(0.0, v.speed + float(rng.uniform(-1.0, 1.0)))
                     v.route_pos = (v.route_pos + float(rng.uniform(-2.0, 2.0))) \
-                        % _route_len(mutated, v)
+                        % route_length(mutated, v.route_id)
                 elif v.id not in closure and v.id != agent_id:
                     v.speed = max(0.0, v.speed + float(rng.uniform(0.5, 1.5)))
             new_actions = _deterministic_actions(bundle, mutated, env)
@@ -453,7 +436,3 @@ def decentralization_check(bundle: PolicyBundle, env: EnvSpec, seed: int,
                                   perturbed_agents=perturbed_total,
                                   violations=violations)
 
-
-def _route_len(state: SimState, v) -> float:
-    from .sim import route_length
-    return route_length(state, v.route_id)

@@ -98,7 +98,7 @@ def build_adjacency(state: SimState, scheme: AdjacencyScheme, scan_scale: float)
 
 def _entry(state: SimState, scheme: AdjacencyScheme, vi, vj, dist: float) -> float:
     if isinstance(scheme, GaussianSpeedField):
-        k = gaussian_kernel(dist, 0.0, scheme.kernel) / scheme.kernel.amplitude
+        k = math.exp(-(dist * dist) / (2.0 * scheme.kernel.length_scale ** 2))
         return k * (vj.speed - vi.speed)
     if isinstance(scheme, PositionOnly):
         return signed_route_distance(state, vi, vj)
@@ -110,7 +110,12 @@ def degree_normalize(adj: AdjacencyMatrix) -> np.ndarray:
     return adj.weights / adj.degree[:, None]
 
 
-def adjacency_csv_rows(adj: AdjacencyMatrix) -> list[str]:
+def adjacency_csv_rows(adj) -> list[str]:
+    """Agent-id header, then one row of weights per agent.
+
+    Takes anything with `agent_ids` and `weights`: an AdjacencyMatrix or a
+    rollout Transition.
+    """
     rows = [",".join(str(a) for a in adj.agent_ids)]
     rows.extend(",".join(repr(float(x)) for x in row) for row in adj.weights)
     return rows

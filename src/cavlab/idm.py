@@ -60,11 +60,6 @@ def accel_from_speed(speed: float, leader_gap: float, leader_speed: float,
         1.0 - (speed / params.v0) ** params.delta - (s_star / leader_gap) ** 2)
 
 
-def idm_accel(ego, leader_gap: float, leader_speed: float, params: IdmParams) -> float:
-    """IDM acceleration for a vehicle state (see `accel_from_speed`)."""
-    return accel_from_speed(ego.speed, leader_gap, leader_speed, params)
-
-
 def equilibrium_speed(gap: float, params: IdmParams) -> float:
     """Speed at which a uniform platoon with the given gap has zero acceleration.
 

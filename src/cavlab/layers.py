@@ -3,7 +3,9 @@
 All layers operate on batched agent features (B, N, d) and share their
 weights across agents. The attention layer consumes a boolean neighbor
 mask built from the scan scale, so an agent's output depends on out-of-
-range agents only through exactly-zero coefficients.
+range agents only through exactly-zero coefficients. Its scores are scaled
+dot products, q.k / sqrt(d_head); there is no other scoring mode, and the
+forward pass takes its weights from `AttentionLayer.scores`.
 """
 from __future__ import annotations
 
@@ -76,22 +78,15 @@ class GraphConvLayer:
 
 
 class AttentionLayer:
-    """Multi-head scaled dot-product attention over masked neighbor sets.
+    """Multi-head scaled dot-product attention over masked neighbor sets."""
 
-    With literal_ratio=True the pre-softmax scores are the dot products
-    normalized by their sum over the neighbor set instead of 1/sqrt(d_h);
-    kept only as a comparison switch, not the default.
-    """
-
-    def __init__(self, rng: np.random.Generator, d: int, heads: int,
-                 literal_ratio: bool = False, name: str = "attn"):
+    def __init__(self, rng: np.random.Generator, d: int, heads: int, name: str = "attn"):
         if heads < 1:
             raise ShapeMismatch("heads must be >= 1 (use None for the no-attention ablation)")
         if d % heads != 0:
             raise ShapeMismatch(f"feature width {d} not divisible by {heads} heads")
         self.heads = heads
         self.d_head = d // heads
-        self.literal_ratio = literal_ratio
         self.Wq = Tensor(orthogonal(rng, (d, d)), requires_grad=True, name=f"{name}.Wq")
         self.Wk = Tensor(orthogonal(rng, (d, d)), requires_grad=True, name=f"{name}.Wk")
         self.Wv = Tensor(orthogonal(rng, (d, d)), requires_grad=True, name=f"{name}.Wv")
@@ -106,33 +101,17 @@ class AttentionLayer:
         b, n, d = H.shape
         if mask.shape != (b, n, n):
             raise ShapeMismatch(f"mask {mask.shape} does not match features {H.shape}")
-        q = self._split_heads(H @ self.Wq)            # (B, h, N, d_h)
-        k = self._split_heads(H @ self.Wk)
-        v = self._split_heads(H @ self.Wv)
-        scores = q @ k.swapaxes(-1, -2)               # (B, h, N, N)
-        mask4 = mask[:, None, :, :].astype(float)
-        if self.literal_ratio:
-            denom = (scores * mask4).sum(axis=-1, keepdims=True)
-            scores = scores / denom
-        else:
-            scores = scores * (1.0 / math.sqrt(self.d_head))
-        phi = masked_softmax(scores, mask4, axis=-1)
-        out = phi @ v                                  # (B, h, N, d_h)
+        v = self._split_heads(H @ self.Wv)            # (B, h, N, d_h)
+        out = self.scores(H, mask) @ v                 # (B, h, N, d_h)
         out = out.swapaxes(1, 2).reshape(b, n, d)
         return out @ self.Wo
 
     def scores(self, H: Tensor, mask: np.ndarray) -> Tensor:
         """Attention weights phi (B, h, N, N); rows sum to 1 over the mask."""
-        b, n, d = H.shape
         q = self._split_heads(H @ self.Wq)
         k = self._split_heads(H @ self.Wk)
-        s = q @ k.swapaxes(-1, -2)
-        mask4 = mask[:, None, :, :].astype(float)
-        if self.literal_ratio:
-            s = s / (s * mask4).sum(axis=-1, keepdims=True)
-        else:
-            s = s * (1.0 / math.sqrt(self.d_head))
-        return masked_softmax(s, mask4, axis=-1)
+        s = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
+        return masked_softmax(s, mask[:, None, :, :].astype(float), axis=-1)
 
     def parameters(self) -> dict[str, Tensor]:
         return {t.name: t for t in (self.Wq, self.Wk, self.Wv, self.Wo)}
@@ -176,7 +155,6 @@ class NetConfig:
     hidden: int = 64
     heads: int = 8          # 0 selects the attention-free ablation
     activation: str = "tanh"
-    literal_ratio_attention: bool = False
     action_low: float = -3.0
     action_high: float = 3.0
 
@@ -217,8 +195,7 @@ class _Trunk:
                                     name=f"{name}.gconv")
         self.attn: AttentionLayer | None = None
         if cfg.heads > 0:
-            self.attn = AttentionLayer(rng, cfg.hidden, cfg.heads,
-                                       cfg.literal_ratio_attention, name=f"{name}.attn")
+            self.attn = AttentionLayer(rng, cfg.hidden, cfg.heads, name=f"{name}.attn")
         self._act = _activation(cfg.activation)
 
     def __call__(self, obs: Tensor, M: Tensor, Dinv_M: Tensor, mask: np.ndarray) -> Tensor:

@@ -245,10 +245,6 @@ def compute_leaders(state: SimState) -> dict[int, Leader]:
     return out
 
 
-def leader_of(state: SimState, v: VehicleState) -> Leader:
-    return compute_leaders(state)[v.id]
-
-
 def _figure_eight_yield_accel(state: SimState, v: VehicleState) -> float | None:
     """IDM braking demand against crossing traffic at the conflict zone.
 
@@ -309,9 +305,12 @@ def _merge_yield_accel(state: SimState, v: VehicleState) -> float | None:
     return accel_from_speed(v.speed, max(dist_to_end, _MIN_VIRTUAL_GAP), 0.0, idm)
 
 
-def human_accel(state: SimState, v: VehicleState, leader: Leader | None = None) -> float:
-    """Deterministic IDM acceleration for a human driver, incl. yield rules."""
-    lead, gap = leader if leader is not None else leader_of(state, v)
+def human_accel(state: SimState, v: VehicleState, leader: Leader) -> float:
+    """Deterministic IDM acceleration for a human driver, incl. yield rules.
+
+    `leader` is the vehicle's entry of `compute_leaders(state)`.
+    """
+    lead, gap = leader
     if lead is None:
         a = accel_from_speed(v.speed, 1e9, v.speed, state.idm)
     else:

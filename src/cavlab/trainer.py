@@ -1,10 +1,19 @@
 """Shared-policy multi-agent PPO with a graph-convolutional critic.
 
 One policy drives every CAV; rollouts record per-step observations together
-with the adjacency used at decision time. Updates run at episode boundaries
-once the buffer holds at least `batch_size` agent-transitions (the advantage
-estimator needs complete reward-to-go, so episodes are kept whole), then the
-buffer is cleared: every transition feeds exactly one update round.
+with the adjacency used at decision time. `collect_rollout` is the only
+episode loop: training, evaluation (also IDM-only, without a policy) and the
+decentralization check all step the simulator through it.
+
+A `Transition` holds one step at that step's agent count N. Updates stack
+transitions into one padded (B, N_max) batch (`PaddedBatch`): agents first,
+zeros after, plus an agent mask, so a scenario whose agent count changes
+every step (merge) still needs one forward per minibatch.
+
+Updates run at episode boundaries once the buffer holds at least
+`batch_size` agent-transitions (the advantage estimator needs complete
+reward-to-go, so episodes are kept whole), then the buffer is cleared: every
+transition feeds exactly one update round.
 """
 from __future__ import annotations
 
@@ -73,13 +82,17 @@ class EnvSpec:
 
 @dataclass
 class Transition:
-    """One environment step for all live agents."""
+    """One environment step for all live agents, in vehicle-list order.
+
+    `next_obs` is the next step's observation of the same agent (zeros for
+    an agent that exited). D^-1 M is not stored: batches derive it from
+    `weights` and `mask`.
+    """
 
     step_index: int
     agent_ids: list[int]
     obs: np.ndarray          # (N, OBS_DIM)
     weights: np.ndarray      # adjacency M_t (N, N)
-    dinv_weights: np.ndarray  # D^-1 M_t
     mask: np.ndarray         # (N, N) bool
     actions: np.ndarray      # (N,)
     logp_old: np.ndarray     # (N,)
@@ -117,7 +130,6 @@ class PolicyBundle:
             "hidden": self.cfg.hidden,
             "heads": self.cfg.heads,
             "activation": self.cfg.activation,
-            "literal_ratio_attention": self.cfg.literal_ratio_attention,
             "action_low": self.cfg.action_low,
             "action_high": self.cfg.action_high,
         }
@@ -135,6 +147,11 @@ def _gaussian_logp(actions: np.ndarray, mean: np.ndarray, log_spread: float) -> 
     return -0.5 * z ** 2 - log_spread - 0.5 * LOG_2PI
 
 
+def _observe(state: SimState, env: EnvSpec, cavs) -> np.ndarray:
+    return np.stack([local_observation(state, v.id, env.target_speed, env.scan_scale)
+                     for v in cavs])
+
+
 def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
                    action_rng: np.random.Generator | None):
     """Sampled (or deterministic-mean) actions for the live CAVs.
@@ -145,14 +162,12 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
     if not cavs:
         return None, {}
     adj = build_adjacency(state, env.scheme, env.scan_scale)
-    dinv = degree_normalize(adj)
-    obs = np.stack([local_observation(state, v.id, env.target_speed,
-                                      env.scan_scale) for v in cavs])
+    obs = _observe(state, env, cavs)
     mask = adj.neighbor_mask
     with no_grad():
         mean = bundle.actor.action_mean(
-            Tensor(obs[None]), Tensor(adj.weights[None]), Tensor(dinv[None]),
-            mask[None]).data[0]
+            Tensor(obs[None]), Tensor(adj.weights[None]),
+            Tensor(degree_normalize(adj)[None]), mask[None]).data[0]
     log_spread = float(bundle.actor.head.log_spread.data[0])
     if action_rng is None:
         actions = mean.copy()
@@ -163,7 +178,6 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
         "agent_ids": [v.id for v in cavs],
         "obs": obs,
         "weights": adj.weights,
-        "dinv_weights": dinv,
         "mask": mask,
         "actions": actions,
         "logp_old": logp,
@@ -171,10 +185,31 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
     return scaffold, {v.id: float(a) for v, a in zip(cavs, actions)}
 
 
-def collect_rollout(bundle: PolicyBundle, env: EnvSpec, ppo: PpoConfig,
+def _link_next(tr: Transition, nxt: dict | None) -> None:
+    """Fill `tr.next_obs` from the next step's scaffold (None: no CAVs left).
+
+    An agent missing from the next step exited: its row stays zero and is
+    terminal.
+    """
+    row = {aid: j for j, aid in enumerate(nxt["agent_ids"])} if nxt else {}
+    for i, aid in enumerate(tr.agent_ids):
+        if aid in row:
+            tr.next_obs[i] = nxt["obs"][row[aid]]
+        else:
+            tr.terminal[i] = True
+
+
+def collect_rollout(bundle: PolicyBundle | None, env: EnvSpec, ppo: PpoConfig,
                     env_seed, action_rng: np.random.Generator | None,
-                    keep_infos: bool = False) -> EpisodeResult:
-    """One on-policy episode of at most `horizon` steps; breaks on collision."""
+                    keep_infos: bool = False, on_step=None) -> EpisodeResult:
+    """One episode of at most `horizon` steps; breaks on collision.
+
+    `bundle=None` runs IDM-only traffic, which needs a scenario without
+    CAVs. `on_step(t, state)` sees the state after each step and ends the
+    episode early by returning True. Each live agent is observed once per
+    step; the last transition's `next_obs` takes one more pass over the
+    final state, and all its rows are terminal.
+    """
     state = env.build(env_seed)
     transitions: list[Transition] = []
     rewards: list[float] = []
@@ -183,8 +218,16 @@ def collect_rollout(bundle: PolicyBundle, env: EnvSpec, ppo: PpoConfig,
     speed_count = 0
     accel_sum = 0.0
     accel_count = 0
+    pending: Transition | None = None   # previous step, awaiting next_obs
     for t in range(ppo.horizon):
-        scaffold, actions = policy_actions(bundle, state, env, action_rng)
+        if bundle is None:
+            if state.cavs():
+                raise InvalidSpec("IDM-only rollout needs a scenario without CAVs")
+            scaffold, actions = None, {}
+        else:
+            scaffold, actions = policy_actions(bundle, state, env, action_rng)
+        if pending is not None:
+            _link_next(pending, scaffold)
         state, info = step(state, actions, env.dt)
         reward = step_reward(info, env.reward) if info.vehicle_ids else 0.0
         rewards.append(reward)
@@ -195,24 +238,20 @@ def collect_rollout(bundle: PolicyBundle, env: EnvSpec, ppo: PpoConfig,
         cav_accels = info.cav_accels
         accel_sum += float(np.abs(cav_accels).sum())
         accel_count += len(cav_accels)
-        done = state.collided or t == ppo.horizon - 1
+        pending = None
         if scaffold is not None:
-            live = {v.id for v in state.vehicles}
-            next_obs = np.empty_like(scaffold["obs"])
-            terminal = np.zeros(len(scaffold["agent_ids"]), dtype=bool)
-            for i, aid in enumerate(scaffold["agent_ids"]):
-                if aid in live:
-                    next_obs[i] = local_observation(state, aid, env.target_speed,
-                                                    env.scan_scale)
-                    terminal[i] = done
-                else:  # agent exited during this step
-                    next_obs[i] = 0.0
-                    terminal[i] = True
-            transitions.append(Transition(
-                step_index=t, reward=reward, next_obs=next_obs, terminal=terminal,
-                **scaffold))
-        if state.collided:
+            pending = Transition(
+                step_index=t, reward=reward, next_obs=np.zeros_like(scaffold["obs"]),
+                terminal=np.zeros(len(scaffold["agent_ids"]), dtype=bool), **scaffold)
+            transitions.append(pending)
+        if (on_step is not None and on_step(t, state)) or state.collided:
             break
+    if pending is not None:  # one more pass, over the final state
+        cavs = state.cavs()
+        if cavs:
+            _link_next(pending, {"agent_ids": [v.id for v in cavs],
+                                 "obs": _observe(state, env, cavs)})
+        pending.terminal[:] = True
     return EpisodeResult(
         transitions=transitions,
         rewards=rewards,
@@ -238,24 +277,65 @@ def reward_to_go(rewards: list[float], gamma: float) -> np.ndarray:
     return out
 
 
+def _pad(arrays: list[np.ndarray], where: np.ndarray) -> np.ndarray:
+    """Scatter per-transition arrays into zeros shaped like `where` (B, N_max[, N_max]).
+
+    The True entries of `where`, in row-major order, are the entries of the
+    arrays' leading axes, one transition after the other.
+    """
+    trailing = arrays[0].shape[where.ndim - 1:]
+    out = np.zeros(where.shape + trailing, dtype=arrays[0].dtype)
+    out[where] = np.concatenate(arrays, axis=None).reshape((-1,) + trailing)
+    return out
+
+
+@dataclass
+class PaddedBatch:
+    """Transitions stacked to (B, N_max): each step's agents first, zeros after.
+
+    Padded agents get a self-loop in `mask`, so every neighbour set is
+    nonempty; real agents never see them (mask and weights are zero there).
+    Losses multiply by `agents`, True on real rows only. At a fixed agent
+    count nothing is padded and the batch equals a plain stack.
+    """
+
+    obs: np.ndarray       # (B, N_max, OBS_DIM)
+    weights: np.ndarray   # (B, N_max, N_max)
+    mask: np.ndarray      # (B, N_max, N_max) bool
+    agents: np.ndarray    # (B, N_max) bool
+
+    @classmethod
+    def of(cls, trans: list[Transition], use_next: bool = False) -> PaddedBatch:
+        counts = np.array([len(tr.agent_ids) for tr in trans])
+        diag = np.arange(counts.max())
+        agents = diag[None, :] < counts[:, None]
+        pairs = agents[:, :, None] & agents[:, None, :]
+        mask = _pad([tr.mask for tr in trans], pairs)
+        mask[:, diag, diag] = True
+        return cls(obs=_pad([tr.next_obs if use_next else tr.obs for tr in trans], agents),
+                   weights=_pad([tr.weights for tr in trans], pairs), mask=mask,
+                   agents=agents)
+
+    def inputs(self) -> tuple:
+        """Network inputs (obs, M, D^-1 M, mask); D^-1 M is derived here."""
+        dinv = self.weights / self.mask.sum(-1, keepdims=True)
+        return Tensor(self.obs), Tensor(self.weights), Tensor(dinv), self.mask
+
+    def rows(self, per_agent: list[np.ndarray]) -> np.ndarray:
+        """Per-transition (N_i,) vectors padded to (B, N_max)."""
+        return _pad(per_agent, self.agents)
+
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        """(B, N_max) back to per-transition (N_i,) vectors."""
+        return [row[real] for row, real in zip(values, self.agents)]
+
+
 def critic_values(critic: CriticNetwork, trans: list[Transition],
                   use_next: bool = False) -> list[np.ndarray]:
-    """Per-transition value vectors, batching transitions of equal agent count."""
-    groups: dict[int, list[int]] = {}
-    for idx, tr in enumerate(trans):
-        groups.setdefault(len(tr.agent_ids), []).append(idx)
-    out: list[np.ndarray | None] = [None] * len(trans)
+    """Per-transition value vectors from one padded forward."""
+    batch = PaddedBatch.of(trans, use_next)
     with no_grad():
-        for n in sorted(groups):
-            idxs = groups[n]
-            obs = np.stack([trans[i].next_obs if use_next else trans[i].obs for i in idxs])
-            M = np.stack([trans[i].weights for i in idxs])
-            dinv = np.stack([trans[i].dinv_weights for i in idxs])
-            mask = np.stack([trans[i].mask for i in idxs])
-            vals = critic.values(Tensor(obs), Tensor(M), Tensor(dinv), mask).data
-            for row, i in enumerate(idxs):
-                out[i] = vals[row]
-    return out  # type: ignore[return-value]
+        return batch.split(critic.values(*batch.inputs()).data)
 
 
 def compute_advantages(episode: EpisodeResult, critic: CriticNetwork,
@@ -277,21 +357,6 @@ def compute_advantages(episode: EpisodeResult, critic: CriticNetwork,
 # Updates
 
 
-def _grouped(trans: list[Transition]) -> dict[int, list[int]]:
-    groups: dict[int, list[int]] = {}
-    for idx, tr in enumerate(trans):
-        groups.setdefault(len(tr.agent_ids), []).append(idx)
-    return groups
-
-
-def _stack_group(trans: list[Transition], idxs: list[int]):
-    obs = np.stack([trans[i].obs for i in idxs])
-    M = np.stack([trans[i].weights for i in idxs])
-    dinv = np.stack([trans[i].dinv_weights for i in idxs])
-    mask = np.stack([trans[i].mask for i in idxs])
-    return obs, M, dinv, mask
-
-
 def td_targets(critic: CriticNetwork, trans: list[Transition],
                gamma: float) -> list[np.ndarray]:
     """r + gamma * V(next) with bootstrap 0 on terminal rows.
@@ -306,15 +371,9 @@ def td_targets(critic: CriticNetwork, trans: list[Transition],
 
 def critic_loss_given_targets(critic: CriticNetwork, trans: list[Transition],
                               targets: list[np.ndarray]) -> Tensor:
-    total: Tensor | None = None
-    for n, idxs in sorted(_grouped(trans).items()):
-        obs, M, dinv, mask = _stack_group(trans, idxs)
-        tgt = np.stack([targets[i] for i in idxs])
-        v = critic.values(Tensor(obs), Tensor(M), Tensor(dinv), mask)
-        loss = ((v - Tensor(tgt)) ** 2).sum()
-        total = loss if total is None else total + loss
-    assert total is not None
-    return total
+    batch = PaddedBatch.of(trans)
+    v = critic.values(*batch.inputs())
+    return ((v - Tensor(batch.rows(targets))) ** 2 * batch.agents).sum()
 
 
 def critic_loss(critic: CriticNetwork, trans: list[Transition], gamma: float) -> Tensor:
@@ -325,20 +384,13 @@ def critic_loss(critic: CriticNetwork, trans: list[Transition], gamma: float) ->
 def surrogate_objective(actor: PolicyNetwork, trans: list[Transition],
                         advantages: list[np.ndarray], clip: float) -> Tensor:
     """Clipped PPO objective: sum over agents of min(r*A, clip(r)*A)."""
-    total: Tensor | None = None
-    for n, idxs in sorted(_grouped(trans).items()):
-        obs, M, dinv, mask = _stack_group(trans, idxs)
-        actions = np.stack([trans[i].actions for i in idxs])
-        logp_old = np.stack([trans[i].logp_old for i in idxs])
-        adv = np.stack([advantages[i] for i in idxs])
-        mean = actor.action_mean(Tensor(obs), Tensor(M), Tensor(dinv), mask)
-        logp_new = actor.log_prob(Tensor(actions), mean)
-        ratio = (logp_new - Tensor(logp_old)).exp()
-        surr = (ratio * Tensor(adv)).minimum(ratio.clip(1.0 - clip, 1.0 + clip) * Tensor(adv))
-        part = surr.sum()
-        total = part if total is None else total + part
-    assert total is not None
-    return total
+    batch = PaddedBatch.of(trans)
+    mean = actor.action_mean(*batch.inputs())
+    logp_new = actor.log_prob(Tensor(batch.rows([tr.actions for tr in trans])), mean)
+    ratio = (logp_new - Tensor(batch.rows([tr.logp_old for tr in trans]))).exp()
+    adv = Tensor(batch.rows(advantages))   # zero on padded rows
+    surr = (ratio * adv).minimum(ratio.clip(1.0 - clip, 1.0 + clip) * adv)
+    return (surr * batch.agents).sum()
 
 
 def _params_finite(params: dict[str, Tensor]) -> bool:

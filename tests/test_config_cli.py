@@ -117,6 +117,16 @@ def test_roundtrip_identical(tmp_path):
     assert cfg.config_hash() == cfg2.config_hash()
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("graph", "amplitude", 2.0),
+    ("nn", "literal_ratio_attention", False),
+])
+def test_removed_keys_rejected(tmp_path, block, key, value):
+    path = write_config(tmp_path, {block: {key: value}})
+    with pytest.raises(ParseError, match=key):
+        parse_config(path)
+
+
 def test_heads_divisibility_checked():
     with pytest.raises(ValidationError, match="divisible"):
         config_from_dict({"nn": {"hidden": 64, "heads": 7}})
@@ -154,6 +164,23 @@ def test_checkpoint_shape_guard(tmp_path):
     other = make_policy(NetConfig(hidden=32, heads=2), init_stream(0))
     with pytest.raises(IncompatibleCheckpoint):
         restore_params(other.parameters(), params)
+
+
+@pytest.mark.parametrize("literal_ratio", [False, True])
+def test_v1_checkpoint_literal_ratio_flag(tmp_path, literal_ratio):
+    # older checkpoints carry the removed switch; only "off" still loads
+    from cavlab.cli import _bundle_from_checkpoint
+    bundle = make_policy(NetConfig(hidden=16, heads=2), init_stream(3))
+    arch = dict(bundle.architecture(), literal_ratio_attention=literal_ratio)
+    path = tmp_path / "v1.json"
+    save_checkpoint(path, bundle.parameters(), arch)
+    if literal_ratio:
+        with pytest.raises(IncompatibleCheckpoint, match="literal-ratio"):
+            _bundle_from_checkpoint(path, None)
+        return
+    loaded = _bundle_from_checkpoint(path, None)
+    for name, p in bundle.parameters().items():
+        assert np.array_equal(loaded.parameters()[name].data, p.data)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +233,48 @@ def test_cli_dump_adjacency(tmp_path):
     cfg_path = smoke_config(tmp_path)
     assert main(["train", str(cfg_path)]) == 0
     ckpt = tmp_path / "out" / "checkpoints" / "seed0_final.json"
+    body = json.loads(cfg_path.read_text())
+    body["scenario"]["horizon"] = 250
+    cfg_path.write_text(json.dumps(body))
     assert main(["eval", str(cfg_path), "--checkpoint", str(ckpt),
                  "--episodes", "1", "--dump-adjacency"]) == 0
-    dumps = list((tmp_path / "out" / "adjacency").glob("adjacency_step*.csv"))
-    assert dumps
+    dumps = sorted((tmp_path / "out" / "adjacency").glob("adjacency_step*.csv"))
+    assert [d.name for d in dumps] == [f"adjacency_step{t:05d}.csv" for t in (0, 100, 200)]
     first = dumps[0].read_text().strip().split("\n")
     assert len(first) == 4  # 3 agent ids header + 3 rows
+
+    # replay the first eval episode by hand and rebuild the adjacency
+    from cavlab.cli import _bundle_from_checkpoint
+    from cavlab.evaluate import eval_episode_seed
+    from cavlab.graph import adjacency_csv_rows, build_adjacency
+    from cavlab.sim import step
+    from cavlab.trainer import policy_actions
+    cfg = parse_config(cfg_path)
+    env = cfg.env_spec()
+    bundle = _bundle_from_checkpoint(ckpt, cfg)
+    state = env.build(eval_episode_seed(0, 0))
+    expected = {}
+    for t in range(250):
+        if t % 100 == 0:
+            adj = build_adjacency(state, env.scheme, env.scan_scale)
+            expected[f"adjacency_step{t:05d}.csv"] = "\n".join(adjacency_csv_rows(adj)) + "\n"
+        _, actions = policy_actions(bundle, state, env, None)
+        state, _ = step(state, actions, env.dt)
+        assert not state.collided
+    assert {d.name: d.read_text() for d in dumps} == expected
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", []),
+    ("baseline", []),
+    ("sweep", ["--variable", "attention_heads", "--values", "0"]),
+])
+def test_dump_adjacency_only_on_eval(tmp_path, command, extra):
+    cfg_path = smoke_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(cfg_path), "--dump-adjacency", *extra])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_small(tmp_path):

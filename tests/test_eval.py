@@ -73,6 +73,27 @@ def test_idm_baseline_rejects_cav_scenarios():
         evaluate(None, ring_env(n_human=3, n_cav=2), horizon=10, episodes=1, seeds=[0])
 
 
+def test_evaluate_submodule_is_not_shadowed():
+    import importlib
+    import types
+
+    import cavlab
+    import cavlab.evaluate as m
+    assert isinstance(m, types.ModuleType)
+    assert m is importlib.import_module("cavlab.evaluate") is cavlab.evaluate
+
+
+def test_evaluate_keeps_first_episode_transitions():
+    env = ring_env()
+    report = evaluate(bundle16(seed=2), env, horizon=12, episodes=2, seeds=[4, 5])
+    trans = report.first_episode_transitions
+    assert [tr.step_index for tr in trans] == list(range(12))
+    again = evaluate(bundle16(seed=2), env, horizon=12, episodes=1, seeds=[4])
+    for a, b in zip(trans, again.first_episode_transitions):
+        assert a.agent_ids == b.agent_ids
+        assert np.array_equal(a.weights, b.weights)
+
+
 def test_space_time_export_roundtrip(tmp_path):
     env = ring_env()
     report = evaluate(bundle16(seed=1), env, horizon=30, episodes=1, seeds=[3])
@@ -198,9 +219,23 @@ def test_sweep_failed_cell_marked_and_continues():
                      episodes_per_value=1, seeds=[0])
     result = run_sweep(spec, ring_env(), tiny_ppo(), NetConfig(hidden=16, heads=2))
     assert result.cells[0].failed  # zero CAVs is not trainable
+    assert result.cells[0].error.startswith("InvalidSpec: ")
     assert not result.cells[1].failed
     rows = result.table_rows()
     assert "nan,nan,nan" in rows[1]
+
+
+@pytest.mark.parametrize("variable, value", [("scan_scale", 40.0), ("target_speed", TARGET)])
+def test_sweep_program_error_propagates(monkeypatch, variable, value):
+    import cavlab.evaluate as ev
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a failed cell")
+
+    monkeypatch.setattr(ev, "train", broken)
+    spec = SweepSpec(variable=variable, values=[value], episodes_per_value=1, seeds=[0])
+    with pytest.raises(TypeError, match="a bug"):
+        run_sweep(spec, ring_env(), tiny_ppo(), NetConfig(hidden=16, heads=2))
 
 
 def test_sweep_validation():

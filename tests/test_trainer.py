@@ -10,9 +10,9 @@ from cavlab.networks import RingSpec
 from cavlab.rewards import RingEightReward, reward_ring_eight
 from cavlab.sim import SimOptions
 from cavlab.trainer import (
-    EnvSpec, PpoConfig, collect_rollout, compute_advantages, critic_loss,
-    episode_streams, make_policy, init_stream, normalize_advantages,
-    reward_to_go, surrogate_objective, train,
+    EnvSpec, PaddedBatch, PpoConfig, collect_rollout, compute_advantages, critic_loss,
+    critic_loss_given_targets, critic_values, episode_streams, make_policy, init_stream,
+    normalize_advantages, reward_to_go, surrogate_objective, td_targets, train,
 )
 
 from test_tensor import fd_grad, rel_err
@@ -296,6 +296,127 @@ def test_gradcheck_both_losses():
     fd_a = fd_grad(f_a, orig_a, h=1e-6)
     aparam.data = orig_a
     assert rel_err(ad_a, fd_a) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# one observation per agent-step, and the padded batch layout
+
+
+def short_merge_env():
+    """A 150 m merge whose agent count varies (2 to 5) and whose CAVs exit."""
+    from cavlab.config import config_from_dict
+    cfg = config_from_dict({"scenario": {
+        "kind": "merge", "horizon": 400, "highway_length": 150.0,
+        "merge_point": 90.0, "ramp_length": 60.0, "cav_fraction": 0.5}})
+    return cfg.env_spec(), cfg.ppo_config()
+
+
+@pytest.fixture(scope="module")
+def merge_episode():
+    env, ppo = short_merge_env()
+    bundle = small_bundle(seed=3)
+    return bundle, ppo, collect_rollout(bundle, env, ppo, 3, None)
+
+
+def test_next_obs_is_next_step_observation(merge_episode):
+    _, _, episode = merge_episode
+    trans = episode.transitions
+    assert len({len(tr.agent_ids) for tr in trans}) > 1
+    exits = 0
+    for tr, nxt in zip(trans, trans[1:]):
+        # a step without CAVs leaves no transition: everyone before it exited
+        row = ({aid: j for j, aid in enumerate(nxt.agent_ids)}
+               if nxt.step_index == tr.step_index + 1 else {})
+        for i, aid in enumerate(tr.agent_ids):
+            if aid in row:
+                assert np.array_equal(tr.next_obs[i], nxt.obs[row[aid]])
+                assert not tr.terminal[i]
+            else:
+                exits += 1
+                assert tr.terminal[i]
+                assert not tr.next_obs[i].any()
+    assert exits > 0
+    assert trans[-1].terminal.all()
+
+
+def test_rollout_observes_each_agent_once_per_step(monkeypatch):
+    import cavlab.trainer as trainer_mod
+    calls = []
+    original = trainer_mod.local_observation
+
+    def counted(state, agent_id, *args):
+        calls.append(agent_id)
+        return original(state, agent_id, *args)
+
+    monkeypatch.setattr(trainer_mod, "local_observation", counted)
+    env = small_env()
+    episode = collect_rollout(small_bundle(), env, small_ppo(horizon=12), 0, None)
+    assert episode.length == 12 and not episode.collided
+    # one pass per step, plus one over the final state for the last next_obs
+    assert len(calls) == env.n_cav * (12 + 1)
+    last = episode.transitions[-1]
+    assert last.terminal.all() and last.next_obs.any()
+
+
+def test_padded_batch_is_a_plain_stack_at_fixed_agent_count():
+    episode = collect_rollout(small_bundle(), small_env(), small_ppo(horizon=10), 4, None)
+    trans = episode.transitions
+    batch = PaddedBatch.of(trans)
+    assert batch.agents.all()
+    obs, M, dinv, mask = batch.inputs()
+    assert np.array_equal(obs.data, np.stack([tr.obs for tr in trans]))
+    assert np.array_equal(M.data, np.stack([tr.weights for tr in trans]))
+    assert np.array_equal(mask, np.stack([tr.mask for tr in trans]))
+    # D^-1 M as the rollout's forward computed it (graph.degree_normalize)
+    assert np.array_equal(dinv.data, np.stack(
+        [tr.weights / tr.mask.sum(axis=1).astype(float)[:, None] for tr in trans]))
+
+
+def test_padded_batch_matches_per_transition_passes(merge_episode):
+    import copy
+    bundle, ppo, episode = merge_episode
+    # nonzero biases, so padded rows compute nonzero values that must be masked
+    bundle = copy.deepcopy(bundle)
+    rng = np.random.default_rng(0)
+    for name, p in bundle.parameters().items():
+        if name.endswith(".b"):
+            p.data = 0.5 * rng.standard_normal(p.data.shape)
+    trans = episode.transitions[::6]
+    assert len({len(tr.agent_ids) for tr in trans}) > 1
+    values = critic_values(bundle.critic, trans)
+    for tr, v in zip(trans, values):
+        assert v.shape == (len(tr.agent_ids),)
+        np.testing.assert_allclose(v, critic_values(bundle.critic, [tr])[0],
+                                   rtol=1e-12, atol=1e-12)
+
+    targets = td_targets(bundle.critic, trans, ppo.gamma)
+    advs = [np.linspace(-1.0, 1.0, len(tr.agent_ids)) for tr in trans]
+    losses = {
+        "critic": (bundle.critic, lambda sub, idx: critic_loss_given_targets(
+            bundle.critic, sub, [targets[i] for i in idx])),
+        "actor": (bundle.actor, lambda sub, idx: surrogate_objective(
+            bundle.actor, sub, [advs[i] for i in idx], clip=0.2)),
+    }
+    for net, loss_fn in losses.values():
+        params = net.parameters()
+        for p in params.values():
+            p.grad = None
+        padded = loss_fn(trans, range(len(trans)))
+        padded.backward()
+        grads = {k: p.grad.copy() for k, p in params.items()}
+        total = 0.0
+        summed = {k: np.zeros_like(p.data) for k, p in params.items()}
+        for i, tr in enumerate(trans):
+            for p in params.values():
+                p.grad = None
+            part = loss_fn([tr], [i])
+            part.backward()
+            total += float(part.data)
+            for k, p in params.items():
+                summed[k] += p.grad
+        assert float(padded.data) == pytest.approx(total, rel=1e-12, abs=1e-12)
+        for k in params:
+            np.testing.assert_allclose(grads[k], summed[k], rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
