@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Time the CAV feature layer and the simulator step at several scales.
+
+    python3 scripts/bench_layers.py [--src path/to/checkout/src] [--reps 40]
+
+Rings follow configs/ring.json (16 CAVs and 6 humans on 230 m) scaled to
+the requested CAV count at the same density and CAV share. Per size it
+reports the median and quartiles, in milliseconds, of
+- `features`: the adjacency plus the observations of every CAV of one
+  step, as a rollout step computes them, at 4, 16, 64 and 256 CAVs;
+- `step`: one `sim.step` with zero CAV actions, at 22, 88 and 352 vehicles
+  (the state advances from call to call).
+`--src` picks the checkout to import, so two commits compare under the
+same script; the per-agent observation API of checkouts that predate the
+pairwise distance matrix (`sim.cav_pairs`) is timed the way those rollouts
+called it. Prints one JSON object.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+FEATURE_CAVS = (4, 16, 64, 256)
+STEP_VEHICLES = (22, 88, 352)
+BASE_CAVS, BASE_HUMANS, BASE_LENGTH = 16, 6, 230.0
+
+
+def ring_state(sim, networks, idm_mod, n_cav: int, seed: int = 0, warm_steps: int = 50):
+    """A ring at configs/ring.json density after a short warm-up."""
+    n_human = n_cav * BASE_HUMANS // BASE_CAVS
+    length = BASE_LENGTH * (n_cav + n_human) / (BASE_CAVS + BASE_HUMANS)
+    state = sim.build_network(networks.RingSpec(length=length), n_human, n_cav, seed,
+                              idm=idm_mod.IdmParams(v0=30.0 / 3.6, noise_mag=0.2),
+                              options=sim.SimOptions(safety_clamp=True))
+    for _ in range(warm_steps):
+        state, _ = sim.step(state, {v.id: 0.0 for v in state.cavs()}, 0.1)
+    return state
+
+
+def timed(fn, reps: int, sample_s: float = 0.005) -> dict:
+    """Median and quartiles, in ms per call, of `reps` samples of `fn`.
+
+    A sample times enough back-to-back calls to last about `sample_s`, so
+    the clock's resolution and one-off stalls weigh little at small sizes.
+    """
+    clock = time.perf_counter
+    start = clock()
+    fn()
+    batch = max(1, int(sample_s / max(clock() - start, 1e-7)))
+    samples = []
+    for _ in range(reps):
+        start = clock()
+        for _ in range(batch):
+            fn()
+        samples.append((clock() - start) / batch)
+    q1, med, q3 = statistics.quantiles(samples, n=4)
+    return {"median_ms": med * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3,
+            "calls_per_sample": batch}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    ap.add_argument("--reps", type=int, default=40)
+    args = ap.parse_args()
+    sys.path.insert(0, args.src)
+    import numpy as np
+    from cavlab import graph, idm, networks, sim
+
+    scheme, scan, target = graph.GaussianSpeedField(), 30.0, 30.0 / 3.6
+    if hasattr(sim, "cav_pairs"):
+        def features(state):
+            pairs = sim.cav_pairs(state)
+            graph.build_adjacency(state, scheme, scan, pairs)
+            sim.local_observation(state, pairs.ids, target, scan, pairs)
+    else:
+        def features(state):
+            graph.build_adjacency(state, scheme, scan)
+            for v in state.cavs():
+                sim.local_observation(state, v.id, target, scan)
+
+    out = {"python": platform.python_version(), "numpy": np.__version__,
+           "nproc": os.cpu_count(), "src": str(Path(args.src).resolve()),
+           "reps": args.reps, "features": {}, "step": {}}
+    for n_cav in FEATURE_CAVS:
+        state = ring_state(sim, networks, idm, n_cav)
+        out["features"][str(n_cav)] = timed(lambda: features(state), args.reps)
+    for n_vehicles in STEP_VEHICLES:
+        n_cav = n_vehicles * BASE_CAVS // (BASE_CAVS + BASE_HUMANS)
+        state = ring_state(sim, networks, idm, n_cav)
+        actions = {v.id: 0.0 for v in state.cavs()}   # a ring keeps its CAVs
+        out["step"][str(n_vehicles)] = timed(lambda: sim.step(state, actions, 0.1),
+                                             args.reps)
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main()

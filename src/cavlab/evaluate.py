@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CavlabError, InvalidSpec
+from .errors import CavlabError, InvalidSpec, UnknownVehicle
 from .graph import (AdjacencyScheme, GaussianSpeedField, PositionOnly,
                     VelocityOnly)
 from .layers import NetConfig
-from .sim import (SimState, StepInfo, VehicleKind, cav_neighbors, route_distance,
-                  route_length)
+from .sim import CavPairs, SimState, StepInfo, VehicleKind, cav_pairs, route_length
 from .trainer import (EnvSpec, PolicyBundle, PpoConfig, Transition, collect_rollout,
                       policy_actions, train)
 
@@ -348,33 +347,30 @@ class DecentralizationReport:
 
 
 def receptive_closure(state: SimState, agent_id: int, scan_scale: float,
-                      hops: int = 2) -> set[int]:
+                      hops: int = 2, pairs: CavPairs | None = None) -> set[int]:
     """CAV ids that can influence the agent's action.
 
     `hops` SC-graph hops cover the graph-conv + attention layers; the
     closure is then extended with each member's observed nearest leading
     and following CAVs, which enter through the local observation at any
-    range.
+    range. Both come from the step's pairwise route distances (`pairs`,
+    computed here when omitted).
     """
-    cavs = [v for v in state.vehicles if v.kind is VehicleKind.CAV]
-    by_id = {v.id: v for v in cavs}
-    frontier = {agent_id}
-    closure = {agent_id}
+    if pairs is None:
+        pairs = cav_pairs(state)
+    if agent_id not in pairs.ids:
+        raise UnknownVehicle(f"vehicle {agent_id} is not a live CAV")
+    near = pairs.dist <= scan_scale
+    inside = np.zeros(len(pairs.ids), dtype=bool)
+    inside[pairs.ids.index(agent_id)] = True
+    frontier = inside.copy()
     for _ in range(hops):
-        new = set()
-        for a in frontier:
-            va = by_id[a]
-            for w in cavs:
-                if w.id not in closure and route_distance(state, va, w) <= scan_scale:
-                    new.add(w.id)
-        closure |= new
-        frontier = new
-    for a in list(closure):
-        leader, follower = cav_neighbors(state, by_id[a], scan_scale)
-        for nb in (leader, follower):
-            if nb is not None:
-                closure.add(nb.id)
-    return closure
+        frontier = near[frontier].any(axis=0) & ~inside
+        inside |= frontier
+    members = inside.copy()
+    for nb, gap in zip(pairs.neighbors, pairs.gaps):
+        inside[nb[members & (gap <= scan_scale)]] = True
+    return {pairs.ids[k] for k in np.flatnonzero(inside)}
 
 
 def _deterministic_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec) -> dict[int, float]:
@@ -411,9 +407,9 @@ def decentralization_check(bundle: PolicyBundle, env: EnvSpec, seed: int,
     checked = perturbed_total = 0
     for s_idx, state in enumerate(states):
         base_actions = _deterministic_actions(bundle, state, env)
-        cav_ids = [v.id for v in state.cavs()]
-        for agent_id in cav_ids:
-            closure = receptive_closure(state, agent_id, env.scan_scale)
+        pairs = cav_pairs(state)
+        for agent_id in pairs.ids:
+            closure = receptive_closure(state, agent_id, env.scan_scale, pairs=pairs)
             outside = [v for v in state.vehicles
                        if (v.kind is VehicleKind.HUMAN) or (v.id not in closure)]
             if not outside:

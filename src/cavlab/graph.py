@@ -5,6 +5,12 @@ Gaussian kernel of the route distance, so a close neighbor with a large
 speed difference dominates. Two ablation schemes keep only position or
 only velocity information. Entries beyond the scan scale are masked to
 zero; the diagonal always carries the self-connection with weight 1.
+
+The matrix derives from the step's pairwise route distances
+(`sim.cav_pairs`), the same ones the observations use. The Gaussian
+kernel is taken with `math.exp` over the in-range pairs only: `np.exp`
+differs from it in the last bit on some inputs, and the weights are kept
+bit-identical to a per-pair scalar evaluation.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoAgents
-from .sim import SimState, VehicleKind, route_distance, signed_route_distance
+from .sim import CavPairs, SimState, cav_pairs
 
 
 @dataclass(frozen=True)
@@ -74,35 +80,45 @@ def gaussian_kernel(xi: float, xj: float, spec: KernelSpec,
     return spec.amplitude * math.exp(-(d * d) / (2.0 * spec.length_scale ** 2))
 
 
-def build_adjacency(state: SimState, scheme: AdjacencyScheme, scan_scale: float) -> AdjacencyMatrix:
-    """Adjacency over the live CAVs, in vehicle-list order."""
-    cavs = [v for v in state.vehicles if v.kind is VehicleKind.CAV]
-    if not cavs:
+def build_adjacency(state: SimState, scheme: AdjacencyScheme, scan_scale: float,
+                    pairs: CavPairs | None = None) -> AdjacencyMatrix:
+    """Adjacency over the live CAVs, in vehicle-list order.
+
+    Derived from the step's pairwise route distances (`pairs`, computed here
+    when omitted): the upper triangle decides which pairs are in range and
+    is mirrored, and entries are evaluated for the in-range pairs only. The
+    Gaussian kernel takes `math.exp` per pair rather than `np.exp`, whose
+    last bits differ on some inputs, so the weights match a scalar
+    evaluation bit for bit.
+    """
+    if pairs is None:
+        pairs = cav_pairs(state)
+    n = len(pairs.ids)
+    if not n:
         raise NoAgents("no CAVs in the network")
-    n = len(cavs)
-    weights = np.eye(n)
+    i, j = np.nonzero(pairs.dist <= scan_scale)
+    upper = i < j
+    i, j = i[upper], j[upper]
     mask = np.eye(n, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = route_distance(state, cavs[i], cavs[j])
-            if dist > scan_scale:
-                continue
-            mask[i, j] = mask[j, i] = True
-            weights[i, j] = _entry(state, scheme, cavs[i], cavs[j], dist)
-            weights[j, i] = _entry(state, scheme, cavs[j], cavs[i], dist)
-    degree = mask.sum(axis=1).astype(float)
-    return AdjacencyMatrix(weights=weights, scan_scale=scan_scale,
-                           agent_ids=[v.id for v in cavs],
-                           neighbor_mask=mask, degree=degree)
-
-
-def _entry(state: SimState, scheme: AdjacencyScheme, vi, vj, dist: float) -> float:
+    mask[i, j] = mask[j, i] = True
+    weights = np.eye(n)
+    vi, vj = pairs.speed[i], pairs.speed[j]
     if isinstance(scheme, GaussianSpeedField):
-        k = math.exp(-(dist * dist) / (2.0 * scheme.kernel.length_scale ** 2))
-        return k * (vj.speed - vi.speed)
-    if isinstance(scheme, PositionOnly):
-        return signed_route_distance(state, vi, vj)
-    return scheme.target_speed / (vi.speed * abs(vj.speed - vi.speed) + scheme.epsilon)
+        d = pairs.dist[i, j]
+        exponent = (-(d * d) / (2.0 * scheme.kernel.length_scale ** 2)).tolist()
+        k = np.fromiter(map(math.exp, exponent), float, len(exponent))
+        weights[i, j] = k * (vj - vi)
+        weights[j, i] = k * (vi - vj)
+    elif isinstance(scheme, PositionOnly):
+        weights[i, j] = pairs.signed[i, j]
+        weights[j, i] = pairs.signed[j, i]
+    else:
+        ts, eps = scheme.target_speed, scheme.epsilon
+        weights[i, j] = ts / (vi * np.abs(vj - vi) + eps)
+        weights[j, i] = ts / (vj * np.abs(vi - vj) + eps)
+    return AdjacencyMatrix(weights=weights, scan_scale=scan_scale,
+                           agent_ids=pairs.ids, neighbor_mask=mask,
+                           degree=mask.sum(axis=1, dtype=float))
 
 
 def degree_normalize(adj: AdjacencyMatrix) -> np.ndarray:

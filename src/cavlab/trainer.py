@@ -12,8 +12,10 @@ every step (merge) still needs one forward per minibatch.
 
 Updates run at episode boundaries once the buffer holds at least
 `batch_size` agent-transitions (the advantage estimator needs complete
-reward-to-go, so episodes are kept whole), then the buffer is cleared: every
-transition feeds exactly one update round.
+reward-to-go, so episodes are kept whole), then the buffer is cleared, so a
+transition feeds at most one update round. Episodes collected after the last
+update that do not fill a batch are never updated on;
+`TrainResult.unused_agent_transitions` counts their agent-transitions.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .idm import IdmParams
 from .layers import LOG_2PI, Adam, CriticNetwork, NetConfig, PolicyNetwork
 from .networks import RoadNetwork
 from .rewards import RewardSpec, step_reward
-from .sim import SimOptions, SimState, build_network, local_observation, step
+from .sim import SimOptions, SimState, build_network, cav_pairs, local_observation, step
 from .tensor import Tensor, no_grad
 
 
@@ -147,22 +149,18 @@ def _gaussian_logp(actions: np.ndarray, mean: np.ndarray, log_spread: float) -> 
     return -0.5 * z ** 2 - log_spread - 0.5 * LOG_2PI
 
 
-def _observe(state: SimState, env: EnvSpec, cavs) -> np.ndarray:
-    return np.stack([local_observation(state, v.id, env.target_speed, env.scan_scale)
-                     for v in cavs])
-
-
 def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
                    action_rng: np.random.Generator | None):
     """Sampled (or deterministic-mean) actions for the live CAVs.
 
     Returns (transition scaffold dict or None when no CAVs, actions dict).
     """
-    cavs = state.cavs()
-    if not cavs:
+    pairs = cav_pairs(state)
+    if not pairs.ids:
         return None, {}
-    adj = build_adjacency(state, env.scheme, env.scan_scale)
-    obs = _observe(state, env, cavs)
+    adj = build_adjacency(state, env.scheme, env.scan_scale, pairs)
+    obs = local_observation(state, pairs.ids, env.target_speed, env.scan_scale, pairs)
+    del pairs  # free its N x N matrices before the forward allocates its own
     mask = adj.neighbor_mask
     with no_grad():
         mean = bundle.actor.action_mean(
@@ -172,17 +170,17 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
     if action_rng is None:
         actions = mean.copy()
     else:
-        actions = mean + math.exp(log_spread) * action_rng.standard_normal(len(cavs))
+        actions = mean + math.exp(log_spread) * action_rng.standard_normal(len(adj.agent_ids))
     logp = _gaussian_logp(actions, mean, log_spread)
     scaffold = {
-        "agent_ids": [v.id for v in cavs],
+        "agent_ids": adj.agent_ids,
         "obs": obs,
         "weights": adj.weights,
         "mask": mask,
         "actions": actions,
         "logp_old": logp,
     }
-    return scaffold, {v.id: float(a) for v, a in zip(cavs, actions)}
+    return scaffold, {vid: float(a) for vid, a in zip(adj.agent_ids, actions)}
 
 
 def _link_next(tr: Transition, nxt: dict | None) -> None:
@@ -206,9 +204,10 @@ def collect_rollout(bundle: PolicyBundle | None, env: EnvSpec, ppo: PpoConfig,
 
     `bundle=None` runs IDM-only traffic, which needs a scenario without
     CAVs. `on_step(t, state)` sees the state after each step and ends the
-    episode early by returning True. Each live agent is observed once per
-    step; the last transition's `next_obs` takes one more pass over the
-    final state, and all its rows are terminal.
+    episode early by returning True. The live agents are observed once per
+    step, all in one call that shares the step's pairwise distances
+    (`sim.cav_pairs`) with the adjacency; the last transition's `next_obs`
+    takes one more pass over the final state, and all its rows are terminal.
     """
     state = env.build(env_seed)
     transitions: list[Transition] = []
@@ -247,10 +246,10 @@ def collect_rollout(bundle: PolicyBundle | None, env: EnvSpec, ppo: PpoConfig,
         if (on_step is not None and on_step(t, state)) or state.collided:
             break
     if pending is not None:  # one more pass, over the final state
-        cavs = state.cavs()
-        if cavs:
-            _link_next(pending, {"agent_ids": [v.id for v in cavs],
-                                 "obs": _observe(state, env, cavs)})
+        pairs = cav_pairs(state)
+        if pairs.ids:
+            _link_next(pending, {"agent_ids": pairs.ids, "obs": local_observation(
+                state, pairs.ids, env.target_speed, env.scan_scale, pairs)})
         pending.terminal[:] = True
     return EpisodeResult(
         transitions=transitions,
@@ -521,6 +520,8 @@ class TrainResult:
     records: list[EpisodeRecord]
     actor_objectives: list[float]
     critic_losses: list[float]
+    # agent-transitions left in the buffer when the episode budget ran out
+    unused_agent_transitions: int
 
     def curve_rows(self) -> list[str]:
         rows = ["episode,seed,return,mean_speed,mean_abs_accel,episode_len"]
@@ -601,4 +602,5 @@ def train(env: EnvSpec, ppo: PpoConfig, net_cfg: NetConfig, master_seed: int,
             on_checkpoint(ep, bundle)
 
     return TrainResult(bundle=bundle, records=records,
-                       actor_objectives=actor_objectives, critic_losses=critic_losses)
+                       actor_objectives=actor_objectives, critic_losses=critic_losses,
+                       unused_agent_transitions=buffered)

@@ -203,7 +203,10 @@ def test_cli_train_then_eval(tmp_path):
     assert main(["train", str(cfg_path)]) == 0
     out = tmp_path / "out"
     assert (out / "config.json").exists()
-    assert (out / "run_summary.json").exists()
+    summary = json.loads((out / "run_summary.json").read_text())["metrics"]
+    assert set(summary["unused_agent_transitions_by_seed"]) == set(summary["final_return_by_seed"])
+    assert all(isinstance(n, int) and n >= 0
+               for n in summary["unused_agent_transitions_by_seed"].values())
     curve = (out / "learning_curve.csv").read_text().strip().split("\n")
     assert curve[0] == "episode,seed,return,mean_speed,mean_abs_accel,episode_len"
     assert len(curve) == 3  # 2 episodes

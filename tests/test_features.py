@@ -1,0 +1,178 @@
+"""The array CAV features equal the scalar reference loops bit for bit.
+
+`sim.cav_pairs` computes one pairwise route-distance matrix per step, and
+the adjacency, the observations and the receptive closure derive from it.
+`scalar_features` keeps the per-pair and per-agent loops they replaced;
+every comparison here is exact (`np.array_equal`), not approximate.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import scalar_features as scalar
+from cavlab.errors import NoAgents, UnknownVehicle
+from cavlab.evaluate import receptive_closure
+from cavlab.graph import (GaussianSpeedField, KernelSpec, PositionOnly, VelocityOnly,
+                          build_adjacency)
+from cavlab.idm import IdmParams
+from cavlab.networks import FigureEightSpec, MergeSpec, RingSpec
+from cavlab.sim import (SimOptions, VehicleKind, VehicleState, build_network, cav_pairs,
+                        local_observation, route_length, step)
+
+SCHEMES = (GaussianSpeedField(), GaussianSpeedField(KernelSpec(1.0, 9.5)), PositionOnly(),
+           VelocityOnly(), VelocityOnly(epsilon=0.3, target_speed=12.0))
+
+
+def assert_features_match(state, scan_scale, target_speed=8.0):
+    cavs = state.cavs()
+    ids = [v.id for v in cavs]
+    pairs = cav_pairs(state)
+    assert pairs.ids == ids
+    for i, a in enumerate(cavs):
+        for j, b in enumerate(cavs):
+            assert pairs.signed[i, j] == scalar.signed_route_distance(state, a, b)
+            assert pairs.dist[i, j] == scalar.route_distance(state, a, b)
+    if not cavs:
+        for scheme in SCHEMES:
+            with pytest.raises(NoAgents):
+                build_adjacency(state, scheme, scan_scale)
+        assert local_observation(state, [], target_speed, scan_scale).shape == (0, 6)
+        return
+    for scheme in SCHEMES:
+        new = build_adjacency(state, scheme, scan_scale)
+        old = scalar.build_adjacency(state, scheme, scan_scale)
+        assert new.agent_ids == old.agent_ids
+        assert np.array_equal(new.weights, old.weights)
+        assert np.array_equal(new.neighbor_mask, old.neighbor_mask)
+        assert np.array_equal(new.degree, old.degree)
+        assert np.array_equal(build_adjacency(state, scheme, scan_scale, pairs).weights,
+                              old.weights)
+    for scan in (scan_scale, None):
+        new = local_observation(state, ids, target_speed, scan)
+        old = np.array([scalar.local_observation(state, vid, target_speed, scan)
+                        for vid in ids])
+        assert np.array_equal(new, old)
+        # any subset, in any order, picks the same rows
+        picked = ids[::-2]
+        assert np.array_equal(local_observation(state, picked, target_speed, scan, pairs),
+                              old[[ids.index(vid) for vid in picked]])
+    for vid in ids:
+        assert (receptive_closure(state, vid, scan_scale, pairs=pairs)
+                == scalar.receptive_closure(state, vid, scan_scale))
+        assert (receptive_closure(state, vid, scan_scale, hops=1)
+                == scalar.receptive_closure(state, vid, scan_scale, hops=1))
+
+
+def scan_scale_for(data, state):
+    """A drawn scan scale, often exactly one of the pairwise distances."""
+    cavs = state.cavs()
+    exact = [scalar.route_distance(state, a, b) for a in cavs for b in cavs if a is not b]
+    options = [st.floats(0.0, 300.0)]
+    if exact:
+        options.append(st.sampled_from(exact))
+    return data.draw(st.one_of(*options))
+
+
+def positions(length):
+    """Route positions in [0, length), often on a coarse grid so that they tie."""
+    return st.one_of(st.floats(0.0, length, exclude_max=True),
+                     st.sampled_from([0.0, 1.0, 7.5, length / 4.0, length / 2.0,
+                                      length / 2.0 + 7.5, length - 1.0]))
+
+
+speeds = st.one_of(st.floats(0.0, 15.0), st.sampled_from([0.0, 3.0, 8.0]))
+
+
+def fill_kinematics(data, state):
+    for v in state.vehicles:
+        v.route_pos = data.draw(positions(route_length(state, v.route_id)))
+        v.speed = data.draw(speeds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ring_features_match_scalar(data):
+    n_cav = data.draw(st.integers(0, 8))
+    n_human = data.draw(st.integers(0 if n_cav else 1, 4))
+    length = data.draw(st.sampled_from([230.0, 100.0, 260.3, 1e3 / 3.0]))
+    state = build_network(RingSpec(length=length), n_human, n_cav, seed=0,
+                          idm=IdmParams(noise_mag=0.0))
+    fill_kinematics(data, state)
+    assert_features_match(state, scan_scale_for(data, state))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_figure_eight_features_match_scalar(data):
+    n_cav = data.draw(st.integers(1, 8))
+    n_human = data.draw(st.integers(0, 4))
+    state = build_network(FigureEightSpec(), n_human, n_cav, seed=1,
+                          idm=IdmParams(noise_mag=0.0))
+    for v in state.vehicles:
+        v.route_id = data.draw(st.integers(0, 1))
+    fill_kinematics(data, state)
+    assert_features_match(state, scan_scale_for(data, state))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_merge_features_match_scalar(data):
+    net = MergeSpec()
+    state = build_network(net, 0, 0, seed=2)
+    kinds = data.draw(st.lists(st.sampled_from(list(VehicleKind)), max_size=10))
+    for vid, kind in enumerate(kinds):
+        route = data.draw(st.integers(0, 1))
+        # ramp vehicles on the ramp, at the merge point, and past it
+        state.vehicles.append(VehicleState(
+            id=vid, kind=kind, route_id=route,
+            route_pos=data.draw(positions(route_length(state, route))),
+            speed=data.draw(speeds)))
+    assert_features_match(state, scan_scale_for(data, state))
+
+
+def test_driven_merge_with_exits_matches_scalar():
+    state = build_network(MergeSpec(cav_fraction=0.5), 0, 0, seed=3,
+                          idm=IdmParams(noise_mag=0.2), options=SimOptions(safety_clamp=True))
+    rng = np.random.default_rng(0)
+    checked = on_ramp = 0
+    for t in range(900):
+        state, _ = step(state, {v.id: float(rng.uniform(-1.0, 1.0)) for v in state.cavs()},
+                        0.1)
+        if t % 15 == 0 and state.cavs():
+            assert_features_match(state, 30.0)
+            checked += 1
+            on_ramp += any(v.route_id == 1 for v in state.cavs())
+    assert state.total_exited > 0 and checked > 40 and on_ramp > 0
+
+
+def test_single_cav_and_tied_positions():
+    state = build_network(RingSpec(length=100.0), 2, 1, seed=0)
+    assert_features_match(state, 30.0)
+    state = build_network(RingSpec(length=100.0), 0, 4, seed=0)
+    for v, x in zip(state.vehicles, (10.0, 10.0, 60.0, 10.0)):
+        v.route_pos, v.speed = x, 2.0 + v.id
+    assert_features_match(state, 30.0)
+    # CAV 0's leader and follower are its first tied mate in list order
+    obs = local_observation(state, [0, 1], 8.0, 30.0)
+    assert obs[0, 3] == obs[0, 5] == 0.0 and obs[0, 2] == obs[0, 4] == 1.0 / 8.0
+    assert obs[1, 2] == obs[1, 4] == -1.0 / 8.0
+
+
+def test_merge_level_cav_counts_as_behind():
+    net = MergeSpec()
+    state = build_network(net, 0, 0, seed=0)
+    ramp_pos = 350.0 + net.ramp_length - net.merge_point   # same effective position
+    state.vehicles += [VehicleState(id=0, kind=VehicleKind.CAV, route_pos=350.0, speed=1.0),
+                       VehicleState(id=1, kind=VehicleKind.CAV, route_pos=ramp_pos,
+                                    speed=2.0, route_id=1)]
+    assert_features_match(state, 30.0)
+    obs = local_observation(state, [0, 1], 8.0, 30.0)
+    # each is the other's follower at distance 0; neither has a leader
+    assert obs[:, 3].tolist() == [1.0, 1.0] and obs[:, 5].tolist() == [0.0, 0.0]
+
+
+def test_receptive_closure_rejects_non_cav():
+    state = build_network(RingSpec(), 2, 1, seed=0)
+    human = next(v for v in state.vehicles if v.kind is VehicleKind.HUMAN)
+    with pytest.raises(UnknownVehicle):
+        receptive_closure(state, human.id, 30.0)

@@ -5,8 +5,8 @@ from cavlab.errors import CapacityExceeded, InvalidSpec, UnknownVehicle
 from cavlab.idm import IdmParams, equilibrium_speed
 from cavlab.networks import FigureEightSpec, MergeSpec, RingSpec
 from cavlab.sim import (
-    VehicleKind, build_network, detect_collision, local_observation,
-    route_distance, signed_route_distance, step, trajectory_rows,
+    VehicleKind, build_network, cav_pairs, detect_collision, local_observation,
+    step, trajectory_rows,
 )
 
 
@@ -186,7 +186,8 @@ def test_symmetric_ring_observations_identical():
     for v in state.vehicles:
         v.speed = 4.0
     target = 8.0
-    obs = [local_observation(state, v.id, target) for v in state.vehicles]
+    obs = local_observation(state, [v.id for v in state.vehicles], target)
+    assert obs.shape == (6, 6)
     spacing = 240.0 / 6.0
     for o, v in zip(obs, state.vehicles):
         assert o[0] == pytest.approx(4.0 / 8.0)
@@ -202,7 +203,7 @@ def test_three_cav_ring_hand_computed():
     va.route_pos, vb.route_pos, vc.route_pos = 10.0, 30.0, 75.0
     va.speed, vb.speed, vc.speed = 2.0, 5.0, 1.0
     target = 10.0
-    o = local_observation(state, va.id, target)
+    o = local_observation(state, [va.id], target)[0]
     # leader of a is b: dist 20, rel speed +3; follower is c: dist 35, rel -1
     assert o.tolist() == pytest.approx([0.2, 0.1, 0.3, 0.2, -0.1, 0.35])
 
@@ -210,17 +211,17 @@ def test_three_cav_ring_hand_computed():
 def test_single_cav_gets_sentinels():
     state = build_network(RingSpec(), 5, 1, seed=0)
     cav = state.cavs()[0]
-    o = local_observation(state, cav.id, 8.0)
+    o = local_observation(state, [cav.id], 8.0)[0]
     assert o[2] == 0.0 and o[3] == 1.0 and o[4] == 0.0 and o[5] == 1.0
 
 
 def test_unknown_vehicle_raises():
     state = build_network(RingSpec(), 2, 1, seed=0)
-    with pytest.raises(UnknownVehicle):
-        local_observation(state, 999, 8.0)
+    with pytest.raises(UnknownVehicle, match="not in network"):
+        local_observation(state, [999], 8.0)
     human = next(v for v in state.vehicles if v.kind is VehicleKind.HUMAN)
-    with pytest.raises(UnknownVehicle):
-        local_observation(state, human.id, 8.0)
+    with pytest.raises(UnknownVehicle, match="not a CAV"):
+        local_observation(state, [state.cavs()[0].id, human.id], 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +232,10 @@ def test_ring_distance_wraps():
     state = build_network(RingSpec(length=100.0), 0, 2, seed=0)
     a, b = state.vehicles
     a.route_pos, b.route_pos = 5.0, 95.0
-    assert route_distance(state, a, b) == pytest.approx(10.0)
-    assert signed_route_distance(state, a, b) == pytest.approx(10.0)
-    assert signed_route_distance(state, b, a) == pytest.approx(-10.0)
+    pairs = cav_pairs(state)
+    assert pairs.dist[0, 1] == pytest.approx(10.0)
+    assert pairs.signed[0, 1] == pytest.approx(10.0)
+    assert pairs.signed[1, 0] == pytest.approx(-10.0)
 
 
 def test_figure_eight_cross_loop_distance():
@@ -242,10 +244,13 @@ def test_figure_eight_cross_loop_distance():
     a = next(v for v in state.vehicles if v.route_id == 0)
     b = next(v for v in state.vehicles if v.route_id == 1)
     a.route_pos, b.route_pos = 15.0, 25.0
+    pairs = cav_pairs(state)
+    i, j = pairs.ids.index(a.id), pairs.ids.index(b.id)
     # zone mid = 5.0 on both loops: distances 10 and 20 through the zone
-    assert route_distance(state, a, b) == pytest.approx(30.0)
-    assert signed_route_distance(state, a, b) == pytest.approx(
-        -signed_route_distance(state, b, a))
+    assert pairs.dist[i, j] == pytest.approx(30.0)
+    # a is closer to the zone, so it counts as ahead of b
+    assert pairs.signed[i, j] == pytest.approx(10.0)
+    assert pairs.signed[i, j] == pytest.approx(-pairs.signed[j, i])
 
 
 # ---------------------------------------------------------------------------

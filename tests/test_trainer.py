@@ -341,19 +341,21 @@ def test_next_obs_is_next_step_observation(merge_episode):
 
 def test_rollout_observes_each_agent_once_per_step(monkeypatch):
     import cavlab.trainer as trainer_mod
-    calls = []
+    rows = []
     original = trainer_mod.local_observation
 
-    def counted(state, agent_id, *args):
-        calls.append(agent_id)
-        return original(state, agent_id, *args)
+    def counted(*args, **kwargs):
+        obs = original(*args, **kwargs)
+        rows.append(len(obs))
+        return obs
 
     monkeypatch.setattr(trainer_mod, "local_observation", counted)
     env = small_env()
     episode = collect_rollout(small_bundle(), env, small_ppo(horizon=12), 0, None)
     assert episode.length == 12 and not episode.collided
-    # one pass per step, plus one over the final state for the last next_obs
-    assert len(calls) == env.n_cav * (12 + 1)
+    # one call per step for all agents, plus one over the final state for
+    # the last next_obs
+    assert rows == [env.n_cav] * (12 + 1)
     last = episode.transitions[-1]
     assert last.terminal.all() and last.next_obs.any()
 
@@ -440,6 +442,18 @@ def test_train_smoke_and_buffer_hygiene():
     rows = result.curve_rows()
     assert rows[0] == "episode,seed,return,mean_speed,mean_abs_accel,episode_len"
     assert len(rows) == 5
+
+
+def test_train_reports_unused_trailing_transitions():
+    # 4 CAVs x 20 steps = 80 agent-transitions per episode; a batch of 160
+    # fills after episodes 2 and 4, so with 3 episodes the third is unused
+    env = small_env()
+    for episodes, updates, unused in ((3, 1, 80), (4, 2, 0)):
+        ppo = small_ppo(horizon=20, episodes=episodes, batch_size=160, epochs=1)
+        result = train(env, ppo, NetConfig(hidden=16, heads=2), master_seed=5)
+        assert all(r.length == 20 for r in result.records)
+        assert len(result.critic_losses) == updates
+        assert result.unused_agent_transitions == unused
 
 
 def test_train_deterministic():
