@@ -1,21 +1,19 @@
 #!/usr/bin/env python3
-"""Desk-scale ablation sweeps: attention heads and adjacency scheme.
+"""Desk-scale ablation sweeps on configs/ring_smoke.json: attention heads
+and adjacency scheme.
 
 Trends (not magnitudes) are the point at this scale; expect the
 kernel-weighted scheme and a moderate head count to come out ahead in
 the median, with per-seed noise.
 """
 import argparse
+import dataclasses
 from pathlib import Path
 
+from cavlab.config import parse_config
 from cavlab.evaluate import SweepSpec, run_sweep
-from cavlab.graph import GaussianSpeedField
-from cavlab.idm import IdmParams
-from cavlab.layers import NetConfig
-from cavlab.networks import RingSpec
-from cavlab.rewards import RingEightReward
-from cavlab.sim import SimOptions
-from cavlab.trainer import EnvSpec, PpoConfig
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ring_smoke.json"
 
 
 def main():
@@ -26,29 +24,21 @@ def main():
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
 
-    target = 30.0 / 3.6
-    env = EnvSpec(network=RingSpec(230.0), n_human=2, n_cav=4,
-                  idm=IdmParams(v0=target, noise_mag=0.2),
-                  options=SimOptions(safety_clamp=True),
-                  target_speed=target, dt=0.1,
-                  reward=RingEightReward(target_speed=target),
-                  scheme=GaussianSpeedField(), scan_scale=60.0)
-    ppo = PpoConfig(horizon=500, episodes=args.episodes, batch_size=2000,
-                    epochs=10, minibatch_size=256, gamma=0.9)
-    net = NetConfig(hidden=64, heads=8)
+    cfg = parse_config(CONFIG)
+    cfg = dataclasses.replace(cfg, ppo=dataclasses.replace(cfg.ppo, episodes=args.episodes))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     heads = SweepSpec(variable="attention_heads", values=[0, 2, 4, 8],
                       episodes_per_value=3, seeds=seeds)
-    result = run_sweep(heads, env, ppo, net)
+    result = run_sweep(heads, cfg)
     (out / "attention_heads.csv").write_text("\n".join(result.table_rows()) + "\n")
     print(f"attention-heads sweep -> {out / 'attention_heads.csv'}")
 
     schemes = SweepSpec(variable="adjacency_scheme",
                         values=["position", "velocity", "both"],
                         episodes_per_value=3, seeds=seeds)
-    result = run_sweep(schemes, env, ppo, net)
+    result = run_sweep(schemes, cfg)
     (out / "adjacency_scheme.csv").write_text("\n".join(result.table_rows()) + "\n")
     print(f"adjacency-scheme sweep -> {out / 'adjacency_scheme.csv'}")
 

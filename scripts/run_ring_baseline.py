@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
 """All-human ring baseline: stop-and-go waves from IDM noise.
 
-Runs the 22-vehicle / 230 m ring for 3000 steps and writes a space-time
-CSV plus summary stats. Rendering (e.g. with matplotlib or any plotting
-tool) is left to the reader.
+Runs configs/ring.json with every CAV replaced by an IDM driver (the
+22-vehicle / 230 m ring) for 3000 steps and writes a space-time CSV plus
+summary stats. Rendering (e.g. with matplotlib or any plotting tool) is
+left to the reader.
 """
 import argparse
 from pathlib import Path
 
+from cavlab.config import parse_config
 from cavlab.evaluate import evaluate, space_time_export
-from cavlab.graph import GaussianSpeedField
-from cavlab.idm import IdmParams
-from cavlab.networks import RingSpec
-from cavlab.rewards import RingEightReward
-from cavlab.sim import SimOptions
-from cavlab.trainer import EnvSpec
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ring.json"
 
 
 def main():
@@ -24,12 +22,7 @@ def main():
     ap.add_argument("--steps", type=int, default=3000)
     args = ap.parse_args()
 
-    target = 30.0 / 3.6
-    env = EnvSpec(network=RingSpec(230.0), n_human=22, n_cav=0,
-                  idm=IdmParams(v0=target, noise_mag=0.2),
-                  options=SimOptions(), target_speed=target, dt=0.1,
-                  reward=RingEightReward(target_speed=target),
-                  scheme=GaussianSpeedField(), scan_scale=30.0)
+    env = parse_config(CONFIG).human_only().env_spec()
     report = evaluate(None, env, horizon=args.steps, episodes=1, seeds=[args.seed])
 
     out = Path(args.out)

@@ -2,21 +2,20 @@
 """Desk-scale training demo on a 6-vehicle ring with 4 CAVs.
 
 Equivalent to `cavlab train configs/ring_smoke.json` but shows the
-library API directly: build the env spec, train, evaluate the mean
-policy, and compare against the untrained network.
+library API directly: load the config, train, evaluate the mean policy,
+and compare against the untrained network.
 """
 import argparse
+import dataclasses
+from pathlib import Path
 
 import numpy as np
 
+from cavlab.config import parse_config
 from cavlab.evaluate import evaluate
-from cavlab.graph import GaussianSpeedField
-from cavlab.idm import IdmParams
-from cavlab.layers import NetConfig
-from cavlab.networks import RingSpec
-from cavlab.rewards import RingEightReward
-from cavlab.sim import SimOptions
-from cavlab.trainer import EnvSpec, PpoConfig, make_policy, init_stream, train
+from cavlab.trainer import make_policy, init_stream, train
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ring_smoke.json"
 
 
 def main():
@@ -26,25 +25,20 @@ def main():
     ap.add_argument("--heads", type=int, default=8)
     args = ap.parse_args()
 
-    target = 30.0 / 3.6
-    env = EnvSpec(network=RingSpec(230.0), n_human=2, n_cav=4,
-                  idm=IdmParams(v0=target, noise_mag=0.2),
-                  options=SimOptions(safety_clamp=True),
-                  target_speed=target, dt=0.1,
-                  reward=RingEightReward(target_speed=target),
-                  scheme=GaussianSpeedField(), scan_scale=60.0)
-    ppo = PpoConfig(horizon=500, episodes=args.episodes, batch_size=2000,
-                    epochs=10, minibatch_size=256, gamma=0.9)
-    net = NetConfig(hidden=64, heads=args.heads)
+    cfg = parse_config(CONFIG)
+    cfg = dataclasses.replace(cfg, ppo=dataclasses.replace(cfg.ppo, episodes=args.episodes),
+                              nn=dataclasses.replace(cfg.nn, heads=args.heads))
+    cfg.validate()
+    env, net, horizon = cfg.env_spec(), cfg.net_config(), cfg.scenario.horizon
 
-    result = train(env, ppo, net, master_seed=args.seed)
+    result = train(env, cfg.ppo_config(), net, master_seed=args.seed)
     rets = [r.episode_return for r in result.records]
     print(f"first-10 mean return : {np.mean(rets[:10]):9.1f}")
     print(f"final-10 mean return : {np.mean(rets[-10:]):9.1f}")
 
-    trained = evaluate(result.bundle, env, horizon=500, episodes=1, seeds=[args.seed])
+    trained = evaluate(result.bundle, env, horizon=horizon, episodes=1, seeds=[args.seed])
     fresh = evaluate(make_policy(net, init_stream(args.seed)), env,
-                     horizon=500, episodes=1, seeds=[args.seed])
+                     horizon=horizon, episodes=1, seeds=[args.seed])
     print(f"trained mean speed   : {trained.mean_velocity:6.2f} m/s")
     print(f"untrained mean speed : {fresh.mean_velocity:6.2f} m/s")
 

@@ -17,8 +17,8 @@ from . import __version__
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig, emit_config, parse_config
 from .errors import CavlabError, IncompatibleCheckpoint
-from .evaluate import (SweepSpec, decentralization_check, evaluate, run_sweep,
-                       space_time_export)
+from .evaluate import (SWEEP_VARIABLES, EvalReport, SweepSpec, decentralization_check,
+                       evaluate, run_sweep, space_time_export)
 from .graph import adjacency_csv_rows
 from .layers import NetConfig
 from .sim import export_trajectory_csv, vehicle_table_rows
@@ -65,9 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="train+evaluate across a variable")
     common(p_sweep)
-    p_sweep.add_argument("--variable", required=True,
-                         choices=["penetration_rate", "target_speed", "scan_scale",
-                                  "adjacency_scheme", "attention_heads"])
+    p_sweep.add_argument("--variable", required=True, choices=SWEEP_VARIABLES)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 0,2,4,8")
     p_sweep.add_argument("--episodes-per-value", type=int, default=3)
@@ -144,22 +142,27 @@ def _bundle_from_checkpoint(path, cfg: RunConfig) -> PolicyBundle:
     return bundle
 
 
+def _write_report(out: Path, report: EvalReport, prefix: str) -> None:
+    """Write an evaluation's report, space-time, trajectory and vehicle
+    tables; `prefix` starts every file name."""
+    eval_dir, st_dir = out / "eval", out / "spacetime"
+    eval_dir.mkdir(exist_ok=True)
+    with open(eval_dir / f"{prefix}report.json", "w") as fh:
+        json.dump(report.summary(), fh, indent=2)
+        fh.write("\n")
+    st_dir.mkdir(exist_ok=True)
+    space_time_export(report, st_dir / f"{prefix}spacetime.csv")
+    infos = report.first_episode_infos[report.seeds[0]]
+    export_trajectory_csv(infos, eval_dir / f"{prefix}trajectory.csv")
+    (eval_dir / f"{prefix}vehicles.csv").write_text("\n".join(vehicle_table_rows(infos)) + "\n")
+
+
 def cmd_eval(args) -> int:
     cfg, out, seeds = _load(args)
     bundle = _bundle_from_checkpoint(args.checkpoint, cfg)
     env = cfg.env_spec()
     report = evaluate(bundle, env, cfg.scenario.horizon, args.episodes, seeds)
-    eval_dir = out / "eval"
-    eval_dir.mkdir(exist_ok=True)
-    with open(eval_dir / "report.json", "w") as fh:
-        json.dump(report.summary(), fh, indent=2)
-        fh.write("\n")
-    st_dir = out / "spacetime"
-    st_dir.mkdir(exist_ok=True)
-    space_time_export(report, st_dir / "spacetime.csv")
-    infos = report.first_episode_infos[seeds[0]]
-    export_trajectory_csv(infos, eval_dir / "trajectory.csv")
-    (eval_dir / "vehicles.csv").write_text("\n".join(vehicle_table_rows(infos)) + "\n")
+    _write_report(out, report, prefix="")
     if args.dump_adjacency:  # decision-time adjacency of every 100th step
         adj_dir = out / "adjacency"
         adj_dir.mkdir(exist_ok=True)
@@ -181,28 +184,9 @@ def cmd_eval(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg, out, seeds = _load(args)
-    scen = cfg.scenario
-    if scen.kind == "merge":
-        human_cfg = dataclasses.replace(
-            cfg, scenario=dataclasses.replace(scen, cav_fraction=0.0))
-    else:
-        human_cfg = dataclasses.replace(
-            cfg, scenario=dataclasses.replace(
-                scen, n_human=scen.n_human + scen.n_cav, n_cav=0))
-    env = human_cfg.env_spec()
-    report = evaluate(None, env, scen.horizon, args.episodes, seeds)
-    eval_dir = out / "eval"
-    eval_dir.mkdir(exist_ok=True)
-    with open(eval_dir / "baseline_report.json", "w") as fh:
-        json.dump(report.summary(), fh, indent=2)
-        fh.write("\n")
-    st_dir = out / "spacetime"
-    st_dir.mkdir(exist_ok=True)
-    space_time_export(report, st_dir / "baseline_spacetime.csv")
-    infos = report.first_episode_infos[seeds[0]]
-    export_trajectory_csv(infos, eval_dir / "baseline_trajectory.csv")
-    (eval_dir / "baseline_vehicles.csv").write_text(
-        "\n".join(vehicle_table_rows(infos)) + "\n")
+    report = evaluate(None, cfg.human_only().env_spec(), cfg.scenario.horizon,
+                      args.episodes, seeds)
+    _write_report(out, report, prefix="baseline_")
     _write_summary(out, cfg, seeds, {"baseline": report.summary()})
     print(f"IDM baseline: mean_velocity={report.mean_velocity:.3f} "
           f"return={report.episode_return:.2f} collision_rate={report.collision_rate:.2f}")
@@ -214,7 +198,7 @@ def cmd_sweep(args) -> int:
     values = _parse_values(args.variable, args.values)
     spec = SweepSpec(variable=args.variable, values=values,
                      episodes_per_value=args.episodes_per_value, seeds=seeds)
-    result = run_sweep(spec, cfg.env_spec(), cfg.ppo_config(), cfg.net_config())
+    result = run_sweep(spec, cfg)
     (out / "sweep.csv").write_text("\n".join(result.table_rows()) + "\n")
     if result.pct_change_rows:
         (out / "sweep_pct_change.csv").write_text(

@@ -1,18 +1,25 @@
 """Run-configuration schema: one JSON object per module block.
 
-Unknown keys are rejected anywhere in the tree (typo safety), every field
-has a default, and the effective (defaults-resolved) config round-trips:
-emit -> parse -> identical RunConfig.
+The block dataclasses below are the schema. Parsing walks them: unknown
+keys and values of the wrong type are rejected anywhere in the tree with a
+`ParseError` naming the key, and every field has a default. The effective
+(defaults-resolved) config is `dataclasses.asdict` of the parsed tree and
+round-trips: emit -> parse -> identical RunConfig. `RunConfig` is the only
+code that turns config keys into the `EnvSpec`, `PpoConfig` and `NetConfig`
+a run uses; sweeps and scripts edit a `RunConfig` and build from it.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass
 
-from .errors import ParseError, ValidationError
+from .errors import CavlabError, ParseError, ValidationError
 from .graph import GaussianSpeedField, KernelSpec, PositionOnly, VelocityOnly
 from .idm import IdmParams
 from .layers import NetConfig
@@ -22,8 +29,22 @@ from .sim import SimOptions, build_network
 from .trainer import EnvSpec, PpoConfig
 
 KMH_30 = 30.0 / 3.6
-_DEFAULT_HORIZONS = {"ring": 3000, "figure_eight": 1500, "merge": 600}
-_DEFAULT_COUNTS = {"ring": (6, 16), "figure_eight": (7, 7), "merge": (0, 0)}
+# scenario keys whose default depends on the scenario kind
+_KIND_DEFAULTS = {
+    "ring": {"horizon": 3000, "n_human": 6, "n_cav": 16},
+    "figure_eight": {"horizon": 1500, "n_human": 7, "n_cav": 7},
+    "merge": {"horizon": 600, "n_human": 0, "n_cav": 0},
+}
+
+
+@dataclass(frozen=True)
+class IdmConfig:
+    v0: float | None = None   # None: use target_speed
+    T: float = 1.0
+    a_max: float = 1.0
+    b: float = 1.5
+    delta: float = 4.0
+    s0: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -49,12 +70,7 @@ class ScenarioConfig:
     cav_accel_min: float = -3.0
     cav_accel_max: float = 3.0
     safety_clamp: bool = False
-    idm_v0: float | None = None   # None: use target_speed
-    idm_T: float = 1.0
-    idm_a_max: float = 1.0
-    idm_b: float = 1.5
-    idm_delta: float = 4.0
-    idm_s0: float = 2.0
+    idm: IdmConfig = IdmConfig()
 
 
 @dataclass(frozen=True)
@@ -113,20 +129,19 @@ class RunConfig:
         if s.kind == "ring":
             return RingSpec(length=s.ring_length)
         if s.kind == "figure_eight":
-            return FigureEightSpec(loop_radius=tuple(s.loop_radius),
-                                   conflict_zone=tuple(map(tuple, s.conflict_zone)))
+            return FigureEightSpec(loop_radius=s.loop_radius, conflict_zone=s.conflict_zone)
         if s.kind == "merge":
             return MergeSpec(highway_length=s.highway_length,
                              ramp_length=s.ramp_length, merge_point=s.merge_point,
                              inflow_main=s.inflow_main, inflow_ramp=s.inflow_ramp,
                              cav_fraction=s.cav_fraction)
-        raise ValidationError(f"unknown scenario kind {s.kind!r}")
+        raise ValidationError(
+            f"scenario.kind must be one of {sorted(_KIND_DEFAULTS)}, got {s.kind!r}")
 
     def idm_params(self) -> IdmParams:
         s = self.scenario
-        return IdmParams(v0=s.idm_v0 if s.idm_v0 is not None else s.target_speed,
-                         T=s.idm_T, a_max=s.idm_a_max, b=s.idm_b,
-                         delta=s.idm_delta, s0=s.idm_s0, noise_mag=s.noise_mag)
+        v0 = s.idm.v0 if s.idm.v0 is not None else s.target_speed
+        return IdmParams(**{**dataclasses.asdict(s.idm), "v0": v0}, noise_mag=s.noise_mag)
 
     def sim_options(self) -> SimOptions:
         s = self.scenario
@@ -165,89 +180,54 @@ class RunConfig:
                        scan_scale=self.graph.scan_scale)
 
     def net_config(self) -> NetConfig:
-        s, n = self.scenario, self.nn
-        return NetConfig(hidden=n.hidden, heads=n.heads, activation=n.activation,
+        s = self.scenario
+        return NetConfig(**dataclasses.asdict(self.nn),
                          action_low=s.cav_accel_min, action_high=s.cav_accel_max)
 
     def ppo_config(self) -> PpoConfig:
-        p = self.ppo
-        return PpoConfig(gamma=p.gamma, clip=p.clip, batch_size=p.batch_size,
-                         epochs=p.epochs, minibatch_size=p.minibatch_size,
-                         actor_lr=p.actor_lr, critic_lr=p.critic_lr,
-                         horizon=self.scenario.horizon, episodes=p.episodes,
-                         normalize_advantages=p.normalize_advantages,
-                         checkpoint_every=p.checkpoint_every,
-                         max_lr_halvings=p.max_lr_halvings)
+        return PpoConfig(horizon=self.scenario.horizon, **dataclasses.asdict(self.ppo))
+
+    def human_only(self) -> RunConfig:
+        """The same run without CAVs: every CAV of a closed network becomes
+        an IDM driver, and a merge gets no CAV inflow."""
+        s = self.scenario
+        if s.kind == "merge":
+            return dataclasses.replace(self, scenario=dataclasses.replace(s, cav_fraction=0.0))
+        return dataclasses.replace(self, scenario=dataclasses.replace(
+            s, n_human=s.n_human + s.n_cav, n_cav=0))
 
     # -- validation / io ------------------------------------------------------
 
     def validate(self) -> None:
-        s = self.scenario
-        if s.kind not in _DEFAULT_HORIZONS:
-            raise ValidationError(f"scenario.kind must be one of {sorted(_DEFAULT_HORIZONS)}")
-        if s.horizon < 1:
-            raise ValidationError("scenario.horizon must be >= 1")
-        if s.dt <= 0:
-            raise ValidationError("scenario.dt must be positive")
-        if s.target_speed <= 0:
-            raise ValidationError("scenario.target_speed must be positive")
+        """Check what no spec owns, then dry-build the specs (their own
+        checks run) and the initial traffic (capacity errors)."""
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
+        if self.scenario.dt <= 0:
+            raise ValidationError("scenario.dt must be positive")
+        if self.graph.scan_scale <= 0:
+            raise ValidationError("graph.scan_scale must be positive")
         if self.nn.heads < 0:
             raise ValidationError("nn.heads must be >= 0")
         if self.nn.heads > 0 and self.nn.hidden % self.nn.heads != 0:
             raise ValidationError(
                 f"nn.hidden={self.nn.hidden} must be divisible by nn.heads={self.nn.heads}")
-        if self.graph.scan_scale <= 0:
-            raise ValidationError("graph.scan_scale must be positive")
-        if self.graph.sigma <= 0:
-            raise ValidationError("graph.sigma must be positive")
-        if self.graph.epsilon <= 0:
-            raise ValidationError("graph.epsilon must be positive")
         try:
-            # downstream dataclass invariants + a dry build for capacity errors
-            self.idm_params().validate()
-            self.sim_options().validate()
-            self.reward_spec().validate()
-            self.ppo_config().validate()
-            net = self.network_spec()
-            net.validate()
-            build_network(net, self.scenario.n_human, self.scenario.n_cav, 0,
-                          idm=self.idm_params(), options=self.sim_options())
+            # both kernels, so the key the chosen scheme ignores is checked too
+            KernelSpec(length_scale=self.graph.sigma)
+            VelocityOnly(epsilon=self.graph.epsilon)
+            env = self.env_spec()
+            for spec in (env.network, env.idm, env.options, env.reward, self.ppo_config()):
+                spec.validate()
+            build_network(env.network, env.n_human, env.n_cav, 0,
+                          idm=env.idm, options=env.options)
         except ValidationError:
             raise
-        except Exception as exc:
+        except CavlabError as exc:
             raise ValidationError(str(exc)) from exc
 
     def effective_dict(self) -> dict:
-        s = self.scenario
-        return {
-            "scenario": {
-                "kind": s.kind, "target_speed": s.target_speed,
-                "horizon": s.horizon, "dt": s.dt,
-                "n_human": s.n_human, "n_cav": s.n_cav,
-                "ring_length": s.ring_length,
-                "loop_radius": list(s.loop_radius),
-                "conflict_zone": [list(z) for z in s.conflict_zone],
-                "highway_length": s.highway_length, "ramp_length": s.ramp_length,
-                "merge_point": s.merge_point, "inflow_main": s.inflow_main,
-                "inflow_ramp": s.inflow_ramp, "cav_fraction": s.cav_fraction,
-                "noise_mag": s.noise_mag, "noise_dist": s.noise_dist,
-                "vehicle_length": s.vehicle_length,
-                "cav_accel_min": s.cav_accel_min, "cav_accel_max": s.cav_accel_max,
-                "safety_clamp": s.safety_clamp,
-                "idm": {"v0": s.idm_v0, "T": s.idm_T, "a_max": s.idm_a_max,
-                        "b": s.idm_b, "delta": s.idm_delta, "s0": s.idm_s0},
-            },
-            "reward": {"w_v": self.reward.w_v, "w_a": self.reward.w_a,
-                       "accel_threshold": self.reward.accel_threshold,
-                       "w_h": self.reward.w_h, "t_min": self.reward.t_min},
-            "graph": dataclasses.asdict(self.graph),
-            "nn": dataclasses.asdict(self.nn),
-            "ppo": dataclasses.asdict(self.ppo),
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-        }
+        return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.effective_dict(), sort_keys=True)
@@ -257,65 +237,57 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # parsing
 
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
-def _require_keys(block: dict, allowed: set[str], where: str) -> None:
-    unknown = set(block) - allowed
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _block_from(cls, block, where: str = ""):
+    """`cls` built from the JSON object `block` found at key `where`."""
+    if not isinstance(block, dict):
+        raise ParseError(f"{where or 'the top level of the config'} must be a JSON object")
+    prefix = f"{where}." if where else ""
+    field_types = _field_types(cls)
+    unknown = sorted(set(block) - set(field_types))
     if unknown:
-        raise ParseError(f"unknown key {sorted(unknown)[0]!r} in {where}")
+        raise ParseError(f"unknown key '{prefix}{unknown[0]}'")
+    return cls(**{k: _typed(v, field_types[k], prefix + k) for k, v in block.items()})
 
 
-def _scenario_from(block: dict) -> ScenarioConfig:
-    allowed = {f.name for f in dataclasses.fields(ScenarioConfig)
-               if not f.name.startswith("idm_")} | {"idm"}
-    _require_keys(block, allowed, "block 'scenario'")
-    kind = block.get("kind", "ring")
-    defaults: dict = {"kind": kind}
-    if kind in _DEFAULT_HORIZONS:
-        defaults["horizon"] = _DEFAULT_HORIZONS[kind]
-        defaults["n_human"], defaults["n_cav"] = _DEFAULT_COUNTS[kind]
-    idm_block = block.pop("idm", {})
-    if not isinstance(idm_block, dict):
-        raise ParseError("scenario.idm must be an object")
-    _require_keys(idm_block, {"v0", "T", "a_max", "b", "delta", "s0"}, "block 'scenario.idm'")
-    fields: dict = dict(defaults)
-    fields.update(block)
-    for k, v in idm_block.items():
-        fields[f"idm_{k}"] = v
-    if "loop_radius" in fields:
-        fields["loop_radius"] = tuple(fields["loop_radius"])
-    if "conflict_zone" in fields:
-        fields["conflict_zone"] = tuple(tuple(z) for z in fields["conflict_zone"])
-    try:
-        return ScenarioConfig(**fields)
-    except TypeError as exc:
-        raise ParseError(f"bad scenario block: {exc}") from exc
-
-
-def _block_from(cls, block: dict, where: str):
-    _require_keys(block, {f.name for f in dataclasses.fields(cls)}, where)
-    try:
-        return cls(**block)
-    except TypeError as exc:
-        raise ParseError(f"bad {where}: {exc}") from exc
+def _typed(value, tp, key: str):
+    """`value` checked against the field type `tp`: an int passes for a
+    float, a bool only for a bool, a list becomes a tuple of the declared
+    length, and None passes only where the field allows it."""
+    if dataclasses.is_dataclass(tp):
+        return _block_from(tp, value, key)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # `T | None`
+        inner, = (a for a in args if a is not type(None))
+        return None if value is None else _typed(value, inner, key)
+    if origin is tuple:
+        variadic = args[-1] is Ellipsis
+        if not isinstance(value, list) or (not variadic and len(value) != len(args)):
+            size = "" if variadic else f" of {len(args)}"
+            raise ParseError(f"{key} must be a list{size}, got {value!r}")
+        item_types = args[:1] * len(value) if variadic else args
+        return tuple(_typed(v, t, f"{key}[{i}]")
+                     for i, (v, t) in enumerate(zip(value, item_types)))
+    allowed = (int, float) if tp is float else tp
+    if not isinstance(value, allowed) or (isinstance(value, bool) and tp is not bool):
+        raise ParseError(f"{key} must be {_TYPE_NAMES[tp]}, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ParseError("top level of the config must be a JSON object")
-    _require_keys(raw, {"scenario", "reward", "graph", "nn", "ppo",
-                        "seeds", "output_dir"}, "the top-level object")
-    for name in ("scenario", "reward", "graph", "nn", "ppo"):
-        if name in raw and not isinstance(raw[name], dict):
-            raise ParseError(f"block {name!r} must be a JSON object")
-    cfg = RunConfig(
-        scenario=_scenario_from(dict(raw.get("scenario", {}))),
-        reward=_block_from(RewardConfig, dict(raw.get("reward", {})), "block 'reward'"),
-        graph=_block_from(GraphConfig, dict(raw.get("graph", {})), "block 'graph'"),
-        nn=_block_from(NnConfig, dict(raw.get("nn", {})), "block 'nn'"),
-        ppo=_block_from(PpoBlock, dict(raw.get("ppo", {})), "block 'ppo'"),
-        seeds=tuple(raw.get("seeds", [0])),
-        output_dir=raw.get("output_dir", "runs/out"),
-    )
+    scenario = raw.get("scenario") if isinstance(raw, dict) else None
+    if isinstance(scenario, dict):
+        kind = scenario.get("kind", "ring")
+        if isinstance(kind, str) and kind in _KIND_DEFAULTS:
+            raw = {**raw, "scenario": {**_KIND_DEFAULTS[kind], **scenario}}
+    cfg = _block_from(RunConfig, raw)
     cfg.validate()
     return cfg
 

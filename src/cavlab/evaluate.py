@@ -5,21 +5,20 @@ seeds, and keeps the first episode per seed for space-time export. Every
 episode, the IDM-only baseline and the decentralization check's state
 sampler included, runs through `trainer.collect_rollout`. Sweeps train (or
 reuse) a policy per cell and evaluate it, continuing past cells that fail
-with a `CavlabError`.
+with a `CavlabError`. A sweep cell is the run's `RunConfig` with the one
+swept key replaced and validated; its specs are built from that config like
+any other run's.
 """
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import CavlabError, InvalidSpec, UnknownVehicle
-from .graph import (AdjacencyScheme, GaussianSpeedField, PositionOnly,
-                    VelocityOnly)
-from .layers import NetConfig
 from .sim import CavPairs, SimState, StepInfo, VehicleKind, cav_pairs, route_length
 from .trainer import (EnvSpec, PolicyBundle, PpoConfig, Transition, collect_rollout,
                       policy_actions, train)
@@ -215,42 +214,30 @@ class SweepResult:
         return rows
 
 
-def _scheme_for(name: str, target_speed: float) -> AdjacencyScheme:
-    if name in ("both", "gaussian_speed_field"):
-        return GaussianSpeedField()
-    if name in ("position", "position_only"):
-        return PositionOnly()
-    if name in ("velocity", "velocity_only"):
-        return VelocityOnly(target_speed=target_speed)
-    raise InvalidSpec(f"unknown adjacency scheme {name!r}")
+# sweep aliases of the config's adjacency scheme names
+SCHEME_ALIASES = {"both": "gaussian_speed_field", "position": "position_only",
+                  "velocity": "velocity_only"}
 
 
-def _with_target_speed(env: EnvSpec, target: float) -> EnvSpec:
-    reward = dataclasses.replace(env.reward, target_speed=target)
-    idm = dataclasses.replace(env.idm, v0=target)
-    scheme = env.scheme
-    if isinstance(scheme, VelocityOnly):
-        scheme = dataclasses.replace(scheme, target_speed=target)
-    return dataclasses.replace(env, target_speed=target, reward=reward,
-                               idm=idm, scheme=scheme)
-
-
-def _cell_env_net(env: EnvSpec, net: NetConfig, variable: str, value):
+def _cell_config(cfg: RunConfig, variable: str, value) -> RunConfig:
+    """`cfg` with the config key that `variable` sweeps set to `value`, validated."""
+    s, g = cfg.scenario, cfg.graph
     if variable == "penetration_rate":
-        total = env.n_human + env.n_cav
+        total = s.n_human + s.n_cav
         n_cav = int(round(float(value) * total))
         if not (0 < n_cav <= total):
             raise InvalidSpec(f"penetration rate {value} gives {n_cav} CAVs of {total}")
-        return dataclasses.replace(env, n_cav=n_cav, n_human=total - n_cav), net
-    if variable == "target_speed":
-        return _with_target_speed(env, float(value)), net
-    if variable == "scan_scale":
-        return dataclasses.replace(env, scan_scale=float(value)), net
-    if variable == "adjacency_scheme":
-        return dataclasses.replace(env, scheme=_scheme_for(str(value), env.target_speed)), net
-    if variable == "attention_heads":
-        return env, dataclasses.replace(net, heads=int(value))
-    raise InvalidSpec(f"unknown sweep variable {variable!r}")
+        cell = replace(cfg, scenario=replace(s, n_cav=n_cav, n_human=total - n_cav))
+    elif variable == "target_speed":
+        cell = replace(cfg, scenario=replace(s, target_speed=float(value)))
+    elif variable == "scan_scale":
+        cell = replace(cfg, graph=replace(g, scan_scale=float(value)))
+    elif variable == "adjacency_scheme":
+        cell = replace(cfg, graph=replace(g, scheme=SCHEME_ALIASES.get(str(value), str(value))))
+    else:
+        cell = replace(cfg, nn=replace(cfg.nn, heads=int(value)))
+    cell.validate()
+    return cell
 
 
 TRAIN_TARGET_SPEED_BASE = 20.0 / 3.6  # 20 km/h training baseline for the sweep
@@ -260,26 +247,34 @@ def _describe(exc: CavlabError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def run_sweep(spec: SweepSpec, env: EnvSpec, ppo: PpoConfig, net: NetConfig,
-              horizon: int | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec, cfg: RunConfig, horizon: int | None = None) -> SweepResult:
     """Train and evaluate one cell per (value, seed).
 
-    target_speed is a generalization sweep: the policy is trained once per
-    seed at 20 km/h and evaluated under each target speed; the percentage
-    return change against the 20 km/h cell is emitted alongside. A cell that
-    fails with a `CavlabError` is marked and the sweep continues; any other
-    exception is a program error and propagates.
+    Each cell is `cfg` with the one key the sweep variable names replaced,
+    so every other key of `cfg` holds in every cell. target_speed is a
+    generalization sweep: the policy is trained once per seed at 20 km/h
+    and evaluated under each target speed; the percentage return change
+    against the 20 km/h cell is emitted alongside. A cell that fails with a
+    `CavlabError` is marked and the sweep continues; any other exception is
+    a program error and propagates.
     """
     spec.validate()
-    horizon = horizon if horizon is not None else ppo.horizon
+    horizon = horizon if horizon is not None else cfg.scenario.horizon
     cells: list[SweepCell] = []
     pct_rows = ["variable,value,seed,pct_return_change"]
 
+    def train_on(cell: RunConfig, seed: int) -> PolicyBundle:
+        return train(cell.env_spec(), cell.ppo_config(), cell.net_config(),
+                     master_seed=seed).bundle
+
+    def evaluate_on(cell: RunConfig, bundle: PolicyBundle, seed: int) -> EvalReport:
+        return evaluate(bundle, cell.env_spec(), horizon, spec.episodes_per_value, [seed])
+
     if spec.variable == "target_speed":
         for seed in spec.seeds:
-            base_env = _with_target_speed(env, TRAIN_TARGET_SPEED_BASE)
             try:
-                result = train(base_env, ppo, net, master_seed=seed)
+                base = _cell_config(cfg, spec.variable, TRAIN_TARGET_SPEED_BASE)
+                bundle = train_on(base, seed)
             except CavlabError as exc:
                 for value in spec.values:
                     cells.append(SweepCell(spec.variable, value, seed,
@@ -289,9 +284,7 @@ def run_sweep(spec: SweepSpec, env: EnvSpec, ppo: PpoConfig, net: NetConfig,
             for value in spec.values:
                 cell = SweepCell(spec.variable, value, seed)
                 try:
-                    cell_env = _with_target_speed(env, float(value))
-                    report = evaluate(result.bundle, cell_env, horizon,
-                                      spec.episodes_per_value, [seed])
+                    report = evaluate_on(_cell_config(cfg, spec.variable, value), bundle, seed)
                     cell.episode_return = report.episode_return
                     cell.mean_velocity = report.mean_velocity
                     cell.mean_abs_accel = report.mean_abs_accel
@@ -302,10 +295,7 @@ def run_sweep(spec: SweepSpec, env: EnvSpec, ppo: PpoConfig, net: NetConfig,
                     cell.error = _describe(exc)
                 cells.append(cell)
             if baseline_return is None:
-                base_cell_env = _with_target_speed(env, TRAIN_TARGET_SPEED_BASE)
-                baseline_return = evaluate(
-                    result.bundle, base_cell_env, horizon,
-                    spec.episodes_per_value, [seed]).episode_return
+                baseline_return = evaluate_on(base, bundle, seed).episode_return
             for cell in cells:
                 if cell.seed == seed and not cell.failed:
                     pct = 100.0 * (cell.episode_return - baseline_return) / abs(baseline_return)
@@ -316,10 +306,8 @@ def run_sweep(spec: SweepSpec, env: EnvSpec, ppo: PpoConfig, net: NetConfig,
         for seed in spec.seeds:
             cell = SweepCell(spec.variable, value, seed)
             try:
-                cell_env, cell_net = _cell_env_net(env, net, spec.variable, value)
-                result = train(cell_env, ppo, cell_net, master_seed=seed)
-                report = evaluate(result.bundle, cell_env, horizon,
-                                  spec.episodes_per_value, [seed])
+                cell_cfg = _cell_config(cfg, spec.variable, value)
+                report = evaluate_on(cell_cfg, train_on(cell_cfg, seed), seed)
                 cell.episode_return = report.episode_return
                 cell.mean_velocity = report.mean_velocity
                 cell.mean_abs_accel = report.mean_abs_accel

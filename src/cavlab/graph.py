@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoAgents
+from .errors import InvalidSpec, NoAgents
 from .sim import CavPairs, SimState, cav_pairs
 
 
@@ -30,7 +30,7 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.amplitude <= 0 or self.length_scale <= 0:
-            raise ValueError("kernel amplitude and length scale must be positive")
+            raise InvalidSpec("kernel amplitude and length scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class VelocityOnly:
 
     def __post_init__(self):
         if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise InvalidSpec("epsilon must be positive")
 
 
 AdjacencyScheme = GaussianSpeedField | PositionOnly | VelocityOnly

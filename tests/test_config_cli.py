@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,12 +9,15 @@ import pytest
 
 from cavlab.checkpoint import load_checkpoint, save_checkpoint
 from cavlab.cli import main
+from cavlab import config as config_module
 from cavlab.config import config_from_dict, emit_config, parse_config
 from cavlab.errors import IncompatibleCheckpoint, ParseError, ValidationError
 from cavlab.layers import NetConfig
 from cavlab.trainer import make_policy, init_stream
 
 import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, body: dict, name="cfg.json") -> Path:
@@ -130,6 +135,68 @@ def test_removed_keys_rejected(tmp_path, block, key, value):
 def test_heads_divisibility_checked():
     with pytest.raises(ValidationError, match="divisible"):
         config_from_dict({"nn": {"hidden": 64, "heads": 7}})
+
+
+WRONG_TYPES = [
+    ({"graph": {"scan_scale": "30"}}, "graph.scan_scale"),
+    ({"seeds": 3}, "seeds"),
+    ({"ppo": {"episodes": "5"}}, "ppo.episodes"),
+    ({"scenario": {"n_cav": 3.5}}, "scenario.n_cav"),
+    ({"scenario": {"safety_clamp": 1}}, "scenario.safety_clamp"),
+    ({"scenario": {"loop_radius": [1.0]}}, "scenario.loop_radius"),
+    ({"nn": {"heads": True}}, "nn.heads"),
+    ({"graph": {"sigma": None}}, "graph.sigma"),
+    ({"scenario": {"idm": {"v0": "fast"}}}, "scenario.idm.v0"),
+    ({"scenario": {"idm": 3}}, "scenario.idm"),
+    ({"seeds": [0, 1.5]}, "seeds[1]"),
+]
+
+
+@pytest.mark.parametrize("body, key", WRONG_TYPES)
+def test_wrong_type_names_the_key(tmp_path, body, key):
+    with pytest.raises(ParseError, match=re.escape(key)):
+        parse_config(write_config(tmp_path, body))
+
+
+def test_lenient_types_accepted():
+    # an int stands for a float, None for an optional field, a list for a tuple
+    cfg = config_from_dict({"graph": {"scan_scale": 30}, "reward": {"w_v": None},
+                            "scenario": {"idm": {"v0": 7}}, "seeds": [4, 5]})
+    assert cfg.graph.scan_scale == 30
+    assert cfg.reward.w_v is None
+    assert cfg.idm_params().v0 == 7
+    assert cfg.seeds == (4, 5)
+
+
+@pytest.mark.parametrize("body, key", WRONG_TYPES[:6])
+def test_cli_wrong_type_one_error_line(tmp_path, capsys, body, key):
+    assert main(["baseline", str(write_config(tmp_path, body))]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ParseError: ")
+    assert key in err and "Traceback" not in err
+
+
+def test_program_error_in_dry_build_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a bad config")
+
+    monkeypatch.setattr(config_module, "build_network", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        config_from_dict({})
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("figure_eight", "11745f41be921bbf"),
+    ("merge", "908ef240d62bcafa"),
+    ("ring", "a36a9aa6d59bca24"),
+    ("ring_smoke", "2f96886cc3d620f6"),
+])
+def test_shipped_configs_emit_unchanged(tmp_path, name, digest):
+    # the hash names a run's effective config; a schema refactor must not move it
+    cfg = parse_config(ROOT / "configs" / f"{name}.json")
+    assert cfg.config_hash() == digest
+    emit_config(cfg, tmp_path / "eff.json")
+    assert parse_config(tmp_path / "eff.json") == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +354,33 @@ def test_cli_sweep_small(tmp_path):
     rows = (tmp_path / "out" / "sweep.csv").read_text().strip().split("\n")
     assert rows[0] == "variable,value,seed,return,mean_velocity,mean_abs_accel"
     assert len(rows) == 3
+
+
+def test_cli_check_passes(capsys):
+    assert main(["check"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines)
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_script_ring_baseline(tmp_path):
+    out = run_script("run_ring_baseline.py", "--steps", "50", "--out", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    assert "mean velocity" in out.stdout
+    rows = (tmp_path / "spacetime.csv").read_text().strip().split("\n")
+    assert len(rows) == 1 + 50 * 22
+
+
+def test_script_train_ring_smoke():
+    out = run_script("train_ring_smoke.py", "--episodes", "1")
+    assert out.returncode == 0, out.stderr
+    assert "trained mean speed" in out.stdout
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

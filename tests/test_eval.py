@@ -1,14 +1,16 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cavlab.config import config_from_dict
 from cavlab.errors import InvalidSpec
 from cavlab.evaluate import (
     SweepSpec, decentralization_check, evaluate, import_space_time,
     receptive_closure, run_sweep, space_time_export,
 )
-from cavlab.graph import GaussianSpeedField
+from cavlab.graph import GaussianSpeedField, KernelSpec, VelocityOnly
 from cavlab.idm import IdmParams
 from cavlab.layers import NetConfig
 from cavlab.networks import RingSpec
@@ -171,15 +173,31 @@ def test_decentralization_check_small_ring():
 # sweeps
 
 
-def tiny_ppo():
-    return PpoConfig(horizon=30, episodes=2, batch_size=120, epochs=1,
-                     minibatch_size=64, gamma=0.9)
+def tiny_config(scenario=None, graph=None):
+    """ring_env() with a 30-step horizon, two short episodes and a 16-wide net."""
+    return config_from_dict({
+        "scenario": {"kind": "ring", "n_human": 2, "n_cav": 4, "target_speed": TARGET,
+                     "horizon": 30, "noise_mag": 0.2, "safety_clamp": True,
+                     **(scenario or {})},
+        "graph": {"scan_scale": 60.0, **(graph or {})},
+        "nn": {"hidden": 16, "heads": 2},
+        "ppo": {"episodes": 2, "batch_size": 120, "epochs": 1, "minibatch_size": 64,
+                "gamma": 0.9},
+    })
+
+
+def test_tiny_config_matches_hand_built_specs():
+    cfg = tiny_config()
+    assert cfg.env_spec() == ring_env()
+    assert cfg.ppo_config() == PpoConfig(horizon=30, episodes=2, batch_size=120, epochs=1,
+                                         minibatch_size=64, gamma=0.9)
+    assert cfg.net_config() == NetConfig(hidden=16, heads=2)
 
 
 def test_sweep_single_cell_table():
     spec = SweepSpec(variable="scan_scale", values=[40.0], episodes_per_value=1,
                      seeds=[0])
-    result = run_sweep(spec, ring_env(), tiny_ppo(), NetConfig(hidden=16, heads=2))
+    result = run_sweep(spec, tiny_config())
     rows = result.table_rows()
     assert rows[0] == "variable,value,seed,return,mean_velocity,mean_abs_accel"
     assert len(rows) == 2
@@ -189,7 +207,7 @@ def test_sweep_single_cell_table():
 def test_sweep_attention_heads_rows():
     spec = SweepSpec(variable="attention_heads", values=[0, 2], episodes_per_value=1,
                      seeds=[0])
-    result = run_sweep(spec, ring_env(), tiny_ppo(), NetConfig(hidden=16, heads=2))
+    result = run_sweep(spec, tiny_config())
     assert [c.value for c in result.cells] == [0, 2]
     assert all(not c.failed for c in result.cells)
 
@@ -198,7 +216,7 @@ def test_sweep_adjacency_schemes():
     spec = SweepSpec(variable="adjacency_scheme",
                      values=["position", "velocity", "both"],
                      episodes_per_value=1, seeds=[0])
-    result = run_sweep(spec, ring_env(), tiny_ppo(), NetConfig(hidden=16, heads=2))
+    result = run_sweep(spec, tiny_config())
     assert [c.value for c in result.cells] == ["position", "velocity", "both"]
     assert all(not c.failed for c in result.cells)
 
@@ -207,7 +225,7 @@ def test_sweep_target_speed_pct_change():
     base = TARGET  # 20 km/h: matches the training baseline cell
     spec = SweepSpec(variable="target_speed", values=[base, 30.0 / 3.6],
                      episodes_per_value=1, seeds=[0])
-    result = run_sweep(spec, ring_env(), tiny_ppo(), NetConfig(hidden=16, heads=2))
+    result = run_sweep(spec, tiny_config())
     assert len(result.cells) == 2
     assert len(result.pct_change_rows) == 3  # header + 2 cells
     base_row = result.pct_change_rows[1]
@@ -217,7 +235,7 @@ def test_sweep_target_speed_pct_change():
 def test_sweep_failed_cell_marked_and_continues():
     spec = SweepSpec(variable="penetration_rate", values=[0.0, 0.5],
                      episodes_per_value=1, seeds=[0])
-    result = run_sweep(spec, ring_env(), tiny_ppo(), NetConfig(hidden=16, heads=2))
+    result = run_sweep(spec, tiny_config())
     assert result.cells[0].failed  # zero CAVs is not trainable
     assert result.cells[0].error.startswith("InvalidSpec: ")
     assert not result.cells[1].failed
@@ -235,7 +253,50 @@ def test_sweep_program_error_propagates(monkeypatch, variable, value):
     monkeypatch.setattr(ev, "train", broken)
     spec = SweepSpec(variable=variable, values=[value], episodes_per_value=1, seeds=[0])
     with pytest.raises(TypeError, match="a bug"):
-        run_sweep(spec, ring_env(), tiny_ppo(), NetConfig(hidden=16, heads=2))
+        run_sweep(spec, tiny_config())
+
+
+def test_sweep_cells_honour_graph_keys(monkeypatch):
+    import cavlab.evaluate as ev
+    schemes = []
+
+    def capture(env, ppo, net, master_seed):
+        schemes.append(env.scheme)
+        raise InvalidSpec("spec captured")
+
+    monkeypatch.setattr(ev, "train", capture)
+    cfg = tiny_config(graph={"sigma": 9.0, "epsilon": 0.5})
+    spec = SweepSpec(variable="adjacency_scheme",
+                     values=["gaussian_speed_field", "both", "velocity_only", "velocity"],
+                     episodes_per_value=1, seeds=[0])
+    result = run_sweep(spec, cfg)
+    assert all(c.error == "InvalidSpec: spec captured" for c in result.cells)
+    assert schemes == [GaussianSpeedField(KernelSpec(length_scale=9.0))] * 2 \
+        + [VelocityOnly(epsilon=0.5, target_speed=TARGET)] * 2
+
+
+@pytest.mark.parametrize("v0", [None, 7.0])
+def test_sweep_target_speed_idm_v0(monkeypatch, v0):
+    # an explicit scenario.idm.v0 holds in every cell; an unset one follows the target
+    import cavlab.evaluate as ev
+    trained, evaluated = [], []
+
+    def fake_train(env, ppo, net, master_seed):
+        trained.append(env)
+        return SimpleNamespace(bundle=None)
+
+    def fake_evaluate(bundle, env, horizon, episodes, seeds):
+        evaluated.append(env)
+        return SimpleNamespace(episode_return=-1.0, mean_velocity=1.0, mean_abs_accel=0.0)
+
+    monkeypatch.setattr(ev, "train", fake_train)
+    monkeypatch.setattr(ev, "evaluate", fake_evaluate)
+    targets = [TARGET, 10.0]
+    spec = SweepSpec(variable="target_speed", values=targets, episodes_per_value=1, seeds=[0])
+    run_sweep(spec, tiny_config(scenario={"idm": {"v0": v0}}))
+    assert [env.target_speed for env in evaluated] == targets
+    assert [env.idm.v0 for env in trained] == [v0 or TARGET]
+    assert [env.idm.v0 for env in evaluated] == [v0 or t for t in targets]
 
 
 def test_sweep_validation():

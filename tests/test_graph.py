@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavlab.errors import NoAgents
+from cavlab.errors import InvalidSpec, NoAgents
 from cavlab.graph import (
     AdjacencyMatrix, GaussianSpeedField, KernelSpec, PositionOnly, VelocityOnly,
     adjacency_csv_rows, build_adjacency, degree_normalize, gaussian_kernel,
@@ -41,6 +41,18 @@ def test_kernel_hand_value():
 def test_kernel_symmetry(a, b):
     spec = KernelSpec(amplitude=1.3, length_scale=4.0)
     assert gaussian_kernel(a, b, spec) == gaussian_kernel(b, a, spec)
+
+
+@pytest.mark.parametrize("amplitude, length_scale", [(0.0, 4.0), (1.0, 0.0), (1.0, -2.0)])
+def test_kernel_spec_rejects_non_positive(amplitude, length_scale):
+    with pytest.raises(InvalidSpec, match="positive"):
+        KernelSpec(amplitude=amplitude, length_scale=length_scale)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.5])
+def test_velocity_only_rejects_non_positive_epsilon(epsilon):
+    with pytest.raises(InvalidSpec, match="epsilon"):
+        VelocityOnly(epsilon=epsilon)
 
 
 def test_kernel_wraps_on_closed_routes():
