@@ -9,7 +9,11 @@ reports the median and quartiles, in milliseconds, of
 - `features`: the adjacency plus the observations of every CAV of one
   step, as a rollout step computes them, at 4, 16, 64 and 256 CAVs;
 - `step`: one `sim.step` with zero CAV actions, at 22, 88 and 352 vehicles
-  (the state advances from call to call).
+  (the state advances from call to call), and on the IDM-only figure-eight
+  and merge of configs/figure_eight.json and configs/merge.json, the
+  scenarios `cavlab baseline` runs: 14 humans on the figure-eight, and the
+  merge after a 600-step warm-up, so that its traffic has spawned (the
+  entry records the vehicle count when timing starts).
 `--src` picks the checkout to import, so two commits compare under the
 same script; the per-agent observation API of checkouts that predate the
 pairwise distance matrix (`sim.cav_pairs`) is timed the way those rollouts
@@ -32,6 +36,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 FEATURE_CAVS = (4, 16, 64, 256)
 STEP_VEHICLES = (22, 88, 352)
 BASE_CAVS, BASE_HUMANS, BASE_LENGTH = 16, 6, 230.0
+TARGET_SPEED = 30.0 / 3.6
+MERGE_WARM_STEPS = 600
 
 
 def ring_state(sim, networks, idm_mod, n_cav: int, seed: int = 0, warm_steps: int = 50):
@@ -39,11 +45,22 @@ def ring_state(sim, networks, idm_mod, n_cav: int, seed: int = 0, warm_steps: in
     n_human = n_cav * BASE_HUMANS // BASE_CAVS
     length = BASE_LENGTH * (n_cav + n_human) / (BASE_CAVS + BASE_HUMANS)
     state = sim.build_network(networks.RingSpec(length=length), n_human, n_cav, seed,
-                              idm=idm_mod.IdmParams(v0=30.0 / 3.6, noise_mag=0.2),
+                              idm=idm_mod.IdmParams(v0=TARGET_SPEED, noise_mag=0.2),
                               options=sim.SimOptions(safety_clamp=True))
     for _ in range(warm_steps):
         state, _ = sim.step(state, {v.id: 0.0 for v in state.cavs()}, 0.1)
     return state
+
+
+def baseline_states(sim, networks, idm_mod, seed: int = 0) -> dict:
+    """The figure-eight and the warmed-up merge that `cavlab baseline` runs
+    for configs/figure_eight.json and configs/merge.json."""
+    idm = idm_mod.IdmParams(v0=TARGET_SPEED, noise_mag=0.2)
+    eight = sim.build_network(networks.FigureEightSpec(), 14, 0, seed, idm=idm)
+    merge = sim.build_network(networks.MergeSpec(cav_fraction=0.0), 0, 0, seed, idm=idm)
+    for _ in range(MERGE_WARM_STEPS):
+        merge, _ = sim.step(merge, {}, 0.1)
+    return {"figure_eight": eight, "merge": merge}
 
 
 def timed(fn, reps: int, sample_s: float = 0.005) -> dict:
@@ -100,6 +117,10 @@ def main() -> None:
         actions = {v.id: 0.0 for v in state.cavs()}   # a ring keeps its CAVs
         out["step"][str(n_vehicles)] = timed(lambda: sim.step(state, actions, 0.1),
                                              args.reps)
+    for name, state in baseline_states(sim, networks, idm).items():
+        vehicles = len(state.vehicles)   # no CAVs: the actions stay empty
+        out["step"][name] = {**timed(lambda: sim.step(state, {}, 0.1), args.reps),
+                             "vehicles": vehicles}
     print(json.dumps(out))
 
 

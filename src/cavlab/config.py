@@ -10,6 +10,7 @@ a run uses; sweeps and scripts edit a `RunConfig` and build from it.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -168,7 +169,8 @@ class RunConfig:
         if g.scheme == "velocity_only":
             return VelocityOnly(epsilon=g.epsilon,
                                 target_speed=self.scenario.target_speed)
-        raise ValidationError(f"unknown adjacency scheme {g.scheme!r}")
+        raise ValidationError("graph.scheme must be gaussian_speed_field, position_only "
+                              f"or velocity_only, got {g.scheme!r}")
 
     def env_spec(self) -> EnvSpec:
         s = self.scenario
@@ -200,11 +202,20 @@ class RunConfig:
 
     def validate(self) -> None:
         """Check what no spec owns, then dry-build the specs (their own
-        checks run) and the initial traffic (capacity errors)."""
+        checks run) and the initial traffic (capacity errors). A spec's
+        error is prefixed with the config block its values came from."""
+        s = self.scenario
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
-        if self.scenario.dt <= 0:
+        if s.dt <= 0:
             raise ValidationError("scenario.dt must be positive")
+        # scenario keys that specs of other blocks check
+        if s.horizon < 1:
+            raise ValidationError("scenario.horizon must be >= 1")
+        if s.target_speed <= 0:
+            raise ValidationError("scenario.target_speed must be positive")
+        if s.noise_mag < 0:
+            raise ValidationError("scenario.noise_mag must be >= 0")
         if self.graph.scan_scale <= 0:
             raise ValidationError("graph.scan_scale must be positive")
         if self.nn.heads < 0:
@@ -212,19 +223,24 @@ class RunConfig:
         if self.nn.heads > 0 and self.nn.hidden % self.nn.heads != 0:
             raise ValidationError(
                 f"nn.hidden={self.nn.hidden} must be divisible by nn.heads={self.nn.heads}")
-        try:
+        with _block("graph"):
             # both kernels, so the key the chosen scheme ignores is checked too
             KernelSpec(length_scale=self.graph.sigma)
             VelocityOnly(epsilon=self.graph.epsilon)
+            self.adjacency_scheme()
+        with _block("scenario"):
+            self.network_spec().validate()
+            self.sim_options().validate()
+        with _block("scenario.idm"):
+            self.idm_params().validate()
+        with _block("reward"):
+            self.reward_spec().validate()
+        with _block("ppo"):
+            self.ppo_config().validate()
+        with _block("scenario"):
             env = self.env_spec()
-            for spec in (env.network, env.idm, env.options, env.reward, self.ppo_config()):
-                spec.validate()
             build_network(env.network, env.n_human, env.n_cav, 0,
                           idm=env.idm, options=env.options)
-        except ValidationError:
-            raise
-        except CavlabError as exc:
-            raise ValidationError(str(exc)) from exc
 
     def effective_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -232,6 +248,18 @@ class RunConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.effective_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@contextlib.contextmanager
+def _block(name: str):
+    """Re-raise a spec's range error as a `ValidationError` naming `name`,
+    the config block its values came from."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except CavlabError as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ Kinematics are forward-Euler with a speed floor at zero. All randomness
 flows through the per-state numpy Generator, so identical (spec, seed,
 action sequence) produce bit-identical trajectories.
 
+`step` orders the state twice with `compute_leaders`: before the update
+for the IDM, and after it for the collision check and the CAV headways.
+A figure-eight step summarizes each loop's conflict zone once per state
+(`_zone_summary`: is it occupied, how near is the nearest approach), and
+every yield decision and the zone-collision rule read that summary.
+
 CAV features come from one pairwise matrix per step: `cav_pairs` computes
 the live CAVs' signed route distances as numpy arrays, together with each
 CAV's nearest leader and follower, and the adjacency (`graph`), the
@@ -143,10 +149,6 @@ def route_length(state: SimState, route_id: int) -> float:
     if route_id == 0:
         return net.highway_length
     return net.ramp_route_length()
-
-
-def is_closed(network: RoadNetwork) -> bool:
-    return not isinstance(network, MergeSpec)
 
 
 def merge_effective_pos(net: MergeSpec, v: VehicleState) -> float:
@@ -290,16 +292,13 @@ def compute_leaders(state: SimState) -> dict[int, Leader]:
         lanes = [merge_lane(net, v) for v in order]
         n = len(order)
         for i, v in enumerate(order):
-            lead = None
             for j in range(i + 1, n):
                 # main traffic has priority and ignores the on-ramp lane;
                 # ramp traffic yields, following the projection of any lane
-                if lanes[i] == "main" and lanes[j] != "main":
-                    continue
-                lead = order[j]
-                out[v.id] = (lead, effs[j] - effs[i] - length)
-                break
-            if lead is None:
+                if lanes[i] != "main" or lanes[j] == "main":
+                    out[v.id] = (order[j], effs[j] - effs[i] - length)
+                    break
+            else:
                 out[v.id] = (None, math.inf)
         return out
 
@@ -308,8 +307,6 @@ def compute_leaders(state: SimState) -> dict[int, Leader]:
         cars = sorted((v for v in state.vehicles if v.route_id == rid),
                       key=lambda v: (v.route_pos, v.id))
         n = len(cars)
-        if n == 0:
-            continue
         if n == 1:
             out[cars[0].id] = (None, math.inf)
             continue
@@ -321,36 +318,45 @@ def compute_leaders(state: SimState) -> dict[int, Leader]:
     return out
 
 
-def _figure_eight_yield_accel(state: SimState, v: VehicleState) -> float | None:
+# Per figure-eight loop: (some vehicle is inside the conflict zone, the
+# smallest distance (lo - pos) % L from a vehicle of the loop to the zone)
+ZoneSummary = tuple[tuple[bool, float], tuple[bool, float]]
+
+
+def _zone_summary(state: SimState) -> ZoneSummary:
+    net = state.network
+    inside, nearest = [False, False], [math.inf, math.inf]
+    lengths = (net.loop_length(0), net.loop_length(1))
+    for v in state.vehicles:
+        rid = v.route_id
+        lo, hi = net.conflict_zone[rid]
+        if lo <= v.route_pos < hi:
+            inside[rid] = True
+        nearest[rid] = min(nearest[rid], (lo - v.route_pos) % lengths[rid])
+    return (inside[0], nearest[0]), (inside[1], nearest[1])
+
+
+def _figure_eight_yield_accel(state: SimState, v: VehicleState,
+                              zones: ZoneSummary) -> float | None:
     """IDM braking demand against crossing traffic at the conflict zone.
 
     A vehicle approaching within the yield window gives way to any crossing
     vehicle that is inside the zone, or approaching and closer to it (ties
-    go to loop 0). Vehicles already inside the zone never yield.
+    go to loop 0). Vehicles already inside the zone never yield. `zones`
+    is `_zone_summary(state)`: a crossing vehicle that makes v yield exists
+    iff the nearest one on the other loop does.
     """
     net = state.network
     lo, hi = net.conflict_zone[v.route_id]
     if lo <= v.route_pos < hi:
         return None
-    L = route_length(state, v.route_id)
-    dz = (lo - v.route_pos) % L
+    dz = (lo - v.route_pos) % net.loop_length(v.route_id)
     if dz > net.yield_window:
         return None
     other_route = 1 - v.route_id
-    olo, ohi = net.conflict_zone[other_route]
-    oL = route_length(state, other_route)
-    must_yield = False
-    for w in state.vehicles:
-        if w.route_id != other_route:
-            continue
-        if olo <= w.route_pos < ohi:
-            must_yield = True
-            break
-        odz = (olo - w.route_pos) % oL
-        if odz <= net.yield_window and (odz < dz or (odz == dz and other_route < v.route_id)):
-            must_yield = True
-            break
-    if not must_yield:
+    inside, nearest = zones[other_route]
+    if not (inside or (nearest <= net.yield_window
+                       and (nearest < dz or (nearest == dz and other_route < v.route_id)))):
         return None
     return accel_from_speed(v.speed, max(dz, _MIN_VIRTUAL_GAP), 0.0, state.idm)
 
@@ -381,10 +387,12 @@ def _merge_yield_accel(state: SimState, v: VehicleState) -> float | None:
     return accel_from_speed(v.speed, max(dist_to_end, _MIN_VIRTUAL_GAP), 0.0, idm)
 
 
-def human_accel(state: SimState, v: VehicleState, leader: Leader) -> float:
+def human_accel(state: SimState, v: VehicleState, leader: Leader,
+                zones: ZoneSummary | None) -> float:
     """Deterministic IDM acceleration for a human driver, incl. yield rules.
 
-    `leader` is the vehicle's entry of `compute_leaders(state)`.
+    `leader` is the vehicle's entry of `compute_leaders(state)`; `zones` is
+    `_zone_summary(state)` on a figure-eight and None elsewhere.
     """
     lead, gap = leader
     if lead is None:
@@ -393,7 +401,7 @@ def human_accel(state: SimState, v: VehicleState, leader: Leader) -> float:
         a = accel_from_speed(v.speed, max(gap, _MIN_VIRTUAL_GAP), lead.speed, state.idm)
     net = state.network
     if isinstance(net, FigureEightSpec):
-        ya = _figure_eight_yield_accel(state, v)
+        ya = _figure_eight_yield_accel(state, v, zones)
         if ya is not None:
             a = min(a, ya)
     elif isinstance(net, MergeSpec):
@@ -496,18 +504,24 @@ def build_network(spec: RoadNetwork, n_human: int, n_cav: int, seed: int,
 # Collision detection
 
 
-def detect_collision(state: SimState) -> bool:
-    """True iff any bumper gap is non-positive or a conflict zone is double-occupied."""
+def _conflicts(state: SimState, leaders: dict[int, Leader]) -> bool:
+    """True iff any bumper gap is non-positive or a conflict zone is double-occupied.
+
+    `leaders` is `compute_leaders(state)`. Its gaps are the bumper gaps on
+    closed routes, and on merge a main-lane vehicle's leader is the next
+    main-lane vehicle, so neither needs an ordering of its own here.
+    """
     net = state.network
     length = state.options.vehicle_length
 
     if isinstance(net, MergeSpec):
-        for lane in ("main", "ramp"):
-            effs = sorted(merge_effective_pos(net, v) for v in state.vehicles
-                          if merge_lane(net, v) == lane)
-            for a, b in zip(effs, effs[1:]):
-                if b - a - length <= 0:
-                    return True
+        if any(leaders[v.id][1] <= 0 for v in state.vehicles if merge_lane(net, v) == "main"):
+            return True
+        # a ramp vehicle's leader may sit on the main lane: order the ramp here
+        effs = sorted(merge_effective_pos(net, v) for v in state.vehicles
+                      if merge_lane(net, v) == "ramp")
+        if any(b - a - length <= 0 for a, b in zip(effs, effs[1:])):
+            return True
         # shared pavement just past the merge point: cross-origin overlap there
         # is a conflict even before the ordinary lane gap check would order them
         z = net.conflict_zone_length
@@ -515,33 +529,20 @@ def detect_collision(state: SimState) -> bool:
         in_zone = [(merge_effective_pos(net, v), v.route_id) for v in state.vehicles
                    if merge_lane(net, v) == "main"
                    and lo <= merge_effective_pos(net, v) <= hi]
-        for ea, ra in in_zone:
-            for eb, rb in in_zone:
-                if ra == 1 and rb == 0 and abs(ea - eb) < length:
-                    return True
-        return False
+        return any(ra == 1 and rb == 0 and abs(ea - eb) < length
+                   for ea, ra in in_zone for eb, rb in in_zone)
 
-    for rid in ({0} if isinstance(net, RingSpec) else {0, 1}):
-        cars = sorted((v for v in state.vehicles if v.route_id == rid),
-                      key=lambda v: (v.route_pos, v.id))
-        n = len(cars)
-        if n < 2:
-            continue
-        L = route_length(state, rid)
-        for i in range(n):
-            lead = cars[(i + 1) % n]
-            if (lead.route_pos - cars[i].route_pos) % L - length <= 0:
-                return True
-
+    if any(gap <= 0 for _, gap in leaders.values()):
+        return True
     if isinstance(net, FigureEightSpec):
-        occupied = [False, False]
-        for v in state.vehicles:
-            lo, hi = net.conflict_zone[v.route_id]
-            if lo <= v.route_pos < hi:
-                occupied[v.route_id] = True
-        if occupied[0] and occupied[1]:
-            return True
+        (inside0, _), (inside1, _) = _zone_summary(state)
+        return inside0 and inside1
     return False
+
+
+def detect_collision(state: SimState) -> bool:
+    """True iff any bumper gap is non-positive or a conflict zone is double-occupied."""
+    return _conflicts(state, compute_leaders(state))
 
 
 # ---------------------------------------------------------------------------
@@ -612,16 +613,20 @@ def step(state: SimState, cav_actions: dict[int, float], dt: float) -> tuple[Sim
     if unknown:
         raise UnknownVehicle(f"actions for non-CAV ids {sorted(unknown)}")
 
+    net = state.network
+    closed = not isinstance(net, MergeSpec)
+    lengths = (route_length(state, 0), route_length(state, 1))
     leaders = compute_leaders(state)
+    zones = _zone_summary(state) if isinstance(net, FigureEightSpec) else None
     accels: dict[int, float] = {}
     for v in state.vehicles:  # fixed order keeps the noise stream deterministic
         if v.kind is VehicleKind.CAV:
-            a = float(np.clip(cav_actions[v.id], opts.cav_accel_min, opts.cav_accel_max))
+            a = min(max(float(cav_actions[v.id]), opts.cav_accel_min), opts.cav_accel_max)
             if opts.safety_clamp:
                 a = min(a, _interaction_brake(state, v, leaders[v.id]))
                 a = max(a, -opts.human_decel_limit)
         else:
-            a = human_accel(state, v, leaders[v.id]) + _draw_noise(state)
+            a = human_accel(state, v, leaders[v.id], zones) + _draw_noise(state)
             a = max(a, -opts.human_decel_limit)
         accels[v.id] = a
 
@@ -630,41 +635,34 @@ def step(state: SimState, cav_actions: dict[int, float], dt: float) -> tuple[Sim
         v.speed = max(0.0, v.speed + a * dt)
         v.route_pos += v.speed * dt
         v.last_accel = a
-        if is_closed(state.network):
-            v.route_pos %= route_length(state, v.route_id)
+        if closed:
+            v.route_pos %= lengths[v.route_id]
 
     state.time_step += 1
     state.sim_time += dt
 
     spawned: list[int] = []
     exited: list[int] = []
-    if isinstance(state.network, MergeSpec):
-        keep = []
-        for v in state.vehicles:
-            if v.route_pos >= route_length(state, v.route_id):
-                exited.append(v.id)
-                state.total_exited += 1
-            else:
-                keep.append(v)
-        state.vehicles = keep
+    if not closed:
+        exited = [v.id for v in state.vehicles if v.route_pos >= lengths[v.route_id]]
+        state.vehicles = [v for v in state.vehicles if v.id not in exited]
+        state.total_exited += len(exited)
         _maybe_spawn(state, spawned)
 
-    if detect_collision(state):
+    # the post-step state is ordered once: collisions and headways share it
+    leaders = compute_leaders(state)
+    if _conflicts(state, leaders):
         state.collided = True
 
-    return state, _snapshot(state, spawned, exited)
+    return state, _snapshot(state, leaders, spawned, exited)
 
 
-def _snapshot(state: SimState, spawned: list[int], exited: list[int]) -> StepInfo:
+def _snapshot(state: SimState, leaders: dict[int, Leader], spawned: list[int],
+              exited: list[int]) -> StepInfo:
     cavs = [v for v in state.vehicles if v.kind is VehicleKind.CAV]
-    leaders = compute_leaders(state) if cavs else {}
-    headways = []
-    for v in cavs:
-        _, gap = leaders[v.id]
-        if math.isinf(gap) or v.speed <= 0.0:
-            headways.append(HEADWAY_CAP)
-        else:
-            headways.append(min(gap / v.speed, HEADWAY_CAP))
+    gaps = [leaders[v.id][1] for v in cavs]
+    headways = [HEADWAY_CAP if math.isinf(gap) or v.speed <= 0.0
+                else min(gap / v.speed, HEADWAY_CAP) for v, gap in zip(cavs, gaps)]
     return StepInfo(
         time_step=state.time_step,
         vehicle_ids=[v.id for v in state.vehicles],

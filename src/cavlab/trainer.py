@@ -455,12 +455,17 @@ def _minibatches(trans: list[Transition], size: int,
 def critic_update(trans: list[Transition], critic: CriticNetwork,
                   guard: _GuardedOptimizer, ppo: PpoConfig,
                   rng: np.random.Generator) -> float:
-    """Minibatched TD passes; returns the full-batch loss at the start."""
-    initial = float(critic_loss(critic, trans, ppo.gamma).data)
+    """Minibatched TD passes; returns the full-batch loss at the start.
+
+    The initial loss and epoch 0 share one set of targets: both see the
+    starting parameters, which a NaN-guard retry restores.
+    """
+    start_targets = td_targets(critic, trans, ppo.gamma)
+    initial = float(critic_loss_given_targets(critic, trans, start_targets).data)
 
     def passes(scale: float) -> None:
-        for _ in range(ppo.epochs):
-            targets = td_targets(critic, trans, ppo.gamma)
+        for epoch in range(ppo.epochs):
+            targets = start_targets if epoch == 0 else td_targets(critic, trans, ppo.gamma)
             for chunk in _minibatches(trans, ppo.minibatch_size, rng):
                 subset = [trans[i] for i in chunk]
                 sub_targets = [targets[i] for i in chunk]

@@ -137,6 +137,23 @@ def test_heads_divisibility_checked():
         config_from_dict({"nn": {"hidden": 64, "heads": 7}})
 
 
+@pytest.mark.parametrize("body, prefix", [
+    ({"graph": {"sigma": -1}}, "graph: "),
+    ({"graph": {"epsilon": 0}}, "graph: "),
+    ({"scenario": {"horizon": 0}}, "scenario.horizon "),
+    ({"ppo": {"gamma": 1.5}}, "ppo: "),
+    ({"scenario": {"idm": {"T": 0}}}, "scenario.idm: "),
+    ({"reward": {"w_v": -1}}, "reward: "),
+    ({"scenario": {"kind": "merge", "merge_point": 900}}, "scenario: "),
+    ({"scenario": {"vehicle_length": -1}}, "scenario: "),
+    ({"scenario": {"n_cav": 200}}, "scenario: "),
+])
+def test_range_error_names_its_block(body, prefix):
+    with pytest.raises(ValidationError) as info:
+        config_from_dict(body)
+    assert str(info.value).startswith(prefix)
+
+
 WRONG_TYPES = [
     ({"graph": {"scan_scale": "30"}}, "graph.scan_scale"),
     ({"seeds": 3}, "seeds"),

@@ -93,6 +93,14 @@ def test_cav_command_clamped():
     assert np.all(info.accels == 3.0)
     state, info = step(state, {v.id: -50.0 for v in state.cavs()}, 0.1)
     assert np.all(info.accels == -3.0)
+    cavs = state.cavs()
+    for command, applied in ((np.inf, 3.0), (-np.inf, -3.0), (3.0, 3.0), (-3.0, -3.0),
+                             (np.float64(2.5), 2.5)):
+        state, info = step(state, {v.id: command for v in cavs}, 0.1)
+        assert np.all(info.accels == applied)
+        assert all(type(v.last_accel) is float for v in cavs)
+    state, info = step(state, {cavs[0].id: np.nan, cavs[1].id: 0.0}, 0.1)
+    assert np.isnan(info.accels[0]) and info.accels[1] == 0.0
 
 
 def test_speed_never_negative():

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from cavlab.graph import GaussianSpeedField
+from cavlab import trainer as trainer_module
+from cavlab.errors import NonFiniteValue
 from cavlab.idm import IdmParams
-from cavlab.layers import NetConfig
+from cavlab.layers import CriticNetwork, NetConfig
 from cavlab.networks import RingSpec
 from cavlab.rewards import RingEightReward, reward_ring_eight
 from cavlab.sim import SimOptions
 from cavlab.trainer import (
     EnvSpec, PaddedBatch, PpoConfig, collect_rollout, compute_advantages, critic_loss,
-    critic_loss_given_targets, critic_values, episode_streams, make_policy, init_stream,
-    normalize_advantages, reward_to_go, surrogate_objective, td_targets, train,
+    critic_loss_given_targets, critic_update, critic_values, episode_streams, make_policy,
+    init_stream, normalize_advantages, reward_to_go, surrogate_objective, td_targets, train,
 )
 
 from test_tensor import fd_grad, rel_err
@@ -243,6 +245,84 @@ def test_critic_loss_matches_replayed_td_errors():
         target = tr.reward + ppo.gamma * v_next[k] * (~tr.terminal).astype(float)
         expected += float(((target - v_now[k]) ** 2).sum())
     assert loss == pytest.approx(expected, rel=1e-12)
+
+
+class _FailingOnceGuard(trainer_module._GuardedOptimizer):
+    """A guard whose first minibatch step updates, then reports a blowup."""
+    failed = False
+
+    def minibatch_step(self, loss_fn, scale):
+        super().minibatch_step(loss_fn, scale)
+        if not self.failed:
+            self.failed = True
+            raise NonFiniteValue("forced retry")
+
+
+def _critic_update_with_fresh_targets(trans, critic, guard, ppo, rng):
+    """critic_update as it was before epoch 0 reused the initial targets."""
+    initial = float(critic_loss(critic, trans, ppo.gamma).data)
+
+    def passes(scale):
+        for _ in range(ppo.epochs):
+            targets = td_targets(critic, trans, ppo.gamma)
+            for chunk in trainer_module._minibatches(trans, ppo.minibatch_size, rng):
+                subset = [trans[i] for i in chunk]
+                sub_targets = [targets[i] for i in chunk]
+                guard.minibatch_step(
+                    lambda: critic_loss_given_targets(critic, subset, sub_targets), scale)
+
+    guard.run(passes)
+    return initial
+
+
+@pytest.mark.parametrize("retry", [False, True])
+def test_critic_update_reuses_initial_targets(retry):
+    ppo = small_ppo(horizon=20, epochs=3, minibatch_size=30)
+    _, rng = episode_streams(12, 0)
+    trans = collect_rollout(small_bundle(seed=9), small_env(), ppo, 12, rng).transitions
+    guard_cls = _FailingOnceGuard if retry else trainer_module._GuardedOptimizer
+    results = []
+    for update in (critic_update, _critic_update_with_fresh_targets):
+        critic = small_bundle(seed=9).critic
+        guard = guard_cls(critic.parameters(), ppo.critic_lr, ppo.max_lr_halvings)
+        initial = update(trans, critic, guard, ppo, np.random.default_rng(4))
+        results.append((initial, {k: p.data for k, p in critic.parameters().items()}))
+        if retry:
+            assert guard.failed
+    (new_initial, new_params), (old_initial, old_params) = results
+    assert new_initial == old_initial
+    assert all(np.array_equal(new_params[k], old_params[k]) for k in old_params)
+
+
+def test_critic_forwards_per_update(monkeypatch):
+    """An update runs the critic 1 + 2 + epochs x (1 + minibatches) - 1 times:
+    advantages, the initial loss's targets and values, per epoch the
+    targets (epoch 0 reuses the initial ones) and one pass per minibatch."""
+    ppo = small_ppo(horizon=20, epochs=3, minibatch_size=30)
+    bundle = small_bundle(seed=10)
+    _, rng = episode_streams(13, 0)
+    episode = collect_rollout(bundle, small_env(), ppo, 13, rng)
+    calls, chunks = [], []
+    values, minibatches = CriticNetwork.values, trainer_module._minibatches
+
+    def counted_values(self, *args):
+        calls.append(1)
+        return values(self, *args)
+
+    def counted_minibatches(*args):
+        chunks.append(minibatches(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(CriticNetwork, "values", counted_values)
+    monkeypatch.setattr(trainer_module, "_minibatches", counted_minibatches)
+    compute_advantages(episode, bundle.critic, ppo)
+    guard = trainer_module._GuardedOptimizer(bundle.critic.parameters(), ppo.critic_lr,
+                                             ppo.max_lr_halvings)
+    critic_update(episode.transitions, bundle.critic, guard, ppo, np.random.default_rng(0))
+    assert len(chunks) == ppo.epochs
+    per_epoch = {len(c) for c in chunks}
+    assert len(per_epoch) == 1 and per_epoch.pop() > 1
+    assert len(calls) == 1 + 2 + ppo.epochs * (1 + len(chunks[0])) - 1
 
 
 def test_terminal_rows_use_reward_only_target():
