@@ -14,6 +14,14 @@ reports the median and quartiles, in milliseconds, of
   scenarios `cavlab baseline` runs: 14 humans on the figure-eight, and the
   merge after a 600-step warm-up, so that its traffic has spawned (the
   entry records the vehicle count when timing starts).
+- `network`: the networks of configs/ring_smoke.json (hidden 64, 8
+  heads): the policy forward without a tape (`forward_B1_N4`,
+  `forward_B64_N4`, `forward_B1_N256`, on the adjacency and observations of
+  the rings above, the B=64 batch stacking 64 steps of a rollout); one
+  minibatch loss plus backward at B=64, N=4 for the critic
+  (`critic_minibatch_B64_N4`, TD loss against fixed targets) and the actor
+  (`actor_minibatch_B64_N4`, clipped surrogate); and one `Adam.step` over
+  the actor's parameters (`adam_step`).
 `--src` picks the checkout to import, so two commits compare under the
 same script; the per-agent observation API of checkouts that predate the
 pairwise distance matrix (`sim.cav_pairs`) is timed the way those rollouts
@@ -63,6 +71,73 @@ def baseline_states(sim, networks, idm_mod, seed: int = 0) -> dict:
     return {"figure_eight": eight, "merge": merge}
 
 
+def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
+    """Per-layer rows of the policy and critic networks (see the module doc)."""
+    import dataclasses
+
+    import numpy as np
+    from cavlab import config, graph, layers, tensor, trainer
+
+    cfg = config.parse_config(root / "configs" / "ring_smoke.json")
+    env, net = cfg.env_spec(), cfg.net_config()
+    ppo = dataclasses.replace(cfg.ppo_config(), horizon=64)
+    bundle = trainer.make_policy(net, np.random.SeedSequence(0))
+    episode = trainer.collect_rollout(bundle, env, ppo, np.random.SeedSequence(1),
+                                      np.random.default_rng(2))
+    trans = episode.transitions
+    assert len(trans) == 64 and all(len(tr.agent_ids) == 4 for tr in trans)
+
+    def inputs(obs, weights, mask):
+        dinv = weights / mask.sum(-1, keepdims=True)
+        return tensor.Tensor(obs), tensor.Tensor(weights), tensor.Tensor(dinv), mask
+
+    def forward(args):
+        with tensor.no_grad():
+            bundle.actor.action_mean(*args)
+
+    big = ring_state(sim, networks, idm_mod, 256)
+    adj = graph.build_adjacency(big, env.scheme, env.scan_scale)
+    obs = sim.local_observation(big, adj.agent_ids, env.target_speed, env.scan_scale)
+    rows = {
+        "forward_B1_N4": inputs(trans[0].obs[None], trans[0].weights[None],
+                                trans[0].mask[None]),
+        "forward_B64_N4": inputs(np.stack([tr.obs for tr in trans]),
+                                 np.stack([tr.weights for tr in trans]),
+                                 np.stack([tr.mask for tr in trans])),
+        "forward_B1_N256": inputs(obs[None], adj.weights[None], adj.neighbor_mask[None]),
+    }
+    out = {name: timed(lambda a=args: forward(a), reps) for name, args in rows.items()}
+
+    targets = trainer.td_targets(bundle.critic, trans, ppo.gamma)
+    advantages = trainer.normalize_advantages(
+        trainer.compute_advantages(episode, bundle.critic, ppo))
+    losses = {
+        "critic_minibatch_B64_N4": (
+            bundle.critic, lambda: trainer.critic_loss_given_targets(bundle.critic, trans,
+                                                                     targets)),
+        "actor_minibatch_B64_N4": (
+            bundle.actor, lambda: -trainer.surrogate_objective(bundle.actor, trans,
+                                                               advantages, ppo.clip)),
+    }
+    for name, (network, loss_fn) in losses.items():
+        params = network.parameters()
+
+        def step(params=params, loss_fn=loss_fn):
+            for p in params.values():
+                p.grad = None
+            loss_fn().backward()
+
+        out[name] = timed(step, reps)
+
+    params = bundle.actor.parameters()
+    rng = np.random.default_rng(3)
+    for p in params.values():
+        p.grad = 1e-3 * rng.standard_normal(p.data.shape)
+    opt = layers.Adam(params, 1e-9)   # a tiny step keeps the weights in place
+    out["adam_step"] = timed(opt.step, reps)
+    return out
+
+
 def timed(fn, reps: int, sample_s: float = 0.005) -> dict:
     """Median and quartiles, in ms per call, of `reps` samples of `fn`.
 
@@ -108,6 +183,7 @@ def main() -> None:
     out = {"python": platform.python_version(), "numpy": np.__version__,
            "nproc": os.cpu_count(), "src": str(Path(args.src).resolve()),
            "reps": args.reps, "features": {}, "step": {}}
+    root = Path(args.src).resolve().parent
     for n_cav in FEATURE_CAVS:
         state = ring_state(sim, networks, idm, n_cav)
         out["features"][str(n_cav)] = timed(lambda: features(state), args.reps)
@@ -121,6 +197,7 @@ def main() -> None:
         vehicles = len(state.vehicles)   # no CAVs: the actions stay empty
         out["step"][name] = {**timed(lambda: sim.step(state, {}, 0.1), args.reps),
                              "vehicles": vehicles}
+    out["network"] = network_rows(root, sim, networks, idm, args.reps)
     print(json.dumps(out))
 
 

@@ -71,9 +71,12 @@ class AdjacencyMatrix:
 
 def gaussian_kernel(xi: float, xj: float, spec: KernelSpec,
                     route_length: float | None = None) -> float:
-    """A * exp(-(xi - xj)^2 / (2 sigma^2)); wraps the difference on closed routes."""
+    """A * exp(-(xi - xj)^2 / (2 sigma^2)); wraps the difference on closed routes.
+
+    A difference that is already the shorter way around is used as it is.
+    """
     d = xi - xj
-    if route_length is not None:
+    if route_length is not None and not -route_length / 2.0 < d <= route_length / 2.0:
         d = d % route_length
         if d > route_length / 2.0:
             d -= route_length

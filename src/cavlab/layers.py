@@ -4,8 +4,15 @@ All layers operate on batched agent features (B, N, d) and share their
 weights across agents. The attention layer consumes a boolean neighbor
 mask built from the scan scale, so an agent's output depends on out-of-
 range agents only through exactly-zero coefficients. Its scores are scaled
-dot products, q.k / sqrt(d_head); there is no other scoring mode, and the
-forward pass takes its weights from `AttentionLayer.scores`.
+dot products, q.k / sqrt(d_head); there is no other scoring mode.
+
+Dense (with its activation), `GraphConvLayer` and `AttentionLayer` each
+record one tape node with a hand-written backward. Their weight products
+and weight gradients run as one GEMM over all B*N agent rows, and they
+return no gradient for inputs that need none (the adjacency, the
+observations). `AttentionLayer.scores`, the dense (B, h, N, N) weights,
+is composed from tape ops and shares the softmax of the fused forward
+(`tensor.softmax_forward` / `softmax_backward`).
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyNeighborSet, ShapeMismatch
-from .tensor import Tensor, concat, masked_softmax
+from .tensor import Tensor, _unbroadcast, masked_softmax, softmax_backward, softmax_forward
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -31,54 +38,128 @@ def orthogonal(rng: np.random.Generator, shape: tuple[int, int], gain: float = 1
     return gain * q[:rows, :cols]
 
 
-def _activation(name: str):
+_ACTIVATIONS = ("tanh", "relu")
+
+
+def _check_activation(name: str | None) -> None:
+    if name is not None and name not in _ACTIVATIONS:
+        raise ShapeMismatch(f"unknown activation {name!r}")
+
+
+def _activate(pre: np.ndarray, name: str | None) -> np.ndarray:
+    """Apply the activation in place (None: identity)."""
     if name == "tanh":
-        return Tensor.tanh
+        np.tanh(pre, out=pre)
+    elif name == "relu":
+        np.maximum(pre, 0.0, out=pre)
+    return pre
+
+
+def _activation_grad(grad: np.ndarray, out: np.ndarray, name: str | None) -> np.ndarray:
+    """Gradient w.r.t. the pre-activation, given the activation's output."""
+    if name == "tanh":
+        return grad * (1.0 - out ** 2)
     if name == "relu":
-        return Tensor.relu
-    raise ShapeMismatch(f"unknown activation {name!r}")
+        return grad * (out > 0.0)
+    return grad
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """All leading axes folded into one: (..., d) -> (prod(...), d)."""
+    return x.reshape(-1, x.shape[-1])
 
 
 class Dense:
+    """act(x W + b) over the last axis, one tape node; `activation` None is the identity."""
+
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
-                 gain: float = 1.0, name: str = "dense"):
+                 gain: float = 1.0, name: str = "dense", activation: str | None = None):
+        _check_activation(activation)
         self.W = Tensor(orthogonal(rng, (d_in, d_out), gain), requires_grad=True,
                         name=f"{name}.W")
         self.b = Tensor(np.zeros(d_out), requires_grad=True, name=f"{name}.b")
+        self.activation = activation
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.W + self.b
+        W, b, act = self.W, self.b, self.activation
+        if x.shape[-1] != W.shape[0]:
+            raise ShapeMismatch(f"feature width {x.shape[-1]} incompatible with W {W.shape}")
+        x2d = _rows(x.data)
+        out2d = x2d @ W.data
+        out2d += b.data
+        _activate(out2d, act)
+
+        def backward(grad, needs):
+            g = _activation_grad(_rows(grad), out2d, act)
+            return ((g @ W.data.T).reshape(x.shape) if needs[0] else None,
+                    x2d.T @ g if needs[1] else None,
+                    g.sum(axis=0) if needs[2] else None)
+
+        return Tensor._make(out2d.reshape(x.shape[:-1] + (W.shape[1],)), (x, W, b),
+                            backward, "dense")
 
     def parameters(self) -> dict[str, Tensor]:
         return {self.W.name: self.W, self.b.name: self.b}
 
 
 class GraphConvLayer:
-    """f(concat[M H, D^-1 M H] W): raw and degree-normalized message passing."""
+    """f(concat[M H, D^-1 M H] W): raw and degree-normalized message passing.
+
+    H is (B, N, d) with M and D^-1 M (B, N, N), or unbatched (N, d) with
+    (N, N) matrices. One tape node.
+    """
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
                  activation: str = "tanh", name: str = "gconv"):
+        _check_activation(activation)
         self.W = Tensor(orthogonal(rng, (2 * d_in, d_out), math.sqrt(2.0)),
                         requires_grad=True, name=f"{name}.W")
         self.activation = activation
-        self._act = _activation(activation)
 
     def __call__(self, H: Tensor, M: Tensor, Dinv_M: Tensor) -> Tensor:
+        W, act = self.W, self.activation
         if H.shape[-2] != M.shape[-1] or M.shape[-1] != M.shape[-2]:
             raise ShapeMismatch(
                 f"adjacency {M.shape} incompatible with features {H.shape}")
-        if 2 * H.shape[-1] != self.W.shape[0]:
+        if 2 * H.shape[-1] != W.shape[0]:
             raise ShapeMismatch(
-                f"feature width {H.shape[-1]} incompatible with W {self.W.shape}")
-        mixed = concat([M @ H, Dinv_M @ H], axis=-1)
-        return self._act(mixed @ self.W)
+                f"feature width {H.shape[-1]} incompatible with W {W.shape}")
+        h, m, dm = H.data, M.data, Dinv_M.data
+        mixed = np.concatenate([m @ h, dm @ h], axis=-1)
+        mixed2d = _rows(mixed)
+        out2d = _activate(mixed2d @ W.data, act)
+
+        def backward(grad, needs):
+            g = _activation_grad(_rows(grad), out2d, act)
+            g_h = g_m = g_dm = None
+            if needs[0] or needs[1] or needs[2]:
+                g_mixed = (g @ W.data.T).reshape(mixed.shape)
+                d = h.shape[-1]
+                g_a, g_c = g_mixed[..., :d], g_mixed[..., d:]
+                if needs[0]:
+                    g_h = _unbroadcast(np.swapaxes(m, -1, -2) @ g_a
+                                       + np.swapaxes(dm, -1, -2) @ g_c, h.shape)
+                if needs[1]:
+                    g_m = _unbroadcast(g_a @ np.swapaxes(h, -1, -2), m.shape)
+                if needs[2]:
+                    g_dm = _unbroadcast(g_c @ np.swapaxes(h, -1, -2), dm.shape)
+            return g_h, g_m, g_dm, mixed2d.T @ g if needs[3] else None
+
+        return Tensor._make(out2d.reshape(mixed.shape[:-1] + (W.shape[1],)),
+                            (H, M, Dinv_M, W), backward, "gconv")
 
     def parameters(self) -> dict[str, Tensor]:
         return {self.W.name: self.W}
 
 
 class AttentionLayer:
-    """Multi-head scaled dot-product attention over masked neighbor sets."""
+    """Multi-head scaled dot-product attention over masked neighbor sets.
+
+    The forward is one tape node: Q, K and V come from one GEMM against the
+    stacked weights [Wq | Wk | Wv], per-head weights phi = softmax(q k^T /
+    sqrt(d_head)) over the mask, and the heads' phi v are merged and
+    projected by Wo.
+    """
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int, name: str = "attn"):
         if heads < 1:
@@ -92,26 +173,53 @@ class AttentionLayer:
         self.Wv = Tensor(orthogonal(rng, (d, d)), requires_grad=True, name=f"{name}.Wv")
         self.Wo = Tensor(orthogonal(rng, (d, d)), requires_grad=True, name=f"{name}.Wo")
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        b, n, d = x.shape
-        return x.reshape(b, n, self.heads, self.d_head).swapaxes(1, 2)
-
-    def __call__(self, H: Tensor, mask: np.ndarray) -> Tensor:
-        """H: (B, N, d); mask: (B, N, N) bool, diag True. Returns (B, N, d)."""
+    def _check(self, H: Tensor, mask: np.ndarray) -> tuple[int, int, int]:
         b, n, d = H.shape
         if mask.shape != (b, n, n):
             raise ShapeMismatch(f"mask {mask.shape} does not match features {H.shape}")
-        v = self._split_heads(H @ self.Wv)            # (B, h, N, d_h)
-        out = self.scores(H, mask) @ v                 # (B, h, N, d_h)
-        out = out.swapaxes(1, 2).reshape(b, n, d)
-        return out @ self.Wo
+        return b, n, d
+
+    def __call__(self, H: Tensor, mask: np.ndarray) -> Tensor:
+        """H: (B, N, d); mask: (B, N, N) bool, diag True. Returns (B, N, d)."""
+        b, n, d = self._check(H, mask)
+        h, dh, scale = self.heads, self.d_head, 1.0 / math.sqrt(self.d_head)
+        params = (self.Wq, self.Wk, self.Wv, self.Wo)
+        w_qkv = np.concatenate([w.data for w in params[:3]], axis=1)     # (d, 3d)
+        h2d = _rows(H.data)
+        # (B*N, 3d) -> (3, B, h, N, d_h): q, k, v split into heads
+        qkv = np.ascontiguousarray(
+            (h2d @ w_qkv).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4))
+        q, k, v = qkv
+        scores = q @ k.swapaxes(-1, -2)
+        scores *= scale
+        phi = softmax_forward(scores, mask[:, None])
+        merged = (phi @ v).transpose(0, 2, 1, 3).reshape(b * n, d)       # (B*N, d)
+        out = merged @ self.Wo.data
+
+        def backward(grad, needs):
+            g2d = _rows(grad)
+            g_merged = (g2d @ self.Wo.data.T).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
+            g_scores = softmax_backward(phi, g_merged @ v.swapaxes(-1, -2)) * scale
+            g_qkv = np.stack([g_scores @ k, g_scores.swapaxes(-1, -2) @ q,
+                              phi.swapaxes(-1, -2) @ g_merged])           # (3, B, h, N, d_h)
+            g_qkv = g_qkv.transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * d)
+            g_w = h2d.T @ g_qkv if any(needs[1:4]) else None
+            return ((g_qkv @ w_qkv.T).reshape(b, n, d) if needs[0] else None,
+                    *(g_w[:, i * d:(i + 1) * d] if needs[1 + i] else None for i in range(3)),
+                    merged.T @ g2d if needs[4] else None)
+
+        return Tensor._make(out.reshape(b, n, d), (H, *params), backward, "attention")
 
     def scores(self, H: Tensor, mask: np.ndarray) -> Tensor:
         """Attention weights phi (B, h, N, N); rows sum to 1 over the mask."""
-        q = self._split_heads(H @ self.Wq)
-        k = self._split_heads(H @ self.Wk)
+        b, n, _ = self._check(H, mask)
+
+        def split_heads(x: Tensor) -> Tensor:
+            return x.reshape(b, n, self.heads, self.d_head).swapaxes(1, 2)
+
+        q, k = split_heads(H @ self.Wq), split_heads(H @ self.Wk)
         s = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
-        return masked_softmax(s, mask[:, None, :, :].astype(float), axis=-1)
+        return masked_softmax(s, mask[:, None])
 
     def parameters(self) -> dict[str, Tensor]:
         return {t.name: t for t in (self.Wq, self.Wk, self.Wv, self.Wo)}
@@ -164,13 +272,13 @@ class GaussianPolicyHead:
 
     def __init__(self, rng: np.random.Generator, d: int, low: float, high: float,
                  name: str = "actor_head"):
-        self.mean_layer = Dense(rng, d, 1, gain=0.01, name=name)
+        self.mean_layer = Dense(rng, d, 1, gain=0.01, name=name, activation="tanh")
         self.log_spread = Tensor(np.zeros(1), requires_grad=True, name=f"{name}.log_spread")
         self.center = 0.5 * (high + low)
         self.half = 0.5 * (high - low)
 
     def mean(self, trunk_out: Tensor) -> Tensor:
-        return self.center + self.half * self.mean_layer(trunk_out).tanh()
+        return self.center + self.half * self.mean_layer(trunk_out)
 
     def spread(self) -> Tensor:
         return self.log_spread.exp()
@@ -190,16 +298,15 @@ class _Trunk:
 
     def __init__(self, rng: np.random.Generator, cfg: NetConfig, name: str):
         self.encoder = Dense(rng, cfg.obs_dim, cfg.hidden, gain=math.sqrt(2.0),
-                             name=f"{name}.encoder")
+                             name=f"{name}.encoder", activation=cfg.activation)
         self.gconv = GraphConvLayer(rng, cfg.hidden, cfg.hidden, cfg.activation,
                                     name=f"{name}.gconv")
         self.attn: AttentionLayer | None = None
         if cfg.heads > 0:
             self.attn = AttentionLayer(rng, cfg.hidden, cfg.heads, name=f"{name}.attn")
-        self._act = _activation(cfg.activation)
 
     def __call__(self, obs: Tensor, M: Tensor, Dinv_M: Tensor, mask: np.ndarray) -> Tensor:
-        h = self._act(self.encoder(obs))
+        h = self.encoder(obs)
         h = self.gconv(h, M, Dinv_M)
         if self.attn is not None:
             h = self.attn(h, mask)
@@ -258,27 +365,57 @@ class CriticNetwork:
 
 
 class Adam:
+    """Adam over a dict of parameters.
+
+    The moments of all parameters live in one flat buffer each (`m` and `v`
+    hold per-parameter views into them), so a step is a dozen passes over
+    every parameter at once instead of a dozen per parameter.
+    """
+
     def __init__(self, params: dict[str, Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._slices: dict[str, slice] = {}
+        size = 0
+        for k, p in params.items():
+            self._slices[k] = slice(size, size + p.data.size)
+            size += p.data.size
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self.m = {k: self._m[s].reshape(params[k].shape) for k, s in self._slices.items()}
+        self.v = {k: self._v[s].reshape(params[k].shape) for k, s in self._slices.items()}
 
     def step(self, lr_scale: float = 1.0) -> None:
+        """One Adam update, in place; a parameter without a gradient keeps
+        its value and its moments."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
+        absent = [k for k, p in self.params.items() if p.grad is None]
+        kept = [(self.m[k].copy(), self.v[k].copy()) for k in absent]
+        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
+                            for p in self.params.values()])
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        np.square(g, out=g)
+        g *= 1.0 - self.beta2
+        v += g
+        denom = v / b2t
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update = m / b1t
+        update *= self.lr * lr_scale
+        update /= denom
+        for k, (m_k, v_k) in zip(absent, kept):
+            self.m[k][...] = m_k
+            self.v[k][...] = v_k
         for k, p in self.params.items():
-            if p.grad is None:
-                continue
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * p.grad
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * p.grad ** 2
-            mh = self.m[k] / b1t
-            vh = self.v[k] / b2t
-            p.data = p.data - (self.lr * lr_scale) * mh / (np.sqrt(vh) + self.eps)
+            if p.grad is not None:
+                p.data -= update[self._slices[k]].reshape(p.shape)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -291,7 +428,7 @@ class Adam:
 
     def load_state_dict(self, state: dict) -> None:
         self.t = state["t"]
-        self.m = {k: np.asarray(v, dtype=np.float64).reshape(self.m[k].shape)
-                  for k, v in state["m"].items()}
-        self.v = {k: np.asarray(v, dtype=np.float64).reshape(self.v[k].shape)
-                  for k, v in state["v"].items()}
+        for k, value in state["m"].items():
+            self.m[k][...] = np.asarray(value, dtype=np.float64).reshape(self.m[k].shape)
+        for k, value in state["v"].items():
+            self.v[k][...] = np.asarray(value, dtype=np.float64).reshape(self.v[k].shape)

@@ -72,7 +72,6 @@ class MergeSpec:
     inflow_main: float = 1000.0
     inflow_ramp: float = 200.0
     cav_fraction: float = 0.0
-    conflict_zone_length: float = 5.0
 
     kind = "merge"
 

@@ -17,7 +17,11 @@ from .sim import build_network, step
 from .tensor import Tensor
 
 
-def _fd_grad(fn, x, h=1e-6):
+def fd_grad(fn, x, h=1e-6):
+    """Central finite differences of a scalar function `fn` w.r.t. the array `x`.
+
+    The one gradient checker of the package; the tests use it too.
+    """
     g = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])
     while not it.finished:
@@ -29,7 +33,7 @@ def _fd_grad(fn, x, h=1e-6):
     return g
 
 
-def _rel(a, b):
+def rel_err(a, b):
     return np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1e-12)
 
 
@@ -46,7 +50,7 @@ def check_gradients() -> bool:
 
         dense.W.grad = None
         (dense(Tensor(x)) ** 2).sum().backward()
-        ok &= _rel(dense.W.grad, _fd_grad(loss_fn, dense.W.data.copy())) < 1e-4
+        ok &= rel_err(dense.W.grad, fd_grad(loss_fn, dense.W.data.copy())) < 1e-4
 
         gconv = GraphConvLayer(rng, 3, 3)
         Hg = rng.standard_normal((4, 3))
@@ -58,7 +62,7 @@ def check_gradients() -> bool:
 
         gconv.W.grad = None
         (gconv(Tensor(Hg), Tensor(Mg), Tensor(Mg / 2.0)) ** 2).sum().backward()
-        ok &= _rel(gconv.W.grad, _fd_grad(gloss, gconv.W.data.copy())) < 1e-4
+        ok &= rel_err(gconv.W.grad, fd_grad(gloss, gconv.W.data.copy())) < 1e-4
 
         attn = AttentionLayer(rng, 4, heads=2)
         H = rng.standard_normal((1, 3, 4))
@@ -70,7 +74,7 @@ def check_gradients() -> bool:
 
         attn.Wq.grad = None
         (attn(Tensor(H), mask) ** 2).sum().backward()
-        ok &= _rel(attn.Wq.grad, _fd_grad(aloss, attn.Wq.data.copy())) < 1e-4
+        ok &= rel_err(attn.Wq.grad, fd_grad(aloss, attn.Wq.data.copy())) < 1e-4
     return bool(ok)
 
 

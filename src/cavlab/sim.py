@@ -182,8 +182,9 @@ class CavPairs:
     - merge: the difference of effective positions.
     `dist[i, j]` is the unsigned route distance: |signed[i, j]|, except
     across figure-eight loops, where it is the sum of both distances to the
-    zone. Every entry is evaluated in its own (i, j) order; wrapping x_i - x_j
-    and x_j - x_i may round differently, so `dist` is not exactly symmetric.
+    zone. On a closed route a difference that is already the shorter way
+    around is used as it is, so `dist` is exactly |x_i - x_j| there, and
+    `dist` is exactly symmetric.
 
     `neighbors[0, i]` is the nearest CAV ahead of CAV i on its driving path
     (its own loop on closed networks) and `neighbors[1, i]` the nearest
@@ -215,10 +216,15 @@ def _mod(d: np.ndarray, length) -> np.ndarray:
     return d
 
 
-def _wrap(d: np.ndarray, length) -> np.ndarray:
-    """Differences already reduced mod `length`, moved to (-length/2, length/2]."""
-    out = d.copy()
-    np.subtract(out, length, out=out, where=d > length / 2.0)
+def _wrap(d: np.ndarray, reduced: np.ndarray, length) -> np.ndarray:
+    """Differences `d` (`reduced` = `_mod(d, length)`) moved to (-length/2, length/2].
+
+    A `d` already inside is kept, so |result| == |d| exactly: reducing it
+    could move it by ulps past a scan scale it sits on.
+    """
+    half = length / 2.0
+    out = np.where(reduced > half, reduced - length, reduced)
+    np.copyto(out, d, where=(d > -half) & (d <= half))
     return out
 
 
@@ -250,14 +256,15 @@ def cav_pairs(state: SimState) -> CavPairs:
     else:
         # (x_i - x_j) mod L_i: how far j is behind i, and i ahead of j
         length = net.length if isinstance(net, RingSpec) else route_len[:, None]
-        behind_of = _mod(pos[:, None] - pos[None, :], length)
-        signed = _wrap(behind_of, length)
+        diff = pos[:, None] - pos[None, :]
+        behind_of = _mod(diff.copy(), length)
+        signed = _wrap(diff, behind_of, length)
         dist = np.abs(signed)
         behind_of.flat[::n + 1] = np.inf
         if isinstance(net, FigureEightSpec):
             mids = [0.5 * (lo + hi) for lo, hi in net.conflict_zone]
-            to_zone = np.abs(_wrap(_mod(np.where(on_loop1, mids[1], mids[0]) - pos,
-                                          route_len), route_len))
+            to_mid = np.where(on_loop1, mids[1], mids[0]) - pos
+            to_zone = np.abs(_wrap(to_mid, _mod(to_mid.copy(), route_len), route_len))
             cross = on_loop1[:, None] != on_loop1[None, :]
             signed = np.where(cross, to_zone[None, :] - to_zone[:, None], signed)
             dist = np.where(cross, to_zone[:, None] + to_zone[None, :], dist)
@@ -400,14 +407,13 @@ def human_accel(state: SimState, v: VehicleState, leader: Leader,
     else:
         a = accel_from_speed(v.speed, max(gap, _MIN_VIRTUAL_GAP), lead.speed, state.idm)
     net = state.network
+    ya = None
     if isinstance(net, FigureEightSpec):
         ya = _figure_eight_yield_accel(state, v, zones)
-        if ya is not None:
-            a = min(a, ya)
     elif isinstance(net, MergeSpec):
         ya = _merge_yield_accel(state, v)
-        if ya is not None:
-            a = min(a, ya)
+    if ya is not None:
+        a = min(a, ya)
     return max(a, -state.options.human_decel_limit)
 
 
@@ -505,7 +511,8 @@ def build_network(spec: RoadNetwork, n_human: int, n_cav: int, seed: int,
 
 
 def _conflicts(state: SimState, leaders: dict[int, Leader]) -> bool:
-    """True iff any bumper gap is non-positive or a conflict zone is double-occupied.
+    """True iff any bumper gap is non-positive or a figure-eight conflict zone
+    is double-occupied.
 
     `leaders` is `compute_leaders(state)`. Its gaps are the bumper gaps on
     closed routes, and on merge a main-lane vehicle's leader is the next
@@ -520,17 +527,7 @@ def _conflicts(state: SimState, leaders: dict[int, Leader]) -> bool:
         # a ramp vehicle's leader may sit on the main lane: order the ramp here
         effs = sorted(merge_effective_pos(net, v) for v in state.vehicles
                       if merge_lane(net, v) == "ramp")
-        if any(b - a - length <= 0 for a, b in zip(effs, effs[1:])):
-            return True
-        # shared pavement just past the merge point: cross-origin overlap there
-        # is a conflict even before the ordinary lane gap check would order them
-        z = net.conflict_zone_length
-        lo, hi = net.merge_point, net.merge_point + z
-        in_zone = [(merge_effective_pos(net, v), v.route_id) for v in state.vehicles
-                   if merge_lane(net, v) == "main"
-                   and lo <= merge_effective_pos(net, v) <= hi]
-        return any(ra == 1 and rb == 0 and abs(ea - eb) < length
-                   for ea, ra in in_zone for eb, rb in in_zone)
+        return any(b - a - length <= 0 for a, b in zip(effs, effs[1:]))
 
     if any(gap <= 0 for _, gap in leaders.values()):
         return True
@@ -559,25 +556,19 @@ def _draw_noise(state: SimState) -> float:
 
 
 def _maybe_spawn(state: SimState, spawned: list[int]) -> None:
+    """Queue the arrivals now due on each lane and release one per lane if its entry is free."""
     net = state.network
     opts = state.options
-    for lane, inflow in (("main", net.inflow_main), ("ramp", net.inflow_ramp)):
+    for route_id, lane, inflow in ((0, "main", net.inflow_main), (1, "ramp", net.inflow_ramp)):
         if inflow <= 0:
             continue
         interval = 3600.0 / inflow
-        if lane == "main":
-            while state.sim_time >= state.next_due_main:
-                state.pending_main += 1
-                state.next_due_main += interval
-            pending = state.pending_main
-        else:
-            while state.sim_time >= state.next_due_ramp:
-                state.pending_ramp += 1
-                state.next_due_ramp += interval
-            pending = state.pending_ramp
-        if pending == 0:
+        due, queue = f"next_due_{lane}", f"pending_{lane}"   # SimState fields
+        while state.sim_time >= getattr(state, due):
+            setattr(state, queue, getattr(state, queue) + 1)
+            setattr(state, due, getattr(state, due) + interval)
+        if getattr(state, queue) == 0:
             continue
-        route_id = 0 if lane == "main" else 1
         near_entry = [v for v in state.vehicles
                       if v.route_id == route_id and v.route_pos < opts.spawn_lookahead]
         leader = min(near_entry, key=lambda v: v.route_pos) if near_entry else None
@@ -585,15 +576,11 @@ def _maybe_spawn(state: SimState, spawned: list[int]) -> None:
             continue  # entry blocked, keep the arrival queued
         speed = state.idm.v0 if leader is None else min(state.idm.v0, leader.speed)
         kind = VehicleKind.CAV if state.rng.random() < net.cav_fraction else VehicleKind.HUMAN
-        v = VehicleState(id=state.next_id, kind=kind, route_pos=0.0,
-                         speed=speed, route_id=route_id)
+        state.vehicles.append(VehicleState(id=state.next_id, kind=kind, route_pos=0.0,
+                                           speed=speed, route_id=route_id))
+        spawned.append(state.next_id)
         state.next_id += 1
-        state.vehicles.append(v)
-        spawned.append(v.id)
-        if lane == "main":
-            state.pending_main -= 1
-        else:
-            state.pending_ramp -= 1
+        setattr(state, queue, getattr(state, queue) - 1)
 
 
 def step(state: SimState, cav_actions: dict[int, float], dt: float) -> tuple[SimState, StepInfo]:
@@ -612,6 +599,10 @@ def step(state: SimState, cav_actions: dict[int, float], dt: float) -> tuple[Sim
     unknown = set(cav_actions) - live_cavs
     if unknown:
         raise UnknownVehicle(f"actions for non-CAV ids {sorted(unknown)}")
+    ids = [v.id for v in state.vehicles]
+    if len(set(ids)) != len(ids):
+        raise InvalidSpec(f"duplicate vehicle ids in {ids}")
+    state.next_id = max(state.next_id, max(ids, default=-1) + 1)  # spawns take fresh ids
 
     net = state.network
     closed = not isinstance(net, MergeSpec)

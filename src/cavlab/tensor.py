@@ -1,10 +1,22 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
 Small define-by-run tape sized for the control networks in this package:
-elementwise arithmetic with broadcasting, batched matmul, tanh/relu/exp/log,
-reductions, reshape/transpose/concat and min/max gating. Every op checks its
-output for NaN/Inf and raises NonFiniteValue, so numerical blowups surface
-at the op that produced them.
+elementwise arithmetic with broadcasting, batched matmul, tanh/relu/exp,
+sums, reshape/transpose/concat, minimum/clip gating and a masked softmax.
+`cavlab.layers` adds fused nodes (dense + activation, graph convolution,
+attention) that record one tape node each with a hand-written backward.
+
+Backward functions compute gradients only for the parents that need one
+(a parameter, or a node downstream of one); constants such as the
+adjacency or the observations get None. A matmul of a batched operand by
+a 2-D weight takes the weight gradient as one (d, B*N) @ (B*N, d') GEMM.
+
+Finiteness is checked at the boundaries, not after every op: tensor
+construction raises NonFiniteValue on NaN/Inf inputs, and the trainer
+checks rollout action means, critic values, losses, gradients and
+parameters. Inside `check_each_op()` every op also checks its output, so
+a numerical blowup surfaces at the op that produced it (a debugging aid;
+the tensor tests run under it).
 """
 from __future__ import annotations
 
@@ -15,6 +27,7 @@ import numpy as np
 from .errors import NonFiniteValue, ShapeMismatch
 
 _grad_enabled = True
+_check_ops = False
 
 
 @contextmanager
@@ -29,9 +42,22 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteValue(f"non-finite values produced by {op}")
+@contextmanager
+def check_each_op():
+    """Check the output of every op for NaN/Inf while the context is open."""
+    global _check_ops
+    prev = _check_ops
+    _check_ops = True
+    try:
+        yield
+    finally:
+        _check_ops = prev
+
+
+def check_finite(data: np.ndarray, what: str) -> None:
+    """Raise NonFiniteValue if `data` holds a NaN or an infinity."""
+    if not np.isfinite(data).all():
+        raise NonFiniteValue(f"non-finite values produced by {what}")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -44,15 +70,52 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _reduce_last(ufunc, x: np.ndarray) -> np.ndarray:
+    """`ufunc.reduce` over the last axis, keeping it as size 1.
+
+    numpy spends about 60 ns per row reducing a short axis, so axes of fewer
+    than 8 entries go column by column instead. That is exact for
+    `np.maximum`, and for `np.add` it is the same left-to-right sum numpy
+    does below 8 terms, so the result is the same bits either way.
+    """
+    n = x.shape[-1]
+    if n >= 8:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    out = x[..., :1].copy()
+    for j in range(1, n):
+        ufunc(out, x[..., j:j + 1], out=out)
+    return out
+
+
+def softmax_forward(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, restricted to the entries where `mask` is set.
+
+    Masked entries are exactly zero; every row must have at least one
+    unmasked entry. The max-shift leaves the value unchanged.
+    """
+    e = scores - _reduce_last(np.maximum, scores)
+    np.exp(e, out=e)
+    e *= mask
+    e /= _reduce_last(np.add, e)
+    return e
+
+
+def softmax_backward(probs: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the scores of `softmax_forward`, given its output."""
+    return probs * (grad - _reduce_last(np.add, grad * probs))
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_needs", "_backward_fn",
+                 "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        _check_finite(self.data, "tensor construction")
+        check_finite(self.data, "tensor construction")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
+        self._needs: tuple[bool, ...] = ()
         self._backward_fn = None
         self.name = name
 
@@ -75,19 +138,28 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> "Tensor":
-        _check_finite(data, op)
+        """Wrap an op's output, recording it on the tape if a parent needs a gradient.
+
+        `backward_fn(grad, needs)` gets the output gradient and, per parent,
+        whether that parent needs a gradient; it returns one gradient (or
+        None) per parent.
+        """
+        if _check_ops:
+            check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
         out.name = None
-        if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
-            out.requires_grad = False
-            out._parents = parents
-            out._backward_fn = backward_fn
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward_fn = None
+        out.requires_grad = False
+        out._parents = ()
+        out._needs = ()
+        out._backward_fn = None
+        if _grad_enabled:
+            needs = tuple(p.requires_grad or bool(p._parents) for p in parents)
+            if any(needs):
+                out._parents = parents
+                out._needs = needs
+                out._backward_fn = backward_fn
         return out
 
     # -- arithmetic ----------------------------------------------------------
@@ -96,15 +168,16 @@ class Tensor:
         other = as_tensor(other)
         data = self.data + other.data
 
-        def backward(grad):
-            return _unbroadcast(grad, self.shape), _unbroadcast(grad, other.shape)
+        def backward(grad, needs):
+            return (_unbroadcast(grad, self.shape) if needs[0] else None,
+                    _unbroadcast(grad, other.shape) if needs[1] else None)
 
         return Tensor._make(data, (self, other), backward, "add")
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Tensor._make(-self.data, (self,), lambda g: (-g,), "neg")
+        return Tensor._make(-self.data, (self,), lambda g, needs: (-g,), "neg")
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
@@ -116,9 +189,9 @@ class Tensor:
         other = as_tensor(other)
         data = self.data * other.data
 
-        def backward(grad):
-            return (_unbroadcast(grad * other.data, self.shape),
-                    _unbroadcast(grad * self.data, other.shape))
+        def backward(grad, needs):
+            return (_unbroadcast(grad * other.data, self.shape) if needs[0] else None,
+                    _unbroadcast(grad * self.data, other.shape) if needs[1] else None)
 
         return Tensor._make(data, (self, other), backward, "mul")
 
@@ -126,12 +199,13 @@ class Tensor:
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        with np.errstate(all="ignore"):  # NonFiniteValue check reports blowups
+        with np.errstate(all="ignore"):  # the boundary checks report blowups
             data = self.data / other.data
 
-        def backward(grad):
-            return (_unbroadcast(grad / other.data, self.shape),
-                    _unbroadcast(-grad * self.data / other.data ** 2, other.shape))
+        def backward(grad, needs):
+            return (_unbroadcast(grad / other.data, self.shape) if needs[0] else None,
+                    _unbroadcast(-grad * self.data / other.data ** 2, other.shape)
+                    if needs[1] else None)
 
         return Tensor._make(data, (self, other), backward, "div")
 
@@ -144,7 +218,7 @@ class Tensor:
         with np.errstate(all="ignore"):
             data = self.data ** exponent
 
-        def backward(grad):
+        def backward(grad, needs):
             return (grad * exponent * self.data ** (exponent - 1),)
 
         return Tensor._make(data, (self,), backward, "pow")
@@ -158,10 +232,17 @@ class Tensor:
         except ValueError as exc:
             raise ShapeMismatch(str(exc)) from None
 
-        def backward(grad):
-            ga = grad @ np.swapaxes(other.data, -1, -2)
-            gb = np.swapaxes(self.data, -1, -2) @ grad
-            return _unbroadcast(ga, self.shape), _unbroadcast(gb, other.shape)
+        def backward(grad, needs):
+            a, b = self.data, other.data
+            ga = gb = None
+            if needs[0]:
+                ga = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
+            if needs[1]:
+                if b.ndim == 2:   # shared weight: one GEMM over all batch rows
+                    gb = a.reshape(-1, a.shape[-1]).T @ grad.reshape(-1, grad.shape[-1])
+                else:
+                    gb = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
+            return ga, gb
 
         return Tensor._make(data, (self, other), backward, "matmul")
 
@@ -171,24 +252,15 @@ class Tensor:
         with np.errstate(all="ignore"):
             data = np.exp(self.data)
 
-        def backward(grad):
+        def backward(grad, needs):
             return (grad * data,)
 
         return Tensor._make(data, (self,), backward, "exp")
 
-    def log(self):
-        with np.errstate(all="ignore"):
-            data = np.log(self.data)
-
-        def backward(grad):
-            return (grad / self.data,)
-
-        return Tensor._make(data, (self,), backward, "log")
-
     def tanh(self):
         data = np.tanh(self.data)
 
-        def backward(grad):
+        def backward(grad, needs):
             return (grad * (1.0 - data ** 2),)
 
         return Tensor._make(data, (self,), backward, "tanh")
@@ -196,7 +268,7 @@ class Tensor:
     def relu(self):
         data = np.maximum(self.data, 0.0)
 
-        def backward(grad):
+        def backward(grad, needs):
             return (grad * (self.data > 0.0),)
 
         return Tensor._make(data, (self,), backward, "relu")
@@ -206,17 +278,13 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         data = self.data.sum(axis=axis, keepdims=keepdims)
 
-        def backward(grad):
+        def backward(grad, needs):
             g = np.asarray(grad)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, self.shape).copy(),)
 
         return Tensor._make(np.asarray(data), (self,), backward, "sum")
-
-    def mean(self, axis=None, keepdims: bool = False):
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # -- shape ops ---------------------------------------------------------------
 
@@ -226,7 +294,7 @@ class Tensor:
         old = self.shape
         data = self.data.reshape(shape)
 
-        def backward(grad):
+        def backward(grad, needs):
             return (grad.reshape(old),)
 
         return Tensor._make(data, (self,), backward, "reshape")
@@ -234,50 +302,40 @@ class Tensor:
     def swapaxes(self, a: int, b: int):
         data = np.swapaxes(self.data, a, b)
 
-        def backward(grad):
+        def backward(grad, needs):
             return (np.swapaxes(grad, a, b),)
 
         return Tensor._make(data, (self,), backward, "swapaxes")
 
     # -- gating -----------------------------------------------------------------
 
-    def maximum(self, other):
-        other = as_tensor(other)
-        data = np.maximum(self.data, other.data)
-
-        def backward(grad):
-            take_self = self.data >= other.data
-            return (_unbroadcast(grad * take_self, self.shape),
-                    _unbroadcast(grad * ~take_self, other.shape))
-
-        return Tensor._make(data, (self, other), backward, "maximum")
-
     def minimum(self, other):
         other = as_tensor(other)
         data = np.minimum(self.data, other.data)
 
-        def backward(grad):
+        def backward(grad, needs):
             take_self = self.data <= other.data
-            return (_unbroadcast(grad * take_self, self.shape),
-                    _unbroadcast(grad * ~take_self, other.shape))
+            return (_unbroadcast(grad * take_self, self.shape) if needs[0] else None,
+                    _unbroadcast(grad * ~take_self, other.shape) if needs[1] else None)
 
         return Tensor._make(data, (self, other), backward, "minimum")
 
     def clip(self, lo: float, hi: float):
         data = np.clip(self.data, lo, hi)
 
-        def backward(grad):
+        def backward(grad, needs):
             return (grad * ((self.data >= lo) & (self.data <= hi)),)
 
         return Tensor._make(data, (self,), backward, "clip")
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- backprop --------------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output.
+
+        Gradients accumulate on the leaves that require them; the gradients
+        of intermediate nodes are dropped once passed on to their parents.
+        """
         if self.data.size != 1:
             raise ShapeMismatch("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -292,23 +350,24 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
+            for p, need in zip(node._parents, node._needs):
+                if need and id(p) not in seen:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward_fn is None or node.grad is None:
                 continue
-            grads = node._backward_fn(node.grad)
-            for parent, g in zip(node._parents, grads):
-                if g is None:
+            grads = node._backward_fn(node.grad, node._needs)
+            if node is not self:
+                node.grad = None
+            for parent, need, g in zip(node._parents, node._needs, grads):
+                if not need:
                     continue
-                g = np.asarray(g, dtype=np.float64)
-                if parent.grad is None:
-                    parent.grad = g.reshape(parent.shape).copy()
-                else:
-                    parent.grad = parent.grad + g.reshape(parent.shape)
+                # C order, as later products expect (a view's layout can
+                # change which matmul path numpy takes, and its rounding)
+                g = np.ascontiguousarray(g, dtype=np.float64).reshape(parent.shape)
+                parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def as_tensor(value) -> Tensor:
@@ -321,23 +380,24 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     sizes = [d.shape[axis] for d in datas]
     splits = np.cumsum(sizes)[:-1]
 
-    def backward(grad):
+    def backward(grad, needs):
         return tuple(np.split(grad, splits, axis=axis))
 
     return Tensor._make(data, tuple(tensors), backward, "concat")
 
 
-def masked_softmax(scores: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax over the unmasked entries of each slice along `axis`.
+def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
+    """Softmax over the last axis, restricted to the mask, as one tape node.
 
-    Masked entries are exactly zero in the output; every slice must have at
-    least one unmasked entry. The max-shift is detached, which leaves the
-    softmax value and gradient unchanged.
+    Masked entries are exactly zero in the output; every row must have at
+    least one unmasked entry (see `softmax_forward`).
     """
-    shift = np.max(scores.data, axis=axis, keepdims=True)
-    e = (scores - Tensor(shift)).exp() * mask
-    total = e.sum(axis=axis, keepdims=True)
-    return e / total
+    probs = softmax_forward(scores.data, mask)
+
+    def backward(grad, needs):
+        return (softmax_backward(probs, grad),)
+
+    return Tensor._make(probs, (scores,), backward, "masked_softmax")
 
 
 def backward_with_report(loss: Tensor, params: dict[str, Tensor]) -> list[str]:

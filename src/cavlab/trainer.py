@@ -31,7 +31,7 @@ from .layers import LOG_2PI, Adam, CriticNetwork, NetConfig, PolicyNetwork
 from .networks import RoadNetwork
 from .rewards import RewardSpec, step_reward
 from .sim import SimOptions, SimState, build_network, cav_pairs, local_observation, step
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, check_finite, no_grad
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,7 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
         mean = bundle.actor.action_mean(
             Tensor(obs[None]), Tensor(adj.weights[None]),
             Tensor(degree_normalize(adj)[None]), mask[None]).data[0]
+    check_finite(mean, "the rollout's action mean")
     log_spread = float(bundle.actor.head.log_spread.data[0])
     if action_rng is None:
         actions = mean.copy()
@@ -283,8 +284,11 @@ def _pad(arrays: list[np.ndarray], where: np.ndarray) -> np.ndarray:
     arrays' leading axes, one transition after the other.
     """
     trailing = arrays[0].shape[where.ndim - 1:]
+    flat = np.concatenate(arrays, axis=None)
+    if where.all():   # nothing padded: a plain stack
+        return flat.reshape(where.shape + trailing)
     out = np.zeros(where.shape + trailing, dtype=arrays[0].dtype)
-    out[where] = np.concatenate(arrays, axis=None).reshape((-1,) + trailing)
+    out[where] = flat.reshape((-1,) + trailing)
     return out
 
 
@@ -334,7 +338,9 @@ def critic_values(critic: CriticNetwork, trans: list[Transition],
     """Per-transition value vectors from one padded forward."""
     batch = PaddedBatch.of(trans, use_next)
     with no_grad():
-        return batch.split(critic.values(*batch.inputs()).data)
+        values = critic.values(*batch.inputs()).data
+    check_finite(values, "the critic values")
+    return batch.split(values)
 
 
 def compute_advantages(episode: EpisodeResult, critic: CriticNetwork,
@@ -393,11 +399,11 @@ def surrogate_objective(actor: PolicyNetwork, trans: list[Transition],
 
 
 def _params_finite(params: dict[str, Tensor]) -> bool:
-    return all(np.all(np.isfinite(p.data)) for p in params.values())
+    return all(np.isfinite(p.data).all() for p in params.values())
 
 
 def _grads_finite(params: dict[str, Tensor]) -> bool:
-    return all(p.grad is None or np.all(np.isfinite(p.grad)) for p in params.values())
+    return all(p.grad is None or np.isfinite(p.grad).all() for p in params.values())
 
 
 class _GuardedOptimizer:
@@ -410,7 +416,9 @@ class _GuardedOptimizer:
 
     def minibatch_step(self, loss_fn, scale: float) -> None:
         self.opt.zero_grad()
-        loss_fn().backward()
+        loss = loss_fn()
+        check_finite(loss.data, "the minibatch loss")
+        loss.backward()
         if not _grads_finite(self.params):
             raise NonFiniteValue("non-finite gradient")
         self.opt.step(lr_scale=scale)
@@ -461,7 +469,8 @@ def critic_update(trans: list[Transition], critic: CriticNetwork,
     starting parameters, which a NaN-guard retry restores.
     """
     start_targets = td_targets(critic, trans, ppo.gamma)
-    initial = float(critic_loss_given_targets(critic, trans, start_targets).data)
+    initial = critic_loss_given_targets(critic, trans, start_targets).data
+    check_finite(initial, "the initial critic loss")
 
     def passes(scale: float) -> None:
         for epoch in range(ppo.epochs):
@@ -474,14 +483,15 @@ def critic_update(trans: list[Transition], critic: CriticNetwork,
                     scale)
 
     guard.run(passes)
-    return initial
+    return float(initial)
 
 
 def actor_update(trans: list[Transition], advantages: list[np.ndarray],
                  actor: PolicyNetwork, guard: _GuardedOptimizer, ppo: PpoConfig,
                  rng: np.random.Generator) -> float:
     """Minibatched ascent on the clipped surrogate; returns the initial objective."""
-    initial = float(surrogate_objective(actor, trans, advantages, ppo.clip).data)
+    initial = surrogate_objective(actor, trans, advantages, ppo.clip).data
+    check_finite(initial, "the initial surrogate objective")
 
     def passes(scale: float) -> None:
         for _ in range(ppo.epochs):
@@ -493,7 +503,7 @@ def actor_update(trans: list[Transition], advantages: list[np.ndarray],
                     scale)
 
     guard.run(passes)
-    return initial
+    return float(initial)
 
 
 def normalize_advantages(advantages: list[np.ndarray]) -> list[np.ndarray]:

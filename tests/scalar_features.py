@@ -19,7 +19,12 @@ from cavlab.sim import (OBS_DIM, SimState, VehicleKind, VehicleState, merge_effe
 
 
 def _wrap_signed(delta: float, length: float) -> float:
-    """Wrap a position difference to (-length/2, length/2]."""
+    """Wrap a position difference to (-length/2, length/2].
+
+    A difference already in that interval is returned as it is.
+    """
+    if -length / 2.0 < delta <= length / 2.0:
+        return delta
     d = delta % length
     if d > length / 2.0:
         d -= length

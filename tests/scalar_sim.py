@@ -27,15 +27,6 @@ def detect_collision(state: SimState) -> bool:
             for a, b in zip(effs, effs[1:]):
                 if b - a - length <= 0:
                     return True
-        z = net.conflict_zone_length
-        lo, hi = net.merge_point, net.merge_point + z
-        in_zone = [(merge_effective_pos(net, v), v.route_id) for v in state.vehicles
-                   if merge_lane(net, v) == "main"
-                   and lo <= merge_effective_pos(net, v) <= hi]
-        for ea, ra in in_zone:
-            for eb, rb in in_zone:
-                if ra == 1 and rb == 0 and abs(ea - eb) < length:
-                    return True
         return False
 
     for rid in ({0} if isinstance(net, RingSpec) else {0, 1}):

@@ -176,3 +176,14 @@ def test_receptive_closure_rejects_non_cav():
     human = next(v for v in state.vehicles if v.kind is VehicleKind.HUMAN)
     with pytest.raises(UnknownVehicle):
         receptive_closure(state, human.id, 30.0)
+
+
+def test_figure_eight_zone_distance_is_exact():
+    # a CAV just past its zone midpoint: reducing 5.0 - 5.1 mod the loop
+    # length and moving it back would shift it by a few ulps
+    state = build_network(FigureEightSpec(), 0, 2, seed=0, idm=IdmParams(noise_mag=0.0))
+    state.vehicles[0].route_pos, state.vehicles[1].route_pos = 5.1, 4.9  # zones (0, 10)
+    pairs = cav_pairs(state)
+    assert [v.route_id for v in state.vehicles] == [0, 1]
+    assert pairs.dist[0, 1] == pairs.dist[1, 0] == abs(5.0 - 5.1) + abs(5.0 - 4.9)
+    assert_features_match(state, pairs.dist[0, 1])

@@ -11,7 +11,7 @@ from cavlab.graph import (
 )
 from cavlab.idm import IdmParams
 from cavlab.networks import RingSpec
-from cavlab.sim import build_network
+from cavlab.sim import build_network, cav_pairs
 
 
 def ring_state(positions, speeds, length=230.0):
@@ -154,6 +154,26 @@ def test_randomized_adjacency_properties(data):
                 assert abs(adj.weights[i, j] - expected) < 1e-12
                 # kernel symmetry and delta-v antisymmetry
                 assert abs(adj.weights[i, j] + adj.weights[j, i]) < 1e-12
+
+
+def test_pair_exactly_at_the_scan_scale_is_an_edge():
+    # Reducing 0.0 - d mod 230 and moving it back gave -5.533410229158221:
+    # a few ulps past the scan scale, which dropped the edge.
+    d = 5.533410229158211
+    sigma = 4.0
+    state = ring_state([0.0, d], [1.0, 3.0])
+    pairs = cav_pairs(state)
+    assert pairs.dist[0, 1] == pairs.dist[1, 0] == d
+    assert pairs.signed[0, 1] == -d and pairs.signed[1, 0] == d
+    adj = build_adjacency(state, GaussianSpeedField(KernelSpec(1.0, sigma)), d, pairs)
+    assert adj.neighbor_mask[0, 1] and adj.neighbor_mask[1, 0]
+    k = math.exp(-d * d / (2 * sigma * sigma))
+    assert adj.weights[0, 1] == k * 2.0 and adj.weights[1, 0] == k * -2.0
+    assert gaussian_kernel(0.0, d, KernelSpec(1.0, sigma), route_length=230.0) == k
+    # the other way around the ring: L - |x_i - x_j|, exactly
+    state = ring_state([1.0, 230.0 - d + 1.0], [1.0, 3.0])
+    gap = 230.0 - (230.0 - d + 1.0 - 1.0)
+    assert cav_pairs(state).dist[0, 1] == cav_pairs(state).dist[1, 0] == gap
 
 
 def test_locality_monotone_in_distance():

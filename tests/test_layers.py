@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cavlab.errors import EmptyNeighborSet, ShapeMismatch
+from cavlab.errors import EmptyNeighborSet, NonFiniteValue, ShapeMismatch
 from cavlab.layers import (
-    Adam, AttentionLayer, CriticNetwork, GaussianPolicyHead, GraphConvLayer,
+    Adam, AttentionLayer, CriticNetwork, Dense, GaussianPolicyHead, GraphConvLayer,
     NetConfig, PolicyNetwork, attention_forward, graph_conv_forward, orthogonal,
 )
-from cavlab.tensor import Tensor
-
-from test_tensor import fd_grad, rel_err
+from cavlab.selfcheck import fd_grad, rel_err
+from cavlab.tensor import Tensor, check_each_op, concat, no_grad
 
 
 def rng(seed=0):
@@ -272,3 +271,152 @@ def test_adam_descends_quadratic():
         loss.backward()
         opt.step()
     assert abs(p.data[0]) < 0.05
+
+
+def test_adam_matches_textbook_and_skips_parameters_without_gradient():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True, name="a")
+    b = Tensor(np.array([[3.0]]), requires_grad=True, name="b")
+    opt = Adam({"a": a, "b": b}, lr=0.1)
+    g1, g2 = np.array([0.5, -1.0]), np.array([1.0, 1.0])
+    a.grad, b.grad = g1, np.array([[2.0]])
+    opt.step()
+    state = opt.state_dict()
+    b_after_one = b.data.copy()
+    a.grad, b.grad = g2, None
+    opt.step(lr_scale=0.5)
+    assert np.array_equal(b.data, b_after_one)
+    assert np.array_equal(opt.m["b"], state["m"]["b"])
+    assert np.array_equal(opt.v["b"], state["v"]["b"])
+    m1, v1 = 0.1 * g1, 0.001 * g1 ** 2
+    a1 = np.array([1.0, 2.0]) - 0.1 * (m1 / 0.1) / (np.sqrt(v1 / 0.001) + 1e-8)
+    m2, v2 = 0.9 * m1 + 0.1 * g2, 0.999 * v1 + 0.001 * g2 ** 2
+    a2 = a1 - 0.05 * (m2 / (1 - 0.9 ** 2)) / (np.sqrt(v2 / (1 - 0.999 ** 2)) + 1e-8)
+    assert np.allclose(a.data, a2, rtol=1e-12, atol=0.0)
+    opt.load_state_dict(state)   # back to the moments after one step
+    assert opt.t == 1 and np.array_equal(opt.m["a"], state["m"]["a"])
+    state["m"]["a"][:] = 7.0     # the optimizer holds copies, not the snapshot
+    assert not np.any(opt.m["a"] == 7.0)
+
+
+# ---------------------------------------------------------------------------
+# fused nodes against the unfused composition of tape ops
+
+
+def _unfused_act(x, activation):
+    return {"tanh": Tensor.tanh, "relu": Tensor.relu, None: lambda t: t}[activation](x)
+
+
+def _unfused_dense(layer, x):
+    return _unfused_act(x @ layer.W + layer.b, layer.activation)
+
+
+def _unfused_gconv(layer, H, M, Dinv):
+    return _unfused_act(concat([M @ H, Dinv @ H], axis=-1) @ layer.W, layer.activation)
+
+
+def _unfused_attention(layer, H, mask):
+    b, n, d = H.shape
+
+    def split(x):
+        return x.reshape(b, n, layer.heads, layer.d_head).swapaxes(1, 2)
+
+    q, k, v = split(H @ layer.Wq), split(H @ layer.Wk), split(H @ layer.Wv)
+    s = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(layer.d_head))
+    e = (s - Tensor(s.data.max(axis=-1, keepdims=True))).exp() * mask[:, None]
+    phi = e / e.sum(axis=-1, keepdims=True)
+    return ((phi @ v).swapaxes(1, 2).reshape(b, n, d)) @ layer.Wo
+
+
+def _values_and_grads(forward, inputs, params, weights):
+    """Forward value and the gradients of sum(weights * out) w.r.t. inputs + params."""
+    for t in (*inputs, *params):
+        t.grad = None
+    out = forward()
+    (out * Tensor(weights)).sum().backward()
+    return out.data, [t.grad for t in (*inputs, *params)]
+
+
+def _check_fused(fused, unfused, inputs, params, out_shape, seed):
+    weights = rng(seed).standard_normal(out_shape)
+    value, grads = _values_and_grads(fused, inputs, params, weights)
+    ref_value, ref_grads = _values_and_grads(unfused, inputs, params, weights)
+    assert np.allclose(value, ref_value, rtol=1e-12, atol=1e-13)
+    for g, ref in zip(grads, ref_grads):
+        assert g.shape == ref.shape
+        assert np.allclose(g, ref, rtol=1e-10, atol=1e-12)
+    # and each gradient against finite differences of the fused forward
+    for t, g in zip((*inputs, *params), grads):
+        orig = t.data.copy()
+
+        def f(x, t=t):
+            t.data = x
+            return float((fused().data * weights).sum())
+
+        fd = fd_grad(f, orig)
+        t.data = orig
+        assert rel_err(g, fd) < 1e-6
+
+
+@pytest.mark.parametrize("activation", [None, "tanh", "relu"])
+@pytest.mark.parametrize("lead", [(5,), (2, 3)])
+def test_fused_dense_matches_unfused(activation, lead):
+    layer = Dense(rng(20), 4, 3, name="d", activation=activation)
+    layer.b.data = rng(21).standard_normal(3)
+    x = Tensor(rng(22).standard_normal(lead + (4,)), requires_grad=True)
+    _check_fused(lambda: layer(x), lambda: _unfused_dense(layer, x), [x],
+                 [layer.W, layer.b], lead + (3,), seed=23)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("batch", [None, 2])
+def test_fused_graph_conv_matches_unfused(activation, batch):
+    lead = () if batch is None else (batch,)
+    layer = GraphConvLayer(rng(30), 3, 4, activation=activation)
+    H = Tensor(rng(31).standard_normal(lead + (4, 3)), requires_grad=True)
+    M = Tensor(rng(32).standard_normal(lead + (4, 4)), requires_grad=True)
+    Dinv = Tensor(M.data / 3.0, requires_grad=True)
+    _check_fused(lambda: layer(H, M, Dinv), lambda: _unfused_gconv(layer, H, M, Dinv),
+                 [H, M, Dinv], [layer.W], lead + (4, 4), seed=33)
+
+
+@pytest.mark.parametrize("heads, n", [(1, 3), (2, 4), (4, 9)])
+def test_fused_attention_matches_unfused(heads, n):
+    layer = AttentionLayer(rng(40), 8, heads=heads)
+    H = Tensor(rng(41).standard_normal((2, n, 8)), requires_grad=True)
+    mask = rng(42).random((2, n, n)) > 0.4
+    mask[:, np.arange(n), np.arange(n)] = True
+    _check_fused(lambda: layer(H, mask), lambda: _unfused_attention(layer, H, mask), [H],
+                 [layer.Wq, layer.Wk, layer.Wv, layer.Wo], (2, n, 8), seed=43)
+
+
+def test_fused_attention_weights_are_the_scores():
+    layer = AttentionLayer(rng(50), 8, heads=4)
+    H = Tensor(rng(51).standard_normal((3, 5, 8)))
+    mask = rng(52).random((3, 5, 5)) > 0.5
+    mask[:, np.arange(5), np.arange(5)] = True
+    phi = layer.scores(H, mask).data
+    # heads mix phi @ v: with Wo = I and Wv = I the output is phi applied per head
+    layer.Wv.data, layer.Wo.data = np.eye(8), np.eye(8)
+    out = layer(H, mask).data.reshape(3, 5, 4, 2).swapaxes(1, 2)
+    v = H.data.reshape(3, 5, 4, 2).swapaxes(1, 2)
+    assert np.allclose(out, phi @ v, rtol=1e-12, atol=1e-14)
+
+
+def test_constant_inputs_get_no_gradient():
+    layer = GraphConvLayer(rng(60), 3, 3)
+    H = Tensor(rng(61).standard_normal((2, 4, 3)), requires_grad=True)
+    M = Tensor(rng(62).standard_normal((2, 4, 4)))
+    (layer(H, M, M) ** 2).sum().backward()
+    assert H.grad is not None and layer.W.grad is not None
+    assert M.grad is None
+
+
+def test_per_op_checks_are_a_debug_context():
+    x = Tensor(np.array([1.0, 1000.0]))
+    assert np.isinf(x.exp().data[1])       # passes through; the boundaries report it
+    with check_each_op():
+        with pytest.raises(NonFiniteValue):
+            x.exp()
+        with no_grad(), pytest.raises(NonFiniteValue):
+            x.exp()
+    assert np.isinf(x.exp().data[1])

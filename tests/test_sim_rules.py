@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_sim as scalar
 from cavlab import sim
+from cavlab.errors import InvalidSpec
 from cavlab.idm import IdmParams, accel_from_speed
 from cavlab.networks import FigureEightSpec, MergeSpec, RingSpec
 from cavlab.sim import (VehicleKind, VehicleState, _figure_eight_yield_accel,
@@ -89,6 +90,24 @@ def test_merge_collisions(placements, collided):
     state = hand_state(MERGE, placements)
     assert detect_collision(state) is collided
     assert scalar.detect_collision(state) is collided
+
+
+def test_spawns_take_ids_above_hand_placed_vehicles():
+    # next_id is left at 0 while vehicles 0 and 1 are on the road; both lanes
+    # have an arrival due at the first step and a free entry
+    state = hand_state(MERGE, [(0, 100.0, 10.0), (1, 60.0, 10.0)])
+    state.next_id = 0
+    state, info = step(state, {}, 0.1)
+    assert sorted(info.spawned) == [2, 3]
+    ids = [v.id for v in state.vehicles]
+    assert len(set(ids)) == len(ids) == 4
+
+
+def test_duplicate_vehicle_ids_rejected():
+    state = hand_state(MERGE, [(0, 100.0, 10.0), (0, 200.0, 10.0)])
+    state.vehicles[1].id = 0
+    with pytest.raises(InvalidSpec, match="duplicate vehicle ids"):
+        step(state, {}, 0.1)
 
 
 def test_ramp_vehicle_brakes_for_short_follower_headway():

@@ -10,6 +10,7 @@ from cavlab.idm import IdmParams
 from cavlab.layers import CriticNetwork, NetConfig
 from cavlab.networks import RingSpec
 from cavlab.rewards import RingEightReward, reward_ring_eight
+from cavlab.selfcheck import fd_grad, rel_err
 from cavlab.sim import SimOptions
 from cavlab.trainer import (
     EnvSpec, PaddedBatch, PpoConfig, collect_rollout, compute_advantages, critic_loss,
@@ -17,7 +18,6 @@ from cavlab.trainer import (
     init_stream, normalize_advantages, reward_to_go, surrogate_objective, td_targets, train,
 )
 
-from test_tensor import fd_grad, rel_err
 
 TARGET = 20.0 / 3.6
 
@@ -292,6 +292,72 @@ def test_critic_update_reuses_initial_targets(retry):
     (new_initial, new_params), (old_initial, old_params) = results
     assert new_initial == old_initial
     assert all(np.array_equal(new_params[k], old_params[k]) for k in old_params)
+
+
+def _nan_loss_on_second_step(monkeypatch):
+    """Make the loss of the second minibatch step NaN; record each step's
+    scale, parameters and Adam step count as the step begins, and the
+    messages of the errors the steps raise."""
+    seen, errors = [], []
+    original = trainer_module._GuardedOptimizer.minibatch_step
+
+    def spied(self, loss_fn, scale):
+        seen.append((scale, {k: p.data.copy() for k, p in self.params.items()},
+                     self.opt.t))
+        if len(seen) == 2:
+            real = loss_fn
+            loss_fn = lambda: real() * 0.0 / 0.0   # noqa: E731 - NaN, no per-op check
+        try:
+            return original(self, loss_fn, scale)
+        except NonFiniteValue as exc:
+            errors.append(str(exc))
+            raise
+
+    monkeypatch.setattr(trainer_module._GuardedOptimizer, "minibatch_step", spied)
+    return seen, errors
+
+
+@pytest.mark.parametrize("which", ["critic", "actor"])
+def test_non_finite_loss_halves_the_step_and_restores(monkeypatch, which):
+    ppo = small_ppo(horizon=20, epochs=2, minibatch_size=30)
+    bundle = small_bundle(seed=11)
+    _, rng = episode_streams(14, 0)
+    episode = collect_rollout(bundle, small_env(), ppo, 14, rng)
+    trans = episode.transitions
+    net = bundle.critic if which == "critic" else bundle.actor
+    start = {k: p.data.copy() for k, p in net.parameters().items()}
+    guard = trainer_module._GuardedOptimizer(net.parameters(), 1e-2, ppo.max_lr_halvings)
+    seen, errors = _nan_loss_on_second_step(monkeypatch)
+    if which == "critic":
+        critic_update(trans, net, guard, ppo, np.random.default_rng(0))
+    else:
+        advs = normalize_advantages(compute_advantages(episode, bundle.critic, ppo))
+        trainer_module.actor_update(trans, advs, net, guard, ppo, np.random.default_rng(0))
+    scales = [scale for scale, _, _ in seen]
+    assert scales[:3] == [1.0, 1.0, 0.5] and set(scales[2:]) == {0.5}
+    (_, first, t_first), (_, failing, _), (_, retry, t_retry) = seen[:3]
+    assert any(not np.array_equal(failing[k], start[k]) for k in start)   # one step taken
+    for k in start:   # the retry starts from the parameters before the update
+        assert np.array_equal(first[k], start[k]) and np.array_equal(retry[k], start[k])
+    assert t_first == t_retry == 0
+    assert errors == ["non-finite values produced by the minibatch loss"]   # before backward
+
+
+def test_non_finite_rollout_action_mean_raises():
+    bundle = small_bundle(seed=3)
+    bundle.actor.head.mean_layer.b.data[:] = np.nan
+    _, rng = episode_streams(3, 0)
+    with pytest.raises(NonFiniteValue, match="action mean"):
+        collect_rollout(bundle, small_env(), small_ppo(), 3, rng)
+
+
+def test_non_finite_critic_values_raise():
+    bundle = small_bundle(seed=4)
+    _, rng = episode_streams(4, 0)
+    trans = collect_rollout(bundle, small_env(), small_ppo(horizon=3), 4, rng).transitions
+    bundle.critic.vhead.b.data[:] = np.inf
+    with pytest.raises(NonFiniteValue, match="critic values"):
+        critic_values(bundle.critic, trans)
 
 
 def test_critic_forwards_per_update(monkeypatch):
