@@ -105,7 +105,7 @@ def cmd_train(args) -> int:
     ckpt_dir.mkdir(exist_ok=True)
     all_rows: list[str] = []
     env, ppo, net = cfg.env_spec(), cfg.ppo_config(), cfg.net_config()
-    final_returns, unused = {}, {}
+    final_returns, unused, halvings = {}, {}, {}
     for seed in seeds:
         def save_cb(episode, bundle, seed=seed):
             save_checkpoint(ckpt_dir / f"seed{seed}_ep{episode + 1:05d}.json",
@@ -120,9 +120,11 @@ def cmd_train(args) -> int:
         all_rows.extend(rows if not all_rows else rows[1:])
         final_returns[seed] = result.records[-1].episode_return
         unused[seed] = result.unused_agent_transitions
+        halvings[seed] = result.lr_halvings
     (out / "learning_curve.csv").write_text("\n".join(all_rows) + "\n")
     _write_summary(out, cfg, seeds, {"final_return_by_seed": final_returns,
-                                     "unused_agent_transitions_by_seed": unused})
+                                     "unused_agent_transitions_by_seed": unused,
+                                     "lr_halvings_by_seed": halvings})
     print(f"trained {len(seeds)} seed(s); curves in {out / 'learning_curve.csv'}")
     return 0
 

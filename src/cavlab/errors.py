@@ -29,10 +29,6 @@ class ShapeMismatch(CavlabError):
     """Tensor or matrix shapes are inconsistent."""
 
 
-class EmptyNeighborSet(CavlabError):
-    """An attention neighbor set does not contain the agent itself."""
-
-
 class NonFiniteValue(CavlabError):
     """A forward pass produced NaN or Inf."""
 

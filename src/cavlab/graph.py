@@ -11,6 +11,9 @@ The matrix derives from the step's pairwise route distances
 kernel is taken with `math.exp` over the in-range pairs only: `np.exp`
 differs from it in the last bit on some inputs, and the weights are kept
 bit-identical to a per-pair scalar evaluation.
+
+`degree_normalize` is the one D^-1 M: the rollout applies it to a step's
+(N, N) matrices and the padded update batches to their (B, N, N) stacks.
 """
 from __future__ import annotations
 
@@ -63,10 +66,8 @@ AdjacencyScheme = GaussianSpeedField | PositionOnly | VelocityOnly
 @dataclass
 class AdjacencyMatrix:
     weights: np.ndarray           # N x N, diagonal 1, zero beyond the scan scale
-    scan_scale: float
     agent_ids: list[int]
     neighbor_mask: np.ndarray     # N x N bool incl. the diagonal
-    degree: np.ndarray            # row sums of the mask (self always counted)
 
 
 def gaussian_kernel(xi: float, xj: float, spec: KernelSpec,
@@ -119,14 +120,16 @@ def build_adjacency(state: SimState, scheme: AdjacencyScheme, scan_scale: float,
         ts, eps = scheme.target_speed, scheme.epsilon
         weights[i, j] = ts / (vi * np.abs(vj - vi) + eps)
         weights[j, i] = ts / (vj * np.abs(vi - vj) + eps)
-    return AdjacencyMatrix(weights=weights, scan_scale=scan_scale,
-                           agent_ids=pairs.ids, neighbor_mask=mask,
-                           degree=mask.sum(axis=1, dtype=float))
+    return AdjacencyMatrix(weights=weights, agent_ids=pairs.ids, neighbor_mask=mask)
 
 
-def degree_normalize(adj: AdjacencyMatrix) -> np.ndarray:
-    """Row-scaled weights D^-1 M; the self-connection keeps every degree >= 1."""
-    return adj.weights / adj.degree[:, None]
+def degree_normalize(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row-scaled weights D^-1 M, D the row sums of the neighbour mask.
+
+    Takes one (N, N) matrix or a (B, N, N) stack; the self-connection keeps
+    every degree >= 1.
+    """
+    return weights / mask.sum(-1, keepdims=True)
 
 
 def adjacency_csv_rows(adj) -> list[str]:

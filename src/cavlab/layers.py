@@ -10,9 +10,9 @@ Dense (with its activation), `GraphConvLayer` and `AttentionLayer` each
 record one tape node with a hand-written backward. Their weight products
 and weight gradients run as one GEMM over all B*N agent rows, and they
 return no gradient for inputs that need none (the adjacency, the
-observations). `AttentionLayer.scores`, the dense (B, h, N, N) weights,
-is composed from tape ops and shares the softmax of the fused forward
-(`tensor.softmax_forward` / `softmax_backward`).
+observations). `AttentionLayer.scores` returns the dense (B, h, N, N)
+weights of that forward, from the same Q|K|V GEMM and the same
+`tensor.softmax_forward`, without a tape.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNeighborSet, ShapeMismatch
-from .tensor import Tensor, _unbroadcast, masked_softmax, softmax_backward, softmax_forward
+from .errors import ShapeMismatch
+from .tensor import Tensor, _unbroadcast, softmax_backward, softmax_forward
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -173,26 +173,26 @@ class AttentionLayer:
         self.Wv = Tensor(orthogonal(rng, (d, d)), requires_grad=True, name=f"{name}.Wv")
         self.Wo = Tensor(orthogonal(rng, (d, d)), requires_grad=True, name=f"{name}.Wo")
 
-    def _check(self, H: Tensor, mask: np.ndarray) -> tuple[int, int, int]:
+    def _weights(self, H: Tensor, mask: np.ndarray):
+        """The rows of H, [Wq | Wk | Wv], q, k, v (B, h, N, d_h) and phi (B, h, N, N)."""
         b, n, d = H.shape
         if mask.shape != (b, n, n):
             raise ShapeMismatch(f"mask {mask.shape} does not match features {H.shape}")
-        return b, n, d
+        h, dh = self.heads, self.d_head
+        w_qkv = np.concatenate([self.Wq.data, self.Wk.data, self.Wv.data], axis=1)  # (d, 3d)
+        h2d = _rows(H.data)
+        # (B*N, 3d) -> (3, B, h, N, d_h): q, k, v split into heads
+        q, k, v = np.ascontiguousarray(
+            (h2d @ w_qkv).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4))
+        scores = q @ k.swapaxes(-1, -2)
+        scores *= 1.0 / math.sqrt(dh)
+        return h2d, w_qkv, q, k, v, softmax_forward(scores, mask[:, None])
 
     def __call__(self, H: Tensor, mask: np.ndarray) -> Tensor:
         """H: (B, N, d); mask: (B, N, N) bool, diag True. Returns (B, N, d)."""
-        b, n, d = self._check(H, mask)
+        b, n, d = H.shape
         h, dh, scale = self.heads, self.d_head, 1.0 / math.sqrt(self.d_head)
-        params = (self.Wq, self.Wk, self.Wv, self.Wo)
-        w_qkv = np.concatenate([w.data for w in params[:3]], axis=1)     # (d, 3d)
-        h2d = _rows(H.data)
-        # (B*N, 3d) -> (3, B, h, N, d_h): q, k, v split into heads
-        qkv = np.ascontiguousarray(
-            (h2d @ w_qkv).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4))
-        q, k, v = qkv
-        scores = q @ k.swapaxes(-1, -2)
-        scores *= scale
-        phi = softmax_forward(scores, mask[:, None])
+        h2d, w_qkv, q, k, v, phi = self._weights(H, mask)
         merged = (phi @ v).transpose(0, 2, 1, 3).reshape(b * n, d)       # (B*N, d)
         out = merged @ self.Wo.data
 
@@ -208,49 +208,16 @@ class AttentionLayer:
                     *(g_w[:, i * d:(i + 1) * d] if needs[1 + i] else None for i in range(3)),
                     merged.T @ g2d if needs[4] else None)
 
-        return Tensor._make(out.reshape(b, n, d), (H, *params), backward, "attention")
+        return Tensor._make(out.reshape(b, n, d), (H, self.Wq, self.Wk, self.Wv, self.Wo),
+                            backward, "attention")
 
     def scores(self, H: Tensor, mask: np.ndarray) -> Tensor:
-        """Attention weights phi (B, h, N, N); rows sum to 1 over the mask."""
-        b, n, _ = self._check(H, mask)
-
-        def split_heads(x: Tensor) -> Tensor:
-            return x.reshape(b, n, self.heads, self.d_head).swapaxes(1, 2)
-
-        q, k = split_heads(H @ self.Wq), split_heads(H @ self.Wk)
-        s = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
-        return masked_softmax(s, mask[:, None])
+        """The attention weights phi (B, h, N, N) of the forward, off the tape;
+        rows sum to 1 over the mask."""
+        return Tensor(self._weights(H, mask)[-1])
 
     def parameters(self) -> dict[str, Tensor]:
         return {t.name: t for t in (self.Wq, self.Wk, self.Wv, self.Wo)}
-
-
-# ---------------------------------------------------------------------------
-# Spec-level functional surfaces
-
-
-def graph_conv_forward(H: Tensor, M: Tensor, Dinv_M: Tensor,
-                       layer: GraphConvLayer) -> Tensor:
-    return layer(H, M, Dinv_M)
-
-
-def neighbor_sets_to_mask(neighbor_sets: list[list[int]], n: int) -> np.ndarray:
-    mask = np.zeros((n, n), dtype=bool)
-    for i, nbrs in enumerate(neighbor_sets):
-        if i not in nbrs:
-            raise EmptyNeighborSet(f"neighbor set of agent {i} must contain itself")
-        for j in nbrs:
-            mask[i, j] = True
-    return mask
-
-
-def attention_forward(H: Tensor, neighbor_sets: list[list[int]],
-                      layer: AttentionLayer) -> Tensor:
-    """Single-state convenience wrapper: H is (N, d), sets are agent id lists."""
-    n = H.shape[0]
-    mask = neighbor_sets_to_mask(neighbor_sets, n)
-    out = layer(H.reshape(1, n, H.shape[1]), mask[None, :, :])
-    return out.reshape(n, H.shape[1])
 
 
 # ---------------------------------------------------------------------------

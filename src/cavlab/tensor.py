@@ -2,9 +2,10 @@
 
 Small define-by-run tape sized for the control networks in this package:
 elementwise arithmetic with broadcasting, batched matmul, tanh/relu/exp,
-sums, reshape/transpose/concat, minimum/clip gating and a masked softmax.
-`cavlab.layers` adds fused nodes (dense + activation, graph convolution,
-attention) that record one tape node each with a hand-written backward.
+sums, reshape/transpose/concat and minimum/clip gating. `cavlab.layers`
+adds fused nodes (dense + activation, graph convolution, attention) that
+record one tape node each with a hand-written backward; the attention
+node's masked softmax is `softmax_forward` / `softmax_backward` here.
 
 Backward functions compute gradients only for the parents that need one
 (a parameter, or a node downstream of one); constants such as the
@@ -87,15 +88,33 @@ def _reduce_last(ufunc, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _masked_max(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The largest entry of each row of `x` (last axis, kept as size 1)
+    among those where `mask`, broadcast against `x`, is set.
+
+    numpy's masked reduce is fast on the sparse masks of large graphs but
+    slow per row on short rows, where adding -inf at the masked entries and
+    reducing column by column (`_reduce_last`) is faster.
+    """
+    if x.shape[-1] >= 8:
+        return np.maximum.reduce(x, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    return _reduce_last(np.maximum, x + np.where(mask, 0.0, -np.inf))
+
+
 def softmax_forward(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, restricted to the entries where `mask` is set.
 
     Masked entries are exactly zero; every row must have at least one
-    unmasked entry. The max-shift leaves the value unchanged.
+    unmasked entry. Each row is shifted by its largest unmasked score, which
+    leaves the value unchanged: no masked score, however large, can
+    underflow the unmasked exps. Masked entries are zeroed before the exp,
+    so none overflows either.
     """
-    e = scores - _reduce_last(np.maximum, scores)
+    keep = mask.astype(np.float64)
+    e = scores - _masked_max(scores, mask)
+    e *= keep
     np.exp(e, out=e)
-    e *= mask
+    e *= keep
     e /= _reduce_last(np.add, e)
     return e
 
@@ -130,9 +149,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- graph construction ------------------------------------------------
 
@@ -384,31 +400,3 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
         return tuple(np.split(grad, splits, axis=axis))
 
     return Tensor._make(data, tuple(tensors), backward, "concat")
-
-
-def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis, restricted to the mask, as one tape node.
-
-    Masked entries are exactly zero in the output; every row must have at
-    least one unmasked entry (see `softmax_forward`).
-    """
-    probs = softmax_forward(scores.data, mask)
-
-    def backward(grad, needs):
-        return (softmax_backward(probs, grad),)
-
-    return Tensor._make(probs, (scores,), backward, "masked_softmax")
-
-
-def backward_with_report(loss: Tensor, params: dict[str, Tensor]) -> list[str]:
-    """Run backward and zero-fill gradients of parameters the loss never touched.
-
-    Returns the names of those disconnected parameters.
-    """
-    loss.backward()
-    disconnected = []
-    for name, p in params.items():
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-            disconnected.append(name)
-    return disconnected

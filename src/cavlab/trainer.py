@@ -19,7 +19,6 @@ update that do not fill a batch are never updated on;
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from .errors import InvalidSpec, NanGradient, NonFiniteValue
 from .graph import AdjacencyScheme, build_adjacency, degree_normalize
 from .idm import IdmParams
-from .layers import LOG_2PI, Adam, CriticNetwork, NetConfig, PolicyNetwork
+from .layers import Adam, CriticNetwork, NetConfig, PolicyNetwork
 from .networks import RoadNetwork
 from .rewards import RewardSpec, step_reward
 from .sim import SimOptions, SimState, build_network, cav_pairs, local_observation, step
@@ -143,12 +142,6 @@ def make_policy(net_cfg: NetConfig, seed_seq: np.random.SeedSequence) -> PolicyB
                         critic=CriticNetwork(rng, net_cfg), cfg=net_cfg)
 
 
-def _gaussian_logp(actions: np.ndarray, mean: np.ndarray, log_spread: float) -> np.ndarray:
-    spread = math.exp(log_spread)
-    z = (actions - mean) / spread
-    return -0.5 * z ** 2 - log_spread - 0.5 * LOG_2PI
-
-
 def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
                    action_rng: np.random.Generator | None):
     """Sampled (or deterministic-mean) actions for the live CAVs.
@@ -162,17 +155,19 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
     obs = local_observation(state, pairs.ids, env.target_speed, env.scan_scale, pairs)
     del pairs  # free its N x N matrices before the forward allocates its own
     mask = adj.neighbor_mask
+    actor = bundle.actor
     with no_grad():
-        mean = bundle.actor.action_mean(
+        mean = actor.action_mean(
             Tensor(obs[None]), Tensor(adj.weights[None]),
-            Tensor(degree_normalize(adj)[None]), mask[None]).data[0]
-    check_finite(mean, "the rollout's action mean")
-    log_spread = float(bundle.actor.head.log_spread.data[0])
-    if action_rng is None:
-        actions = mean.copy()
-    else:
-        actions = mean + math.exp(log_spread) * action_rng.standard_normal(len(adj.agent_ids))
-    logp = _gaussian_logp(actions, mean, log_spread)
+            Tensor(degree_normalize(adj.weights, mask)[None]), mask[None]).data[0]
+        check_finite(mean, "the rollout's action mean")
+        if action_rng is None:
+            actions = mean.copy()
+        else:
+            spread = actor.head.spread().data[0]
+            actions = mean + spread * action_rng.standard_normal(len(adj.agent_ids))
+        # the density the update differentiates, so the ratio at theta_old is 1
+        logp = actor.log_prob(Tensor(actions), Tensor(mean)).data
     scaffold = {
         "agent_ids": adj.agent_ids,
         "obs": obs,
@@ -320,9 +315,9 @@ class PaddedBatch:
                    agents=agents)
 
     def inputs(self) -> tuple:
-        """Network inputs (obs, M, D^-1 M, mask); D^-1 M is derived here."""
-        dinv = self.weights / self.mask.sum(-1, keepdims=True)
-        return Tensor(self.obs), Tensor(self.weights), Tensor(dinv), self.mask
+        """Network inputs (obs, M, D^-1 M, mask)."""
+        return (Tensor(self.obs), Tensor(self.weights),
+                Tensor(degree_normalize(self.weights, self.mask)), self.mask)
 
     def rows(self, per_agent: list[np.ndarray]) -> np.ndarray:
         """Per-transition (N_i,) vectors padded to (B, N_max)."""
@@ -376,14 +371,10 @@ def td_targets(critic: CriticNetwork, trans: list[Transition],
 
 def critic_loss_given_targets(critic: CriticNetwork, trans: list[Transition],
                               targets: list[np.ndarray]) -> Tensor:
+    """Sum over agents of squared TD errors against detached targets."""
     batch = PaddedBatch.of(trans)
     v = critic.values(*batch.inputs())
     return ((v - Tensor(batch.rows(targets))) ** 2 * batch.agents).sum()
-
-
-def critic_loss(critic: CriticNetwork, trans: list[Transition], gamma: float) -> Tensor:
-    """Sum over agents of squared TD errors against detached targets."""
-    return critic_loss_given_targets(critic, trans, td_targets(critic, trans, gamma))
 
 
 def surrogate_objective(actor: PolicyNetwork, trans: list[Transition],
@@ -407,12 +398,16 @@ def _grads_finite(params: dict[str, Tensor]) -> bool:
 
 
 class _GuardedOptimizer:
-    """Runs a batch of passes, rejecting the batch and halving the step on NaN."""
+    """Runs a batch of passes, rejecting the batch and halving the step on NaN.
+
+    `halvings` counts the step-size halvings over all its batches.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float, max_halvings: int):
         self.params = params
         self.opt = Adam(params, lr)
         self.max_halvings = max_halvings
+        self.halvings = 0
 
     def minibatch_step(self, loss_fn, scale: float) -> None:
         self.opt.zero_grad()
@@ -438,6 +433,7 @@ class _GuardedOptimizer:
                     p.data = snap[k].copy()
                 self.opt.load_state_dict(snap_opt)
                 scale *= 0.5
+                self.halvings += 1
         raise NanGradient(
             f"update still non-finite after {self.max_halvings} step-size halvings")
 
@@ -537,6 +533,8 @@ class TrainResult:
     critic_losses: list[float]
     # agent-transitions left in the buffer when the episode budget ran out
     unused_agent_transitions: int
+    # NaN-guard step-size halvings per optimizer: {"actor": n, "critic": n}
+    lr_halvings: dict[str, int]
 
     def curve_rows(self) -> list[str]:
         rows = ["episode,seed,return,mean_speed,mean_abs_accel,episode_len"]
@@ -618,4 +616,6 @@ def train(env: EnvSpec, ppo: PpoConfig, net_cfg: NetConfig, master_seed: int,
 
     return TrainResult(bundle=bundle, records=records,
                        actor_objectives=actor_objectives, critic_losses=critic_losses,
-                       unused_agent_transitions=buffered)
+                       unused_agent_transitions=buffered,
+                       lr_halvings={"actor": actor_guard.halvings,
+                                    "critic": critic_guard.halvings})

@@ -138,10 +138,8 @@ def build_adjacency(state: SimState, scheme, scan_scale: float) -> AdjacencyMatr
             mask[i, j] = mask[j, i] = True
             weights[i, j] = _entry(state, scheme, cavs[i], cavs[j], dist)
             weights[j, i] = _entry(state, scheme, cavs[j], cavs[i], dist)
-    degree = mask.sum(axis=1).astype(float)
-    return AdjacencyMatrix(weights=weights, scan_scale=scan_scale,
-                           agent_ids=[v.id for v in cavs],
-                           neighbor_mask=mask, degree=degree)
+    return AdjacencyMatrix(weights=weights, agent_ids=[v.id for v in cavs],
+                           neighbor_mask=mask)
 
 
 def receptive_closure(state: SimState, agent_id: int, scan_scale: float,

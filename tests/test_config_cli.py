@@ -291,6 +291,9 @@ def test_cli_train_then_eval(tmp_path):
     assert set(summary["unused_agent_transitions_by_seed"]) == set(summary["final_return_by_seed"])
     assert all(isinstance(n, int) and n >= 0
                for n in summary["unused_agent_transitions_by_seed"].values())
+    assert set(summary["lr_halvings_by_seed"]) == set(summary["final_return_by_seed"])
+    assert all(h == {"actor": 0, "critic": 0}
+               for h in summary["lr_halvings_by_seed"].values())
     curve = (out / "learning_curve.csv").read_text().strip().split("\n")
     assert curve[0] == "episode,seed,return,mean_speed,mean_abs_accel,episode_len"
     assert len(curve) == 3  # 2 episodes

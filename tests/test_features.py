@@ -44,7 +44,6 @@ def assert_features_match(state, scan_scale, target_speed=8.0):
         assert new.agent_ids == old.agent_ids
         assert np.array_equal(new.weights, old.weights)
         assert np.array_equal(new.neighbor_mask, old.neighbor_mask)
-        assert np.array_equal(new.degree, old.degree)
         assert np.array_equal(build_adjacency(state, scheme, scan_scale, pairs).weights,
                               old.weights)
     for scan in (scan_scale, None):

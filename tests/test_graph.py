@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from cavlab.errors import InvalidSpec, NoAgents
 from cavlab.graph import (
-    AdjacencyMatrix, GaussianSpeedField, KernelSpec, PositionOnly, VelocityOnly,
-    adjacency_csv_rows, build_adjacency, degree_normalize, gaussian_kernel,
+    GaussianSpeedField, KernelSpec, PositionOnly, VelocityOnly, adjacency_csv_rows,
+    build_adjacency, degree_normalize, gaussian_kernel,
 )
 from cavlab.idm import IdmParams
 from cavlab.networks import RingSpec
@@ -88,7 +88,7 @@ def test_scan_scale_masks_far_pairs():
     adj = build_adjacency(state, GaussianSpeedField(), scan_scale=30.0)
     assert adj.weights[0, 1] == 0.0 and adj.weights[1, 0] == 0.0
     assert not adj.neighbor_mask[0, 1]
-    assert adj.degree.tolist() == [1.0, 1.0]
+    assert adj.neighbor_mask.sum(axis=1).tolist() == [1, 1]
 
 
 def test_position_only_signed_distances():
@@ -114,7 +114,7 @@ def test_single_cav_matrix_is_one_for_all_schemes():
         adj = build_adjacency(state, scheme, scan_scale=30.0)
         assert adj.weights.shape == (1, 1)
         assert adj.weights[0, 0] == 1.0
-        assert adj.degree.tolist() == [1.0]
+        assert adj.neighbor_mask.tolist() == [[True]]
 
 
 def test_no_agents_raises():
@@ -191,22 +191,23 @@ def test_locality_monotone_in_distance():
 
 
 def test_degree_normalize_identity():
-    adj = AdjacencyMatrix(weights=np.eye(3), scan_scale=30.0, agent_ids=[0, 1, 2],
-                          neighbor_mask=np.eye(3, dtype=bool),
-                          degree=np.ones(3))
-    assert np.array_equal(degree_normalize(adj), np.eye(3))
+    assert np.array_equal(degree_normalize(np.eye(3), np.eye(3, dtype=bool)), np.eye(3))
 
 
 def test_degree_normalize_row_scale():
     state = ring_state([0.0, 10.0, 20.0, 100.0], [2.0, 3.0, 4.0, 5.0])
     adj = build_adjacency(state, GaussianSpeedField(), scan_scale=30.0)
+    mask = adj.neighbor_mask
     # agent 1 sees agents 0 and 2 plus itself: degree 3
-    assert adj.degree[1] == 3.0
-    out = degree_normalize(adj)
+    assert mask[1].sum() == 3
+    out = degree_normalize(adj.weights, mask)
     assert np.allclose(out[1], adj.weights[1] / 3.0, atol=1e-15)
     # binary indicator rows normalized by degree sum to 1
-    indicator = adj.neighbor_mask.astype(float)
-    assert np.allclose((indicator / adj.degree[:, None]).sum(axis=1), 1.0)
+    assert np.allclose(degree_normalize(mask.astype(float), mask).sum(axis=1), 1.0)
+    # a (B, N, N) stack normalizes each matrix as it would alone
+    stacked = degree_normalize(np.stack([adj.weights, np.eye(4)]),
+                               np.stack([mask, np.eye(4, dtype=bool)]))
+    assert np.array_equal(stacked, np.stack([out, np.eye(4)]))
 
 
 def test_adjacency_csv_roundtrip():

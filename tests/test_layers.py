@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cavlab.errors import EmptyNeighborSet, NonFiniteValue, ShapeMismatch
+from cavlab.errors import NonFiniteValue, ShapeMismatch
 from cavlab.layers import (
     Adam, AttentionLayer, CriticNetwork, Dense, GaussianPolicyHead, GraphConvLayer,
-    NetConfig, PolicyNetwork, attention_forward, graph_conv_forward, orthogonal,
+    NetConfig, PolicyNetwork, orthogonal,
 )
 from cavlab.selfcheck import fd_grad, rel_err
 from cavlab.tensor import Tensor, check_each_op, concat, no_grad
@@ -26,7 +26,7 @@ def test_graph_conv_identity_propagation():
     layer.W.data = np.vstack([np.eye(3), np.zeros((3, 3))])
     H = np.array([[0.3, -1.0, 2.0], [0.0, 0.5, -0.2]])
     eye = Tensor(np.eye(2))
-    out = graph_conv_forward(Tensor(H), eye, eye, layer)
+    out = layer(Tensor(H), eye, eye)
     assert np.allclose(out.data, np.tanh(H), atol=1e-15)
 
 
@@ -37,7 +37,7 @@ def test_graph_conv_hand_computed_two_agents():
     H = np.array([[1.0, 2.0], [-1.0, 0.5]])
     M = np.array([[1.0, 0.3], [-0.3, 1.0]])
     Dinv = M / 2.0
-    out = graph_conv_forward(Tensor(H), Tensor(M), Tensor(Dinv), layer)
+    out = layer(Tensor(H), Tensor(M), Tensor(Dinv))
     # independent arithmetic oracle
     mixed = np.concatenate([M @ H, Dinv @ H], axis=-1)
     assert np.allclose(out.data, np.tanh(mixed @ W), atol=1e-14)
@@ -46,18 +46,16 @@ def test_graph_conv_hand_computed_two_agents():
 def test_graph_conv_zero_features():
     layer = GraphConvLayer(rng(), 3, 4, activation="tanh")
     eye = Tensor(np.eye(2))
-    out = graph_conv_forward(Tensor(np.zeros((2, 3))), eye, eye, layer)
+    out = layer(Tensor(np.zeros((2, 3))), eye, eye)
     assert np.array_equal(out.data, np.zeros((2, 4)))
 
 
 def test_graph_conv_shape_mismatch():
     layer = GraphConvLayer(rng(), 3, 3)
     with pytest.raises(ShapeMismatch):
-        graph_conv_forward(Tensor(np.zeros((2, 5))), Tensor(np.eye(2)),
-                           Tensor(np.eye(2)), layer)
+        layer(Tensor(np.zeros((2, 5))), Tensor(np.eye(2)), Tensor(np.eye(2)))
     with pytest.raises(ShapeMismatch):
-        graph_conv_forward(Tensor(np.zeros((3, 3))), Tensor(np.eye(2)),
-                           Tensor(np.eye(2)), layer)
+        layer(Tensor(np.zeros((3, 3))), Tensor(np.eye(2)), Tensor(np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +65,9 @@ def test_graph_conv_shape_mismatch():
 def test_single_agent_attention_is_projected_value():
     layer = AttentionLayer(rng(1), 4, heads=1)
     H = np.array([[0.2, -0.5, 1.0, 0.3]])
-    out = attention_forward(Tensor(H), [[0]], layer)
+    out = layer(Tensor(H[None]), np.ones((1, 1, 1), dtype=bool)).data[0]
     v = H @ layer.Wv.data
-    assert np.allclose(out.data, v @ layer.Wo.data, atol=1e-14)
+    assert np.allclose(out, v @ layer.Wo.data, atol=1e-14)
 
 
 def test_identical_features_give_uniform_attention():
@@ -85,14 +83,13 @@ def test_three_agent_one_head_hand_computed():
     layer = AttentionLayer(rng(3), d, heads=1)
     Wq, Wk, Wv, Wo = (layer.Wq.data, layer.Wk.data, layer.Wv.data, layer.Wo.data)
     H = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])
-    sets = [[0, 1, 2], [0, 1, 2], [0, 1, 2]]
-    out = attention_forward(Tensor(H), sets, layer)
+    out = layer(Tensor(H[None]), np.ones((1, 3, 3), dtype=bool)).data[0]
     # scalar-arithmetic oracle
     q, k, v = H @ Wq, H @ Wk, H @ Wv
     scores = (q @ k.T) / math.sqrt(d)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     phi = e / e.sum(axis=1, keepdims=True)
-    assert np.allclose(out.data, (phi @ v) @ Wo, atol=1e-13)
+    assert np.allclose(out, (phi @ v) @ Wo, atol=1e-13)
 
 
 def test_attention_mask_zero_and_rows_normalized():
@@ -108,10 +105,19 @@ def test_attention_mask_zero_and_rows_normalized():
     assert np.allclose(phi.data.sum(axis=-1), 1.0, atol=1e-9)
 
 
-def test_neighbor_set_must_contain_self():
-    layer = AttentionLayer(rng(), 4, heads=1)
-    with pytest.raises(EmptyNeighborSet):
-        attention_forward(Tensor(np.zeros((2, 4))), [[0, 1], [0]], layer)
+def test_masked_neighbour_cannot_change_an_attention_output():
+    # agent 0 does not see agent 1; a huge agent 1 scores 1000 above agent
+    # 0's own score, which must neither empty nor poison agent 0's weights
+    layer = AttentionLayer(rng(7), 4, heads=1)
+    layer.Wq.data, layer.Wk.data = np.eye(4), np.eye(4)
+    mask = np.array([[[True, False], [True, True]]])
+    outs = []
+    for far in (1.0, 1000.0):
+        H = np.stack([np.full(4, 0.5), np.full(4, far)])[None]
+        outs.append(layer(Tensor(H), mask).data)
+        assert np.isfinite(outs[-1]).all()
+        assert layer.scores(Tensor(H), mask).data[0, 0, 0].tolist() == [1.0, 0.0]
+    assert np.array_equal(outs[0][0, 0], outs[1][0, 0])
 
 
 def test_permutation_consistency():
@@ -197,7 +203,7 @@ def test_graph_conv_gradcheck(seed):
     Dinv = M / 2.0
 
     def loss(_):
-        return (graph_conv_forward(Tensor(H), Tensor(M), Tensor(Dinv), layer) ** 2).sum()
+        return (layer(Tensor(H), Tensor(M), Tensor(Dinv)) ** 2).sum()
 
     _gradcheck_layer(loss, layer.W, None)
 
@@ -398,8 +404,8 @@ def test_fused_attention_weights_are_the_scores():
     # heads mix phi @ v: with Wo = I and Wv = I the output is phi applied per head
     layer.Wv.data, layer.Wo.data = np.eye(8), np.eye(8)
     out = layer(H, mask).data.reshape(3, 5, 4, 2).swapaxes(1, 2)
-    v = H.data.reshape(3, 5, 4, 2).swapaxes(1, 2)
-    assert np.allclose(out, phi @ v, rtol=1e-12, atol=1e-14)
+    v = np.ascontiguousarray(H.data.reshape(3, 5, 4, 2).swapaxes(1, 2))
+    assert np.array_equal(out, phi @ v)
 
 
 def test_constant_inputs_get_no_gradient():

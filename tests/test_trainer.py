@@ -12,8 +12,9 @@ from cavlab.networks import RingSpec
 from cavlab.rewards import RingEightReward, reward_ring_eight
 from cavlab.selfcheck import fd_grad, rel_err
 from cavlab.sim import SimOptions
+from cavlab.tensor import Tensor
 from cavlab.trainer import (
-    EnvSpec, PaddedBatch, PpoConfig, collect_rollout, compute_advantages, critic_loss,
+    EnvSpec, PaddedBatch, PpoConfig, collect_rollout, compute_advantages,
     critic_loss_given_targets, critic_update, critic_values, episode_streams, make_policy,
     init_stream, normalize_advantages, reward_to_go, surrogate_objective, td_targets, train,
 )
@@ -179,6 +180,28 @@ def test_ratio_one_objective_equals_sum_of_advantages():
     assert float(obj.data) == pytest.approx(float(np.sum(advs[0])), rel=1e-9)
 
 
+def test_update_log_density_at_theta_old_is_the_rollouts():
+    # a ring_smoke episode: the update's log_prob of the stored actions is
+    # logp_old bit for bit, so every PPO ratio at theta_old is exactly 1
+    from pathlib import Path
+
+    from cavlab.config import parse_config
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "ring_smoke.json")
+    ppo = PpoConfig(horizon=60)
+    bundle = make_policy(cfg.net_config(), init_stream(0))
+    bundle.actor.head.log_spread.data[:] = -0.38620129544625814
+    env_ss, rng = episode_streams(0, 0)
+    trans = collect_rollout(bundle, cfg.env_spec(), ppo, env_ss, rng).transitions
+    assert len(trans) == 60
+    batch = PaddedBatch.of(trans)
+    mean = bundle.actor.action_mean(*batch.inputs())
+    logp = bundle.actor.log_prob(Tensor(batch.rows([tr.actions for tr in trans])), mean)
+    assert np.array_equal(logp.data, batch.rows([tr.logp_old for tr in trans]))
+    advs = [np.linspace(-1.0, 1.0, len(tr.agent_ids)) for tr in trans]
+    obj = surrogate_objective(bundle.actor, trans, advs, clip=0.2)
+    assert float(obj.data) == float((batch.rows(advs) * batch.agents).sum())
+
+
 def test_in_band_clip_equals_unclipped_hand_oracle():
     # scalar oracle: ratios inside [1-eps, 1+eps] leave min() at the raw term
     eps = 0.2
@@ -235,7 +258,8 @@ def test_critic_loss_matches_replayed_td_errors():
     _, rng = episode_streams(8, 0)
     episode = collect_rollout(bundle, env, ppo, 8, rng)
     trans = episode.transitions
-    loss = float(critic_loss(bundle.critic, trans, ppo.gamma).data)
+    targets = td_targets(bundle.critic, trans, ppo.gamma)
+    loss = float(critic_loss_given_targets(bundle.critic, trans, targets).data)
 
     from cavlab.trainer import critic_values
     v_now = critic_values(bundle.critic, trans)
@@ -258,9 +282,22 @@ class _FailingOnceGuard(trainer_module._GuardedOptimizer):
             raise NonFiniteValue("forced retry")
 
 
+def test_train_counts_nan_guard_halvings(monkeypatch):
+    env = small_env()
+    ppo = small_ppo(horizon=20, episodes=2, batch_size=80, epochs=1)
+    net = NetConfig(hidden=16, heads=2)
+    assert train(env, ppo, net, master_seed=3).lr_halvings == {"actor": 0, "critic": 0}
+    # each guard rejects its first batch once and retries at half the step
+    monkeypatch.setattr(trainer_module, "_GuardedOptimizer", _FailingOnceGuard)
+    result = train(env, ppo, net, master_seed=3)
+    assert len(result.critic_losses) == 2
+    assert result.lr_halvings == {"actor": 1, "critic": 1}
+
+
 def _critic_update_with_fresh_targets(trans, critic, guard, ppo, rng):
     """critic_update as it was before epoch 0 reused the initial targets."""
-    initial = float(critic_loss(critic, trans, ppo.gamma).data)
+    targets = td_targets(critic, trans, ppo.gamma)
+    initial = float(critic_loss_given_targets(critic, trans, targets).data)
 
     def passes(scale):
         for _ in range(ppo.epochs):
