@@ -15,13 +15,19 @@ reports the median and quartiles, in milliseconds, of
   merge after a 600-step warm-up, so that its traffic has spawned (the
   entry records the vehicle count when timing starts).
 - `network`: the networks of configs/ring_smoke.json (hidden 64, 8
-  heads): the policy forward without a tape (`forward_B1_N4`,
-  `forward_B64_N4`, `forward_B1_N256`, on the adjacency and observations of
-  the rings above, the B=64 batch stacking 64 steps of a rollout); one
-  minibatch loss plus backward at B=64, N=4 for the critic
-  (`critic_minibatch_B64_N4`, TD loss against fixed targets) and the actor
-  (`actor_minibatch_B64_N4`, clipped surrogate); and one `Adam.step` over
-  the actor's parameters (`adam_step`).
+  heads): the policy forward without a tape, on 64 steps of a ring_smoke
+  rollout (`forward_B1_N4`, and `forward_B64_N4` stacking them) and on
+  the rings above at 16, 64 and 256 CAVs (`forward_B1_N16`,
+  `forward_B1_N64`, `forward_B1_N256`) with the graph of configs/ring.json
+  (30 m scan, as in the benchmark's 256-CAV ring: 24%, 6% and 1.5% of
+  the mask set); one minibatch loss plus backward at B=64, N=4 for the
+  critic (`critic_minibatch_B64_N4`, TD loss against fixed targets) and
+  the actor (`actor_minibatch_B64_N4`, clipped surrogate), and for the
+  critic on one 256-CAV step (`critic_minibatch_B1_N256`); and one
+  `Adam.step` over the actor's parameters (`adam_step`).
+- `kernels`: for a checkout whose layers have the edge-list kernel, every
+  forward row above timed on each kernel (`dense`, `edge`) with the mask's
+  density: the crossover behind `layers.EDGE_KERNEL_MAX_DENSITY`.
 `--src` picks the checkout to import, so two commits compare under the
 same script; the per-agent observation API of checkouts that predate the
 pairwise distance matrix (`sim.cav_pairs`) is timed the way those rollouts
@@ -95,22 +101,30 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
         with tensor.no_grad():
             bundle.actor.action_mean(*args)
 
-    big = ring_state(sim, networks, idm_mod, 256)
-    adj = graph.build_adjacency(big, env.scheme, env.scan_scale)
-    obs = sim.local_observation(big, adj.agent_ids, env.target_speed, env.scan_scale)
     rows = {
         "forward_B1_N4": inputs(trans[0].obs[None], trans[0].weights[None],
                                 trans[0].mask[None]),
         "forward_B64_N4": inputs(np.stack([tr.obs for tr in trans]),
                                  np.stack([tr.weights for tr in trans]),
                                  np.stack([tr.mask for tr in trans])),
-        "forward_B1_N256": inputs(obs[None], adj.weights[None], adj.neighbor_mask[None]),
     }
+    ring_env = config.parse_config(root / "configs" / "ring.json").env_spec()
+    for n_cav in (16, 64, 256):
+        state = ring_state(sim, networks, idm_mod, n_cav)
+        adj = graph.build_adjacency(state, ring_env.scheme, ring_env.scan_scale)
+        obs = sim.local_observation(state, adj.agent_ids, ring_env.target_speed,
+                                    ring_env.scan_scale)
+        rows[f"forward_B1_N{n_cav}"] = inputs(obs[None], adj.weights[None],
+                                              adj.neighbor_mask[None])
     out = {name: timed(lambda a=args: forward(a), reps) for name, args in rows.items()}
+    if hasattr(layers, "EDGE_KERNEL_MAX_DENSITY"):
+        out["kernels"] = kernel_rows(rows, forward, reps)
 
     targets = trainer.td_targets(bundle.critic, trans, ppo.gamma)
     advantages = trainer.normalize_advantages(
         trainer.compute_advantages(episode, bundle.critic, ppo))
+    large = large_ring_steps(root)
+    large_targets = trainer.td_targets(bundle.critic, large, ppo.gamma)
     losses = {
         "critic_minibatch_B64_N4": (
             bundle.critic, lambda: trainer.critic_loss_given_targets(bundle.critic, trans,
@@ -118,6 +132,9 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
         "actor_minibatch_B64_N4": (
             bundle.actor, lambda: -trainer.surrogate_objective(bundle.actor, trans,
                                                                advantages, ppo.clip)),
+        "critic_minibatch_B1_N256": (
+            bundle.critic, lambda: trainer.critic_loss_given_targets(
+                bundle.critic, large[:1], large_targets[:1])),
     }
     for name, (network, loss_fn) in losses.items():
         params = network.parameters()
@@ -136,6 +153,43 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
     opt = layers.Adam(params, 1e-9)   # a tiny step keeps the weights in place
     out["adam_step"] = timed(opt.step, reps)
     return out
+
+
+def kernel_rows(rows: dict, forward, reps: int) -> dict:
+    """Each forward row on the dense and on the edge-list kernel, with its
+    mask's density, by moving the selection's cut-off out of the way."""
+    from cavlab import layers
+
+    cutoff = layers.EDGE_KERNEL_MAX_DENSITY
+    out = {}
+    try:
+        for name, args in rows.items():
+            out[name] = {"density": float(args[3].mean())}
+            for kernel, forced in (("dense", 0.0), ("edge", 2.0)):
+                layers.EDGE_KERNEL_MAX_DENSITY = forced
+                out[name][kernel] = timed(lambda a=args: forward(a), reps)
+    finally:
+        layers.EDGE_KERNEL_MAX_DENSITY = cutoff
+    return out
+
+
+def large_ring_steps(root: Path) -> list:
+    """Two rollout transitions of configs/ring.json scaled to 256 CAVs at the
+    same density and CAV share, the benchmark's large ring."""
+    import numpy as np
+    from cavlab import config, trainer
+
+    raw = json.loads((root / "configs" / "ring.json").read_text())
+    scen = raw["scenario"]
+    n_human = 256 * scen["n_human"] // scen["n_cav"]
+    scen.update(ring_length=scen["ring_length"] * (256 + n_human)
+                / (scen["n_human"] + scen["n_cav"]),
+                n_human=n_human, n_cav=256, safety_clamp=True, horizon=2)
+    cfg = config.config_from_dict(raw)
+    bundle = trainer.make_policy(cfg.net_config(), np.random.SeedSequence(4))
+    return trainer.collect_rollout(bundle, cfg.env_spec(), cfg.ppo_config(),
+                                   np.random.SeedSequence(5),
+                                   np.random.default_rng(6)).transitions
 
 
 def timed(fn, reps: int, sample_s: float = 0.005) -> dict:

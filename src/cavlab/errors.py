@@ -33,6 +33,11 @@ class NonFiniteValue(CavlabError):
     """A forward pass produced NaN or Inf."""
 
 
+class NonFiniteAction(NonFiniteValue):
+    """A rollout's action mean was NaN or Inf; the message names the step
+    and, out of `train`, the master seed and the episode."""
+
+
 class NanGradient(CavlabError):
     """A backward pass or parameter update produced NaN/Inf."""
 

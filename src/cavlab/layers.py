@@ -11,13 +11,28 @@ record one tape node with a hand-written backward. Their weight products
 and weight gradients run as one GEMM over all B*N agent rows, and they
 return no gradient for inputs that need none (the adjacency, the
 observations). `AttentionLayer.scores` returns the dense (B, h, N, N)
-weights of that forward, from the same Q|K|V GEMM and the same
-`tensor.softmax_forward`, without a tape.
+weights of that forward, from the same Q|K|V GEMM and the same softmax,
+without a tape.
+
+The graph conv and the attention have two kernels for one formula. The
+dense kernel multiplies (B, N, N) matrices and takes a masked softmax
+over N; its cost grows with B*N^2. The edge kernel works on an
+`EdgeList`, the mask's entries as edges of one disjoint union of the B
+graphs, and sums messages, scores and softmaxes over each agent's
+neighbours alone; its cost grows with the number of edges, plus a fixed
+overhead per call. `_Trunk` picks the kernel from its input
+(`select_edges`): the edge kernel when the mask holds fewer than
+`EDGE_KERNEL_MAX_DENSITY` of its entries, so a 256-CAV ring whose agents
+see about 4 neighbours each stops paying for 256, while small graphs and
+the padded (B, N_max) update batches, whose masks are a quarter full or
+more, keep the dense kernel and its exact results. The two kernels agree
+to rounding (tests/test_layers.py).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +84,122 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
+# ---------------------------------------------------------------------------
+# Edge lists
+
+# The edge kernel runs when the masks hold fewer than this share of their
+# B*N*N entries. Policy forwards on 2 vCPUs (`scripts/bench_layers.py`, and
+# rings of other scan ranges): the kernels break even between 6% and 10%
+# full at N=64 and N=128; the edge kernel is 5x faster at N=256 and 1.5%
+# full (the 256-CAV ring); dense wins at N=32 even on self-loops alone
+# (1/32 full), and by 1.6x at N=4. Below 1/32, no graph of 32 agents or
+# fewer leaves the dense kernel; the shipped scenarios stay well below that.
+EDGE_KERNEL_MAX_DENSITY = 1.0 / 32.0
+
+
+class _Segments:
+    """Edges grouped by the node they belong to (their destination, or their
+    source) for reductions over each node's edges.
+
+    Nodes are ranked by their edge count, most first. Edges go slot by slot:
+    slot s holds the (s+1)-th edge of every node that has one, in rank
+    order, so the nodes of each slot are a prefix of the ranking, and a
+    reduction is one in-place slice operation per slot. numpy's
+    `ufunc.reduceat` over node-sorted edges gives the same sums but walks
+    them one element at a time, several times slower at the sizes of a
+    256-CAV ring. Every node must own at least one edge.
+    """
+
+    def __init__(self, keys: np.ndarray, nodes: int):
+        counts = np.bincount(keys, minlength=nodes)
+        self.rank = np.empty(nodes, dtype=np.intp)
+        self.rank[np.argsort(-counts, kind="stable")] = np.arange(nodes)
+        by_key = np.argsort(keys, kind="stable")
+        sorted_keys = keys[by_key]
+        slot = np.arange(len(keys)) - (np.cumsum(counts) - counts)[sorted_keys]
+        self.order = by_key[np.argsort(slot * nodes + self.rank[sorted_keys])]   # edge ids
+        self.nodes = nodes
+        sizes = np.bincount(slot).tolist()
+        self.blocks = list(zip(np.cumsum(sizes[:-1]).tolist(), sizes[1:]))  # (start, size)
+
+    def reduce(self, ufunc, x: np.ndarray) -> np.ndarray:
+        """(E, ...) values in `order` -> (nodes, ...): `ufunc` over each node's
+        edges, in slot order."""
+        out = x[:self.nodes].copy()
+        for start, size in self.blocks:
+            part = out[:size]
+            ufunc(part, x[start:start + size], out=part)
+        return out[self.rank]
+
+
+class EdgeList:
+    """A (B, N, N) neighbour mask as the edges of one disjoint union of the
+    B graphs, whose node b*N + i is agent i of graph b.
+
+    The entry mask[b, i, j] is the edge from node b*N + j (`src`) to node
+    b*N + i (`dst`): agent i aggregates over its neighbours j. `index` is
+    each edge's flat position in a (B, N, N) array. Edges are ordered for
+    sums at their destinations (`_Segments`). Every agent must be its own
+    neighbour, so that every node has an edge in and an edge out.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        b, n, n2 = mask.shape
+        if n != n2 or not mask.reshape(b, n * n)[:, ::n + 1].all():
+            raise ShapeMismatch(
+                f"an edge list needs a (B, N, N) mask whose agents are their own "
+                f"neighbours, got {mask.shape}")
+        self.shape = mask.shape
+        index = np.flatnonzero(mask)
+        self._at_dst = _Segments(index // n, b * n)
+        self.index = index[self._at_dst.order]
+        self.dst = self.index // n
+        self.src = self.index // (n * n) * n + self.index % n
+
+    @cached_property
+    def _at_src(self) -> _Segments:
+        return _Segments(self.src, self._at_dst.nodes)
+
+    def at(self, dense: np.ndarray) -> np.ndarray:
+        """The entries of a (B, N, N) array at the edges, (E,)."""
+        return np.take(dense, self.index)
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """(E, ...) per-edge values as a (B, N, N, ...) array, zero off the edges."""
+        out = np.zeros((math.prod(self.shape),) + values.shape[1:])
+        out[self.index] = values
+        return out.reshape(self.shape + values.shape[1:])
+
+    def sum_at_dst(self, x: np.ndarray) -> np.ndarray:
+        """(E, ...) -> (B*N, ...): each node's sum over its incoming edges."""
+        return self._at_dst.reduce(np.add, x)
+
+    def sum_at_src(self, x: np.ndarray) -> np.ndarray:
+        """(E, ...) -> (B*N, ...): each node's sum over its outgoing edges."""
+        return self._at_src.reduce(np.add, x[self._at_src.order])
+
+    def softmax(self, scores: np.ndarray) -> np.ndarray:
+        """Softmax of (E, ...) scores over each node's incoming edges, each
+        shifted by the largest score among them."""
+        e = scores - self._at_dst.reduce(np.maximum, scores)[self.dst]
+        np.exp(e, out=e)
+        e /= self.sum_at_dst(e)[self.dst]
+        return e
+
+    def softmax_backward(self, probs: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. the scores of `softmax`, given its output."""
+        return probs * (grad - self.sum_at_dst(grad * probs)[self.dst])
+
+
+def select_edges(mask: np.ndarray) -> EdgeList | None:
+    """The edge list that sends a forward over the (B, N, N) `mask` to the
+    edge kernel, or None for the dense kernel: the edge kernel when the mask
+    holds fewer than EDGE_KERNEL_MAX_DENSITY of its entries."""
+    if np.count_nonzero(mask) < EDGE_KERNEL_MAX_DENSITY * mask.size:
+        return EdgeList(mask)
+    return None
+
+
 class Dense:
     """act(x W + b) over the last axis, one tape node; `activation` None is the identity."""
 
@@ -106,7 +237,9 @@ class GraphConvLayer:
     """f(concat[M H, D^-1 M H] W): raw and degree-normalized message passing.
 
     H is (B, N, d) with M and D^-1 M (B, N, N), or unbatched (N, d) with
-    (N, N) matrices. One tape node.
+    (N, N) matrices. One tape node. With `edges` (batched inputs only) the
+    products run over the edge list, which reads M and D^-1 M at its edges
+    only: their gradients are zero off the edges.
     """
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
@@ -116,7 +249,8 @@ class GraphConvLayer:
                         requires_grad=True, name=f"{name}.W")
         self.activation = activation
 
-    def __call__(self, H: Tensor, M: Tensor, Dinv_M: Tensor) -> Tensor:
+    def __call__(self, H: Tensor, M: Tensor, Dinv_M: Tensor,
+                 edges: EdgeList | None = None) -> Tensor:
         W, act = self.W, self.activation
         if H.shape[-2] != M.shape[-1] or M.shape[-1] != M.shape[-2]:
             raise ShapeMismatch(
@@ -125,7 +259,21 @@ class GraphConvLayer:
             raise ShapeMismatch(
                 f"feature width {H.shape[-1]} incompatible with W {W.shape}")
         h, m, dm = H.data, M.data, Dinv_M.data
-        mixed = np.concatenate([m @ h, dm @ h], axis=-1)
+        d = h.shape[-1]
+        if edges is None:
+            mixed = np.concatenate([m @ h, dm @ h], axis=-1)
+        else:
+            if edges.shape != m.shape or edges.shape != dm.shape \
+                    or edges.shape[:2] != h.shape[:-1]:
+                raise ShapeMismatch(f"inputs {H.shape}, {M.shape} do not match the "
+                                    f"edge list's mask {edges.shape}")
+            h_src = _rows(h)[edges.src]                                # (E, d)
+            m_e, dm_e = edges.at(m)[:, None], edges.at(dm)[:, None]    # (E, 1)
+            # two (E, d) halves: one (E, 2d) temporary, about 1 MB at 256 CAVs,
+            # was faulted in afresh on every call and made this 3x slower
+            mixed = np.concatenate([edges.sum_at_dst(m_e * h_src),
+                                    edges.sum_at_dst(dm_e * h_src)], axis=-1
+                                   ).reshape(h.shape[:-1] + (2 * d,))
         mixed2d = _rows(mixed)
         out2d = _activate(mixed2d @ W.data, act)
 
@@ -134,15 +282,23 @@ class GraphConvLayer:
             g_h = g_m = g_dm = None
             if needs[0] or needs[1] or needs[2]:
                 g_mixed = (g @ W.data.T).reshape(mixed.shape)
-                d = h.shape[-1]
                 g_a, g_c = g_mixed[..., :d], g_mixed[..., d:]
-                if needs[0]:
-                    g_h = _unbroadcast(np.swapaxes(m, -1, -2) @ g_a
-                                       + np.swapaxes(dm, -1, -2) @ g_c, h.shape)
-                if needs[1]:
-                    g_m = _unbroadcast(g_a @ np.swapaxes(h, -1, -2), m.shape)
-                if needs[2]:
-                    g_dm = _unbroadcast(g_c @ np.swapaxes(h, -1, -2), dm.shape)
+                if edges is not None:
+                    g_a, g_c = _rows(g_a)[edges.dst], _rows(g_c)[edges.dst]   # (E, d)
+                    if needs[0]:
+                        g_h = edges.sum_at_src(m_e * g_a + dm_e * g_c).reshape(h.shape)
+                    if needs[1]:
+                        g_m = edges.scatter(np.einsum("ed,ed->e", g_a, h_src))
+                    if needs[2]:
+                        g_dm = edges.scatter(np.einsum("ed,ed->e", g_c, h_src))
+                else:
+                    if needs[0]:
+                        g_h = _unbroadcast(np.swapaxes(m, -1, -2) @ g_a
+                                           + np.swapaxes(dm, -1, -2) @ g_c, h.shape)
+                    if needs[1]:
+                        g_m = _unbroadcast(g_a @ np.swapaxes(h, -1, -2), m.shape)
+                    if needs[2]:
+                        g_dm = _unbroadcast(g_c @ np.swapaxes(h, -1, -2), dm.shape)
             return g_h, g_m, g_dm, mixed2d.T @ g if needs[3] else None
 
         return Tensor._make(out2d.reshape(mixed.shape[:-1] + (W.shape[1],)),
@@ -158,12 +314,15 @@ class AttentionLayer:
     The forward is one tape node: Q, K and V come from one GEMM against the
     stacked weights [Wq | Wk | Wv], per-head weights phi = softmax(q k^T /
     sqrt(d_head)) over the mask, and the heads' phi v are merged and
-    projected by Wo.
+    projected by Wo. With `edges` (the edge list of `mask`) the scores,
+    softmax and phi v run over the edges alone.
     """
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int, name: str = "attn"):
         if heads < 1:
-            raise ShapeMismatch("heads must be >= 1 (use None for the no-attention ablation)")
+            raise ShapeMismatch(
+                "heads must be >= 1 (the no-attention ablation is heads=0 in NetConfig, "
+                "which builds no attention layer)")
         if d % heads != 0:
             raise ShapeMismatch(f"feature width {d} not divisible by {heads} heads")
         self.heads = heads
@@ -173,14 +332,24 @@ class AttentionLayer:
         self.Wv = Tensor(orthogonal(rng, (d, d)), requires_grad=True, name=f"{name}.Wv")
         self.Wo = Tensor(orthogonal(rng, (d, d)), requires_grad=True, name=f"{name}.Wo")
 
-    def _weights(self, H: Tensor, mask: np.ndarray):
-        """The rows of H, [Wq | Wk | Wv], q, k, v (B, h, N, d_h) and phi (B, h, N, N)."""
+    def _weights(self, H: Tensor, mask: np.ndarray, edges: EdgeList | None):
+        """The rows of H, [Wq | Wk | Wv], q, k, v and phi.
+
+        Dense: q, k, v (B, h, N, d_h) and phi (B, h, N, N). Edge list: q, k,
+        v (B*N, h, d_h) and phi (E, h).
+        """
         b, n, d = H.shape
-        if mask.shape != (b, n, n):
+        if mask.shape != (b, n, n) or (edges is not None and edges.shape != mask.shape):
             raise ShapeMismatch(f"mask {mask.shape} does not match features {H.shape}")
         h, dh = self.heads, self.d_head
         w_qkv = np.concatenate([self.Wq.data, self.Wk.data, self.Wv.data], axis=1)  # (d, 3d)
         h2d = _rows(H.data)
+        if edges is not None:
+            qkv = (h2d @ w_qkv).reshape(b * n, 3, h, dh)
+            q, k, v = qkv[:, 0], qkv[:, 1], qkv[:, 2]                  # (B*N, h, d_h)
+            scores = np.einsum("ehk,ehk->eh", q[edges.dst], k[edges.src])
+            scores *= 1.0 / math.sqrt(dh)
+            return h2d, w_qkv, q, k, v, edges.softmax(scores)
         # (B*N, 3d) -> (3, B, h, N, d_h): q, k, v split into heads
         q, k, v = np.ascontiguousarray(
             (h2d @ w_qkv).reshape(b, n, 3, h, dh).transpose(2, 0, 3, 1, 4))
@@ -188,21 +357,36 @@ class AttentionLayer:
         scores *= 1.0 / math.sqrt(dh)
         return h2d, w_qkv, q, k, v, softmax_forward(scores, mask[:, None])
 
-    def __call__(self, H: Tensor, mask: np.ndarray) -> Tensor:
+    def __call__(self, H: Tensor, mask: np.ndarray, edges: EdgeList | None = None) -> Tensor:
         """H: (B, N, d); mask: (B, N, N) bool, diag True. Returns (B, N, d)."""
         b, n, d = H.shape
         h, dh, scale = self.heads, self.d_head, 1.0 / math.sqrt(self.d_head)
-        h2d, w_qkv, q, k, v, phi = self._weights(H, mask)
-        merged = (phi @ v).transpose(0, 2, 1, 3).reshape(b * n, d)       # (B*N, d)
+        h2d, w_qkv, q, k, v, phi = self._weights(H, mask, edges)
+        if edges is None:
+            merged = (phi @ v).transpose(0, 2, 1, 3).reshape(b * n, d)   # (B*N, d)
+        else:
+            v_src = v[edges.src]                                        # (E, h, d_h)
+            merged = edges.sum_at_dst(phi[:, :, None] * v_src).reshape(b * n, d)
         out = merged @ self.Wo.data
 
         def backward(grad, needs):
             g2d = _rows(grad)
-            g_merged = (g2d @ self.Wo.data.T).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
-            g_scores = softmax_backward(phi, g_merged @ v.swapaxes(-1, -2)) * scale
-            g_qkv = np.stack([g_scores @ k, g_scores.swapaxes(-1, -2) @ q,
-                              phi.swapaxes(-1, -2) @ g_merged])           # (3, B, h, N, d_h)
-            g_qkv = g_qkv.transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * d)
+            g_merged = g2d @ self.Wo.data.T
+            if edges is None:
+                g_merged = g_merged.reshape(b, n, h, dh).transpose(0, 2, 1, 3)
+                g_scores = softmax_backward(phi, g_merged @ v.swapaxes(-1, -2)) * scale
+                g_qkv = np.stack([g_scores @ k, g_scores.swapaxes(-1, -2) @ q,
+                                  phi.swapaxes(-1, -2) @ g_merged])       # (3, B, h, N, d_h)
+                g_qkv = g_qkv.transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * d)
+            else:
+                g_dst = g_merged.reshape(b * n, h, dh)[edges.dst]         # (E, h, d_h)
+                g_scores = edges.softmax_backward(
+                    phi, np.einsum("ehk,ehk->eh", g_dst, v_src)) * scale
+                g_scores = g_scores[:, :, None]
+                g_qkv = np.stack([edges.sum_at_dst(g_scores * k[edges.src]),
+                                  edges.sum_at_src(g_scores * q[edges.dst]),
+                                  edges.sum_at_src(phi[:, :, None] * g_dst)], axis=1)
+                g_qkv = g_qkv.reshape(b * n, 3 * d)           # from (B*N, 3, h, d_h)
             g_w = h2d.T @ g_qkv if any(needs[1:4]) else None
             return ((g_qkv @ w_qkv.T).reshape(b, n, d) if needs[0] else None,
                     *(g_w[:, i * d:(i + 1) * d] if needs[1 + i] else None for i in range(3)),
@@ -211,10 +395,14 @@ class AttentionLayer:
         return Tensor._make(out.reshape(b, n, d), (H, self.Wq, self.Wk, self.Wv, self.Wo),
                             backward, "attention")
 
-    def scores(self, H: Tensor, mask: np.ndarray) -> Tensor:
+    def scores(self, H: Tensor, mask: np.ndarray, edges: EdgeList | None = None) -> Tensor:
         """The attention weights phi (B, h, N, N) of the forward, off the tape;
-        rows sum to 1 over the mask."""
-        return Tensor(self._weights(H, mask)[-1])
+        rows sum to 1 over the mask. The edge kernel's weights are scattered
+        into the same dense array."""
+        phi = self._weights(H, mask, edges)[-1]
+        if edges is not None:
+            phi = edges.scatter(phi).transpose(0, 3, 1, 2)
+        return Tensor(phi)
 
     def parameters(self) -> dict[str, Tensor]:
         return {t.name: t for t in (self.Wq, self.Wk, self.Wv, self.Wo)}
@@ -261,7 +449,8 @@ class GaussianPolicyHead:
 
 
 class _Trunk:
-    """Dense encoder -> graph conv -> (optional) attention."""
+    """Dense encoder -> graph conv -> (optional) attention; the graph conv
+    and the attention share one kernel choice and one edge list."""
 
     def __init__(self, rng: np.random.Generator, cfg: NetConfig, name: str):
         self.encoder = Dense(rng, cfg.obs_dim, cfg.hidden, gain=math.sqrt(2.0),
@@ -273,10 +462,11 @@ class _Trunk:
             self.attn = AttentionLayer(rng, cfg.hidden, cfg.heads, name=f"{name}.attn")
 
     def __call__(self, obs: Tensor, M: Tensor, Dinv_M: Tensor, mask: np.ndarray) -> Tensor:
+        edges = select_edges(mask)
         h = self.encoder(obs)
-        h = self.gconv(h, M, Dinv_M)
+        h = self.gconv(h, M, Dinv_M, edges)
         if self.attn is not None:
-            h = self.attn(h, mask)
+            h = self.attn(h, mask, edges)
         return h
 
     def parameters(self) -> dict[str, Tensor]:

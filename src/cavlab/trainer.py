@@ -19,11 +19,11 @@ update that do not fill a batch are never updated on;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidSpec, NanGradient, NonFiniteValue
+from .errors import InvalidSpec, NanGradient, NonFiniteAction, NonFiniteValue
 from .graph import AdjacencyScheme, build_adjacency, degree_normalize
 from .idm import IdmParams
 from .layers import Adam, CriticNetwork, NetConfig, PolicyNetwork
@@ -160,7 +160,9 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
         mean = actor.action_mean(
             Tensor(obs[None]), Tensor(adj.weights[None]),
             Tensor(degree_normalize(adj.weights, mask)[None]), mask[None]).data[0]
-        check_finite(mean, "the rollout's action mean")
+        if not np.isfinite(mean).all():
+            raise NonFiniteAction(f"non-finite values produced by the rollout's action "
+                                  f"mean at step {state.time_step}")
         if action_rng is None:
             actions = mean.copy()
         else:
@@ -294,13 +296,16 @@ class PaddedBatch:
     Padded agents get a self-loop in `mask`, so every neighbour set is
     nonempty; real agents never see them (mask and weights are zero there).
     Losses multiply by `agents`, True on real rows only. At a fixed agent
-    count nothing is padded and the batch equals a plain stack.
+    count nothing is padded and the batch equals a plain stack. The layout
+    is the dense kernel's input; on a sparse mask the networks read it as
+    an edge list, where padded agents are isolated nodes.
     """
 
     obs: np.ndarray       # (B, N_max, OBS_DIM)
     weights: np.ndarray   # (B, N_max, N_max)
     mask: np.ndarray      # (B, N_max, N_max) bool
     agents: np.ndarray    # (B, N_max) bool
+    dinv_m: np.ndarray    # D^-1 M of weights and mask, (B, N_max, N_max)
 
     @classmethod
     def of(cls, trans: list[Transition], use_next: bool = False) -> PaddedBatch:
@@ -310,14 +315,19 @@ class PaddedBatch:
         pairs = agents[:, :, None] & agents[:, None, :]
         mask = _pad([tr.mask for tr in trans], pairs)
         mask[:, diag, diag] = True
+        weights = _pad([tr.weights for tr in trans], pairs)
         return cls(obs=_pad([tr.next_obs if use_next else tr.obs for tr in trans], agents),
-                   weights=_pad([tr.weights for tr in trans], pairs), mask=mask,
-                   agents=agents)
+                   weights=weights, mask=mask, agents=agents,
+                   dinv_m=degree_normalize(weights, mask))
+
+    def with_next_obs(self, trans: list[Transition]) -> PaddedBatch:
+        """The batch of the same `trans` with their `next_obs` as observations:
+        `PaddedBatch.of(trans, use_next=True)` from this layout."""
+        return replace(self, obs=_pad([tr.next_obs for tr in trans], self.agents))
 
     def inputs(self) -> tuple:
         """Network inputs (obs, M, D^-1 M, mask)."""
-        return (Tensor(self.obs), Tensor(self.weights),
-                Tensor(degree_normalize(self.weights, self.mask)), self.mask)
+        return Tensor(self.obs), Tensor(self.weights), Tensor(self.dinv_m), self.mask
 
     def rows(self, per_agent: list[np.ndarray]) -> np.ndarray:
         """Per-transition (N_i,) vectors padded to (B, N_max)."""
@@ -329,9 +339,12 @@ class PaddedBatch:
 
 
 def critic_values(critic: CriticNetwork, trans: list[Transition],
-                  use_next: bool = False) -> list[np.ndarray]:
-    """Per-transition value vectors from one padded forward."""
-    batch = PaddedBatch.of(trans, use_next)
+                  use_next: bool = False, batch: PaddedBatch | None = None
+                  ) -> list[np.ndarray]:
+    """Per-transition value vectors from one padded forward; `batch`, when
+    given, is `PaddedBatch.of(trans, use_next)` built already."""
+    if batch is None:
+        batch = PaddedBatch.of(trans, use_next)
     with no_grad():
         values = critic.values(*batch.inputs()).data
     check_finite(values, "the critic values")
@@ -357,30 +370,37 @@ def compute_advantages(episode: EpisodeResult, critic: CriticNetwork,
 # Updates
 
 
-def td_targets(critic: CriticNetwork, trans: list[Transition],
-               gamma: float) -> list[np.ndarray]:
+def td_targets(critic: CriticNetwork, trans: list[Transition], gamma: float,
+               next_batch: PaddedBatch | None = None) -> list[np.ndarray]:
     """r + gamma * V(next) with bootstrap 0 on terminal rows.
 
     The adjacency recorded at decision time is reused for the next-state
-    value. Targets are treated as constants (semi-gradient TD).
+    value. Targets are treated as constants (semi-gradient TD). `next_batch`,
+    when given, is `PaddedBatch.of(trans, use_next=True)` built already.
     """
-    next_vals = critic_values(critic, trans, use_next=True)
+    next_vals = critic_values(critic, trans, use_next=True, batch=next_batch)
     return [tr.reward + gamma * next_vals[k] * (~tr.terminal).astype(float)
             for k, tr in enumerate(trans)]
 
 
 def critic_loss_given_targets(critic: CriticNetwork, trans: list[Transition],
-                              targets: list[np.ndarray]) -> Tensor:
-    """Sum over agents of squared TD errors against detached targets."""
-    batch = PaddedBatch.of(trans)
+                              targets: list[np.ndarray],
+                              batch: PaddedBatch | None = None) -> Tensor:
+    """Sum over agents of squared TD errors against detached targets;
+    `batch`, when given, is `PaddedBatch.of(trans)` built already."""
+    if batch is None:
+        batch = PaddedBatch.of(trans)
     v = critic.values(*batch.inputs())
     return ((v - Tensor(batch.rows(targets))) ** 2 * batch.agents).sum()
 
 
 def surrogate_objective(actor: PolicyNetwork, trans: list[Transition],
-                        advantages: list[np.ndarray], clip: float) -> Tensor:
-    """Clipped PPO objective: sum over agents of min(r*A, clip(r)*A)."""
-    batch = PaddedBatch.of(trans)
+                        advantages: list[np.ndarray], clip: float,
+                        batch: PaddedBatch | None = None) -> Tensor:
+    """Clipped PPO objective: sum over agents of min(r*A, clip(r)*A);
+    `batch`, when given, is `PaddedBatch.of(trans)` built already."""
+    if batch is None:
+        batch = PaddedBatch.of(trans)
     mean = actor.action_mean(*batch.inputs())
     logp_new = actor.log_prob(Tensor(batch.rows([tr.actions for tr in trans])), mean)
     ratio = (logp_new - Tensor(batch.rows([tr.logp_old for tr in trans]))).exp()
@@ -458,19 +478,25 @@ def _minibatches(trans: list[Transition], size: int,
 
 def critic_update(trans: list[Transition], critic: CriticNetwork,
                   guard: _GuardedOptimizer, ppo: PpoConfig,
-                  rng: np.random.Generator) -> float:
+                  rng: np.random.Generator, batch: PaddedBatch | None = None) -> float:
     """Minibatched TD passes; returns the full-batch loss at the start.
 
     The initial loss and epoch 0 share one set of targets: both see the
-    starting parameters, which a NaN-guard retry restores.
+    starting parameters, which a NaN-guard retry restores. The full-batch
+    passes share one layout of `trans` (`batch`, built here when omitted)
+    and of their next observations.
     """
-    start_targets = td_targets(critic, trans, ppo.gamma)
-    initial = critic_loss_given_targets(critic, trans, start_targets).data
+    if batch is None:
+        batch = PaddedBatch.of(trans)
+    next_batch = batch.with_next_obs(trans)
+    start_targets = td_targets(critic, trans, ppo.gamma, next_batch)
+    initial = critic_loss_given_targets(critic, trans, start_targets, batch).data
     check_finite(initial, "the initial critic loss")
 
     def passes(scale: float) -> None:
         for epoch in range(ppo.epochs):
-            targets = start_targets if epoch == 0 else td_targets(critic, trans, ppo.gamma)
+            targets = (start_targets if epoch == 0
+                       else td_targets(critic, trans, ppo.gamma, next_batch))
             for chunk in _minibatches(trans, ppo.minibatch_size, rng):
                 subset = [trans[i] for i in chunk]
                 sub_targets = [targets[i] for i in chunk]
@@ -484,9 +510,11 @@ def critic_update(trans: list[Transition], critic: CriticNetwork,
 
 def actor_update(trans: list[Transition], advantages: list[np.ndarray],
                  actor: PolicyNetwork, guard: _GuardedOptimizer, ppo: PpoConfig,
-                 rng: np.random.Generator) -> float:
-    """Minibatched ascent on the clipped surrogate; returns the initial objective."""
-    initial = surrogate_objective(actor, trans, advantages, ppo.clip).data
+                 rng: np.random.Generator, batch: PaddedBatch | None = None) -> float:
+    """Minibatched ascent on the clipped surrogate; returns the initial
+    objective, taken on `batch` (`PaddedBatch.of(trans)`, built here when
+    omitted)."""
+    initial = surrogate_objective(actor, trans, advantages, ppo.clip, batch).data
     check_finite(initial, "the initial surrogate objective")
 
     def passes(scale: float) -> None:
@@ -579,7 +607,10 @@ def train(env: EnvSpec, ppo: PpoConfig, net_cfg: NetConfig, master_seed: int,
 
     for ep in range(start_episode, start_episode + ppo.episodes):
         env_ss, action_rng = episode_streams(master_seed, ep)
-        episode = collect_rollout(bundle, env, ppo, env_ss, action_rng)
+        try:
+            episode = collect_rollout(bundle, env, ppo, env_ss, action_rng)
+        except NonFiniteAction as exc:
+            raise NonFiniteAction(f"master seed {master_seed}, episode {ep}: {exc}") from exc
         records.append(EpisodeRecord(
             episode=ep, seed=master_seed, episode_return=episode.episode_return,
             mean_speed=episode.mean_speed, mean_abs_accel=episode.mean_abs_accel,
@@ -599,13 +630,14 @@ def train(env: EnvSpec, ppo: PpoConfig, net_cfg: NetConfig, master_seed: int,
                     np.random.SeedSequence(entropy=master_seed, spawn_key=(3, update_idx)))
                 actor_rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=master_seed, spawn_key=(4, update_idx)))
-                critic_losses.append(
-                    critic_update(trans, bundle.critic, critic_guard, ppo, critic_rng))
+                batch = PaddedBatch.of(trans)
+                critic_losses.append(critic_update(trans, bundle.critic, critic_guard, ppo,
+                                                   critic_rng, batch))
                 if ppo.normalize_advantages:
                     advantages = normalize_advantages(advantages)
                 actor_objectives.append(
                     actor_update(trans, advantages, bundle.actor, actor_guard, ppo,
-                                 actor_rng))
+                                 actor_rng, batch))
             buffer.clear()
             buffered = 0
 

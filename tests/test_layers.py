@@ -1,15 +1,24 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cavlab import config
 from cavlab.errors import NonFiniteValue, ShapeMismatch
+from cavlab.graph import build_adjacency, degree_normalize
 from cavlab.layers import (
-    Adam, AttentionLayer, CriticNetwork, Dense, GaussianPolicyHead, GraphConvLayer,
-    NetConfig, PolicyNetwork, orthogonal,
+    EDGE_KERNEL_MAX_DENSITY, Adam, AttentionLayer, CriticNetwork, Dense, EdgeList,
+    GaussianPolicyHead, GraphConvLayer, NetConfig, PolicyNetwork, orthogonal, select_edges,
 )
 from cavlab.selfcheck import fd_grad, rel_err
 from cavlab.tensor import Tensor, check_each_op, concat, no_grad
+from cavlab.trainer import PaddedBatch, collect_rollout, make_policy
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def rng(seed=0):
@@ -60,6 +69,12 @@ def test_graph_conv_shape_mismatch():
 
 # ---------------------------------------------------------------------------
 # attention
+
+
+def test_attention_without_heads_names_the_ablation():
+    with pytest.raises(ShapeMismatch) as info:
+        AttentionLayer(rng(), 8, heads=0)
+    assert "heads=0" in str(info.value) and "None" not in str(info.value)
 
 
 def test_single_agent_attention_is_projected_value():
@@ -426,3 +441,161 @@ def test_per_op_checks_are_a_debug_context():
         with no_grad(), pytest.raises(NonFiniteValue):
             x.exp()
     assert np.isinf(x.exp().data[1])
+
+
+# ---------------------------------------------------------------------------
+# the edge-list kernel against the dense kernel
+
+
+def _union_of_graphs(data):
+    """A random (B, N_max, N_max) mask over graphs of 1 to 6 agents each.
+
+    A sparse draw leaves agents isolated (a self-loop only), and graphs
+    below N_max get padded agents, which also have a self-loop only, as in
+    `PaddedBatch`.
+    """
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3), label="sizes")
+    density = data.draw(st.floats(0.0, 1.0), label="density")
+    r = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    n = max(sizes)
+    mask = np.zeros((len(sizes), n, n), dtype=bool)
+    for g, size in enumerate(sizes):
+        mask[g, :size, :size] = r.random((size, size)) < density
+    mask[:, np.arange(n), np.arange(n)] = True
+    return mask, r
+
+
+def _agree(edge, dense):
+    assert edge.shape == dense.shape
+    assert np.abs(edge - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def _run_both_kernels(mask, forward, inputs, params, weights):
+    """Value and gradients (of sum(weights * out)) of `forward(edges)` on the
+    dense kernel and on the edge kernel."""
+    return [_values_and_grads(lambda: forward(edges), inputs, params, weights)
+            for edges in (None, EdgeList(mask))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_edge_graph_conv_matches_dense(data):
+    mask, r = _union_of_graphs(data)
+    b, n, _ = mask.shape
+    layer = GraphConvLayer(r, 4, 3, activation=data.draw(st.sampled_from(["tanh", "relu"])))
+    H = Tensor(r.standard_normal((b, n, 4)), requires_grad=True)
+    M = Tensor(r.standard_normal(mask.shape) * mask, requires_grad=True)
+    Dinv = Tensor(degree_normalize(M.data, mask), requires_grad=True)
+    (ref_value, ref_grads), (value, grads) = _run_both_kernels(
+        mask, lambda edges: layer(H, M, Dinv, edges), [H, M, Dinv], [layer.W],
+        r.standard_normal((b, n, 3)))
+    _agree(value, ref_value)
+    g_h, g_m, g_dinv, g_w = grads
+    ref_h, ref_m, ref_dinv, ref_w = ref_grads
+    _agree(g_h, ref_h)
+    _agree(g_w, ref_w)
+    # the edge kernel reads M and D^-1 M on the mask alone
+    for g, ref in ((g_m, ref_m), (g_dinv, ref_dinv)):
+        assert not g[~mask].any()
+        _agree(g, ref * mask)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_edge_attention_matches_dense(data):
+    mask, r = _union_of_graphs(data)
+    b, n, _ = mask.shape
+    heads = data.draw(st.sampled_from([1, 2, 4]))
+    layer = AttentionLayer(r, 8, heads=heads)
+    H = r.standard_normal((b, n, 8))
+    outside = np.argwhere(~mask[0])
+    if len(outside):
+        # agent j is out of agent i's range and scores 800 above i's row in every head
+        i, j = outside[0]
+        layer.Wq.data, layer.Wk.data = np.eye(8), np.eye(8)
+        H[0, i] = 1.0
+        d_head = 8 // heads
+        # with h_i all ones, agent k scores sum(h_k over a head's dims) / sqrt(d_head)
+        row = H[0, mask[0, i]].reshape(-1, heads, d_head).sum(-1) / math.sqrt(d_head)
+        H[0, j] = (800.0 + row.max()) / math.sqrt(d_head)   # scores 800 + row.max()
+    H = Tensor(H, requires_grad=True)
+    params = [layer.Wq, layer.Wk, layer.Wv, layer.Wo]
+    (ref_value, ref_grads), (value, grads) = _run_both_kernels(
+        mask, lambda edges: layer(H, mask, edges), [H], params,
+        r.standard_normal((b, n, 8)))
+    assert np.isfinite(value).all()
+    _agree(value, ref_value)
+    for g, ref in zip(grads, ref_grads):
+        _agree(g, ref)
+    phi = layer.scores(H, mask, EdgeList(mask)).data
+    _agree(phi, layer.scores(H, mask).data)
+    assert not phi[np.broadcast_to(~mask[:, None], phi.shape)].any()
+
+
+def test_edge_kernel_backward_matches_finite_differences():
+    r = rng(90)
+    mask = np.eye(5, dtype=bool)[None].repeat(2, axis=0)
+    mask[0, 0, 1] = mask[0, 1, 0] = mask[0, 1, 2] = mask[0, 3, 1] = True   # agent 4 isolated
+    mask[1, 0, 2] = mask[1, 2, 0] = True      # graph 1: three agents, two padded ones
+    edges = EdgeList(mask)
+    gconv, attn = GraphConvLayer(r, 3, 4), AttentionLayer(r, 4, heads=2)
+    H = Tensor(r.standard_normal((2, 5, 3)), requires_grad=True)
+    M = Tensor(r.standard_normal(mask.shape) * mask, requires_grad=True)
+    Dinv = Tensor(degree_normalize(M.data, mask), requires_grad=True)
+    inputs, params = [H, M, Dinv], [gconv.W, attn.Wq, attn.Wk, attn.Wv, attn.Wo]
+    weights = r.standard_normal((2, 5, 4))
+
+    def forward():
+        return attn(gconv(H, M, Dinv, edges), mask, edges)
+
+    _, grads = _values_and_grads(forward, inputs, params, weights)
+    for t, g in zip(inputs + params, grads):
+        orig = t.data.copy()
+
+        def f(x, t=t):
+            t.data = x
+            return float((forward().data * weights).sum())
+
+        fd = fd_grad(f, orig)
+        t.data = orig
+        assert rel_err(g, fd) < 1e-6
+
+
+def test_edge_list_needs_self_loops():
+    mask = np.ones((1, 3, 3), dtype=bool)
+    mask[0, 1, 1] = False
+    with pytest.raises(ShapeMismatch, match="own neighbours"):
+        EdgeList(mask)
+
+
+def _large_ring_config():
+    """configs/ring.json scaled to 256 CAVs at the same density and CAV share."""
+    raw = json.loads((CONFIGS / "ring.json").read_text())
+    scen = raw["scenario"]
+    n_human = 256 * scen["n_human"] // scen["n_cav"]
+    scen.update(ring_length=scen["ring_length"] * (256 + n_human)
+                / (scen["n_human"] + scen["n_cav"]), n_human=n_human, n_cav=256)
+    return config.config_from_dict(raw)
+
+
+@pytest.mark.parametrize("name", ["ring_smoke", "ring", "figure_eight", "merge"])
+def test_shipped_configs_run_the_dense_kernel(name):
+    cfg = config.parse_config(CONFIGS / f"{name}.json")
+    ppo = dataclasses.replace(cfg.ppo_config(), horizon=150)
+    bundle = make_policy(cfg.net_config(), np.random.SeedSequence(0))
+    trans = collect_rollout(bundle, cfg.env_spec(), ppo, np.random.SeedSequence(1),
+                            np.random.default_rng(2)).transitions
+    assert trans
+    for tr in trans:
+        assert select_edges(tr.mask[None]) is None
+    assert select_edges(PaddedBatch.of(trans).mask) is None
+
+
+def test_large_ring_runs_the_edge_kernel():
+    cfg = _large_ring_config()
+    env = cfg.env_spec()
+    adj = build_adjacency(env.build(np.random.SeedSequence(0)), env.scheme, env.scan_scale)
+    mask = adj.neighbor_mask[None]
+    assert mask.mean() < EDGE_KERNEL_MAX_DENSITY
+    edges = select_edges(mask)
+    assert isinstance(edges, EdgeList) and edges.index.size == mask.sum()

@@ -5,7 +5,7 @@ import pytest
 
 from cavlab.graph import GaussianSpeedField
 from cavlab import trainer as trainer_module
-from cavlab.errors import NonFiniteValue
+from cavlab.errors import NonFiniteAction, NonFiniteValue
 from cavlab.idm import IdmParams
 from cavlab.layers import CriticNetwork, NetConfig
 from cavlab.networks import RingSpec
@@ -386,6 +386,47 @@ def test_non_finite_rollout_action_mean_raises():
     _, rng = episode_streams(3, 0)
     with pytest.raises(NonFiniteValue, match="action mean"):
         collect_rollout(bundle, small_env(), small_ppo(), 3, rng)
+
+
+def test_non_finite_rollout_action_in_train_names_seed_episode_and_step():
+    bundle = small_bundle(seed=3)
+    real = bundle.actor.action_mean
+    calls = []
+
+    def poisoned(*args):   # the fourth forward, at step 3, goes non-finite
+        calls.append(1)
+        mean = real(*args)
+        if len(calls) == 4:
+            mean.data[...] = np.nan
+        return mean
+
+    bundle.actor.action_mean = poisoned
+    with pytest.raises(NonFiniteAction,
+                       match=r"^master seed 3, episode 2: .*action mean at step 3$") as info:
+        train(small_env(), small_ppo(), bundle.cfg, master_seed=3, bundle=bundle,
+              start_episode=2)
+    assert isinstance(info.value, NonFiniteValue)   # existing handlers still catch it
+
+
+def test_one_full_batch_layout_per_update(monkeypatch):
+    # two episodes of 25 steps and 4 CAVs fill one batch; minibatches hold 10 steps
+    built = []
+    of = PaddedBatch.of.__func__
+
+    def counted(cls, trans, use_next=False):
+        built.append(len(trans))
+        return of(cls, trans, use_next)
+
+    monkeypatch.setattr(PaddedBatch, "of", classmethod(counted))
+    result = train(small_env(), small_ppo(episodes=2, batch_size=150, minibatch_size=40,
+                                          epochs=3),
+                   NetConfig(hidden=16, heads=2), master_seed=0)
+    assert len(result.critic_losses) == 1
+    lengths = [r.length for r in result.records]
+    assert lengths == [25, 25]
+    assert built[:2] == lengths                  # one advantage pass per episode
+    assert built.count(sum(lengths)) == 1        # one full-batch layout
+    assert max(built[3:]) == 10                  # the rest are minibatches
 
 
 def test_non_finite_critic_values_raise():
