@@ -129,16 +129,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _bundle_from_checkpoint(path, cfg: RunConfig) -> PolicyBundle:
+def _bundle_from_checkpoint(path) -> PolicyBundle:
     params, arch, _ = load_checkpoint(path)
     # Older checkpoints record the removed literal-ratio attention switch;
     # only its default (off) matches the attention this version computes.
     if arch.get("literal_ratio_attention", False):
         raise IncompatibleCheckpoint(
             f"{path} uses literal-ratio attention, which is no longer supported")
-    net = NetConfig(obs_dim=arch["obs_dim"], hidden=arch["hidden"],
-                    heads=arch["heads"], activation=arch["activation"],
-                    action_low=arch["action_low"], action_high=arch["action_high"])
+    keys = [f.name for f in dataclasses.fields(NetConfig)]
+    missing = [k for k in keys if k not in arch]
+    if missing:
+        raise IncompatibleCheckpoint(f"{path} records no architecture key {missing[0]!r}")
+    net = NetConfig(**{k: arch[k] for k in keys})
     bundle = make_policy(net, init_stream(0))
     restore_params(bundle.parameters(), params)
     return bundle
@@ -161,7 +163,7 @@ def _write_report(out: Path, report: EvalReport, prefix: str) -> None:
 
 def cmd_eval(args) -> int:
     cfg, out, seeds = _load(args)
-    bundle = _bundle_from_checkpoint(args.checkpoint, cfg)
+    bundle = _bundle_from_checkpoint(args.checkpoint)
     env = cfg.env_spec()
     report = evaluate(bundle, env, cfg.scenario.horizon, args.episodes, seeds)
     _write_report(out, report, prefix="")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import CavlabError, ParseError, ValidationError
 from .graph import GaussianSpeedField, KernelSpec, PositionOnly, VelocityOnly
 from .idm import IdmParams
-from .layers import NetConfig
+from .layers import ACTIVATIONS, NetConfig
 from .networks import FigureEightSpec, MergeSpec, RingSpec
 from .rewards import MergeReward, RingEightReward
 from .sim import SimOptions, build_network
@@ -218,6 +218,11 @@ class RunConfig:
             raise ValidationError("scenario.noise_mag must be >= 0")
         if self.graph.scan_scale <= 0:
             raise ValidationError("graph.scan_scale must be positive")
+        if self.nn.hidden < 1:
+            raise ValidationError("nn.hidden must be >= 1")
+        if self.nn.activation not in ACTIVATIONS:
+            raise ValidationError(f"nn.activation must be one of {list(ACTIVATIONS)}, "
+                                  f"got {self.nn.activation!r}")
         if self.nn.heads < 0:
             raise ValidationError("nn.heads must be >= 0")
         if self.nn.heads > 0 and self.nn.hidden % self.nn.heads != 0:

@@ -28,12 +28,17 @@ from .sim import CavPairs, SimState, cav_pairs
 
 @dataclass(frozen=True)
 class KernelSpec:
+    """exp(-d^2 / (2 sigma^2)), sigma = `length_scale`; the amplitude is 1
+    (`build_adjacency` applies none), and any other value is rejected."""
+
     amplitude: float = 1.0
     length_scale: float = 4.0
 
     def __post_init__(self):
-        if self.amplitude <= 0 or self.length_scale <= 0:
-            raise InvalidSpec("kernel amplitude and length scale must be positive")
+        if self.amplitude != 1.0:
+            raise InvalidSpec(f"the kernel amplitude is fixed at 1.0, got {self.amplitude!r}")
+        if self.length_scale <= 0:
+            raise InvalidSpec("kernel length scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -68,20 +73,6 @@ class AdjacencyMatrix:
     weights: np.ndarray           # N x N, diagonal 1, zero beyond the scan scale
     agent_ids: list[int]
     neighbor_mask: np.ndarray     # N x N bool incl. the diagonal
-
-
-def gaussian_kernel(xi: float, xj: float, spec: KernelSpec,
-                    route_length: float | None = None) -> float:
-    """A * exp(-(xi - xj)^2 / (2 sigma^2)); wraps the difference on closed routes.
-
-    A difference that is already the shorter way around is used as it is.
-    """
-    d = xi - xj
-    if route_length is not None and not -route_length / 2.0 < d <= route_length / 2.0:
-        d = d % route_length
-        if d > route_length / 2.0:
-            d -= route_length
-    return spec.amplitude * math.exp(-(d * d) / (2.0 * spec.length_scale ** 2))
 
 
 def build_adjacency(state: SimState, scheme: AdjacencyScheme, scan_scale: float,

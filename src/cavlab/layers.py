@@ -9,14 +9,15 @@ dot products, q.k / sqrt(d_head); there is no other scoring mode.
 Dense (with its activation), `GraphConvLayer` and `AttentionLayer` each
 record one tape node with a hand-written backward. Their weight products
 and weight gradients run as one GEMM over all B*N agent rows, and they
-return no gradient for inputs that need none (the adjacency, the
-observations). `AttentionLayer.scores` returns the dense (B, h, N, N)
-weights of that forward, from the same Q|K|V GEMM and the same softmax,
-without a tape.
+return no gradient for the observations. The adjacency is a constant
+input, as in a GCN (nothing learns the CAV graph): the graph conv's tape
+parents are H and W. `AttentionLayer.scores` returns the dense
+(B, h, N, N) weights of that forward, from the same Q|K|V GEMM and the
+same softmax, without a tape.
 
-The graph conv and the attention have two kernels for one formula. The
-dense kernel multiplies (B, N, N) matrices and takes a masked softmax
-over N; its cost grows with B*N^2. The edge kernel works on an
+The graph conv and the attention forward have two kernels for one
+formula. The dense kernel multiplies (B, N, N) matrices and takes a masked
+softmax over N; its cost grows with B*N^2. The edge kernel works on an
 `EdgeList`, the mask's entries as edges of one disjoint union of the B
 graphs, and sums messages, scores and softmaxes over each agent's
 neighbours alone; its cost grows with the number of edges, plus a fixed
@@ -36,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidSpec, ShapeMismatch
 from .tensor import Tensor, _unbroadcast, softmax_backward, softmax_forward
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -53,12 +54,12 @@ def orthogonal(rng: np.random.Generator, shape: tuple[int, int], gain: float = 1
     return gain * q[:rows, :cols]
 
 
-_ACTIVATIONS = ("tanh", "relu")
+ACTIVATIONS = ("tanh", "relu")
 
 
 def _check_activation(name: str | None) -> None:
-    if name is not None and name not in _ACTIVATIONS:
-        raise ShapeMismatch(f"unknown activation {name!r}")
+    if name is not None and name not in ACTIVATIONS:
+        raise InvalidSpec(f"unknown activation {name!r}, expected one of {ACTIVATIONS}")
 
 
 def _activate(pre: np.ndarray, name: str | None) -> np.ndarray:
@@ -164,12 +165,6 @@ class EdgeList:
         """The entries of a (B, N, N) array at the edges, (E,)."""
         return np.take(dense, self.index)
 
-    def scatter(self, values: np.ndarray) -> np.ndarray:
-        """(E, ...) per-edge values as a (B, N, N, ...) array, zero off the edges."""
-        out = np.zeros((math.prod(self.shape),) + values.shape[1:])
-        out[self.index] = values
-        return out.reshape(self.shape + values.shape[1:])
-
     def sum_at_dst(self, x: np.ndarray) -> np.ndarray:
         """(E, ...) -> (B*N, ...): each node's sum over its incoming edges."""
         return self._at_dst.reduce(np.add, x)
@@ -237,9 +232,10 @@ class GraphConvLayer:
     """f(concat[M H, D^-1 M H] W): raw and degree-normalized message passing.
 
     H is (B, N, d) with M and D^-1 M (B, N, N), or unbatched (N, d) with
-    (N, N) matrices. One tape node. With `edges` (batched inputs only) the
-    products run over the edge list, which reads M and D^-1 M at its edges
-    only: their gradients are zero off the edges.
+    (N, N) matrices. One tape node with parents H and W: an M or D^-1 M
+    that would need a gradient raises InvalidSpec. With `edges` (batched
+    inputs only) the products run over the edge list, which reads M and
+    D^-1 M at its edges only.
     """
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
@@ -258,6 +254,9 @@ class GraphConvLayer:
         if 2 * H.shape[-1] != W.shape[0]:
             raise ShapeMismatch(
                 f"feature width {H.shape[-1]} incompatible with W {W.shape}")
+        if M.requires_grad or M._parents or Dinv_M.requires_grad or Dinv_M._parents:
+            raise InvalidSpec("the graph conv takes M and D^-1 M as constants; "
+                              "it computes no gradient for them")
         h, m, dm = H.data, M.data, Dinv_M.data
         d = h.shape[-1]
         if edges is None:
@@ -279,30 +278,20 @@ class GraphConvLayer:
 
         def backward(grad, needs):
             g = _activation_grad(_rows(grad), out2d, act)
-            g_h = g_m = g_dm = None
-            if needs[0] or needs[1] or needs[2]:
+            g_h = None
+            if needs[0]:
                 g_mixed = (g @ W.data.T).reshape(mixed.shape)
                 g_a, g_c = g_mixed[..., :d], g_mixed[..., d:]
                 if edges is not None:
                     g_a, g_c = _rows(g_a)[edges.dst], _rows(g_c)[edges.dst]   # (E, d)
-                    if needs[0]:
-                        g_h = edges.sum_at_src(m_e * g_a + dm_e * g_c).reshape(h.shape)
-                    if needs[1]:
-                        g_m = edges.scatter(np.einsum("ed,ed->e", g_a, h_src))
-                    if needs[2]:
-                        g_dm = edges.scatter(np.einsum("ed,ed->e", g_c, h_src))
+                    g_h = edges.sum_at_src(m_e * g_a + dm_e * g_c).reshape(h.shape)
                 else:
-                    if needs[0]:
-                        g_h = _unbroadcast(np.swapaxes(m, -1, -2) @ g_a
-                                           + np.swapaxes(dm, -1, -2) @ g_c, h.shape)
-                    if needs[1]:
-                        g_m = _unbroadcast(g_a @ np.swapaxes(h, -1, -2), m.shape)
-                    if needs[2]:
-                        g_dm = _unbroadcast(g_c @ np.swapaxes(h, -1, -2), dm.shape)
-            return g_h, g_m, g_dm, mixed2d.T @ g if needs[3] else None
+                    g_h = _unbroadcast(np.swapaxes(m, -1, -2) @ g_a
+                                       + np.swapaxes(dm, -1, -2) @ g_c, h.shape)
+            return g_h, mixed2d.T @ g if needs[1] else None
 
         return Tensor._make(out2d.reshape(mixed.shape[:-1] + (W.shape[1],)),
-                            (H, M, Dinv_M, W), backward, "gconv")
+                            (H, W), backward, "gconv")
 
     def parameters(self) -> dict[str, Tensor]:
         return {self.W.name: self.W}
@@ -395,14 +384,10 @@ class AttentionLayer:
         return Tensor._make(out.reshape(b, n, d), (H, self.Wq, self.Wk, self.Wv, self.Wo),
                             backward, "attention")
 
-    def scores(self, H: Tensor, mask: np.ndarray, edges: EdgeList | None = None) -> Tensor:
-        """The attention weights phi (B, h, N, N) of the forward, off the tape;
-        rows sum to 1 over the mask. The edge kernel's weights are scattered
-        into the same dense array."""
-        phi = self._weights(H, mask, edges)[-1]
-        if edges is not None:
-            phi = edges.scatter(phi).transpose(0, 3, 1, 2)
-        return Tensor(phi)
+    def scores(self, H: Tensor, mask: np.ndarray) -> Tensor:
+        """The attention weights phi (B, h, N, N) of the dense forward, off
+        the tape; rows sum to 1 over the mask."""
+        return Tensor(self._weights(H, mask, None)[-1])
 
     def parameters(self) -> dict[str, Tensor]:
         return {t.name: t for t in (self.Wq, self.Wk, self.Wv, self.Wo)}

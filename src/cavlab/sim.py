@@ -18,6 +18,9 @@ CAV's nearest leader and follower, and the adjacency (`graph`), the
 observations of all CAVs (`local_observation`) and the receptive closure
 (`evaluate`) derive from it. Its arithmetic reproduces the scalar
 per-pair rules bit for bit (tests/scalar_features.py keeps them).
+
+`SimOptions` holds what a run config sets; the braking limit, the merge
+gap acceptance and the spawn check's reach are module constants.
 """
 from __future__ import annotations
 
@@ -36,6 +39,12 @@ from .networks import FigureEightSpec, MergeSpec, RingSpec, RoadNetwork
 _MIN_VIRTUAL_GAP = 1e-2
 
 HEADWAY_CAP = 100.0
+HUMAN_DECEL_LIMIT = 8.0     # also bounds a CAV under the safety clamp
+# a ramp vehicle this near the ramp end yields unless the main-lane
+# follower keeps s0 plus this time headway behind it
+MERGE_YIELD_WINDOW = 30.0
+MERGE_YIELD_HEADWAY = 2.0
+SPAWN_LOOKAHEAD = 50.0      # how far a merge spawn looks for its leader
 
 
 class VehicleKind(str, enum.Enum):
@@ -61,15 +70,9 @@ class SimOptions:
     cav_accel_max: float = 3.0
     vehicle_length: float = 5.0
     noise_dist: str = "uniform"  # "uniform" or "gaussian"
-    human_decel_limit: float = 8.0
     # Optional training aid: cap CAV acceleration at the IDM interaction
     # (braking) term w.r.t. the physical leader. Off by default.
     safety_clamp: bool = False
-    # Merge-specific: lookahead for yield checks at the ramp end, and the
-    # time headway the highway follower must be granted before merging.
-    merge_yield_window: float = 30.0
-    merge_yield_headway: float = 2.0
-    spawn_lookahead: float = 50.0
 
     def validate(self) -> None:
         if self.cav_accel_min >= 0 or self.cav_accel_max <= 0:
@@ -124,7 +127,6 @@ class SimState:
     next_due_ramp: float = 0.0
     pending_main: int = 0
     pending_ramp: int = 0
-    total_exited: int = 0
 
     def cavs(self) -> list[VehicleState]:
         return [v for v in self.vehicles if v.kind is VehicleKind.CAV]
@@ -374,7 +376,7 @@ def _merge_yield_accel(state: SimState, v: VehicleState) -> float | None:
     if merge_lane(net, v) != "ramp":
         return None
     dist_to_end = net.ramp_length - v.route_pos
-    if dist_to_end > state.options.merge_yield_window:
+    if dist_to_end > MERGE_YIELD_WINDOW:
         return None
     eff = merge_effective_pos(net, v)
     idm = state.idm
@@ -389,7 +391,7 @@ def _merge_yield_accel(state: SimState, v: VehicleState) -> float | None:
     if follower is None:
         return None
     rear_gap = eff - follower_eff - state.options.vehicle_length
-    if rear_gap >= idm.s0 + follower.speed * state.options.merge_yield_headway:
+    if rear_gap >= idm.s0 + follower.speed * MERGE_YIELD_HEADWAY:
         return None
     return accel_from_speed(v.speed, max(dist_to_end, _MIN_VIRTUAL_GAP), 0.0, idm)
 
@@ -414,7 +416,7 @@ def human_accel(state: SimState, v: VehicleState, leader: Leader,
         ya = _merge_yield_accel(state, v)
     if ya is not None:
         a = min(a, ya)
-    return max(a, -state.options.human_decel_limit)
+    return max(a, -HUMAN_DECEL_LIMIT)
 
 
 def _interaction_brake(state: SimState, v: VehicleState, leader: Leader) -> float:
@@ -570,7 +572,7 @@ def _maybe_spawn(state: SimState, spawned: list[int]) -> None:
         if getattr(state, queue) == 0:
             continue
         near_entry = [v for v in state.vehicles
-                      if v.route_id == route_id and v.route_pos < opts.spawn_lookahead]
+                      if v.route_id == route_id and v.route_pos < SPAWN_LOOKAHEAD]
         leader = min(near_entry, key=lambda v: v.route_pos) if near_entry else None
         if leader is not None and leader.route_pos - opts.vehicle_length <= state.idm.s0:
             continue  # entry blocked, keep the arrival queued
@@ -615,10 +617,10 @@ def step(state: SimState, cav_actions: dict[int, float], dt: float) -> tuple[Sim
             a = min(max(float(cav_actions[v.id]), opts.cav_accel_min), opts.cav_accel_max)
             if opts.safety_clamp:
                 a = min(a, _interaction_brake(state, v, leaders[v.id]))
-                a = max(a, -opts.human_decel_limit)
+                a = max(a, -HUMAN_DECEL_LIMIT)
         else:
             a = human_accel(state, v, leaders[v.id], zones) + _draw_noise(state)
-            a = max(a, -opts.human_decel_limit)
+            a = max(a, -HUMAN_DECEL_LIMIT)
         accels[v.id] = a
 
     for v in state.vehicles:
@@ -637,7 +639,6 @@ def step(state: SimState, cav_actions: dict[int, float], dt: float) -> tuple[Sim
     if not closed:
         exited = [v.id for v in state.vehicles if v.route_pos >= lengths[v.route_id]]
         state.vehicles = [v for v in state.vehicles if v.id not in exited]
-        state.total_exited += len(exited)
         _maybe_spawn(state, spawned)
 
     # the post-step state is ordered once: collisions and headways share it

@@ -9,8 +9,9 @@ node's masked softmax is `softmax_forward` / `softmax_backward` here.
 
 Backward functions compute gradients only for the parents that need one
 (a parameter, or a node downstream of one); constants such as the
-adjacency or the observations get None. A matmul of a batched operand by
-a 2-D weight takes the weight gradient as one (d, B*N) @ (B*N, d') GEMM.
+observations get None, and the graph conv takes the adjacency as no parent
+at all. A matmul of a batched operand by a 2-D weight takes the weight
+gradient as one (d, B*N) @ (B*N, d') GEMM.
 
 Finiteness is checked at the boundaries, not after every op: tensor
 construction raises NonFiniteValue on NaN/Inf inputs, and the trainer

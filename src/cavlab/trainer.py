@@ -19,7 +19,7 @@ update that do not fill a batch are never updated on;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +59,10 @@ class PpoConfig:
             raise InvalidSpec("epochs and minibatch_size must be >= 1")
         if self.actor_lr <= 0 or self.critic_lr <= 0:
             raise InvalidSpec("step sizes must be positive")
+        if self.checkpoint_every < 1:
+            raise InvalidSpec("checkpoint_every must be >= 1")
+        if self.max_lr_halvings < 0:
+            raise InvalidSpec("max_lr_halvings must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -126,14 +130,8 @@ class PolicyBundle:
         return out
 
     def architecture(self) -> dict:
-        return {
-            "obs_dim": self.cfg.obs_dim,
-            "hidden": self.cfg.hidden,
-            "heads": self.cfg.heads,
-            "activation": self.cfg.activation,
-            "action_low": self.cfg.action_low,
-            "action_high": self.cfg.action_high,
-        }
+        """The checkpoint's record of `cfg`, one entry per NetConfig field."""
+        return asdict(self.cfg)
 
 
 def make_policy(net_cfg: NetConfig, seed_seq: np.random.SeedSequence) -> PolicyBundle:
@@ -168,7 +166,8 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
         else:
             spread = actor.head.spread().data[0]
             actions = mean + spread * action_rng.standard_normal(len(adj.agent_ids))
-        # the density the update differentiates, so the ratio at theta_old is 1
+        # the density the update differentiates: the ratio at theta_old is 1,
+        # exactly at a fixed agent count (padding can move a mean's last bit)
         logp = actor.log_prob(Tensor(actions), Tensor(mean)).data
     scaffold = {
         "agent_ids": adj.agent_ids,
@@ -308,7 +307,7 @@ class PaddedBatch:
     dinv_m: np.ndarray    # D^-1 M of weights and mask, (B, N_max, N_max)
 
     @classmethod
-    def of(cls, trans: list[Transition], use_next: bool = False) -> PaddedBatch:
+    def of(cls, trans: list[Transition]) -> PaddedBatch:
         counts = np.array([len(tr.agent_ids) for tr in trans])
         diag = np.arange(counts.max())
         agents = diag[None, :] < counts[:, None]
@@ -316,13 +315,13 @@ class PaddedBatch:
         mask = _pad([tr.mask for tr in trans], pairs)
         mask[:, diag, diag] = True
         weights = _pad([tr.weights for tr in trans], pairs)
-        return cls(obs=_pad([tr.next_obs if use_next else tr.obs for tr in trans], agents),
+        return cls(obs=_pad([tr.obs for tr in trans], agents),
                    weights=weights, mask=mask, agents=agents,
                    dinv_m=degree_normalize(weights, mask))
 
     def with_next_obs(self, trans: list[Transition]) -> PaddedBatch:
-        """The batch of the same `trans` with their `next_obs` as observations:
-        `PaddedBatch.of(trans, use_next=True)` from this layout."""
+        """The batch of the same `trans` with their `next_obs` as observations,
+        on this layout (`self` is `PaddedBatch.of(trans)`)."""
         return replace(self, obs=_pad([tr.next_obs for tr in trans], self.agents))
 
     def inputs(self) -> tuple:
@@ -339,12 +338,11 @@ class PaddedBatch:
 
 
 def critic_values(critic: CriticNetwork, trans: list[Transition],
-                  use_next: bool = False, batch: PaddedBatch | None = None
-                  ) -> list[np.ndarray]:
-    """Per-transition value vectors from one padded forward; `batch`, when
-    given, is `PaddedBatch.of(trans, use_next)` built already."""
+                  batch: PaddedBatch | None = None) -> list[np.ndarray]:
+    """Per-transition value vectors from one padded forward of `batch`, a
+    layout of `trans` (`PaddedBatch.of(trans)` when omitted)."""
     if batch is None:
-        batch = PaddedBatch.of(trans, use_next)
+        batch = PaddedBatch.of(trans)
     with no_grad():
         values = critic.values(*batch.inputs()).data
     check_finite(values, "the critic values")
@@ -375,10 +373,12 @@ def td_targets(critic: CriticNetwork, trans: list[Transition], gamma: float,
     """r + gamma * V(next) with bootstrap 0 on terminal rows.
 
     The adjacency recorded at decision time is reused for the next-state
-    value. Targets are treated as constants (semi-gradient TD). `next_batch`,
-    when given, is `PaddedBatch.of(trans, use_next=True)` built already.
+    value. Targets are treated as constants (semi-gradient TD). `next_batch`
+    is `PaddedBatch.of(trans).with_next_obs(trans)`, built here when omitted.
     """
-    next_vals = critic_values(critic, trans, use_next=True, batch=next_batch)
+    if next_batch is None:
+        next_batch = PaddedBatch.of(trans).with_next_obs(trans)
+    next_vals = critic_values(critic, trans, next_batch)
     return [tr.reward + gamma * next_vals[k] * (~tr.terminal).astype(float)
             for k, tr in enumerate(trans)]
 

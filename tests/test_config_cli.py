@@ -147,6 +147,11 @@ def test_heads_divisibility_checked():
     ({"scenario": {"kind": "merge", "merge_point": 900}}, "scenario: "),
     ({"scenario": {"vehicle_length": -1}}, "scenario: "),
     ({"scenario": {"n_cav": 200}}, "scenario: "),
+    ({"nn": {"activation": "sigmoid"}}, "nn.activation "),
+    ({"nn": {"hidden": 0}}, "nn.hidden "),
+    ({"nn": {"hidden": -8}}, "nn.hidden "),
+    ({"ppo": {"checkpoint_every": 0}}, "ppo: checkpoint_every "),
+    ({"ppo": {"max_lr_halvings": -1}}, "ppo: max_lr_halvings "),
 ])
 def test_range_error_names_its_block(body, prefix):
     with pytest.raises(ValidationError) as info:
@@ -260,11 +265,28 @@ def test_v1_checkpoint_literal_ratio_flag(tmp_path, literal_ratio):
     save_checkpoint(path, bundle.parameters(), arch)
     if literal_ratio:
         with pytest.raises(IncompatibleCheckpoint, match="literal-ratio"):
-            _bundle_from_checkpoint(path, None)
+            _bundle_from_checkpoint(path)
         return
-    loaded = _bundle_from_checkpoint(path, None)
+    loaded = _bundle_from_checkpoint(path)
     for name, p in bundle.parameters().items():
         assert np.array_equal(loaded.parameters()[name].data, p.data)
+
+
+def test_checkpoint_architecture_is_the_net_config(tmp_path):
+    from cavlab.cli import _bundle_from_checkpoint
+    cfg = NetConfig(hidden=16, heads=2, activation="relu", action_low=-2.0)
+    bundle = make_policy(cfg, init_stream(3))
+    path = tmp_path / "c.json"
+    save_checkpoint(path, bundle.parameters(), bundle.architecture())
+    assert json.loads(path.read_text())["architecture"] == {
+        "obs_dim": 6, "hidden": 16, "heads": 2, "activation": "relu",
+        "action_low": -2.0, "action_high": 3.0}
+    assert _bundle_from_checkpoint(path).cfg == cfg
+    arch = bundle.architecture()
+    del arch["heads"]
+    save_checkpoint(path, bundle.parameters(), arch)
+    with pytest.raises(IncompatibleCheckpoint, match="'heads'"):
+        _bundle_from_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +363,7 @@ def test_cli_dump_adjacency(tmp_path):
     from cavlab.trainer import policy_actions
     cfg = parse_config(cfg_path)
     env = cfg.env_spec()
-    bundle = _bundle_from_checkpoint(ckpt, cfg)
+    bundle = _bundle_from_checkpoint(ckpt)
     state = env.build(eval_episode_seed(0, 0))
     expected = {}
     for t in range(250):

@@ -133,15 +133,16 @@ def test_driven_merge_with_exits_matches_scalar():
     state = build_network(MergeSpec(cav_fraction=0.5), 0, 0, seed=3,
                           idm=IdmParams(noise_mag=0.2), options=SimOptions(safety_clamp=True))
     rng = np.random.default_rng(0)
-    checked = on_ramp = 0
+    checked = on_ramp = exited = 0
     for t in range(900):
-        state, _ = step(state, {v.id: float(rng.uniform(-1.0, 1.0)) for v in state.cavs()},
-                        0.1)
+        state, info = step(state, {v.id: float(rng.uniform(-1.0, 1.0)) for v in state.cavs()},
+                           0.1)
+        exited += len(info.exited)
         if t % 15 == 0 and state.cavs():
             assert_features_match(state, 30.0)
             checked += 1
             on_ramp += any(v.route_id == 1 for v in state.cavs())
-    assert state.total_exited > 0 and checked > 40 and on_ramp > 0
+    assert exited > 0 and checked > 40 and on_ramp > 0
 
 
 def test_single_cav_and_tied_positions():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cavlab.errors import InvalidSpec, NoAgents
 from cavlab.graph import (
     GaussianSpeedField, KernelSpec, PositionOnly, VelocityOnly, adjacency_csv_rows,
-    build_adjacency, degree_normalize, gaussian_kernel,
+    build_adjacency, degree_normalize,
 )
 from cavlab.idm import IdmParams
 from cavlab.networks import RingSpec
@@ -26,27 +26,35 @@ def ring_state(positions, speeds, length=230.0):
 # kernel
 
 
-def test_kernel_zero_distance_gives_amplitude():
-    spec = KernelSpec(amplitude=2.5, length_scale=4.0)
-    assert gaussian_kernel(7.0, 7.0, spec) == 2.5
+def kernel_entry(positions, length=230.0, sigma=4.0) -> float:
+    """The default scheme's kernel of two CAVs' distance, read off
+    `build_adjacency`: with speeds 0 and 1, entry (0, 1) is the kernel."""
+    state = ring_state(positions, [0.0, 1.0], length=length)
+    adj = build_adjacency(state, GaussianSpeedField(KernelSpec(1.0, sigma)), scan_scale=120.0)
+    return adj.weights[0, 1]
 
 
 def test_kernel_hand_value():
-    spec = KernelSpec(amplitude=1.0, length_scale=4.0)
-    assert gaussian_kernel(10.0, 6.0, spec) == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert kernel_entry([10.0, 6.0]) == pytest.approx(math.exp(-0.5), abs=1e-15)
     assert math.exp(-0.5) == pytest.approx(0.6065306597, abs=1e-9)
 
 
-@given(a=st.floats(-500, 500), b=st.floats(-500, 500))
+@settings(deadline=None)
+@given(a=st.floats(0.0, 229.0), b=st.floats(0.0, 229.0))
 def test_kernel_symmetry(a, b):
-    spec = KernelSpec(amplitude=1.3, length_scale=4.0)
-    assert gaussian_kernel(a, b, spec) == gaussian_kernel(b, a, spec)
+    assert kernel_entry([a, b]) == kernel_entry([b, a])
 
 
-@pytest.mark.parametrize("amplitude, length_scale", [(0.0, 4.0), (1.0, 0.0), (1.0, -2.0)])
+@pytest.mark.parametrize("amplitude, length_scale", [(1.0, 0.0), (1.0, -2.0)])
 def test_kernel_spec_rejects_non_positive(amplitude, length_scale):
     with pytest.raises(InvalidSpec, match="positive"):
         KernelSpec(amplitude=amplitude, length_scale=length_scale)
+
+
+@pytest.mark.parametrize("amplitude", [2.5, 0.0])
+def test_kernel_amplitude_is_fixed_at_one(amplitude):
+    with pytest.raises(InvalidSpec, match="amplitude"):
+        KernelSpec(amplitude=amplitude, length_scale=4.0)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -0.5])
@@ -56,9 +64,8 @@ def test_velocity_only_rejects_non_positive_epsilon(epsilon):
 
 
 def test_kernel_wraps_on_closed_routes():
-    spec = KernelSpec(amplitude=1.0, length_scale=4.0)
     # 2 m apart across the seam of a 100 m ring
-    assert gaussian_kernel(99.0, 1.0, spec, route_length=100.0) == pytest.approx(
+    assert kernel_entry([99.0, 1.0], length=100.0) == pytest.approx(
         math.exp(-(2.0 ** 2) / 32.0), abs=1e-15)
 
 
@@ -169,7 +176,6 @@ def test_pair_exactly_at_the_scan_scale_is_an_edge():
     assert adj.neighbor_mask[0, 1] and adj.neighbor_mask[1, 0]
     k = math.exp(-d * d / (2 * sigma * sigma))
     assert adj.weights[0, 1] == k * 2.0 and adj.weights[1, 0] == k * -2.0
-    assert gaussian_kernel(0.0, d, KernelSpec(1.0, sigma), route_length=230.0) == k
     # the other way around the ring: L - |x_i - x_j|, exactly
     state = ring_state([1.0, 230.0 - d + 1.0], [1.0, 3.0])
     gap = 230.0 - (230.0 - d + 1.0 - 1.0)

@@ -10,9 +10,9 @@ from cavlab import sim
 from cavlab.errors import InvalidSpec
 from cavlab.idm import IdmParams, accel_from_speed
 from cavlab.networks import FigureEightSpec, MergeSpec, RingSpec
-from cavlab.sim import (VehicleKind, VehicleState, _figure_eight_yield_accel,
-                        _merge_yield_accel, _zone_summary, build_network, detect_collision,
-                        step)
+from cavlab.sim import (HUMAN_DECEL_LIMIT, VehicleKind, VehicleState,
+                        _figure_eight_yield_accel, _merge_yield_accel, _zone_summary,
+                        build_network, detect_collision, step)
 
 QUIET = IdmParams(noise_mag=0.0)
 
@@ -48,7 +48,7 @@ def test_yield_to_vehicle_inside_other_zone():
     # the step applies the yield: the lone vehicle's free-road IDM is positive
     free = accel_from_speed(5.0, 1e9, 5.0, QUIET)
     _, info = step(state, {}, 0.1)
-    assert info.accels[0] == max(min(free, expected), -state.options.human_decel_limit)
+    assert info.accels[0] == max(min(free, expected), -HUMAN_DECEL_LIMIT)
 
 
 def test_yield_to_closer_approaching_vehicle():
@@ -116,7 +116,7 @@ def test_ramp_vehicle_brakes_for_short_follower_headway():
     ya = _merge_yield_accel(state, state.vehicles[0])
     assert ya == accel_from_speed(5.0, 10.0, 0.0, QUIET) < 0.0
     _, info = step(state, {}, 0.1)
-    assert info.accels[0] == max(ya, -state.options.human_decel_limit)
+    assert info.accels[0] == max(ya, -HUMAN_DECEL_LIMIT)
     # a follower far enough back grants the slot: free-road acceleration
     state = hand_state(MERGE, [(1, 90.0, 5.0), (0, 200.0, 20.0)])
     assert _merge_yield_accel(state, state.vehicles[0]) is None

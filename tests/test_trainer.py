@@ -202,6 +202,27 @@ def test_update_log_density_at_theta_old_is_the_rollouts():
     assert float(obj.data) == float((batch.rows(advs) * batch.agents).sum())
 
 
+def test_merge_update_log_density_at_theta_old_is_the_rollouts_to_rounding():
+    # a merge's agent count varies, and padding a transition to N_max can move
+    # its action mean in the last bit: the ratio at theta_old is 1 to rounding
+    from pathlib import Path
+
+    from cavlab.config import parse_config
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "merge.json")
+    ppo = PpoConfig(horizon=400)
+    bundle = make_policy(cfg.net_config(), init_stream(0))
+    bundle.actor.head.log_spread.data[:] = -0.38620129544625814
+    for seed in range(3):
+        env_ss, rng = episode_streams(seed, 0)
+        trans = collect_rollout(bundle, cfg.env_spec(), ppo, env_ss, rng).transitions
+        assert len({len(tr.agent_ids) for tr in trans}) > 1
+        batch = PaddedBatch.of(trans)
+        mean = bundle.actor.action_mean(*batch.inputs())
+        logp = bundle.actor.log_prob(Tensor(batch.rows([tr.actions for tr in trans])), mean)
+        gap = np.abs(logp.data - batch.rows([tr.logp_old for tr in trans]))[batch.agents]
+        assert gap.max() <= 1e-12
+
+
 def test_in_band_clip_equals_unclipped_hand_oracle():
     # scalar oracle: ratios inside [1-eps, 1+eps] leave min() at the raw term
     eps = 0.2
@@ -263,7 +284,7 @@ def test_critic_loss_matches_replayed_td_errors():
 
     from cavlab.trainer import critic_values
     v_now = critic_values(bundle.critic, trans)
-    v_next = critic_values(bundle.critic, trans, use_next=True)
+    v_next = critic_values(bundle.critic, trans, PaddedBatch.of(trans).with_next_obs(trans))
     expected = 0.0
     for k, tr in enumerate(trans):
         target = tr.reward + ppo.gamma * v_next[k] * (~tr.terminal).astype(float)
@@ -413,9 +434,9 @@ def test_one_full_batch_layout_per_update(monkeypatch):
     built = []
     of = PaddedBatch.of.__func__
 
-    def counted(cls, trans, use_next=False):
+    def counted(cls, trans):
         built.append(len(trans))
-        return of(cls, trans, use_next)
+        return of(cls, trans)
 
     monkeypatch.setattr(PaddedBatch, "of", classmethod(counted))
     result = train(small_env(), small_ppo(episodes=2, batch_size=150, minibatch_size=40,
