@@ -8,6 +8,8 @@ the requested CAV count at the same density and CAV share. Per size it
 reports the median and quartiles, in milliseconds, of
 - `features`: the adjacency plus the observations of every CAV of one
   step, as a rollout step computes them, at 4, 16, 64 and 256 CAVs;
+- `pairs`: the pass over the CAVs that the features share (`sim.cav_pairs`)
+  alone, at the same sizes;
 - `step`: one `sim.step` with zero CAV actions, at 22, 88 and 352 vehicles
   (the state advances from call to call), and on the IDM-only figure-eight
   and merge of configs/figure_eight.json and configs/merge.json, the
@@ -29,13 +31,15 @@ reports the median and quartiles, in milliseconds, of
   forward row above timed on each kernel (`dense`, `edge`) with the mask's
   density: the crossover behind `layers.EDGE_KERNEL_MAX_DENSITY`.
 `--src` picks the checkout to import, so two commits compare under the
-same script; the per-agent observation API of checkouts that predate the
-pairwise distance matrix (`sim.cav_pairs`) is timed the way those rollouts
-called it. Prints one JSON object.
+same script; the per-agent observation API of checkouts that predate
+`sim.cav_pairs` is timed the way those rollouts called it (no `pairs`
+row), and a `cav_pairs` that takes no scan scale (the all-pairs matrices)
+is timed as it is. Prints one JSON object.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -223,24 +227,34 @@ def main() -> None:
     from cavlab import graph, idm, networks, sim
 
     scheme, scan, target = graph.GaussianSpeedField(), 30.0, 30.0 / 3.6
-    if hasattr(sim, "cav_pairs"):
-        def features(state):
-            pairs = sim.cav_pairs(state)
-            graph.build_adjacency(state, scheme, scan, pairs)
-            sim.local_observation(state, pairs.ids, target, scan, pairs)
-    else:
+    if not hasattr(sim, "cav_pairs"):
+        pair_pass = None
+
         def features(state):
             graph.build_adjacency(state, scheme, scan)
             for v in state.cavs():
                 sim.local_observation(state, v.id, target, scan)
+    else:
+        if "scan_scale" in inspect.signature(sim.cav_pairs).parameters:
+            def pair_pass(state):
+                return sim.cav_pairs(state, scan)
+        else:   # the all-pairs matrices, which take no scan scale
+            pair_pass = sim.cav_pairs
+
+        def features(state):
+            pairs = pair_pass(state)
+            graph.build_adjacency(state, scheme, scan, pairs)
+            sim.local_observation(state, pairs.ids, target, scan, pairs)
 
     out = {"python": platform.python_version(), "numpy": np.__version__,
            "nproc": os.cpu_count(), "src": str(Path(args.src).resolve()),
-           "reps": args.reps, "features": {}, "step": {}}
+           "reps": args.reps, "features": {}, "pairs": {}, "step": {}}
     root = Path(args.src).resolve().parent
     for n_cav in FEATURE_CAVS:
         state = ring_state(sim, networks, idm, n_cav)
         out["features"][str(n_cav)] = timed(lambda: features(state), args.reps)
+        if pair_pass is not None:
+            out["pairs"][str(n_cav)] = timed(lambda: pair_pass(state), args.reps)
     for n_vehicles in STEP_VEHICLES:
         n_cav = n_vehicles * BASE_CAVS // (BASE_CAVS + BASE_HUMANS)
         state = ring_state(sim, networks, idm, n_cav)

@@ -29,8 +29,8 @@ def save_checkpoint(path, params: dict[str, Tensor], architecture: dict,
     }
     if extra:
         payload["extra"] = extra
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    with open(path, "w") as fh:   # one write: json.dump writes chunk by chunk
+        fh.write(json.dumps(payload))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, dict]:

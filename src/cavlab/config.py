@@ -20,10 +20,10 @@ import types
 import typing
 from dataclasses import dataclass
 
-from .errors import CavlabError, ParseError, ValidationError
+from .errors import CavlabError, InvalidSpec, ParseError, ValidationError
 from .graph import GaussianSpeedField, KernelSpec, PositionOnly, VelocityOnly
 from .idm import IdmParams
-from .layers import ACTIVATIONS, NetConfig
+from .layers import NetConfig
 from .networks import FigureEightSpec, MergeSpec, RingSpec
 from .rewards import MergeReward, RingEightReward
 from .sim import SimOptions, build_network
@@ -218,16 +218,10 @@ class RunConfig:
             raise ValidationError("scenario.noise_mag must be >= 0")
         if self.graph.scan_scale <= 0:
             raise ValidationError("graph.scan_scale must be positive")
-        if self.nn.hidden < 1:
-            raise ValidationError("nn.hidden must be >= 1")
-        if self.nn.activation not in ACTIVATIONS:
-            raise ValidationError(f"nn.activation must be one of {list(ACTIVATIONS)}, "
-                                  f"got {self.nn.activation!r}")
-        if self.nn.heads < 0:
-            raise ValidationError("nn.heads must be >= 0")
-        if self.nn.heads > 0 and self.nn.hidden % self.nn.heads != 0:
-            raise ValidationError(
-                f"nn.hidden={self.nn.hidden} must be divisible by nn.heads={self.nn.heads}")
+        try:   # the keys nn owns; the action bounds are the scenario's
+            NetConfig(**dataclasses.asdict(self.nn))
+        except InvalidSpec as exc:
+            raise ValidationError(f"nn.{exc}") from exc
         with _block("graph"):
             # both kernels, so the key the chosen scheme ignores is checked too
             KernelSpec(length_scale=self.graph.sigma)

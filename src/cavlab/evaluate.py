@@ -338,22 +338,27 @@ def receptive_closure(state: SimState, agent_id: int, scan_scale: float,
                       hops: int = 2, pairs: CavPairs | None = None) -> set[int]:
     """CAV ids that can influence the agent's action.
 
-    `hops` SC-graph hops cover the graph-conv + attention layers; the
-    closure is then extended with each member's observed nearest leading
-    and following CAVs, which enter through the local observation at any
-    range. Both come from the step's pairwise route distances (`pairs`,
-    computed here when omitted).
+    `hops` SC-graph hops over the step's in-range pairs cover the
+    graph-conv + attention layers; the closure is then extended with each
+    member's observed nearest leading and following CAVs, which enter
+    through the local observation at any range. Both come from `pairs`
+    (found here when omitted; they must be found at this scan scale).
     """
     if pairs is None:
-        pairs = cav_pairs(state)
+        pairs = cav_pairs(state, scan_scale)
+    elif pairs.scan_scale != scan_scale:
+        raise InvalidSpec(f"pairs found at scan scale {pairs.scan_scale!r}, "
+                          f"not {scan_scale!r}")
     if agent_id not in pairs.ids:
         raise UnknownVehicle(f"vehicle {agent_id} is not a live CAV")
-    near = pairs.dist <= scan_scale
+    i, j = pairs.i, pairs.j
     inside = np.zeros(len(pairs.ids), dtype=bool)
     inside[pairs.ids.index(agent_id)] = True
     frontier = inside.copy()
     for _ in range(hops):
-        frontier = near[frontier].any(axis=0) & ~inside
+        reached = np.zeros_like(inside)
+        reached[j[frontier[i]]] = reached[i[frontier[j]]] = True
+        frontier = reached & ~inside
         inside |= frontier
     members = inside.copy()
     for nb, gap in zip(pairs.neighbors, pairs.gaps):
@@ -395,7 +400,7 @@ def decentralization_check(bundle: PolicyBundle, env: EnvSpec, seed: int,
     checked = perturbed_total = 0
     for s_idx, state in enumerate(states):
         base_actions = _deterministic_actions(bundle, state, env)
-        pairs = cav_pairs(state)
+        pairs = cav_pairs(state, env.scan_scale)
         for agent_id in pairs.ids:
             closure = receptive_closure(state, agent_id, env.scan_scale, pairs=pairs)
             outside = [v for v in state.vehicles

@@ -6,14 +6,15 @@ speed difference dominates. Two ablation schemes keep only position or
 only velocity information. Entries beyond the scan scale are masked to
 zero; the diagonal always carries the self-connection with weight 1.
 
-The matrix derives from the step's pairwise route distances
-(`sim.cav_pairs`), the same ones the observations use. The Gaussian
-kernel is taken with `math.exp` over the in-range pairs only: `np.exp`
+The matrix is scattered from the step's in-range pairs (`sim.cav_pairs`,
+found from sorted positions), the pass the observations also read. The
+Gaussian kernel is taken with `math.exp` over those pairs: `np.exp`
 differs from it in the last bit on some inputs, and the weights are kept
 bit-identical to a per-pair scalar evaluation.
 
 `degree_normalize` is the one D^-1 M: the rollout applies it to a step's
-(N, N) matrices and the padded update batches to their (B, N, N) stacks.
+(N, N) weights with the degrees counted from the pairs, and the padded
+update batches to their (B, N, N) stacks with their masks' row sums.
 """
 from __future__ import annotations
 
@@ -79,34 +80,33 @@ def build_adjacency(state: SimState, scheme: AdjacencyScheme, scan_scale: float,
                     pairs: CavPairs | None = None) -> AdjacencyMatrix:
     """Adjacency over the live CAVs, in vehicle-list order.
 
-    Derived from the step's pairwise route distances (`pairs`, computed here
-    when omitted): the upper triangle decides which pairs are in range and
-    is mirrored, and entries are evaluated for the in-range pairs only. The
-    Gaussian kernel takes `math.exp` per pair rather than `np.exp`, whose
-    last bits differ on some inputs, so the weights match a scalar
-    evaluation bit for bit.
+    Scattered from the step's in-range pairs (`pairs`, found here when
+    omitted; they must be found at this scan scale), each entry evaluated
+    once. The Gaussian kernel takes `math.exp` per pair rather than
+    `np.exp`, whose last bits differ on some inputs, so the weights match a
+    scalar evaluation bit for bit.
     """
     if pairs is None:
-        pairs = cav_pairs(state)
+        pairs = cav_pairs(state, scan_scale)
+    elif pairs.scan_scale != scan_scale:
+        raise InvalidSpec(f"pairs found at scan scale {pairs.scan_scale!r}, "
+                          f"not {scan_scale!r}")
     n = len(pairs.ids)
     if not n:
         raise NoAgents("no CAVs in the network")
-    i, j = np.nonzero(pairs.dist <= scan_scale)
-    upper = i < j
-    i, j = i[upper], j[upper]
+    i, j = pairs.i, pairs.j
     mask = np.eye(n, dtype=bool)
     mask[i, j] = mask[j, i] = True
     weights = np.eye(n)
     vi, vj = pairs.speed[i], pairs.speed[j]
     if isinstance(scheme, GaussianSpeedField):
-        d = pairs.dist[i, j]
+        d = pairs.dist
         exponent = (-(d * d) / (2.0 * scheme.kernel.length_scale ** 2)).tolist()
         k = np.fromiter(map(math.exp, exponent), float, len(exponent))
         weights[i, j] = k * (vj - vi)
         weights[j, i] = k * (vi - vj)
     elif isinstance(scheme, PositionOnly):
-        weights[i, j] = pairs.signed[i, j]
-        weights[j, i] = pairs.signed[j, i]
+        weights[i, j], weights[j, i] = pairs.signed
     else:
         ts, eps = scheme.target_speed, scheme.epsilon
         weights[i, j] = ts / (vi * np.abs(vj - vi) + eps)
@@ -114,13 +114,13 @@ def build_adjacency(state: SimState, scheme: AdjacencyScheme, scan_scale: float,
     return AdjacencyMatrix(weights=weights, agent_ids=pairs.ids, neighbor_mask=mask)
 
 
-def degree_normalize(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-scaled weights D^-1 M, D the row sums of the neighbour mask.
+def degree_normalize(weights: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Row-scaled weights D^-1 M, D the degrees: the neighbour mask's row sums.
 
-    Takes one (N, N) matrix or a (B, N, N) stack; the self-connection keeps
-    every degree >= 1.
+    Takes one (N, N) matrix with (N,) degrees or a (B, N, N) stack with
+    (B, N); the self-connection keeps every degree >= 1.
     """
-    return weights / mask.sum(-1, keepdims=True)
+    return weights / degree[..., None]
 
 
 def adjacency_csv_rows(adj) -> list[str]:

@@ -406,6 +406,22 @@ class NetConfig:
     action_low: float = -3.0
     action_high: float = 3.0
 
+    def __post_init__(self):
+        if self.obs_dim < 1:
+            raise InvalidSpec("obs_dim must be >= 1")
+        if self.hidden < 1:
+            raise InvalidSpec("hidden must be >= 1")
+        if self.heads < 0:
+            raise InvalidSpec("heads must be >= 0")
+        if self.heads and self.hidden % self.heads:
+            raise InvalidSpec(f"hidden={self.hidden} must be divisible by heads={self.heads}")
+        if self.activation not in ACTIVATIONS:
+            raise InvalidSpec(f"activation must be one of {list(ACTIVATIONS)}, "
+                              f"got {self.activation!r}")
+        if not self.action_low < self.action_high:
+            raise InvalidSpec(f"action_low={self.action_low!r} must be below "
+                              f"action_high={self.action_high!r}")
+
 
 class GaussianPolicyHead:
     """Tanh-squashed action mean scaled to the actuation range, shared log-spread."""

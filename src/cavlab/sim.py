@@ -12,12 +12,13 @@ A figure-eight step summarizes each loop's conflict zone once per state
 (`_zone_summary`: is it occupied, how near is the nearest approach), and
 every yield decision and the zone-collision rule read that summary.
 
-CAV features come from one pairwise matrix per step: `cav_pairs` computes
-the live CAVs' signed route distances as numpy arrays, together with each
-CAV's nearest leader and follower, and the adjacency (`graph`), the
-observations of all CAVs (`local_observation`) and the receptive closure
-(`evaluate`) derive from it. Its arithmetic reproduces the scalar
-per-pair rules bit for bit (tests/scalar_features.py keeps them).
+CAV features come from one pass per step over the CAVs sorted along their
+route: `cav_pairs` lists the pairs within the scan scale, with their signed
+route distances, and each CAV's nearest leader and follower, in
+O(N log N + E) for E pairs and without an N x N matrix. The adjacency
+(`graph`), the observations of all CAVs (`local_observation`) and the
+receptive closure (`evaluate`) derive from it. Its arithmetic reproduces
+the scalar per-pair rules bit for bit (tests/scalar_features.py keeps them).
 
 `SimOptions` holds what a run config sets; the braking limit, the merge
 gap acceptance and the spawn check's reach are module constants.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -172,115 +174,220 @@ def merge_lane(net: MergeSpec, v: VehicleState) -> str:
 
 @dataclass
 class CavPairs:
-    """The live CAVs of one step and their pairwise route distances.
+    """The live CAVs of one step, their in-range pairs and nearest neighbours.
 
     All CAV features (adjacency, observations, receptive closure) derive
-    from this one (N, N) computation per step, CAVs in vehicle-list order.
-    `signed[i, j]` is the signed shortest route distance x_i - x_j:
-    - same closed route: the difference wrapped to the shorter way around;
+    from this one pass per step, CAVs in vehicle-list order. It lists the
+    pairs (i[e], j[e]), i < j, whose route distance `dist[e]` is at most
+    `scan_scale`, and no other. `apart[0, e]` is how far j is ahead of i
+    and `apart[1, e]` how far behind, inf where it is not on that side;
+    `signed` follows from them: the signed shortest route distances
+    x_i - x_j and x_j - x_i.
+    - same closed route: both ways round the loop; the shorter one is the
+      distance, and a half-loop apart counts as behind both ways;
     - figure-eight cross-loop: the path runs through the shared conflict
       zone, so proximity to the zone stands in for position (the CAV closer
-      to the zone counts as ahead);
+      to the zone counts as ahead), and `dist` is the sum of both distances
+      to the zone;
     - merge: the difference of effective positions.
-    `dist[i, j]` is the unsigned route distance: |signed[i, j]|, except
-    across figure-eight loops, where it is the sum of both distances to the
-    zone. On a closed route a difference that is already the shorter way
-    around is used as it is, so `dist` is exactly |x_i - x_j| there, and
-    `dist` is exactly symmetric.
+    On a closed route a difference that is already the shorter way around
+    is used as it is, so `dist` is exactly |x_i - x_j| there, and a pair at
+    exactly the scan scale is listed.
 
     `neighbors[0, i]` is the nearest CAV ahead of CAV i on its driving path
     (its own loop on closed networks) and `neighbors[1, i]` the nearest
-    behind it; `gaps` holds their center-to-center distances, inf where
-    there is none. Ties go to the first CAV in vehicle-list order; on merge
-    a CAV level with i counts as behind it.
+    behind it; `gaps` holds their center-to-center distances, inf (and
+    column 0) where there is none. Ties go to the first CAV in vehicle-list
+    order; on merge a CAV level with i counts as behind it.
     """
 
     ids: list[int]
     pos: np.ndarray          # (N,) route positions
     speed: np.ndarray        # (N,)
     route_len: np.ndarray    # (N,) length of each CAV's route
-    signed: np.ndarray       # (N, N)
-    dist: np.ndarray         # (N, N)
+    scan_scale: float
+    i: np.ndarray            # (E,) columns of the in-range pairs, i < j
+    j: np.ndarray            # (E,)
+    dist: np.ndarray         # (E,)
+    apart: np.ndarray        # (2, E)
     neighbors: np.ndarray    # (2, N) columns of the leader and the follower
     gaps: np.ndarray         # (2, N)
 
+    @property
+    def signed(self) -> np.ndarray:
+        """(2, E): x_i - x_j and x_j - x_i. Each is +(how far the other CAV
+        is behind) when that is the shorter way, else -(how far ahead)."""
+        return np.where(self.apart[::-1] <= self.apart, self.apart[::-1], -self.apart)
 
-def _mod(d: np.ndarray, length) -> np.ndarray:
-    """Python's float `d % length` for positive lengths, elementwise, in place.
-
-    `np.mod` gives the same bits but also computes the floor quotient, which
-    makes it about three times slower on a 256 x 256 matrix. Adding 0.0
-    turns -0.0 into 0.0, as Python does.
-    """
-    np.fmod(d, length, out=d)
-    np.add(d, length, out=d, where=d < 0.0)
-    d += 0.0
-    return d
+    @property
+    def degree(self) -> np.ndarray:
+        """1 + the in-range count of each CAV: the row sums of its neighbour mask."""
+        return np.bincount(np.concatenate((self.i, self.j)), minlength=len(self.ids)) + 1
 
 
-def _wrap(d: np.ndarray, reduced: np.ndarray, length) -> np.ndarray:
-    """Differences `d` (`reduced` = `_mod(d, length)`) moved to (-length/2, length/2].
+def _line_apart(d: np.ndarray) -> np.ndarray:
+    """`CavPairs.apart` of signed differences d = x_i - x_j along a line:
+    j is -d ahead, or d behind; level, it is 0 both ways."""
+    return np.where(np.stack((d <= 0.0, d >= 0.0)), np.stack((-d, d)), np.inf)
+
+
+def _wrap(d: np.ndarray, length) -> np.ndarray:
+    """Differences `d` moved to (-length/2, length/2]: Python's float
+    `d % length` (`np.remainder` gives its bits), less one length when past
+    half of it.
 
     A `d` already inside is kept, so |result| == |d| exactly: reducing it
     could move it by ulps past a scan scale it sits on.
     """
     half = length / 2.0
-    out = np.where(reduced > half, reduced - length, reduced)
-    np.copyto(out, d, where=(d > -half) & (d <= half))
-    return out
+    reduced = np.remainder(d, length)
+    return np.where(np.abs(d) < half, d, reduced - (reduced > half) * length)
 
 
-def cav_pairs(state: SimState) -> CavPairs:
-    """Pairwise route distances and nearest CAV neighbors, in one pass."""
-    net = state.network
-    cavs = [v for v in state.vehicles if v.kind is VehicleKind.CAV]
-    n = len(cavs)
-    pos = np.array([v.route_pos for v in cavs], dtype=float)
-    speed = np.array([v.speed for v in cavs], dtype=float)
-    if isinstance(net, RingSpec):
-        route_len = np.full(n, net.length)
+# Candidate windows reach this share of the scan scale plus the route's
+# length further than they need, which covers every rounding of the
+# distance expressions.
+_WINDOW_MARGIN = 1e-9
+_NO_INDEX = np.iinfo(np.intp).max
+_AHEAD_BEHIND = np.array([1.0, -1.0])[:, None, None]
+
+
+def _route_pass(x: np.ndarray, members: np.ndarray | None, length: float | None,
+                scan_scale: float, margin: float):
+    """Nearest neighbours and in-range pairs of the CAVs of one route.
+
+    `x` are the positions of the CAVs `members` (all CAVs when None): route
+    positions on a loop of `length`, merge effective positions when
+    `length` is None. Sorted along the route, each CAV is compared with the
+    CAVs within K sorted places either way, in one (2K + 1, m) block whose
+    columns are the CAVs in their own order. K covers, for every CAV, the
+    CAVs within the scan scale (plus `margin`) ahead of it, and one place
+    more on a loop; on the merge, whose leader is the first CAV strictly
+    ahead, twice that. Any CAV in range behind a CAV, or any candidate for
+    its leader or follower beyond the scan scale, then lies within K places
+    too: its own window, or that of the CAV next to it, reaches them.
+
+    On a loop, positions lie in [0, length) (`build_network` and `step` keep
+    them there; they are reduced to it first), so a difference
+    d = x_j - x_a lies in (-length, length) and d mod length is d, or
+    d + length when d < 0: how far j is ahead of a. The route distance is
+    the smaller of that and (-d) mod length, and its sign says which way
+    round is shorter; these are the values of `np.remainder` and `_wrap`,
+    bit for bit. Returns the (2, m) neighbours and gaps and the pairs' i, j, dist
+    and apart, all indices into the CAVs of the step.
+    """
+    m = len(x)
+    if length is not None:
+        x = np.remainder(x, length)
+    order = x.argsort()          # any order of level CAVs does
+    xs = x[order]
+    rows = np.arange(m)
+    rank = order.copy()
+    rank[order] = rows
+    ext = xs if length is None else np.concatenate((xs, xs + length))
+    # one more than the most CAVs any CAV has within the scan scale ahead
+    k = max((ext.searchsorted(xs + (scan_scale + margin)) - rows).tolist())
+    if length is not None:
+        k = min(k, m // 2)
+        low = -k + (2 * k == m)        # a half-loop offset once, not twice
+        j = order.take(np.arange(low, k + 1)[:, None] + rank, mode="wrap")
+        near = _AHEAD_BEHIND * (x[j] - x)     # x_j - x_a, x_a - x_j
+        near += (near < 0.0) * length         # np.remainder's bits, faster here
+        dist = np.minimum(near[0], near[1])
     else:
-        on_loop1 = np.array([v.route_id == 1 for v in cavs], dtype=bool)
+        k = min(2 * k, m - 1)
+        low = -k
+        cols = np.arange(2 * k + 1)[:, None] + rank
+        pad, none = np.full(k, np.inf), np.zeros(k, np.intp)
+        j = np.concatenate((none, order, none))[cols]
+        diff = x - np.concatenate((-pad, xs, pad))[cols]    # x_a - x_j
+        dist = np.abs(diff)
+        # a candidate is ahead by -diff, or behind by diff (level included)
+        near = np.where(np.stack((diff < 0.0, diff >= 0.0)), np.stack((-diff, diff)), np.inf)
+    if members is not None:
+        j, rows = members[j], members
+    # near[0]: how far each candidate is ahead of the CAV, near[1]: behind it.
+    # The CAV itself is no candidate; with no candidate at all, column 0.
+    near[:, -low] = np.inf
+    j[-low] = 0
+    gaps = near.min(axis=1)
+    neighbors = np.where(near == gaps[:, None], j, _NO_INDEX).min(axis=1)
+    o, a = ((rows < j) & (dist <= scan_scale)).nonzero()
+    apart = _line_apart(diff[o, a]) if length is None else near[:, o, a]
+    return neighbors, gaps, (a if members is None else rows[a], j[o, a], dist[o, a], apart)
+
+
+def cav_pairs(state: SimState, scan_scale: float) -> CavPairs:
+    """In-range CAV pairs and nearest CAV neighbours, from sorted positions.
+
+    The CAVs are sorted along their route (each figure-eight loop on its
+    own, the merge by effective position), and each is compared with a
+    window of sorted places around it: the CAVs within the scan scale, and
+    the nearest ones ahead and behind at any range. The windows reach a
+    margin further, which covers rounding, and the distances and the
+    scan-scale test are evaluated exactly, so the pairs and neighbours are
+    those of an all-pairs comparison, bit for bit. Cross-loop figure-eight
+    pairs come from each loop's CAVs sorted by their distance to the zone.
+    Costs O(N log N + N K) for a widest window of K places: no N x N matrix.
+    """
+    net = state.network
+    cav = VehicleKind.CAV
+    cavs = [v for v in state.vehicles if v.kind is cav]
+    n = len(cavs)
+    pos = np.fromiter(map(attrgetter("route_pos"), cavs), float, n)
+    speed = np.fromiter(map(attrgetter("speed"), cavs), float, n)
+    if isinstance(net, RingSpec):
+        route_len = np.empty(n)
+        route_len.fill(net.length)
+        lengths = (net.length,)
+    else:
+        on_loop1 = np.fromiter(map(attrgetter("route_id"), cavs), np.intp, n) == 1
         lengths = ((net.highway_length, net.ramp_route_length())
                    if isinstance(net, MergeSpec)
                    else (net.loop_length(0), net.loop_length(1)))
         route_len = np.where(on_loop1, lengths[1], lengths[0])
-
-    # Column i of `ahead_of` holds the distances of the CAVs ahead of CAV i,
-    # row i of `behind_of` those of the CAVs behind it; inf marks the rest.
-    if isinstance(net, MergeSpec):
+    margin = _WINDOW_MARGIN * (scan_scale + max(lengths))
+    if not n:
+        neighbors, gaps = np.zeros((2, 0), np.intp), np.zeros((2, 0))
+        pairs = (np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), np.zeros((2, 0)))
+    elif isinstance(net, RingSpec):
+        neighbors, gaps, pairs = _route_pass(pos, None, net.length, scan_scale, margin)
+    elif isinstance(net, MergeSpec):
         eff = np.where(on_loop1, (net.merge_point - net.ramp_length) + pos, pos)
-        signed = eff[:, None] - eff[None, :]
-        dist = np.abs(signed)
-        ahead_of = np.where(signed > 0.0, signed, np.inf)
-        behind_of = np.where(signed >= 0.0, signed, np.inf)
-        behind_of.flat[::n + 1] = np.inf
+        neighbors, gaps, pairs = _route_pass(eff, None, None, scan_scale, margin)
     else:
-        # (x_i - x_j) mod L_i: how far j is behind i, and i ahead of j
-        length = net.length if isinstance(net, RingSpec) else route_len[:, None]
-        diff = pos[:, None] - pos[None, :]
-        behind_of = _mod(diff.copy(), length)
-        signed = _wrap(diff, behind_of, length)
-        dist = np.abs(signed)
-        behind_of.flat[::n + 1] = np.inf
-        if isinstance(net, FigureEightSpec):
-            mids = [0.5 * (lo + hi) for lo, hi in net.conflict_zone]
-            to_mid = np.where(on_loop1, mids[1], mids[0]) - pos
-            to_zone = np.abs(_wrap(to_mid, _mod(to_mid.copy(), route_len), route_len))
-            cross = on_loop1[:, None] != on_loop1[None, :]
-            signed = np.where(cross, to_zone[None, :] - to_zone[:, None], signed)
-            dist = np.where(cross, to_zone[:, None] + to_zone[None, :], dist)
-            behind_of[cross] = np.inf
-        ahead_of = behind_of
-    neighbors = np.zeros((2, n), dtype=np.intp)
-    gaps = np.full((2, n), np.inf)
-    if n:
-        ahead_of.argmin(axis=0, out=neighbors[0])
-        ahead_of.min(axis=0, out=gaps[0])
-        behind_of.argmin(axis=1, out=neighbors[1])
-        behind_of.min(axis=1, out=gaps[1])
-    return CavPairs(ids=[v.id for v in cavs], pos=pos, speed=speed, route_len=route_len,
-                    signed=signed, dist=dist, neighbors=neighbors, gaps=gaps)
+        neighbors, gaps = np.empty((2, n), np.intp), np.empty((2, n))  # one loop each
+        found = [_cross_loop_pairs(net, pos, route_len, on_loop1, scan_scale, margin)]
+        for loop, length in enumerate(lengths):
+            members = np.flatnonzero(on_loop1 == bool(loop))
+            if len(members):
+                neighbors[:, members], gaps[:, members], part = _route_pass(
+                    pos[members], members, length, scan_scale, margin)
+                found.append(part)
+        pairs = [np.concatenate(part, axis=-1) for part in zip(*found)]
+    i, j, dist, apart = pairs
+    return CavPairs(ids=list(map(attrgetter("id"), cavs)), pos=pos, speed=speed,
+                    route_len=route_len, scan_scale=scan_scale, i=i, j=j, dist=dist,
+                    apart=apart, neighbors=neighbors, gaps=gaps)
+
+
+def _cross_loop_pairs(net: FigureEightSpec, pos, route_len, on_loop1, scan_scale, margin):
+    """In-range figure-eight pairs across the loops: the sum of both distances
+    to the zone is at most the scan scale. Loop 1's CAVs are sorted by that
+    distance, so each loop-0 CAV's candidates are a prefix of them."""
+    mids = [0.5 * (lo + hi) for lo, hi in net.conflict_zone]
+    to_mid = np.where(on_loop1, mids[1], mids[0]) - pos
+    to_zone = np.abs(_wrap(to_mid, route_len))
+    loop0, loop1 = np.flatnonzero(~on_loop1), np.flatnonzero(on_loop1)
+    loop1 = loop1[np.argsort(to_zone[loop1], kind="stable")]
+    reach = np.searchsorted(to_zone[loop1], (scan_scale + margin) - to_zone[loop0], "right")
+    loop1 = loop1[:reach.max(initial=0)]
+    dist = to_zone[loop0][:, None] + to_zone[loop1]    # fl(z_i + z_j) is symmetric
+    pair = dist <= scan_scale
+    a, b = np.nonzero(pair)
+    i, j = np.minimum(loop0[a], loop1[b]), np.maximum(loop0[a], loop1[b])
+    # the CAV closer to the zone is ahead: x_i - x_j = z_j - z_i
+    return i, j, dist[pair], _line_apart(to_zone[j] - to_zone[i])
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +800,8 @@ def local_observation(state: SimState, agent_ids: list[int], target_speed: float
     Leaders and followers come from `pairs` (computed here when omitted),
     so observing every CAV of a step costs one call.
     """
-    if pairs is None:
-        pairs = cav_pairs(state)
+    if pairs is None:   # the observations read only the nearest neighbours
+        pairs = cav_pairs(state, 0.0 if scan_scale is None else scan_scale)
     rows = slice(None)
     if agent_ids != pairs.ids:
         index = {vid: i for i, vid in enumerate(pairs.ids)}

@@ -146,18 +146,17 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
 
     Returns (transition scaffold dict or None when no CAVs, actions dict).
     """
-    pairs = cav_pairs(state)
+    pairs = cav_pairs(state, env.scan_scale)
     if not pairs.ids:
         return None, {}
     adj = build_adjacency(state, env.scheme, env.scan_scale, pairs)
     obs = local_observation(state, pairs.ids, env.target_speed, env.scan_scale, pairs)
-    del pairs  # free its N x N matrices before the forward allocates its own
     mask = adj.neighbor_mask
     actor = bundle.actor
     with no_grad():
         mean = actor.action_mean(
             Tensor(obs[None]), Tensor(adj.weights[None]),
-            Tensor(degree_normalize(adj.weights, mask)[None]), mask[None]).data[0]
+            Tensor(degree_normalize(adj.weights, pairs.degree)[None]), mask[None]).data[0]
         if not np.isfinite(mean).all():
             raise NonFiniteAction(f"non-finite values produced by the rollout's action "
                                   f"mean at step {state.time_step}")
@@ -187,11 +186,10 @@ def _link_next(tr: Transition, nxt: dict | None) -> None:
     terminal.
     """
     row = {aid: j for j, aid in enumerate(nxt["agent_ids"])} if nxt else {}
-    for i, aid in enumerate(tr.agent_ids):
-        if aid in row:
-            tr.next_obs[i] = nxt["obs"][row[aid]]
-        else:
-            tr.terminal[i] = True
+    idx = np.array([row.get(aid, -1) for aid in tr.agent_ids], dtype=np.intp)
+    tr.terminal[:] = idx < 0
+    if row:
+        tr.next_obs[idx >= 0] = nxt["obs"][idx[idx >= 0]]
 
 
 def collect_rollout(bundle: PolicyBundle | None, env: EnvSpec, ppo: PpoConfig,
@@ -202,7 +200,7 @@ def collect_rollout(bundle: PolicyBundle | None, env: EnvSpec, ppo: PpoConfig,
     `bundle=None` runs IDM-only traffic, which needs a scenario without
     CAVs. `on_step(t, state)` sees the state after each step and ends the
     episode early by returning True. The live agents are observed once per
-    step, all in one call that shares the step's pairwise distances
+    step, all in one call that shares the step's pass over the CAVs
     (`sim.cav_pairs`) with the adjacency; the last transition's `next_obs`
     takes one more pass over the final state, and all its rows are terminal.
     """
@@ -243,7 +241,7 @@ def collect_rollout(bundle: PolicyBundle | None, env: EnvSpec, ppo: PpoConfig,
         if (on_step is not None and on_step(t, state)) or state.collided:
             break
     if pending is not None:  # one more pass, over the final state
-        pairs = cav_pairs(state)
+        pairs = cav_pairs(state, env.scan_scale)
         if pairs.ids:
             _link_next(pending, {"agent_ids": pairs.ids, "obs": local_observation(
                 state, pairs.ids, env.target_speed, env.scan_scale, pairs)})
@@ -317,7 +315,7 @@ class PaddedBatch:
         weights = _pad([tr.weights for tr in trans], pairs)
         return cls(obs=_pad([tr.obs for tr in trans], agents),
                    weights=weights, mask=mask, agents=agents,
-                   dinv_m=degree_normalize(weights, mask))
+                   dinv_m=degree_normalize(weights, mask.sum(-1)))
 
     def with_next_obs(self, trans: list[Transition]) -> PaddedBatch:
         """The batch of the same `trans` with their `next_obs` as observations,

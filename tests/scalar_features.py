@@ -1,8 +1,8 @@
 """Scalar reference implementations of the CAV features.
 
 These are the per-pair and per-agent loops that `cavlab` computed its CAV
-features with before it derived them from one pairwise distance matrix per
-step (`sim.cav_pairs`). Tests compare the array code against them bit for
+features with before it derived them from one array pass per step
+(`sim.cav_pairs`). Tests compare the array code against them bit for
 bit. Nothing in `src/` imports this module.
 """
 from __future__ import annotations

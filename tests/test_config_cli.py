@@ -152,6 +152,8 @@ def test_heads_divisibility_checked():
     ({"nn": {"hidden": -8}}, "nn.hidden "),
     ({"ppo": {"checkpoint_every": 0}}, "ppo: checkpoint_every "),
     ({"ppo": {"max_lr_halvings": -1}}, "ppo: max_lr_halvings "),
+    ({"nn": {"heads": -1}}, "nn.heads "),
+    ({"nn": {"hidden": 64, "heads": 7}}, "nn.hidden=64 must be divisible"),
 ])
 def test_range_error_names_its_block(body, prefix):
     with pytest.raises(ValidationError) as info:
@@ -233,6 +235,25 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     params, arch, extra = load_checkpoint(path)
     assert extra["episode"] == 3
     assert arch["hidden"] == 16
+    for name, p in bundle.parameters().items():
+        assert np.array_equal(params[name], p.data)
+
+
+def test_checkpoint_is_the_json_of_its_payload(tmp_path):
+    from cavlab.checkpoint import FORMAT, VERSION
+    bundle = make_policy(NetConfig(hidden=16, heads=2), init_stream(1))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, bundle.parameters(), bundle.architecture(), extra={"episode": 5})
+    payload = {"format": FORMAT, "version": VERSION, "architecture": bundle.architecture(),
+               "params": {name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
+                          for name, p in bundle.parameters().items()},
+               "extra": {"episode": 5}}
+    expected = tmp_path / "dumped.json"
+    with open(expected, "w") as fh:   # the chunked writer gives the same bytes
+        json.dump(payload, fh)
+    assert path.read_text() == json.dumps(payload) == expected.read_text()
+    params, arch, extra = load_checkpoint(path)
+    assert (arch, extra) == (bundle.architecture(), {"episode": 5})
     for name, p in bundle.parameters().items():
         assert np.array_equal(params[name], p.data)
 

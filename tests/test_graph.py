@@ -169,9 +169,9 @@ def test_pair_exactly_at_the_scan_scale_is_an_edge():
     d = 5.533410229158211
     sigma = 4.0
     state = ring_state([0.0, d], [1.0, 3.0])
-    pairs = cav_pairs(state)
-    assert pairs.dist[0, 1] == pairs.dist[1, 0] == d
-    assert pairs.signed[0, 1] == -d and pairs.signed[1, 0] == d
+    pairs = cav_pairs(state, d)
+    assert pairs.i.tolist() == [0] and pairs.j.tolist() == [1] and pairs.dist.tolist() == [d]
+    assert pairs.signed[:, 0].tolist() == [-d, d]
     adj = build_adjacency(state, GaussianSpeedField(KernelSpec(1.0, sigma)), d, pairs)
     assert adj.neighbor_mask[0, 1] and adj.neighbor_mask[1, 0]
     k = math.exp(-d * d / (2 * sigma * sigma))
@@ -179,7 +179,8 @@ def test_pair_exactly_at_the_scan_scale_is_an_edge():
     # the other way around the ring: L - |x_i - x_j|, exactly
     state = ring_state([1.0, 230.0 - d + 1.0], [1.0, 3.0])
     gap = 230.0 - (230.0 - d + 1.0 - 1.0)
-    assert cav_pairs(state).dist[0, 1] == cav_pairs(state).dist[1, 0] == gap
+    assert cav_pairs(state, gap).dist.tolist() == [gap]
+    assert not len(cav_pairs(state, float(np.nextafter(gap, 0.0))).dist)
 
 
 def test_locality_monotone_in_distance():
@@ -197,22 +198,24 @@ def test_locality_monotone_in_distance():
 
 
 def test_degree_normalize_identity():
-    assert np.array_equal(degree_normalize(np.eye(3), np.eye(3, dtype=bool)), np.eye(3))
+    assert np.array_equal(degree_normalize(np.eye(3), np.ones(3, dtype=int)), np.eye(3))
 
 
 def test_degree_normalize_row_scale():
     state = ring_state([0.0, 10.0, 20.0, 100.0], [2.0, 3.0, 4.0, 5.0])
     adj = build_adjacency(state, GaussianSpeedField(), scan_scale=30.0)
     mask = adj.neighbor_mask
-    # agent 1 sees agents 0 and 2 plus itself: degree 3
-    assert mask[1].sum() == 3
-    out = degree_normalize(adj.weights, mask)
+    # agent 1 sees agents 0 and 2 plus itself: degree 3, counted from the pairs
+    degree = cav_pairs(state, 30.0).degree
+    assert degree.tolist() == mask.sum(axis=1).tolist() == [3, 3, 3, 1]
+    out = degree_normalize(adj.weights, degree)
+    assert np.array_equal(out, adj.weights / mask.sum(axis=1, keepdims=True))
     assert np.allclose(out[1], adj.weights[1] / 3.0, atol=1e-15)
     # binary indicator rows normalized by degree sum to 1
-    assert np.allclose(degree_normalize(mask.astype(float), mask).sum(axis=1), 1.0)
+    assert np.allclose(degree_normalize(mask.astype(float), degree).sum(axis=1), 1.0)
     # a (B, N, N) stack normalizes each matrix as it would alone
     stacked = degree_normalize(np.stack([adj.weights, np.eye(4)]),
-                               np.stack([mask, np.eye(4, dtype=bool)]))
+                               np.stack([degree, np.ones(4, dtype=int)]))
     assert np.array_equal(stacked, np.stack([out, np.eye(4)]))
 
 

@@ -276,6 +276,21 @@ def test_heads_zero_is_attention_free():
     assert mean.shape == (2, 3)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"hidden": 0, "heads": 0}, "hidden must be >= 1"),
+    ({"hidden": -8}, "hidden must be >= 1"),
+    ({"heads": -1}, "heads must be >= 0"),
+    ({"hidden": 64, "heads": 7}, "divisible"),
+    ({"activation": "sigmoid"}, "activation must be one of"),
+    ({"obs_dim": 0}, "obs_dim must be >= 1"),
+    ({"action_low": 3.0, "action_high": 3.0}, "action_low=3.0 must be below"),
+    ({"action_low": 1.0, "action_high": -1.0}, "action_low=1.0 must be below"),
+])
+def test_net_config_rejects_degenerate_networks(fields, message):
+    with pytest.raises(InvalidSpec, match=message):
+        NetConfig(**fields)
+
+
 def test_critic_network_shapes():
     net = CriticNetwork(rng(2), NetConfig(hidden=16, heads=2))
     obs, M, Dinv, mask = _toy_inputs()
@@ -504,7 +519,7 @@ def test_edge_graph_conv_matches_dense(data):
     layer = GraphConvLayer(r, 4, 3, activation=data.draw(st.sampled_from(["tanh", "relu"])))
     H = Tensor(r.standard_normal((b, n, 4)), requires_grad=True)
     M = Tensor(r.standard_normal(mask.shape) * mask)
-    Dinv = Tensor(degree_normalize(M.data, mask))
+    Dinv = Tensor(degree_normalize(M.data, mask.sum(-1)))
     (ref_value, ref_grads), (value, grads) = _run_both_kernels(
         mask, lambda edges: layer(H, M, Dinv, edges), [H], [layer.W],
         r.standard_normal((b, n, 3)))
@@ -553,7 +568,7 @@ def test_edge_kernel_backward_matches_finite_differences():
     gconv, attn = GraphConvLayer(r, 3, 4), AttentionLayer(r, 4, heads=2)
     H = Tensor(r.standard_normal((2, 5, 3)), requires_grad=True)
     M = Tensor(r.standard_normal(mask.shape) * mask)
-    Dinv = Tensor(degree_normalize(M.data, mask))
+    Dinv = Tensor(degree_normalize(M.data, mask.sum(-1)))
     inputs, params = [H], [gconv.W, attn.Wq, attn.Wk, attn.Wv, attn.Wo]
     weights = r.standard_normal((2, 5, 4))
 

@@ -240,10 +240,12 @@ def test_ring_distance_wraps():
     state = build_network(RingSpec(length=100.0), 0, 2, seed=0)
     a, b = state.vehicles
     a.route_pos, b.route_pos = 5.0, 95.0
-    pairs = cav_pairs(state)
-    assert pairs.dist[0, 1] == pytest.approx(10.0)
-    assert pairs.signed[0, 1] == pytest.approx(10.0)
+    pairs = cav_pairs(state, 30.0)
+    assert pairs.i.tolist() == [0] and pairs.j.tolist() == [1]
+    assert pairs.dist[0] == pytest.approx(10.0)
+    assert pairs.signed[0, 0] == pytest.approx(10.0)
     assert pairs.signed[1, 0] == pytest.approx(-10.0)
+    assert not len(cav_pairs(state, 9.0).i)
 
 
 def test_figure_eight_cross_loop_distance():
@@ -252,13 +254,15 @@ def test_figure_eight_cross_loop_distance():
     a = next(v for v in state.vehicles if v.route_id == 0)
     b = next(v for v in state.vehicles if v.route_id == 1)
     a.route_pos, b.route_pos = 15.0, 25.0
-    pairs = cav_pairs(state)
-    i, j = pairs.ids.index(a.id), pairs.ids.index(b.id)
+    pairs = cav_pairs(state, 40.0)
+    assert sorted([pairs.i[0], pairs.j[0]]) == sorted(pairs.ids.index(v.id) for v in (a, b))
     # zone mid = 5.0 on both loops: distances 10 and 20 through the zone
-    assert pairs.dist[i, j] == pytest.approx(30.0)
+    assert pairs.dist.tolist() == pytest.approx([30.0])
     # a is closer to the zone, so it counts as ahead of b
-    assert pairs.signed[i, j] == pytest.approx(10.0)
-    assert pairs.signed[i, j] == pytest.approx(-pairs.signed[j, i])
+    a_first = pairs.ids[pairs.i[0]] == a.id
+    assert pairs.signed[0 if a_first else 1, 0] == pytest.approx(10.0)
+    assert pairs.signed[0, 0] == pytest.approx(-pairs.signed[1, 0])
+    assert not len(cav_pairs(state, 29.0).i)
 
 
 # ---------------------------------------------------------------------------

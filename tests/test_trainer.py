@@ -584,6 +584,16 @@ def test_next_obs_is_next_step_observation(merge_episode):
     assert trans[-1].terminal.all()
 
 
+def test_ring_next_obs_is_the_next_observation_bit_for_bit():
+    episode = collect_rollout(small_bundle(), small_env(), small_ppo(horizon=15), 2, None)
+    trans = episode.transitions
+    assert len(trans) == 15
+    for tr, nxt in zip(trans, trans[1:]):
+        assert tr.agent_ids == nxt.agent_ids
+        assert np.array_equal(tr.next_obs, nxt.obs) and not tr.terminal.any()
+    assert trans[-1].terminal.all() and trans[-1].next_obs.any()
+
+
 def test_rollout_observes_each_agent_once_per_step(monkeypatch):
     import cavlab.trainer as trainer_mod
     rows = []
