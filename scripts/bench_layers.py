@@ -11,11 +11,14 @@ reports the median and quartiles, in milliseconds, of
 - `pairs`: the pass over the CAVs that the features share (`sim.cav_pairs`)
   alone, at the same sizes;
 - `step`: one `sim.step` with zero CAV actions, at 22, 88 and 352 vehicles
-  (the state advances from call to call), and on the IDM-only figure-eight
-  and merge of configs/figure_eight.json and configs/merge.json, the
-  scenarios `cavlab baseline` runs: 14 humans on the figure-eight, and the
-  merge after a 600-step warm-up, so that its traffic has spawned (the
-  entry records the vehicle count when timing starts).
+  (the state advances from call to call), on the ring of
+  configs/ring_smoke.json (4 CAVs and 2 humans on 230 m, safety clamp on:
+  `ring_smoke`, the scale the benchmark's training workload steps), and on
+  the IDM-only figure-eight and merge of configs/figure_eight.json and
+  configs/merge.json, the scenarios `cavlab baseline` runs: 14 humans on
+  the figure-eight, and the merge after a 600-step warm-up, so that its
+  traffic has spawned (the entry records the vehicle count when timing
+  starts).
 - `network`: the networks of configs/ring_smoke.json (hidden 64, 8
   heads): the policy forward without a tape, on 64 steps of a ring_smoke
   rollout (`forward_B1_N4`, and `forward_B64_N4` stacking them) and on
@@ -54,14 +57,21 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 FEATURE_CAVS = (4, 16, 64, 256)
 STEP_VEHICLES = (22, 88, 352)
 BASE_CAVS, BASE_HUMANS, BASE_LENGTH = 16, 6, 230.0
+SMOKE_CAVS, SMOKE_HUMANS, SMOKE_LENGTH = 4, 2, 230.0
 TARGET_SPEED = 30.0 / 3.6
 MERGE_WARM_STEPS = 600
 
 
-def ring_state(sim, networks, idm_mod, n_cav: int, seed: int = 0, warm_steps: int = 50):
+def ring_state(sim, networks, idm_mod, n_cav: int, seed: int = 0):
     """A ring at configs/ring.json density after a short warm-up."""
     n_human = n_cav * BASE_HUMANS // BASE_CAVS
     length = BASE_LENGTH * (n_cav + n_human) / (BASE_CAVS + BASE_HUMANS)
+    return warm_ring(sim, networks, idm_mod, length, n_human, n_cav, seed)
+
+
+def warm_ring(sim, networks, idm_mod, length: float, n_human: int, n_cav: int,
+              seed: int = 0, warm_steps: int = 50):
+    """A ring with the safety clamp on, after a short warm-up."""
     state = sim.build_network(networks.RingSpec(length=length), n_human, n_cav, seed,
                               idm=idm_mod.IdmParams(v0=TARGET_SPEED, noise_mag=0.2),
                               options=sim.SimOptions(safety_clamp=True))
@@ -261,6 +271,10 @@ def main() -> None:
         actions = {v.id: 0.0 for v in state.cavs()}   # a ring keeps its CAVs
         out["step"][str(n_vehicles)] = timed(lambda: sim.step(state, actions, 0.1),
                                              args.reps)
+    state = warm_ring(sim, networks, idm, SMOKE_LENGTH, SMOKE_HUMANS, SMOKE_CAVS)
+    actions = {v.id: 0.0 for v in state.cavs()}
+    out["step"]["ring_smoke"] = {**timed(lambda: sim.step(state, actions, 0.1), args.reps),
+                                 "vehicles": len(state.vehicles)}
     for name, state in baseline_states(sim, networks, idm).items():
         vehicles = len(state.vehicles)   # no CAVs: the actions stay empty
         out["step"][name] = {**timed(lambda: sim.step(state, {}, 0.1), args.reps),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -92,8 +93,13 @@ def _load(args) -> tuple[RunConfig, Path, list[int]]:
     return cfg, out, seeds
 
 
-def _write_summary(out: Path, cfg: RunConfig, seeds: list[int], metrics: dict) -> None:
-    payload = {"config_hash": cfg.config_hash(), "seeds": seeds, "metrics": metrics}
+# Read by OpenBLAS, OpenMP and MKL at load time; training time depends on them.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _write_summary(out: Path, cfg: RunConfig, seeds: list[int], metrics: dict,
+                   **extra) -> None:
+    payload = {"config_hash": cfg.config_hash(), "seeds": seeds, "metrics": metrics, **extra}
     with open(out / "run_summary.json", "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -124,7 +130,8 @@ def cmd_train(args) -> int:
     (out / "learning_curve.csv").write_text("\n".join(all_rows) + "\n")
     _write_summary(out, cfg, seeds, {"final_return_by_seed": final_returns,
                                      "unused_agent_transitions_by_seed": unused,
-                                     "lr_halvings_by_seed": halvings})
+                                     "lr_halvings_by_seed": halvings},
+                   blas_threads={var: os.environ.get(var) for var in BLAS_THREAD_VARIABLES})
     print(f"trained {len(seeds)} seed(s); curves in {out / 'learning_curve.csv'}")
     return 0
 

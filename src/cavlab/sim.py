@@ -6,11 +6,16 @@ Kinematics are forward-Euler with a speed floor at zero. All randomness
 flows through the per-state numpy Generator, so identical (spec, seed,
 action sequence) produce bit-identical trajectories.
 
-`step` orders the state twice with `compute_leaders`: before the update
-for the IDM, and after it for the collision check and the CAV headways.
-A figure-eight step summarizes each loop's conflict zone once per state
-(`_zone_summary`: is it occupied, how near is the nearest approach), and
-every yield decision and the zone-collision rule read that summary.
+The `VehicleState` records are the state. `step` gathers them into arrays
+once and orders each state with one sort (`_leader_pass`): before the
+update for the IDM, and after it for the collision check and the CAV
+headways; `compute_leaders` and `detect_collision` use the same pass. The
+IDM, the yield rules (a figure-eight reads one summary of each loop's
+conflict zone: is it occupied, how near is the nearest approach), the
+safety clamp and the kinematics are array expressions that keep the
+per-vehicle rules' operations and their order, so a step reproduces the
+per-vehicle step bit for bit (tests/scalar_sim.py keeps it); the results
+are written back to the records.
 
 CAV features come from one pass per step over the CAVs sorted along their
 route: `cav_pairs` lists the pairs within the scan scale, with their signed
@@ -29,11 +34,12 @@ import enum
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityExceeded, InvalidSpec, UnknownVehicle
-from .idm import IdmParams, accel_from_speed
+from .idm import IdmParams, idm_terms
 from .networks import FigureEightSpec, MergeSpec, RingSpec, RoadNetwork
 
 # Gap fed to the IDM when a (virtual) leader sits numerically on top of the
@@ -103,14 +109,14 @@ class StepInfo:
     accels: np.ndarray
     cav_ids: list[int]
     cav_time_headways: np.ndarray  # aligned to cav_ids, capped at HEADWAY_CAP
+    cav_rows: np.ndarray           # the CAVs' rows in the vehicle arrays, cav_ids order
     collided: bool
     spawned: list[int] = field(default_factory=list)
     exited: list[int] = field(default_factory=list)
 
     @property
     def cav_accels(self) -> np.ndarray:
-        index = {vid: i for i, vid in enumerate(self.vehicle_ids)}
-        return self.accels[[index[c] for c in self.cav_ids]]
+        return self.accels[self.cav_rows]
 
 
 @dataclass
@@ -164,12 +170,6 @@ def merge_effective_pos(net: MergeSpec, v: VehicleState) -> float:
     if v.route_id == 0:
         return v.route_pos
     return net.merge_point - net.ramp_length + v.route_pos
-
-
-def merge_lane(net: MergeSpec, v: VehicleState) -> str:
-    if v.route_id == 1 and v.route_pos < net.ramp_length:
-        return "ramp"
-    return "main"
 
 
 @dataclass
@@ -392,153 +392,167 @@ def _cross_loop_pairs(net: FigureEightSpec, pos, route_len, on_loop1, scan_scale
 
 # ---------------------------------------------------------------------------
 # Leader lookup
+#
+# numpy's maximum and minimum return their second operand when the two are
+# equal (as +0.0 and -0.0 are), Python's max and min their first; so the
+# array code writes Python's max(a, b) as np.maximum(b, a), min likewise.
 
 Leader = tuple[VehicleState | None, float]
 
 
+def _gather(vehicles: list[VehicleState]) -> np.ndarray:
+    """(3, n): route position, speed and route id of each record."""
+    return np.array([[v.route_pos for v in vehicles], [v.speed for v in vehicles],
+                     [v.route_id for v in vehicles]], float)
+
+
+class _LeaderPass(NamedTuple):
+    """One state's vehicles ordered along their driving paths.
+
+    `lead[i]` is the row of vehicle i's physical leader, and `gap[i]` the
+    bumper-to-bumper gap to it; the rows listed in `alone` have no leader,
+    and lead themselves at gap inf. `on1` marks route 1 (None on a ring),
+    `length` is each vehicle's route length (one float when both routes
+    have one), `x` the position along the sort axis (the route position, or
+    the merge effective position), and `ramp` marks the merge vehicles on
+    the ramp lane (None on closed networks).
+    """
+
+    lead: np.ndarray
+    gap: np.ndarray
+    alone: list[int]
+    on1: np.ndarray | None
+    length: np.ndarray | float
+    x: np.ndarray
+    ramp: np.ndarray | None
+
+
+def _leader_pass(state: SimState, pos: np.ndarray, route: np.ndarray,
+                 ids: np.ndarray) -> _LeaderPass:
+    """Physical leader and bumper gap of every vehicle, from one sort.
+
+    Closed networks sort by (route, position, id), and each vehicle follows
+    the next one on its route, the last the first. The merge sorts by
+    (effective position, id): a main-lane vehicle follows the next main-lane
+    vehicle (main traffic has priority and ignores the on-ramp lane), a
+    ramp-lane vehicle the next vehicle of either lane (it yields, following
+    the projection of any lane). Gaps are evaluated as the per-vehicle rules
+    state them, so they are those rules' bits.
+    """
+    net = state.network
+    n = len(pos)
+    if isinstance(net, RingSpec):   # one route
+        on1, length = None, net.length
+    else:
+        on1 = route == 1.0
+        l0, l1 = route_length(state, 0), route_length(state, 1)
+        length = l0 if l0 == l1 else np.where(on1, l1, l0)
+    nxt = np.arange(1, n + 1)       # the leader's place in the sorted order
+    if isinstance(net, MergeSpec):
+        ramp = on1 & (pos < net.ramp_length)
+        x = np.where(on1, (net.merge_point - net.ramp_length) + pos, pos)
+        order = np.lexsort((ids, x))
+        main = np.flatnonzero(~ramp[order])
+        nxt[main[:-1]] = main[1:]
+        # the last of all and the last main-lane vehicle have no leader
+        alone = list({n - 1, *main[-1:].tolist()}) if n else []
+        nxt[alone] = alone
+    else:
+        ramp, x = None, pos
+        order = np.lexsort((ids, pos) if on1 is None else (ids, pos, route))
+        n0 = n if on1 is None else n - np.count_nonzero(on1)    # on route 0, sorted first
+        if n:       # each route closes on itself; a lone vehicle follows itself
+            nxt[-1] = n0
+            nxt[n0 - 1] = 0
+        alone = [k for k, size in ((0, n0), (n0, n - n0)) if size == 1]
+    alone = order[alone].tolist() if alone else alone
+    lead = np.empty(n, np.intp)
+    lead[order] = order[nxt]
+    gap = x[lead] - x
+    if ramp is None:
+        gap = np.remainder(gap, length)
+    gap -= state.options.vehicle_length
+    if alone:
+        gap[alone] = math.inf
+    return _LeaderPass(lead, gap, alone, on1, length, x, ramp)
+
+
 def compute_leaders(state: SimState) -> dict[int, Leader]:
     """Physical leader and bumper-to-bumper gap for every vehicle, one pass."""
-    net = state.network
-    length = state.options.vehicle_length
-    out: dict[int, Leader] = {}
-
-    if isinstance(net, MergeSpec):
-        order = sorted(state.vehicles, key=lambda v: (merge_effective_pos(net, v), v.id))
-        effs = [merge_effective_pos(net, v) for v in order]
-        lanes = [merge_lane(net, v) for v in order]
-        n = len(order)
-        for i, v in enumerate(order):
-            for j in range(i + 1, n):
-                # main traffic has priority and ignores the on-ramp lane;
-                # ramp traffic yields, following the projection of any lane
-                if lanes[i] != "main" or lanes[j] == "main":
-                    out[v.id] = (order[j], effs[j] - effs[i] - length)
-                    break
-            else:
-                out[v.id] = (None, math.inf)
-        return out
-
-    routes = {0} if isinstance(net, RingSpec) else {0, 1}
-    for rid in routes:
-        cars = sorted((v for v in state.vehicles if v.route_id == rid),
-                      key=lambda v: (v.route_pos, v.id))
-        n = len(cars)
-        if n == 1:
-            out[cars[0].id] = (None, math.inf)
-            continue
-        L = route_length(state, rid)
-        for i, v in enumerate(cars):
-            lead = cars[(i + 1) % n]
-            gap = (lead.route_pos - v.route_pos) % L - length
-            out[v.id] = (lead, gap)
-    return out
+    vehicles = state.vehicles
+    pos, _, route = _gather(vehicles)
+    p = _leader_pass(state, pos, route, np.array([v.id for v in vehicles]))
+    return {v.id: (None if j == i else vehicles[j], g)
+            for i, (v, j, g) in enumerate(zip(vehicles, p.lead.tolist(), p.gap.tolist()))}
 
 
-# Per figure-eight loop: (some vehicle is inside the conflict zone, the
-# smallest distance (lo - pos) % L from a vehicle of the loop to the zone)
-ZoneSummary = tuple[tuple[bool, float], tuple[bool, float]]
+def _zones(net: FigureEightSpec, pos: np.ndarray, p: _LeaderPass):
+    """Figure-eight conflict zones: each zone's start on the vehicles' loops,
+    whether each vehicle is inside its loop's zone, and whether some vehicle
+    is inside each loop's zone."""
+    (lo0, hi0), (lo1, hi1) = net.conflict_zone
+    lo = lo0 if lo0 == lo1 else np.where(p.on1, lo1, lo0)
+    hi = hi0 if hi0 == hi1 else np.where(p.on1, hi1, hi0)
+    inside = (lo <= pos) & (pos < hi)
+    on_loop1 = np.count_nonzero(inside & p.on1)
+    return lo, inside, (np.count_nonzero(inside) > on_loop1, on_loop1 > 0)
 
 
-def _zone_summary(state: SimState) -> ZoneSummary:
-    net = state.network
-    inside, nearest = [False, False], [math.inf, math.inf]
-    lengths = (net.loop_length(0), net.loop_length(1))
-    for v in state.vehicles:
-        rid = v.route_id
-        lo, hi = net.conflict_zone[rid]
-        if lo <= v.route_pos < hi:
-            inside[rid] = True
-        nearest[rid] = min(nearest[rid], (lo - v.route_pos) % lengths[rid])
-    return (inside[0], nearest[0]), (inside[1], nearest[1])
+def _yields(state: SimState, pos, speed, p: _LeaderPass, human: np.ndarray):
+    """Which humans yield this step, and each vehicle's distance to where it would stop.
 
-
-def _figure_eight_yield_accel(state: SimState, v: VehicleState,
-                              zones: ZoneSummary) -> float | None:
-    """IDM braking demand against crossing traffic at the conflict zone.
-
-    A vehicle approaching within the yield window gives way to any crossing
-    vehicle that is inside the zone, or approaching and closer to it (ties
-    go to loop 0). Vehicles already inside the zone never yield. `zones`
-    is `_zone_summary(state)`: a crossing vehicle that makes v yield exists
-    iff the nearest one on the other loop does.
+    Figure-eight: a human approaching within the yield window gives way to
+    any crossing vehicle that is inside the zone, or approaching and closer
+    to it (ties go to loop 0); one inside the zone never yields. Within the
+    window, such a vehicle exists iff the other loop's zone is occupied or
+    its nearest approach is closer. Merge: a ramp-lane human within
+    MERGE_YIELD_WINDOW of the ramp end stops there unless the nearest
+    main-lane vehicle level with or behind it (the first in list order
+    among level ones) keeps s0 plus MERGE_YIELD_HEADWAY of its speed behind.
     """
     net = state.network
-    lo, hi = net.conflict_zone[v.route_id]
-    if lo <= v.route_pos < hi:
-        return None
-    dz = (lo - v.route_pos) % net.loop_length(v.route_id)
-    if dz > net.yield_window:
-        return None
-    other_route = 1 - v.route_id
-    inside, nearest = zones[other_route]
-    if not (inside or (nearest <= net.yield_window
-                       and (nearest < dz or (nearest == dz and other_route < v.route_id)))):
-        return None
-    return accel_from_speed(v.speed, max(dz, _MIN_VIRTUAL_GAP), 0.0, state.idm)
-
-
-def _merge_yield_accel(state: SimState, v: VehicleState) -> float | None:
-    """Gap acceptance at the ramp end: stop at the merge if the slot is unsafe."""
-    net = state.network
-    if merge_lane(net, v) != "ramp":
-        return None
-    dist_to_end = net.ramp_length - v.route_pos
-    if dist_to_end > MERGE_YIELD_WINDOW:
-        return None
-    eff = merge_effective_pos(net, v)
-    idm = state.idm
-    follower: VehicleState | None = None
-    follower_eff = -math.inf
-    for w in state.vehicles:
-        if w.id == v.id or merge_lane(net, w) != "main":
-            continue
-        w_eff = merge_effective_pos(net, w)
-        if w_eff <= eff and w_eff > follower_eff:
-            follower, follower_eff = w, w_eff
-    if follower is None:
-        return None
-    rear_gap = eff - follower_eff - state.options.vehicle_length
-    if rear_gap >= idm.s0 + follower.speed * MERGE_YIELD_HEADWAY:
-        return None
-    return accel_from_speed(v.speed, max(dist_to_end, _MIN_VIRTUAL_GAP), 0.0, idm)
-
-
-def human_accel(state: SimState, v: VehicleState, leader: Leader,
-                zones: ZoneSummary | None) -> float:
-    """Deterministic IDM acceleration for a human driver, incl. yield rules.
-
-    `leader` is the vehicle's entry of `compute_leaders(state)`; `zones` is
-    `_zone_summary(state)` on a figure-eight and None elsewhere.
-    """
-    lead, gap = leader
-    if lead is None:
-        a = accel_from_speed(v.speed, 1e9, v.speed, state.idm)
-    else:
-        a = accel_from_speed(v.speed, max(gap, _MIN_VIRTUAL_GAP), lead.speed, state.idm)
-    net = state.network
-    ya = None
     if isinstance(net, FigureEightSpec):
-        ya = _figure_eight_yield_accel(state, v, zones)
-    elif isinstance(net, MergeSpec):
-        ya = _merge_yield_accel(state, v)
-    if ya is not None:
-        a = min(a, ya)
-    return max(a, -HUMAN_DECEL_LIMIT)
+        lo, inside, occupied = _zones(net, pos, p)
+        to_zone = np.remainder(lo - pos, p.length)
+        near0 = np.minimum.reduce(to_zone, where=~p.on1, initial=math.inf)
+        near1 = np.minimum.reduce(to_zone, where=p.on1, initial=math.inf)
+        # crossing traffic goes first if inside its zone, or nearer to it
+        # than the human (a tie goes to loop 0)
+        first_on0 = True if occupied[0] else near0 <= to_zone    # for loop-1 humans
+        first_on1 = True if occupied[1] else near1 < to_zone     # for loop-0 humans
+        crossing = np.where(p.on1, first_on0, first_on1)
+        return human & ~inside & (to_zone <= net.yield_window) & crossing, to_zone
+    to_end = net.ramp_length - pos
+    rows = np.flatnonzero(human & p.ramp & (to_end <= MERGE_YIELD_WINDOW))
+    mains = np.flatnonzero(~p.ramp)
+    yielding = np.zeros(len(pos), bool)
+    if len(rows) and len(mains):
+        mains = mains[np.lexsort((-mains, p.x[mains]))]   # level ones: the first row last
+        k = p.x[mains].searchsorted(p.x[rows], "right") - 1
+        follower = mains[k]
+        rear_gap = p.x[rows] - p.x[follower] - state.options.vehicle_length
+        yielding[rows] = (k >= 0) & ~(rear_gap >= state.idm.s0
+                                      + speed[follower] * MERGE_YIELD_HEADWAY)
+    return yielding, to_end
 
 
-def _interaction_brake(state: SimState, v: VehicleState, leader: Leader) -> float:
-    """IDM braking bound w.r.t. the physical leader, with no free-road term.
+def _collided(state: SimState, pos: np.ndarray, p: _LeaderPass) -> bool:
+    """True iff any bumper gap is non-positive or a figure-eight conflict zone
+    is double-occupied.
 
-    Used by the optional safety clamp: the CAV may accelerate freely but not
-    harder than an IDM driver that ignores its desired-speed preference.
+    The leader gaps are the bumper gaps on closed routes, and on the merge a
+    main-lane vehicle's leader is the next main-lane vehicle; a ramp-lane
+    vehicle's leader may sit on the main lane, so the ramp lane is ordered
+    here.
     """
-    lead, gap = leader
-    if lead is None:
-        return math.inf
-    p = state.idm
-    dv = v.speed - lead.speed
-    s_star = p.s0 + max(0.0, v.speed * p.T + v.speed * dv / (2.0 * math.sqrt(p.a_max * p.b)))
-    return p.a_max * (1.0 - (s_star / max(gap, _MIN_VIRTUAL_GAP)) ** 2)
+    net = state.network
+    if p.ramp is not None:
+        ramp_x = np.sort(p.x[p.ramp])
+        return bool(np.count_nonzero(p.gap[~p.ramp] <= 0) or np.count_nonzero(
+            ramp_x[1:] - ramp_x[:-1] - state.options.vehicle_length <= 0))
+    if np.count_nonzero(p.gap <= 0):
+        return True
+    return isinstance(net, FigureEightSpec) and all(_zones(net, pos, p)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -619,49 +633,26 @@ def build_network(spec: RoadNetwork, n_human: int, n_cav: int, seed: int,
 # Collision detection
 
 
-def _conflicts(state: SimState, leaders: dict[int, Leader]) -> bool:
-    """True iff any bumper gap is non-positive or a figure-eight conflict zone
-    is double-occupied.
-
-    `leaders` is `compute_leaders(state)`. Its gaps are the bumper gaps on
-    closed routes, and on merge a main-lane vehicle's leader is the next
-    main-lane vehicle, so neither needs an ordering of its own here.
-    """
-    net = state.network
-    length = state.options.vehicle_length
-
-    if isinstance(net, MergeSpec):
-        if any(leaders[v.id][1] <= 0 for v in state.vehicles if merge_lane(net, v) == "main"):
-            return True
-        # a ramp vehicle's leader may sit on the main lane: order the ramp here
-        effs = sorted(merge_effective_pos(net, v) for v in state.vehicles
-                      if merge_lane(net, v) == "ramp")
-        return any(b - a - length <= 0 for a, b in zip(effs, effs[1:]))
-
-    if any(gap <= 0 for _, gap in leaders.values()):
-        return True
-    if isinstance(net, FigureEightSpec):
-        (inside0, _), (inside1, _) = _zone_summary(state)
-        return inside0 and inside1
-    return False
-
-
 def detect_collision(state: SimState) -> bool:
     """True iff any bumper gap is non-positive or a conflict zone is double-occupied."""
-    return _conflicts(state, compute_leaders(state))
+    pos, _, route = _gather(state.vehicles)
+    ids = np.array([v.id for v in state.vehicles])
+    return _collided(state, pos, _leader_pass(state, pos, route, ids))
 
 
 # ---------------------------------------------------------------------------
 # Stepping
 
 
-def _draw_noise(state: SimState) -> float:
+def _draw_noise(state: SimState, n: int):
+    """The acceleration noise of n humans, in list order: one vector draw,
+    whose values equal n scalar draws; 0.0, and no draw, at magnitude 0."""
     mag = state.idm.noise_mag
     if mag == 0.0:
         return 0.0
     if state.options.noise_dist == "uniform":
-        return float(state.rng.uniform(-mag, mag))
-    return float(state.rng.normal(0.0, mag))
+        return state.rng.uniform(-mag, mag, n)
+    return state.rng.normal(0.0, mag, n)
 
 
 def _maybe_spawn(state: SimState, spawned: list[int]) -> None:
@@ -692,86 +683,120 @@ def _maybe_spawn(state: SimState, spawned: list[int]) -> None:
         setattr(state, queue, getattr(state, queue) - 1)
 
 
+def _listing(vehicles: list[VehicleState]):
+    """Kinds, ids, CAV rows and CAV ids of the vehicle list."""
+    kinds = [v.kind for v in vehicles]
+    ids = [v.id for v in vehicles]
+    cav_rows = [i for i, kind in enumerate(kinds) if kind is VehicleKind.CAV]
+    return kinds, ids, cav_rows, [ids[i] for i in cav_rows]
+
+
 def step(state: SimState, cav_actions: dict[int, float], dt: float) -> tuple[SimState, StepInfo]:
     """Advance one time step in place; returns the state and a snapshot.
 
     Humans receive IDM + noise; CAVs their commanded acceleration clamped to
-    the actuation bounds (plus the optional safety clamp).
+    the actuation bounds (plus the optional safety clamp). The records are
+    gathered into arrays, each state is ordered once (`_leader_pass`: before
+    the update for the IDM, after it for the collision check and the CAV
+    headways), and the results are written back to the records. Every rule
+    is evaluated as the per-vehicle rule states it, so the results are its
+    bits (tests/scalar_sim.py keeps the per-vehicle step).
     """
     if dt <= 0:
         raise InvalidSpec("dt must be positive")
-    opts = state.options
-    live_cavs = {v.id for v in state.vehicles if v.kind is VehicleKind.CAV}
-    missing = live_cavs - set(cav_actions)
-    if missing:
-        raise InvalidSpec(f"missing actions for CAVs {sorted(missing)}")
-    unknown = set(cav_actions) - live_cavs
-    if unknown:
-        raise UnknownVehicle(f"actions for non-CAV ids {sorted(unknown)}")
-    ids = [v.id for v in state.vehicles]
+    vehicles = state.vehicles
+    kinds, ids, cav_rows, cav_ids = _listing(vehicles)
+    live_cavs = set(cav_ids)
+    if live_cavs != cav_actions.keys():
+        missing = live_cavs - cav_actions.keys()
+        if missing:
+            raise InvalidSpec(f"missing actions for CAVs {sorted(missing)}")
+        raise UnknownVehicle(f"actions for non-CAV ids {sorted(cav_actions.keys() - live_cavs)}")
     if len(set(ids)) != len(ids):
         raise InvalidSpec(f"duplicate vehicle ids in {ids}")
     state.next_id = max(state.next_id, max(ids, default=-1) + 1)  # spawns take fresh ids
 
-    net = state.network
-    closed = not isinstance(net, MergeSpec)
-    lengths = (route_length(state, 0), route_length(state, 1))
-    leaders = compute_leaders(state)
-    zones = _zone_summary(state) if isinstance(net, FigureEightSpec) else None
-    accels: dict[int, float] = {}
-    for v in state.vehicles:  # fixed order keeps the noise stream deterministic
-        if v.kind is VehicleKind.CAV:
-            a = min(max(float(cav_actions[v.id]), opts.cav_accel_min), opts.cav_accel_max)
-            if opts.safety_clamp:
-                a = min(a, _interaction_brake(state, v, leaders[v.id]))
-                a = max(a, -HUMAN_DECEL_LIMIT)
-        else:
-            a = human_accel(state, v, leaders[v.id], zones) + _draw_noise(state)
-            a = max(a, -HUMAN_DECEL_LIMIT)
-        accels[v.id] = a
+    opts, idm, net = state.options, state.idm, state.network
+    pos, speed, route = _gather(vehicles)
+    id_array = np.array(ids)
+    p = _leader_pass(state, pos, route, id_array)
+    cav = np.array(cav_rows, np.intp)
+    human = np.ones(len(ids), bool)
+    human[cav] = False
+    gap = np.maximum(_MIN_VIRTUAL_GAP, p.gap)
+    if p.alone:             # no leader: a free road, "led" at the own speed
+        gap[p.alone] = 1e9
+    lead_speed = speed[p.lead]
+    if isinstance(net, RingSpec):
+        free, interaction = idm_terms(speed, gap, lead_speed, idm)
+        accel = idm.a_max * (1.0 - free - interaction)
+    else:   # row 1: the IDM against a standstill where a yielding human stops
+        yielding, stop = _yields(state, pos, speed, p, human)
+        free, interaction = idm_terms(
+            speed, np.array((gap, np.maximum(_MIN_VIRTUAL_GAP, stop))),
+            np.array((lead_speed, np.zeros(len(ids)))), idm)
+        accel, stopping = idm.a_max * (1.0 - free - interaction)
+        np.minimum(stopping, accel, out=accel, where=yielding)
+        interaction = interaction[0]
+    accel = np.maximum(-HUMAN_DECEL_LIMIT, accel)
+    accel[human] += _draw_noise(state, len(ids) - len(cav_rows))
+    accel = np.maximum(-HUMAN_DECEL_LIMIT, accel)
+    if cav_rows:
+        command = np.fromiter(map(cav_actions.__getitem__, cav_ids), float, len(cav_ids))
+        command = np.minimum(opts.cav_accel_max, np.maximum(opts.cav_accel_min, command))
+        if opts.safety_clamp:   # the IDM's braking term alone, w.r.t. the physical leader
+            brake = idm.a_max * (1.0 - interaction)
+            if p.alone:
+                brake[p.alone] = math.inf
+            command = np.maximum(-HUMAN_DECEL_LIMIT, np.minimum(brake[cav], command))
+        accel[cav] = command
 
-    for v in state.vehicles:
-        a = accels[v.id]
-        v.speed = max(0.0, v.speed + a * dt)
-        v.route_pos += v.speed * dt
-        v.last_accel = a
-        if closed:
-            v.route_pos %= lengths[v.route_id]
-
+    speed = speed + accel * dt
+    speed = np.where(speed > 0.0, speed, 0.0)   # Python's max(0.0, x), NaN included
+    pos = pos + speed * dt
+    closed = p.ramp is None
+    if closed:
+        pos = np.remainder(pos, p.length)
+    for v, x, s, a in zip(vehicles, pos.tolist(), speed.tolist(), accel.tolist()):
+        v.route_pos, v.speed, v.last_accel = x, s, a
     state.time_step += 1
     state.sim_time += dt
 
     spawned: list[int] = []
     exited: list[int] = []
     if not closed:
-        exited = [v.id for v in state.vehicles if v.route_pos >= lengths[v.route_id]]
-        state.vehicles = [v for v in state.vehicles if v.id not in exited]
+        gone = (pos >= p.length).tolist()
+        exited = [vid for vid, out in zip(ids, gone) if out]
+        state.vehicles = [v for v, out in zip(vehicles, gone) if not out]
         _maybe_spawn(state, spawned)
+        if exited or spawned:
+            vehicles = state.vehicles
+            kinds, ids, cav_rows, cav_ids = _listing(vehicles)
+            cav, id_array = np.array(cav_rows, np.intp), np.array(ids)
+            pos, speed, route = _gather(vehicles)
+            accel = np.array([v.last_accel for v in vehicles], float)
 
     # the post-step state is ordered once: collisions and headways share it
-    leaders = compute_leaders(state)
-    if _conflicts(state, leaders):
+    p = _leader_pass(state, pos, route, id_array)
+    if _collided(state, pos, p):
         state.collided = True
-
-    return state, _snapshot(state, leaders, spawned, exited)
-
-
-def _snapshot(state: SimState, leaders: dict[int, Leader], spawned: list[int],
-              exited: list[int]) -> StepInfo:
-    cavs = [v for v in state.vehicles if v.kind is VehicleKind.CAV]
-    gaps = [leaders[v.id][1] for v in cavs]
-    headways = [HEADWAY_CAP if math.isinf(gap) or v.speed <= 0.0
-                else min(gap / v.speed, HEADWAY_CAP) for v, gap in zip(cavs, gaps)]
-    return StepInfo(
+    headway = np.empty(len(cav_rows))
+    headway.fill(HEADWAY_CAP)
+    if cav_rows:    # no leader: the gap inf gives inf, which the cap takes to HEADWAY_CAP
+        cav_speed = speed[cav]
+        np.divide(p.gap[cav], cav_speed, out=headway, where=cav_speed > 0.0)
+        headway = np.minimum(HEADWAY_CAP, headway)
+    return state, StepInfo(
         time_step=state.time_step,
-        vehicle_ids=[v.id for v in state.vehicles],
-        kinds=[v.kind for v in state.vehicles],
-        route_ids=[v.route_id for v in state.vehicles],
-        positions=np.array([v.route_pos for v in state.vehicles]),
-        speeds=np.array([v.speed for v in state.vehicles]),
-        accels=np.array([v.last_accel for v in state.vehicles]),
-        cav_ids=[v.id for v in cavs],
-        cav_time_headways=np.array(headways),
+        vehicle_ids=ids,
+        kinds=kinds,
+        route_ids=[v.route_id for v in vehicles],
+        positions=pos,
+        speeds=speed,
+        accels=accel,
+        cav_ids=cav_ids,
+        cav_time_headways=headway,
+        cav_rows=cav,
         collided=state.collided,
         spawned=spawned,
         exited=exited,

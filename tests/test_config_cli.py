@@ -325,12 +325,18 @@ def test_cli_bad_config_exits_one(tmp_path):
     assert main(["baseline", str(path)]) == 1
 
 
-def test_cli_train_then_eval(tmp_path):
+def test_cli_train_then_eval(tmp_path, monkeypatch):
     cfg_path = smoke_config(tmp_path)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     assert main(["train", str(cfg_path)]) == 0
     out = tmp_path / "out"
     assert (out / "config.json").exists()
-    summary = json.loads((out / "run_summary.json").read_text())["metrics"]
+    written = json.loads((out / "run_summary.json").read_text())
+    assert written["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                       "MKL_NUM_THREADS": None}
+    summary = written["metrics"]
     assert set(summary["unused_agent_transitions_by_seed"]) == set(summary["final_return_by_seed"])
     assert all(isinstance(n, int) and n >= 0
                for n in summary["unused_agent_transitions_by_seed"].values())

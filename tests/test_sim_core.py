@@ -1,8 +1,12 @@
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from cavlab.errors import CapacityExceeded, InvalidSpec, UnknownVehicle
-from cavlab.idm import IdmParams, equilibrium_speed
+from cavlab.idm import IdmParams, accel_from_speed, equilibrium_speed
 from cavlab.networks import FigureEightSpec, MergeSpec, RingSpec
 from cavlab.sim import (
     VehicleKind, build_network, cav_pairs, detect_collision, local_observation,
@@ -123,6 +127,27 @@ def test_equilibrium_persistence():
         state, info = step(state, {}, 0.1)
         worst = max(worst, float(np.max(np.abs(info.speeds - v_e))))
     assert worst < 1e-9
+
+
+def test_equilibrium_speed_is_next_to_the_root():
+    # the bisection runs until no double lies between its bracket's ends: the
+    # residual changes sign between the result and one of its neighbours
+    idm = quiet_idm()
+    for gap in (230.0 / 22.0 - 5.0, 2.0 + 1e-9, 3.0, 40.0, 400.0):
+        v = equilibrium_speed(gap, idm)
+        assert 0.0 < v < idm.v0
+        residual = [accel_from_speed(u, gap, u, idm)
+                    for u in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))]
+        assert residual[0] > 0.0 >= residual[2]
+        assert (residual[0] > 0.0 >= residual[1]) or (residual[1] > 0.0 >= residual[2])
+
+
+def test_import_leaves_scipy_out():
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, cavlab; print('scipy' in sys.modules)"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_no_passing_on_ring():
