@@ -98,8 +98,10 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 
 def _write_summary(out: Path, cfg: RunConfig, seeds: list[int], metrics: dict,
-                   **extra) -> None:
-    payload = {"config_hash": cfg.config_hash(), "seeds": seeds, "metrics": metrics, **extra}
+                   blas_threads: dict | None = None) -> None:
+    payload = {"config_hash": cfg.config_hash(), "seeds": seeds, "metrics": metrics}
+    if blas_threads is not None:    # training runs record their BLAS thread settings
+        payload["blas_threads"] = blas_threads
     with open(out / "run_summary.json", "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -401,9 +401,10 @@ Leader = tuple[VehicleState | None, float]
 
 
 def _gather(vehicles: list[VehicleState]) -> np.ndarray:
-    """(3, n): route position, speed and route id of each record."""
+    """(4, n): route position, speed, route id and id of each record (ids
+    order ties in the leader pass; as floats they are exact below 2**53)."""
     return np.array([[v.route_pos for v in vehicles], [v.speed for v in vehicles],
-                     [v.route_id for v in vehicles]], float)
+                     [v.route_id for v in vehicles], [v.id for v in vehicles]], float)
 
 
 class _LeaderPass(NamedTuple):
@@ -447,27 +448,29 @@ def _leader_pass(state: SimState, pos: np.ndarray, route: np.ndarray,
         on1 = route == 1.0
         l0, l1 = route_length(state, 0), route_length(state, 1)
         length = l0 if l0 == l1 else np.where(on1, l1, l0)
-    nxt = np.arange(1, n + 1)       # the leader's place in the sorted order
+    lead = np.empty(n, np.intp)
     if isinstance(net, MergeSpec):
         ramp = on1 & (pos < net.ramp_length)
         x = np.where(on1, (net.merge_point - net.ramp_length) + pos, pos)
         order = np.lexsort((ids, x))
+        nxt = np.arange(1, n + 1)   # the leader's place in the sorted order
         main = np.flatnonzero(~ramp[order])
         nxt[main[:-1]] = main[1:]
         # the last of all and the last main-lane vehicle have no leader
         alone = list({n - 1, *main[-1:].tolist()}) if n else []
         nxt[alone] = alone
+        lead[order] = order[nxt]
     else:
         ramp, x = None, pos
         order = np.lexsort((ids, pos) if on1 is None else (ids, pos, route))
         n0 = n if on1 is None else n - np.count_nonzero(on1)    # on route 0, sorted first
-        if n:       # each route closes on itself; a lone vehicle follows itself
-            nxt[-1] = n0
-            nxt[n0 - 1] = 0
+        if n:   # each follows the next on its route, the last the first (a lone one itself)
+            lead[order[:-1]] = order[1:]
+            lead[order[n0 - 1]] = order[0]
+            if n0 < n:
+                lead[order[-1]] = order[n0]
         alone = [k for k, size in ((0, n0), (n0, n - n0)) if size == 1]
     alone = order[alone].tolist() if alone else alone
-    lead = np.empty(n, np.intp)
-    lead[order] = order[nxt]
     gap = x[lead] - x
     if ramp is None:
         gap = np.remainder(gap, length)
@@ -480,8 +483,8 @@ def _leader_pass(state: SimState, pos: np.ndarray, route: np.ndarray,
 def compute_leaders(state: SimState) -> dict[int, Leader]:
     """Physical leader and bumper-to-bumper gap for every vehicle, one pass."""
     vehicles = state.vehicles
-    pos, _, route = _gather(vehicles)
-    p = _leader_pass(state, pos, route, np.array([v.id for v in vehicles]))
+    pos, _, route, ids = _gather(vehicles)
+    p = _leader_pass(state, pos, route, ids)
     return {v.id: (None if j == i else vehicles[j], g)
             for i, (v, j, g) in enumerate(zip(vehicles, p.lead.tolist(), p.gap.tolist()))}
 
@@ -635,8 +638,7 @@ def build_network(spec: RoadNetwork, n_human: int, n_cav: int, seed: int,
 
 def detect_collision(state: SimState) -> bool:
     """True iff any bumper gap is non-positive or a conflict zone is double-occupied."""
-    pos, _, route = _gather(state.vehicles)
-    ids = np.array([v.id for v in state.vehicles])
+    pos, _, route, ids = _gather(state.vehicles)
     return _collided(state, pos, _leader_pass(state, pos, route, ids))
 
 
@@ -714,14 +716,15 @@ def step(state: SimState, cav_actions: dict[int, float], dt: float) -> tuple[Sim
         raise UnknownVehicle(f"actions for non-CAV ids {sorted(cav_actions.keys() - live_cavs)}")
     if len(set(ids)) != len(ids):
         raise InvalidSpec(f"duplicate vehicle ids in {ids}")
-    state.next_id = max(state.next_id, max(ids, default=-1) + 1)  # spawns take fresh ids
+    if ids and max(ids) >= state.next_id:   # spawns take fresh ids
+        state.next_id = max(ids) + 1
 
     opts, idm, net = state.options, state.idm, state.network
-    pos, speed, route = _gather(vehicles)
-    id_array = np.array(ids)
+    pos, speed, route, id_array = _gather(vehicles)
     p = _leader_pass(state, pos, route, id_array)
     cav = np.array(cav_rows, np.intp)
-    human = np.ones(len(ids), bool)
+    human = np.empty(len(ids), bool)
+    human.fill(True)
     human[cav] = False
     gap = np.maximum(_MIN_VIRTUAL_GAP, p.gap)
     if p.alone:             # no leader: a free road, "led" at the own speed
@@ -738,9 +741,9 @@ def step(state: SimState, cav_actions: dict[int, float], dt: float) -> tuple[Sim
         accel, stopping = idm.a_max * (1.0 - free - interaction)
         np.minimum(stopping, accel, out=accel, where=yielding)
         interaction = interaction[0]
-    accel = np.maximum(-HUMAN_DECEL_LIMIT, accel)
+    np.maximum(-HUMAN_DECEL_LIMIT, accel, out=accel)
     accel[human] += _draw_noise(state, len(ids) - len(cav_rows))
-    accel = np.maximum(-HUMAN_DECEL_LIMIT, accel)
+    np.maximum(-HUMAN_DECEL_LIMIT, accel, out=accel)
     if cav_rows:
         command = np.fromiter(map(cav_actions.__getitem__, cav_ids), float, len(cav_ids))
         command = np.minimum(opts.cav_accel_max, np.maximum(opts.cav_accel_min, command))
@@ -752,7 +755,8 @@ def step(state: SimState, cav_actions: dict[int, float], dt: float) -> tuple[Sim
         accel[cav] = command
 
     speed = speed + accel * dt
-    speed = np.where(speed > 0.0, speed, 0.0)   # Python's max(0.0, x), NaN included
+    # Python's max(0.0, x): fmax takes NaN to 0.0, and adding 0.0 takes -0.0 to 0.0
+    speed = np.fmax(speed, 0.0) + 0.0
     pos = pos + speed * dt
     closed = p.ramp is None
     if closed:
@@ -772,20 +776,21 @@ def step(state: SimState, cav_actions: dict[int, float], dt: float) -> tuple[Sim
         if exited or spawned:
             vehicles = state.vehicles
             kinds, ids, cav_rows, cav_ids = _listing(vehicles)
-            cav, id_array = np.array(cav_rows, np.intp), np.array(ids)
-            pos, speed, route = _gather(vehicles)
+            cav = np.array(cav_rows, np.intp)
+            pos, speed, route, id_array = _gather(vehicles)
             accel = np.array([v.last_accel for v in vehicles], float)
 
     # the post-step state is ordered once: collisions and headways share it
     p = _leader_pass(state, pos, route, id_array)
     if _collided(state, pos, p):
         state.collided = True
-    headway = np.empty(len(cav_rows))
+    # no leader: the gap inf gives inf, which the cap takes to HEADWAY_CAP; at
+    # a subnormal speed the quotient may overflow to +-inf, silently as in Python
+    headway = np.empty(len(pos))
     headway.fill(HEADWAY_CAP)
-    if cav_rows:    # no leader: the gap inf gives inf, which the cap takes to HEADWAY_CAP
-        cav_speed = speed[cav]
-        np.divide(p.gap[cav], cav_speed, out=headway, where=cav_speed > 0.0)
-        headway = np.minimum(HEADWAY_CAP, headway)
+    with np.errstate(over="ignore"):
+        np.divide(p.gap, speed, out=headway, where=speed > 0.0)
+    headway = np.minimum(HEADWAY_CAP, headway[cav])
     return state, StepInfo(
         time_step=state.time_step,
         vehicle_ids=ids,

@@ -3,6 +3,7 @@ merge yields on hand-built states, and the array step against the
 per-vehicle step and scans in `scalar_sim` (bit for bit) on drawn and
 driven states."""
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from cavlab.idm import IdmParams, accel_from_speed
 from cavlab.networks import FigureEightSpec, MergeSpec, RingSpec
 from cavlab.sim import (HUMAN_DECEL_LIMIT, SimOptions, VehicleKind, VehicleState,
                         build_network, detect_collision, step)
+
+# the step's numpy arithmetic must not warn where Python's float arithmetic is silent
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 QUIET = IdmParams(noise_mag=0.0)
 
@@ -147,19 +151,31 @@ def test_merge_follower_among_level_vehicles_is_the_first_listed():
     assert decisions == [False, True]
 
 
-def test_signed_zeros_follow_the_scalar_rules():
-    # a CAV at -0.0 m/s commanding -0.0 m/s^2, its leader's bumper exactly s0
-    # ahead: the clamp's braking bound is +0.0, and Python's min and max keep
-    # their first operand on a tie
-    for clamp in (False, True):
-        state = hand_state(RingSpec(), [(0, 0.0, -0.0), (0, 7.0, 0.0)],
-                           [VehicleKind.CAV, VehicleKind.HUMAN])
-        state.options = SimOptions(safety_clamp=clamp)
-        oracle = copy.deepcopy(state)
-        state, info = step(state, {0: -0.0}, 0.1)
-        oracle, expected = scalar.step(oracle, {0: -0.0}, 0.1)
-        assert_same_step(state, oracle, info, expected)
-        assert bits([info.accels[0]]) == bits([-0.0])
+@pytest.mark.parametrize("clamp, speed, leader_pos, command, field, value", [
+    # the leader's bumper exactly s0 ahead: the clamp's braking bound is
+    # +0.0, and Python's min and max keep their first operand on a tie
+    (False, -0.0, 7.0, -0.0, "accels", -0.0),
+    (True, -0.0, 7.0, -0.0, "accels", -0.0),
+    # a NaN command passes both clamps, and Python's max(0.0, nan) is 0.0
+    (False, 5.0, 50.0, math.nan, "speeds", 0.0),
+    (True, 5.0, 50.0, math.nan, "speeds", 0.0),
+    # the gap over a subnormal speed overflows to +inf (capped), and to -inf
+    # behind an overlapping leader; a numpy warning fails the module
+    (False, 1e-310, 50.0, 0.0, "cav_time_headways", sim.HEADWAY_CAP),
+    (False, 1e-310, 3.0, 0.0, "cav_time_headways", -math.inf),
+], ids=["signed-zeros", "signed-zeros-clamp", "nan-command", "nan-command-clamp",
+        "subnormal-speed", "subnormal-speed-overlap"])
+def test_edge_values_follow_the_scalar_rules(clamp, speed, leader_pos, command, field, value):
+    """A CAV at `speed` commanding `command` behind a human at `leader_pos`
+    steps as the per-vehicle step does; `field`'s first entry is `value`."""
+    state = hand_state(RingSpec(), [(0, 0.0, speed), (0, leader_pos, 0.0)],
+                       [VehicleKind.CAV, VehicleKind.HUMAN])
+    state.options = SimOptions(safety_clamp=clamp)
+    oracle = copy.deepcopy(state)
+    state, info = step(state, {0: command}, 0.1)
+    oracle, expected = scalar.step(oracle, {0: command}, 0.1)
+    assert_same_step(state, oracle, info, expected)
+    assert bits(getattr(info, field)[:1]) == bits([value])
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +219,15 @@ def grid_positions(length, marks):
                      st.sampled_from([m for m in marks if 0.0 <= m < length]))
 
 
-# A speed below about 1e-306 m/s overflows the CAV headway division (gap /
-# speed): the headway is capped as the scalar rule caps it, but numpy warns.
-# Such speeds come only from hand-built states, so speeds and commands are
-# drawn at 0 or at least 1e-12 in magnitude.
 def speeds():
-    return st.one_of(st.floats(1e-12, 15), st.sampled_from([0.0, -0.0]))
+    """Any speed in [0, 15] m/s, subnormals included, and -0.0."""
+    return st.one_of(st.floats(0.0, 15.0), st.just(-0.0))
 
 
 def commands():
-    return st.one_of(st.floats(-4.0, -1e-12), st.floats(1e-12, 4.0), st.sampled_from([0.0, -0.0]))
+    """Any command in [-4, 4] m/s^2 (past the actuation bounds), subnormals
+    included, and -0.0."""
+    return st.one_of(st.floats(-4.0, 4.0), st.just(-0.0))
 
 
 def bits(values):
