@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .evaluate import (SWEEP_VARIABLES, EvalReport, SweepSpec, decentralization_
 from .graph import adjacency_csv_rows
 from .layers import NetConfig
 from .sim import export_trajectory_csv, vehicle_table_rows
-from .trainer import PolicyBundle, make_policy, init_stream, train
+from .trainer import PolicyBundle, blas_threads, init_stream, make_policy, train
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,10 +92,6 @@ def _load(args) -> tuple[RunConfig, Path, list[int]]:
     return cfg, out, seeds
 
 
-# Read by OpenBLAS, OpenMP and MKL at load time; training time depends on them.
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _write_summary(out: Path, cfg: RunConfig, seeds: list[int], metrics: dict,
                    blas_threads: dict | None = None) -> None:
     payload = {"config_hash": cfg.config_hash(), "seeds": seeds, "metrics": metrics}
@@ -133,7 +128,7 @@ def cmd_train(args) -> int:
     _write_summary(out, cfg, seeds, {"final_return_by_seed": final_returns,
                                      "unused_agent_transitions_by_seed": unused,
                                      "lr_halvings_by_seed": halvings},
-                   blas_threads={var: os.environ.get(var) for var in BLAS_THREAD_VARIABLES})
+                   blas_threads=blas_threads())
     print(f"trained {len(seeds)} seed(s); curves in {out / 'learning_curve.csv'}")
     return 0
 

@@ -42,6 +42,12 @@ class NanGradient(CavlabError):
     """A backward pass or parameter update produced NaN/Inf."""
 
 
+class UpdateProcessLost(CavlabError):
+    """The process that ran the actor update beside the critic update exited
+    without handing back a result; the message names the master seed, the
+    update index and the exit status."""
+
+
 class IncompatibleCheckpoint(CavlabError):
     """Checkpoint architecture does not match the requested network."""
 

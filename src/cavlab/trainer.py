@@ -16,14 +16,30 @@ reward-to-go, so episodes are kept whole), then the buffer is cleared, so a
 transition feeds at most one update round. Episodes collected after the last
 update that do not fill a batch are never updated on;
 `TrainResult.unused_agent_transitions` counts their agent-transitions.
+An update lays its transitions out once; each minibatch is a slice of that
+layout (`PaddedBatch.take`), trimmed to the minibatch's own N_max.
+
+The critic and actor updates of a round are independent. The advantages
+come from the critic before its update and are normalised before either
+update starts; each update has its own network, optimiser and minibatch
+stream. So the actor update may run in a forked process beside the critic
+update, which stays in this process (`updates_overlap` says when). The
+child hands back its initial objective, the actor's parameters and the
+whole state of its NaN guard, so the result is bit-identical to running
+the two in order, which is what happens when they do not overlap.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import threading
+import traceback
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidSpec, NanGradient, NonFiniteAction, NonFiniteValue
+from .errors import (InvalidSpec, NanGradient, NonFiniteAction, NonFiniteValue,
+                     UpdateProcessLost)
 from .graph import AdjacencyScheme, build_adjacency, degree_normalize
 from .idm import IdmParams
 from .layers import Adam, CriticNetwork, NetConfig, PolicyNetwork
@@ -322,6 +338,20 @@ class PaddedBatch:
         on this layout (`self` is `PaddedBatch.of(trans)`)."""
         return replace(self, obs=_pad([tr.next_obs for tr in trans], self.agents))
 
+    def take(self, rows: list[int], *columns: np.ndarray) -> tuple:
+        """The batch of transitions `rows`, trimmed to their own N_max, then
+        the same rows of each padded (B, N_max) column.
+
+        Equal, in shape, dtype and value, to `PaddedBatch.of` and `rows` of
+        those transitions: past its own agent count a row holds padding
+        either way.
+        """
+        n = int(self.agents[rows].sum(axis=1).max())
+        sub = PaddedBatch(obs=self.obs[rows, :n], weights=self.weights[rows, :n, :n],
+                          mask=self.mask[rows, :n, :n], agents=self.agents[rows, :n],
+                          dinv_m=self.dinv_m[rows, :n, :n])
+        return (sub, *(column[rows, :n] for column in columns))
+
     def inputs(self) -> tuple:
         """Network inputs (obs, M, D^-1 M, mask)."""
         return Tensor(self.obs), Tensor(self.weights), Tensor(self.dinv_m), self.mask
@@ -381,6 +411,11 @@ def td_targets(critic: CriticNetwork, trans: list[Transition], gamma: float,
             for k, tr in enumerate(trans)]
 
 
+def _td_loss(critic: CriticNetwork, batch: PaddedBatch, targets: np.ndarray) -> Tensor:
+    v = critic.values(*batch.inputs())
+    return ((v - Tensor(targets)) ** 2 * batch.agents).sum()
+
+
 def critic_loss_given_targets(critic: CriticNetwork, trans: list[Transition],
                               targets: list[np.ndarray],
                               batch: PaddedBatch | None = None) -> Tensor:
@@ -388,8 +423,24 @@ def critic_loss_given_targets(critic: CriticNetwork, trans: list[Transition],
     `batch`, when given, is `PaddedBatch.of(trans)` built already."""
     if batch is None:
         batch = PaddedBatch.of(trans)
-    v = critic.values(*batch.inputs())
-    return ((v - Tensor(batch.rows(targets))) ** 2 * batch.agents).sum()
+    return _td_loss(critic, batch, batch.rows(targets))
+
+
+def _clipped_surrogate(actor: PolicyNetwork, batch: PaddedBatch, actions: np.ndarray,
+                       logp_old: np.ndarray, advantages: np.ndarray, clip: float) -> Tensor:
+    mean = actor.action_mean(*batch.inputs())
+    logp_new = actor.log_prob(Tensor(actions), mean)
+    ratio = (logp_new - Tensor(logp_old)).exp()
+    adv = Tensor(advantages)   # zero on padded rows
+    surr = (ratio * adv).minimum(ratio.clip(1.0 - clip, 1.0 + clip) * adv)
+    return (surr * batch.agents).sum()
+
+
+def _surrogate_columns(trans: list[Transition], advantages: list[np.ndarray],
+                       batch: PaddedBatch) -> tuple:
+    """Actions, rollout log-densities and advantages, padded to `batch`."""
+    return (batch.rows([tr.actions for tr in trans]),
+            batch.rows([tr.logp_old for tr in trans]), batch.rows(advantages))
 
 
 def surrogate_objective(actor: PolicyNetwork, trans: list[Transition],
@@ -399,12 +450,8 @@ def surrogate_objective(actor: PolicyNetwork, trans: list[Transition],
     `batch`, when given, is `PaddedBatch.of(trans)` built already."""
     if batch is None:
         batch = PaddedBatch.of(trans)
-    mean = actor.action_mean(*batch.inputs())
-    logp_new = actor.log_prob(Tensor(batch.rows([tr.actions for tr in trans])), mean)
-    ratio = (logp_new - Tensor(batch.rows([tr.logp_old for tr in trans]))).exp()
-    adv = Tensor(batch.rows(advantages))   # zero on padded rows
-    surr = (ratio * adv).minimum(ratio.clip(1.0 - clip, 1.0 + clip) * adv)
-    return (surr * batch.agents).sum()
+    return _clipped_surrogate(actor, batch, *_surrogate_columns(trans, advantages, batch),
+                              clip)
 
 
 def _params_finite(params: dict[str, Tensor]) -> bool:
@@ -455,6 +502,22 @@ class _GuardedOptimizer:
         raise NanGradient(
             f"update still non-finite after {self.max_halvings} step-size halvings")
 
+    def state(self) -> dict:
+        """All that a batch of passes changes: the parameters' values and
+        gradients, Adam's state, and the guard's own attributes (`halvings`,
+        and any that a subclass sets)."""
+        return {"params": {k: (p.data, p.grad) for k, p in self.params.items()},
+                "adam": self.opt.state_dict(),
+                "guard": {k: v for k, v in vars(self).items() if k not in ("params", "opt")}}
+
+    def load(self, state: dict) -> None:
+        """Take on a `state()`, as taken from a copy of this guard."""
+        for k, (data, grad) in state["params"].items():
+            self.params[k].data[...] = data
+            self.params[k].grad = grad
+        self.opt.load_state_dict(state["adam"])
+        vars(self).update(state["guard"])
+
 
 def _minibatches(trans: list[Transition], size: int,
                  rng: np.random.Generator) -> list[list[int]]:
@@ -480,27 +543,24 @@ def critic_update(trans: list[Transition], critic: CriticNetwork,
     """Minibatched TD passes; returns the full-batch loss at the start.
 
     The initial loss and epoch 0 share one set of targets: both see the
-    starting parameters, which a NaN-guard retry restores. The full-batch
-    passes share one layout of `trans` (`batch`, built here when omitted)
-    and of their next observations.
+    starting parameters, which a NaN-guard retry restores. All passes share
+    one layout of `trans` (`batch`, built here when omitted) and of their
+    next observations; minibatches are slices of it.
     """
     if batch is None:
         batch = PaddedBatch.of(trans)
     next_batch = batch.with_next_obs(trans)
-    start_targets = td_targets(critic, trans, ppo.gamma, next_batch)
-    initial = critic_loss_given_targets(critic, trans, start_targets, batch).data
+    start_targets = batch.rows(td_targets(critic, trans, ppo.gamma, next_batch))
+    initial = _td_loss(critic, batch, start_targets).data
     check_finite(initial, "the initial critic loss")
 
     def passes(scale: float) -> None:
         for epoch in range(ppo.epochs):
             targets = (start_targets if epoch == 0
-                       else td_targets(critic, trans, ppo.gamma, next_batch))
+                       else batch.rows(td_targets(critic, trans, ppo.gamma, next_batch)))
             for chunk in _minibatches(trans, ppo.minibatch_size, rng):
-                subset = [trans[i] for i in chunk]
-                sub_targets = [targets[i] for i in chunk]
-                guard.minibatch_step(
-                    lambda: critic_loss_given_targets(critic, subset, sub_targets),
-                    scale)
+                sub, sub_targets = batch.take(chunk, targets)
+                guard.minibatch_step(lambda: _td_loss(critic, sub, sub_targets), scale)
 
     guard.run(passes)
     return float(initial)
@@ -511,18 +571,19 @@ def actor_update(trans: list[Transition], advantages: list[np.ndarray],
                  rng: np.random.Generator, batch: PaddedBatch | None = None) -> float:
     """Minibatched ascent on the clipped surrogate; returns the initial
     objective, taken on `batch` (`PaddedBatch.of(trans)`, built here when
-    omitted)."""
-    initial = surrogate_objective(actor, trans, advantages, ppo.clip, batch).data
+    omitted), which the minibatches slice."""
+    if batch is None:
+        batch = PaddedBatch.of(trans)
+    columns = _surrogate_columns(trans, advantages, batch)
+    initial = _clipped_surrogate(actor, batch, *columns, ppo.clip).data
     check_finite(initial, "the initial surrogate objective")
 
     def passes(scale: float) -> None:
         for _ in range(ppo.epochs):
             for chunk in _minibatches(trans, ppo.minibatch_size, rng):
-                subset = [trans[i] for i in chunk]
-                sub_adv = [advantages[i] for i in chunk]
+                sub, *sub_columns = batch.take(chunk, *columns)
                 guard.minibatch_step(
-                    lambda: -surrogate_objective(actor, subset, sub_adv, ppo.clip),
-                    scale)
+                    lambda: -_clipped_surrogate(actor, sub, *sub_columns, ppo.clip), scale)
 
     guard.run(passes)
     return float(initial)
@@ -535,6 +596,109 @@ def normalize_advantages(advantages: list[np.ndarray]) -> list[np.ndarray]:
     if sd < 1e-12:
         return [a - mu for a in advantages]
     return [(a - mu) / sd for a in advantages]
+
+
+# ---------------------------------------------------------------------------
+# The actor update beside the critic update
+
+# Read by OpenBLAS, OpenMP and MKL at load time; training time depends on them.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_threads() -> dict[str, str | None]:
+    """The BLAS thread variables as set in the environment (None: unset)."""
+    return {var: os.environ.get(var) for var in BLAS_THREAD_VARIABLES}
+
+
+def updates_overlap() -> bool:
+    """Whether `train` runs the actor update in a forked child beside the
+    critic update.
+
+    Only when that can be safe and faster: `os.fork` exists; the process may
+    run on at least 2 CPUs; no other Python thread is running (a fork copies
+    only the calling thread, and a lock another thread holds would stay
+    held in the child); and BLAS is pinned to one thread
+    (`OPENBLAS_NUM_THREADS` is 1, or it is unset and `OMP_NUM_THREADS` is
+    1). Two processes that each spin two BLAS threads on 2 cores run slower
+    than one update after the other.
+    """
+    threads = blas_threads()
+    openblas = threads["OPENBLAS_NUM_THREADS"]
+    pinned = openblas == "1" or (openblas is None and threads["OMP_NUM_THREADS"] == "1")
+    return (pinned and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _beside(child_fn, parent_fn, context: str) -> tuple:
+    """(parent_fn(), child_fn()), with child_fn run in a forked process.
+
+    The child pickles its result, or its exception, into a pipe and exits;
+    the exception re-raises here with its type and message. A child that
+    exits without a result raises UpdateProcessLost, prefixed by `context`.
+    No child outlives the call.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = (True, child_fn())
+            except Exception as exc:
+                exc.add_note(f"raised in the actor-update process:\n{traceback.format_exc()}")
+                payload = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(payload, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    reader = os.fdopen(read_fd, "rb")
+    try:
+        mine = parent_fn()
+        data = reader.read()
+    finally:
+        reader.close()   # first: a child blocked writing its result then fails and exits
+        _, wait_status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(wait_status)
+    if code != 0:
+        raise UpdateProcessLost(
+            f"{context}: the actor-update process exited with status {code} and no result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return mine, value
+
+
+def _update_round(trans: list[Transition], advantages: list[np.ndarray],
+                  bundle: PolicyBundle, critic_guard: _GuardedOptimizer,
+                  actor_guard: _GuardedOptimizer, ppo: PpoConfig, master_seed: int,
+                  update_idx: int) -> tuple[float, float]:
+    """The critic update, then the actor update, on one layout of `trans`:
+    (initial critic loss, initial actor objective). The actor update runs in
+    a child process beside the critic's when `updates_overlap()`."""
+    critic_rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(3, update_idx)))
+    actor_rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=(4, update_idx)))
+    if ppo.normalize_advantages:
+        advantages = normalize_advantages(advantages)
+    batch = PaddedBatch.of(trans)
+
+    def critic() -> float:
+        return critic_update(trans, bundle.critic, critic_guard, ppo, critic_rng, batch)
+
+    def actor() -> float:
+        return actor_update(trans, advantages, bundle.actor, actor_guard, ppo, actor_rng,
+                            batch)
+
+    if not updates_overlap():
+        return critic(), actor()
+    loss, (objective, state) = _beside(lambda: (actor(), actor_guard.state()), critic,
+                                       f"master seed {master_seed}, update {update_idx}")
+    actor_guard.load(state)
+    return loss, objective
 
 
 # ---------------------------------------------------------------------------
@@ -623,19 +787,11 @@ def train(env: EnvSpec, ppo: PpoConfig, net_cfg: NetConfig, master_seed: int,
                 advantages.extend(compute_advantages(epi, bundle.critic, ppo))
                 trans.extend(epi.transitions)
             if trans:
-                update_idx = len(critic_losses)
-                critic_rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=master_seed, spawn_key=(3, update_idx)))
-                actor_rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=master_seed, spawn_key=(4, update_idx)))
-                batch = PaddedBatch.of(trans)
-                critic_losses.append(critic_update(trans, bundle.critic, critic_guard, ppo,
-                                                   critic_rng, batch))
-                if ppo.normalize_advantages:
-                    advantages = normalize_advantages(advantages)
-                actor_objectives.append(
-                    actor_update(trans, advantages, bundle.actor, actor_guard, ppo,
-                                 actor_rng, batch))
+                loss, objective = _update_round(trans, advantages, bundle, critic_guard,
+                                                actor_guard, ppo, master_seed,
+                                                len(critic_losses))
+                critic_losses.append(loss)
+                actor_objectives.append(objective)
             buffer.clear()
             buffered = 0
 

@@ -1,11 +1,17 @@
 import math
+import os
+import signal
+import threading
+import time
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cavlab.graph import GaussianSpeedField
 from cavlab import trainer as trainer_module
-from cavlab.errors import NonFiniteAction, NonFiniteValue
+from cavlab.errors import NanGradient, NonFiniteAction, NonFiniteValue, UpdateProcessLost
 from cavlab.idm import IdmParams
 from cavlab.layers import CriticNetwork, NetConfig
 from cavlab.networks import RingSpec
@@ -44,6 +50,33 @@ def small_ppo(**kw):
 
 def small_bundle(seed=0, heads=2, hidden=16):
     return make_policy(NetConfig(hidden=hidden, heads=heads), init_stream(seed))
+
+
+def force_overlap(monkeypatch, on: bool):
+    """Make `train` run the actor update beside the critic's (BLAS pinned,
+    2 CPUs) or after it (BLAS unpinned)."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1" if on else "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert trainer_module.updates_overlap() is on
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """The pids of the children forked from now on."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +340,16 @@ def test_train_counts_nan_guard_halvings(monkeypatch):
     env = small_env()
     ppo = small_ppo(horizon=20, episodes=2, batch_size=80, epochs=1)
     net = NetConfig(hidden=16, heads=2)
-    assert train(env, ppo, net, master_seed=3).lr_halvings == {"actor": 0, "critic": 0}
-    # each guard rejects its first batch once and retries at half the step
-    monkeypatch.setattr(trainer_module, "_GuardedOptimizer", _FailingOnceGuard)
-    result = train(env, ppo, net, master_seed=3)
-    assert len(result.critic_losses) == 2
-    assert result.lr_halvings == {"actor": 1, "critic": 1}
+    guard = trainer_module._GuardedOptimizer
+    for overlap in (False, True):   # the actor update in this process, then beside
+        force_overlap(monkeypatch, overlap)
+        monkeypatch.setattr(trainer_module, "_GuardedOptimizer", guard)
+        assert train(env, ppo, net, master_seed=3).lr_halvings == {"actor": 0, "critic": 0}
+        # each guard rejects its first batch once and retries at half the step
+        monkeypatch.setattr(trainer_module, "_GuardedOptimizer", _FailingOnceGuard)
+        result = train(env, ppo, net, master_seed=3)
+        assert len(result.critic_losses) == 2
+        assert result.lr_halvings == {"actor": 1, "critic": 1}
 
 
 def _critic_update_with_fresh_targets(trans, critic, guard, ppo, rng):
@@ -445,9 +482,9 @@ def test_one_full_batch_layout_per_update(monkeypatch):
     assert len(result.critic_losses) == 1
     lengths = [r.length for r in result.records]
     assert lengths == [25, 25]
-    assert built[:2] == lengths                  # one advantage pass per episode
-    assert built.count(sum(lengths)) == 1        # one full-batch layout
-    assert max(built[3:]) == 10                  # the rest are minibatches
+    # one advantage pass per episode, one full-batch layout, and no minibatch
+    # builds a layout of its own: each is a slice of the full batch
+    assert built == lengths + [sum(lengths)]
 
 
 def test_non_finite_critic_values_raise():
@@ -676,6 +713,39 @@ def test_padded_batch_matches_per_transition_passes(merge_episode):
             np.testing.assert_allclose(grads[k], summed[k], rtol=1e-9, atol=1e-12)
 
 
+def test_minibatch_slices_equal_their_own_layouts():
+    # a configs/merge.json episode holds 1 to 4 agents per step: each
+    # minibatch's slice of the update's layout, trimmed to its own N_max, is
+    # the layout PaddedBatch.of builds for it, in shape, dtype and value
+    from cavlab.config import parse_config
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "merge.json")
+    ppo = cfg.ppo_config()
+    bundle = make_policy(cfg.net_config(), init_stream(0))
+    trans = collect_rollout(bundle, cfg.env_spec(), ppo, *episode_streams(0, 0)).transitions
+    assert len({len(tr.agent_ids) for tr in trans}) > 2
+    full = PaddedBatch.of(trans)
+    full_next = full.with_next_obs(trans)
+    advs = [np.linspace(-1.0, 1.0, len(tr.agent_ids)) for tr in trans]
+    columns = (full.rows(advs), full.rows([tr.actions for tr in trans]))
+    trimmed = 0
+    for size in (16, ppo.minibatch_size):
+        for chunk in trainer_module._minibatches(trans, size, np.random.default_rng(size)):
+            subset = [trans[i] for i in chunk]
+            sub, sub_advs, sub_actions = full.take(chunk, *columns)
+            built = PaddedBatch.of(subset)
+            pairs = [(sub, built), (full_next.take(chunk)[0], built.with_next_obs(subset))]
+            for taken, own in pairs:
+                for name in ("obs", "weights", "mask", "agents", "dinv_m"):
+                    a, b = getattr(taken, name), getattr(own, name)
+                    assert a.shape == b.shape and a.dtype == b.dtype, name
+                    assert a.flags.c_contiguous and np.array_equal(a, b), name
+            for taken, own in ((sub_advs, built.rows([advs[i] for i in chunk])),
+                               (sub_actions, built.rows([tr.actions for tr in subset]))):
+                assert taken.shape == own.shape and np.array_equal(taken, own)
+            trimmed += sub.agents.shape[1] < full.agents.shape[1]
+    assert trimmed > 0
+
+
 # ---------------------------------------------------------------------------
 # advantage normalization and the training loop
 
@@ -758,3 +828,161 @@ def test_checkpoint_resume_bit_identical_rollout(tmp_path):
     # compare against the continuous run's episode-2 record
     assert episode.episode_return == continuous.records[2].episode_return
     assert episode.mean_speed == continuous.records[2].mean_speed
+
+
+# ---------------------------------------------------------------------------
+# the actor update beside the critic update
+
+
+def short_ring_smoke():
+    """configs/ring_smoke.json, short: three updates of two epochs."""
+    from cavlab.config import parse_config
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "ring_smoke.json")
+    ppo = PpoConfig(gamma=cfg.ppo.gamma, horizon=60, episodes=3, batch_size=200, epochs=2,
+                    minibatch_size=64)
+    return cfg.env_spec(), ppo, cfg.net_config()
+
+
+def short_merge():
+    """The short merge, whose agent count varies: two updates of two epochs."""
+    env, ppo = short_merge_env()
+    ppo = PpoConfig(gamma=ppo.gamma, horizon=150, episodes=2, batch_size=100, epochs=2,
+                    minibatch_size=48)
+    return env, ppo, NetConfig(hidden=16, heads=2)
+
+
+def _actor_fails_once(params, lr, max_halvings):
+    """`train`'s guards, but the actor's rejects its first batch once."""
+    actor = next(iter(params)).startswith("actor.")
+    guard = _FailingOnceGuard if actor else _FailingOnceGuard.__base__
+    return guard(params, lr, max_halvings)
+
+
+@pytest.mark.parametrize("retry", [False, True], ids=["plain", "actor_retry"])
+@pytest.mark.parametrize("scenario", [short_ring_smoke, short_merge],
+                         ids=["ring_smoke", "merge"])
+def test_overlapped_updates_are_bit_identical(monkeypatch, scenario, retry):
+    env, ppo, net = scenario()
+    if retry:
+        guards = []
+
+        def spied(*args):
+            guards.append(_actor_fails_once(*args))
+            return guards[-1]
+
+        monkeypatch.setattr(trainer_module, "_GuardedOptimizer", spied)
+    forks = count_forks(monkeypatch)
+    outputs = []
+    for overlap in (False, True):
+        force_overlap(monkeypatch, overlap)
+        result = train(env, ppo, net, master_seed=4)
+        outputs.append((result.curve_rows(), result.critic_losses, result.actor_objectives,
+                        result.lr_halvings,
+                        {k: p.data for k, p in result.bundle.parameters().items()}))
+        if retry:   # the child's `failed` came back with the rest of its guard
+            assert guards[0].failed
+            guards.clear()
+    assert len(forks) == len(outputs[1][1]) >= 2   # one child per update, overlapped
+    (rows, losses, objectives, halvings, params), overlapped = outputs
+    assert overlapped[:4] == (rows, losses, objectives, halvings)
+    assert halvings == ({"actor": 1, "critic": 0} if retry else {"actor": 0, "critic": 0})
+    assert overlapped[4].keys() == params.keys()
+    assert all(np.array_equal(overlapped[4][k], params[k]) for k in params)
+    assert_no_child_left()
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail, rather than hang, if the block runs past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _train_overlapped(monkeypatch, **patches):
+    force_overlap(monkeypatch, True)
+    forks = count_forks(monkeypatch)
+    for name, fn in patches.items():
+        monkeypatch.setattr(trainer_module, name, fn)
+    with deadline(60):
+        try:
+            train(small_env(), small_ppo(horizon=20, episodes=1, batch_size=80, epochs=1),
+                  NetConfig(hidden=16, heads=2), master_seed=3)
+        finally:
+            assert len(forks) == 1
+
+
+def test_child_error_reraises_with_its_type_and_message(monkeypatch):
+    def failing(*args, **kwargs):
+        raise NanGradient("update still non-finite after 8 step-size halvings")
+
+    with pytest.raises(NanGradient, match="^update still non-finite after 8") as info:
+        _train_overlapped(monkeypatch, actor_update=failing)
+    assert "raised in the actor-update process" in info.value.__notes__[0]
+    assert_no_child_left()
+
+
+def test_child_without_result_names_seed_update_and_status(monkeypatch):
+    with pytest.raises(UpdateProcessLost,
+                       match=r"^master seed 3, update 0: .* exited with status 3 and no result$"):
+        _train_overlapped(monkeypatch, actor_update=lambda *args, **kwargs: os._exit(3))
+    assert_no_child_left()
+
+
+def test_critic_error_leaves_no_child_blocked_on_its_result(monkeypatch):
+    def large(*args, **kwargs):   # a result larger than the pipe's buffer
+        return np.zeros(1 << 17)
+
+    def failing(*args, **kwargs):
+        time.sleep(0.5)   # the child is blocked writing by now
+        raise NonFiniteValue("the initial critic loss")
+
+    with pytest.raises(NonFiniteValue, match="^the initial critic loss$"):
+        _train_overlapped(monkeypatch, actor_update=large, critic_update=failing)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("blocker", ["blas_unpinned", "one_cpu", "second_thread"])
+def test_updates_stay_in_this_process_unless_overlap_is_safe(monkeypatch, blocker):
+    force_overlap(monkeypatch, True)
+    if blocker == "blas_unpinned":
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    elif blocker == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    forks = count_forks(monkeypatch)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    if blocker == "second_thread":
+        other.start()
+    try:
+        assert not trainer_module.updates_overlap()
+        result = train(small_env(), small_ppo(horizon=20, episodes=2, batch_size=80, epochs=1),
+                       NetConfig(hidden=16, heads=2), master_seed=3)
+    finally:
+        stop.set()
+        if blocker == "second_thread":
+            other.join(timeout=10)
+    assert not other.is_alive()
+    assert len(result.critic_losses) == 2 and forks == []
+
+
+@pytest.mark.parametrize("openblas, omp, pinned", [
+    ("1", None, True), ("1", "4", True), (None, "1", True),
+    (None, None, False), ("2", "1", False), (None, "2", False)])
+def test_blas_is_pinned_by_openblas_or_else_omp(monkeypatch, openblas, omp, pinned):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    assert trainer_module.updates_overlap() is pinned
+    assert trainer_module.blas_threads()["OMP_NUM_THREADS"] == omp
