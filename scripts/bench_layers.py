@@ -33,6 +33,15 @@ reports the median and quartiles, in milliseconds, of
 - `kernels`: for a checkout whose layers have the edge-list kernel, every
   forward row above timed on each kernel (`dense`, `edge`) with the mask's
   density: the crossover behind `layers.EDGE_KERNEL_MAX_DENSITY`.
+- `full_batch`: one critic pass without a tape over the whole layout of an
+  update, as the TD targets run it, on a rollout of configs/ring_smoke.json
+  (500 steps of 4 CAVs) and of configs/ring.json (3,000 steps of 16 CAVs,
+  safety clamp on so that the untrained policy does not crash): in one
+  forward (`one_shot`) and, for a checkout with `PaddedBatch.forward`, in
+  blocks of each size of FULL_BATCH_BLOCK_ROWS agent rows (`blocks_<rows>`,
+  the sweep behind `trainer.FORWARD_BLOCK_ROWS`). Each entry adds the minor
+  page faults per pass (`minflt_per_call`) and the pass's `tracemalloc`
+  peak in MB, both taken apart from the timing.
 `--src` picks the checkout to import, so two commits compare under the
 same script; the per-agent observation API of checkouts that predate
 `sim.cav_pairs` is timed the way those rollouts called it (no `pairs`
@@ -46,9 +55,11 @@ import inspect
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -60,6 +71,8 @@ BASE_CAVS, BASE_HUMANS, BASE_LENGTH = 16, 6, 230.0
 SMOKE_CAVS, SMOKE_HUMANS, SMOKE_LENGTH = 4, 2, 230.0
 TARGET_SPEED = 30.0 / 3.6
 MERGE_WARM_STEPS = 600
+FULL_BATCH_LAYOUTS = {"ring_smoke": 500, "ring": 3000}   # config: rollout steps
+FULL_BATCH_BLOCK_ROWS = (64, 128, 256, 512, 1024, 4096)
 
 
 def ring_state(sim, networks, idm_mod, n_cav: int, seed: int = 0):
@@ -206,6 +219,62 @@ def large_ring_steps(root: Path) -> list:
                                    np.random.default_rng(6)).transitions
 
 
+def full_batch_rows(root: Path, reps: int) -> dict:
+    """One full-batch critic pass per layout, whole and in blocks (see the
+    module doc)."""
+    import numpy as np
+    from cavlab import config, tensor, trainer
+
+    out = {}
+    for name, steps in FULL_BATCH_LAYOUTS.items():
+        raw = json.loads((root / "configs" / f"{name}.json").read_text())
+        raw["scenario"].update(horizon=steps, safety_clamp=True)
+        cfg = config.config_from_dict(raw)
+        bundle = trainer.make_policy(cfg.net_config(), np.random.SeedSequence(7))
+        trans = trainer.collect_rollout(bundle, cfg.env_spec(), cfg.ppo_config(),
+                                        np.random.SeedSequence(8),
+                                        np.random.default_rng(9)).transitions
+        batch = trainer.PaddedBatch.of(trans)
+        critic = bundle.critic
+
+        def one_shot():
+            with tensor.no_grad():
+                critic.values(*batch.inputs())
+
+        entry = {"transitions": len(trans), "agents": batch.agents.shape[1],
+                 "one_shot": measured(one_shot, reps)}
+        if hasattr(trainer.PaddedBatch, "forward"):
+            default = trainer.FORWARD_BLOCK_ROWS
+            try:
+                for rows in FULL_BATCH_BLOCK_ROWS:
+                    trainer.FORWARD_BLOCK_ROWS = rows
+                    entry[f"blocks_{rows}"] = {
+                        **measured(lambda: batch.forward(critic.values), reps),
+                        "blocks": len(batch.blocks())}
+            finally:
+                trainer.FORWARD_BLOCK_ROWS = default
+        out[name] = entry
+    return out
+
+
+def measured(fn, reps: int, footprint_calls: int = 3) -> dict:
+    """`timed`, plus the minor page faults per call and one call's
+    `tracemalloc` peak in MB."""
+    out = timed(fn, reps)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(footprint_calls):
+        fn()
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {**out, "minflt_per_call": (after - before) / footprint_calls,
+            "tracemalloc_peak_mb": peak / 2**20}
+
+
 def timed(fn, reps: int, sample_s: float = 0.005) -> dict:
     """Median and quartiles, in ms per call, of `reps` samples of `fn`.
 
@@ -280,6 +349,7 @@ def main() -> None:
         out["step"][name] = {**timed(lambda: sim.step(state, {}, 0.1), args.reps),
                              "vehicles": vehicles}
     out["network"] = network_rows(root, sim, networks, idm, args.reps)
+    out["full_batch"] = full_batch_rows(root, args.reps)
     print(json.dumps(out))
 
 

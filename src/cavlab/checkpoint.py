@@ -18,19 +18,17 @@ VERSION = 1
 
 def save_checkpoint(path, params: dict[str, Tensor], architecture: dict,
                     extra: dict | None = None) -> None:
-    payload = {
-        "format": FORMAT,
-        "version": VERSION,
-        "architecture": architecture,
-        "params": {
-            name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
-            for name, p in params.items()
-        },
-    }
-    if extra:
-        payload["extra"] = extra
-    with open(path, "w") as fh:   # one write: json.dump writes chunk by chunk
-        fh.write(json.dumps(payload))
+    """Write `json.dumps` of {format, version, architecture, params: {name:
+    {shape, data}}, extra (when given)}, the same bytes, one parameter at a
+    time: a save holds one parameter's floats and text, not all of them
+    (json.dump would write the same bytes in many small writes)."""
+    head = json.dumps({"format": FORMAT, "version": VERSION, "architecture": architecture})
+    with open(path, "w") as fh:
+        fh.write(head[:-1] + ', "params": {')
+        for i, (name, p) in enumerate(params.items()):
+            entry = {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
+            fh.write(f'{", " if i else ""}{json.dumps(name)}: {json.dumps(entry)}')
+        fh.write("}" + (f', "extra": {json.dumps(extra)}' if extra else "") + "}")
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, dict]:

@@ -186,13 +186,16 @@ class EdgeList:
         return probs * (grad - self.sum_at_dst(grad * probs)[self.dst])
 
 
+def uses_edge_kernel(mask: np.ndarray) -> bool:
+    """Whether a forward over the (B, N, N) `mask` runs the edge kernel: when
+    the mask holds fewer than EDGE_KERNEL_MAX_DENSITY of its entries."""
+    return np.count_nonzero(mask) < EDGE_KERNEL_MAX_DENSITY * mask.size
+
+
 def select_edges(mask: np.ndarray) -> EdgeList | None:
-    """The edge list that sends a forward over the (B, N, N) `mask` to the
-    edge kernel, or None for the dense kernel: the edge kernel when the mask
-    holds fewer than EDGE_KERNEL_MAX_DENSITY of its entries."""
-    if np.count_nonzero(mask) < EDGE_KERNEL_MAX_DENSITY * mask.size:
-        return EdgeList(mask)
-    return None
+    """The edge list that sends a forward over `mask` to the edge kernel, or
+    None for the dense kernel (`uses_edge_kernel`)."""
+    return EdgeList(mask) if uses_edge_kernel(mask) else None
 
 
 class Dense:

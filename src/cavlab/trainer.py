@@ -18,6 +18,11 @@ update that do not fill a batch are never updated on;
 `TrainResult.unused_agent_transitions` counts their agent-transitions.
 An update lays its transitions out once; each minibatch is a slice of that
 layout (`PaddedBatch.take`), trimmed to the minibatch's own N_max.
+The passes over the whole layout that need no gradient (advantage
+baselines, TD targets, the initial loss and surrogate) run off the tape
+in blocks of at most `FORWARD_BLOCK_ROWS` agent rows (`PaddedBatch.forward`),
+so their temporaries stay minibatch-sized however long the rollout; the
+outputs are the same bits as one forward over the whole layout.
 
 The critic and actor updates of a round are independent. The advantages
 come from the critic before its update and are normalised before either
@@ -30,6 +35,7 @@ the two in order, which is what happens when they do not overlap.
 """
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import threading
@@ -42,7 +48,7 @@ from .errors import (InvalidSpec, NanGradient, NonFiniteAction, NonFiniteValue,
                      UpdateProcessLost)
 from .graph import AdjacencyScheme, build_adjacency, degree_normalize
 from .idm import IdmParams
-from .layers import Adam, CriticNetwork, NetConfig, PolicyNetwork
+from .layers import Adam, CriticNetwork, NetConfig, PolicyNetwork, uses_edge_kernel
 from .networks import RoadNetwork
 from .rewards import RewardSpec, step_reward
 from .sim import SimOptions, SimState, build_network, cav_pairs, local_observation, step
@@ -302,6 +308,21 @@ def _pad(arrays: list[np.ndarray], where: np.ndarray) -> np.ndarray:
     return out
 
 
+# Agent rows per block of a full-batch forward (`PaddedBatch.forward`); the
+# default minibatch holds as many. A critic pass over a configs/ring.json
+# update (3,000 steps of 16 CAVs) allocates about 200 MB at once and 2 MB
+# in blocks of 256 rows, which also run faster (BENCH_14.json).
+FORWARD_BLOCK_ROWS = 256
+# Blocks start on a multiple of this many agent rows. The networks' heads
+# are one-column products, which numpy hands to BLAS's gemv; OpenBLAS's
+# gemv sums a group of 4 rows in another order than the rows past the
+# last group, so a block boundary inside a group moves last bits (16
+# covers gemv kernels with groups of 8 or 16 as well). The wider products
+# give every row the same bits at any row count of 2 or more; one row is
+# a gemv too, so no block is a single row.
+BLOCK_ROW_ALIGN = 16
+
+
 @dataclass
 class PaddedBatch:
     """Transitions stacked to (B, N_max): each step's agents first, zeros after.
@@ -356,6 +377,38 @@ class PaddedBatch:
         """Network inputs (obs, M, D^-1 M, mask)."""
         return Tensor(self.obs), Tensor(self.weights), Tensor(self.dinv_m), self.mask
 
+    def blocks(self) -> list[slice]:
+        """Runs of consecutive transitions for `forward`: at most
+        FORWARD_BLOCK_ROWS agent rows each (or the fewest transitions whose
+        rows fill a multiple of BLOCK_ROW_ALIGN, if that is more), every
+        block but the last a multiple of BLOCK_ROW_ALIGN rows, and no block
+        a single row. One block if some block would pick the other attention
+        kernel than the whole batch (`layers.uses_edge_kernel`): the two
+        kernels agree only to rounding."""
+        b, n = self.agents.shape
+        unit = BLOCK_ROW_ALIGN // math.gcd(n, BLOCK_ROW_ALIGN)   # transitions
+        step = max(unit, FORWARD_BLOCK_ROWS // n // unit * unit)
+        starts = list(range(0, b, step))
+        if len(starts) > 1 and n * (b - starts[-1]) == 1:
+            starts.pop()
+        spans = [slice(s, e) for s, e in zip(starts, starts[1:] + [b])]
+        sparse = uses_edge_kernel(self.mask)
+        if any(uses_edge_kernel(self.mask[span]) != sparse for span in spans):
+            return [slice(0, b)]
+        return spans
+
+    def forward(self, net_fn) -> Tensor:
+        """`net_fn(obs, M, D^-1 M, mask)`, a network forward to (B, N_max),
+        over the whole batch without a tape, one block (`blocks`) at a time:
+        the same bits as one call on `inputs()`, with block-sized
+        temporaries."""
+        with no_grad():
+            out = np.concatenate([
+                net_fn(Tensor(self.obs[span]), Tensor(self.weights[span]),
+                       Tensor(self.dinv_m[span]), self.mask[span]).data
+                for span in self.blocks()])
+        return Tensor._make(out, (), None, "blocks")
+
     def rows(self, per_agent: list[np.ndarray]) -> np.ndarray:
         """Per-transition (N_i,) vectors padded to (B, N_max)."""
         return _pad(per_agent, self.agents)
@@ -365,16 +418,24 @@ class PaddedBatch:
         return [row[real] for row, real in zip(values, self.agents)]
 
 
+def _values(critic: CriticNetwork, batch: PaddedBatch) -> np.ndarray:
+    """The critic's (B, N_max) values of `batch`, block by block off the
+    tape (`PaddedBatch.forward`), checked finite."""
+    values = batch.forward(critic.values).data
+    check_finite(values, "the critic values")
+    return values
+
+
 def critic_values(critic: CriticNetwork, trans: list[Transition],
                   batch: PaddedBatch | None = None) -> list[np.ndarray]:
-    """Per-transition value vectors from one padded forward of `batch`, a
-    layout of `trans` (`PaddedBatch.of(trans)` when omitted)."""
+    """Per-transition value vectors from a padded forward of `batch`, a
+    layout of `trans` (`PaddedBatch.of(trans)` when omitted). It needs no
+    gradient, so it runs off the tape in minibatch-sized blocks
+    (`PaddedBatch.forward`): the same bits as one pass over a whole rollout,
+    without that pass's rollout-sized temporaries."""
     if batch is None:
         batch = PaddedBatch.of(trans)
-    with no_grad():
-        values = critic.values(*batch.inputs()).data
-    check_finite(values, "the critic values")
-    return batch.split(values)
+    return batch.split(_values(critic, batch))
 
 
 def compute_advantages(episode: EpisodeResult, critic: CriticNetwork,
@@ -396,6 +457,21 @@ def compute_advantages(episode: EpisodeResult, critic: CriticNetwork,
 # Updates
 
 
+def _bootstrap_columns(trans: list[Transition], batch: PaddedBatch) -> tuple:
+    """The rewards (B, 1) and the live indicators, 1.0 where an agent's next
+    state is not terminal, padded to `batch` (B, N_max)."""
+    return (np.array([[tr.reward] for tr in trans]),
+            batch.rows([(~tr.terminal).astype(float) for tr in trans]))
+
+
+def _td_rows(critic: CriticNetwork, next_batch: PaddedBatch, rewards: np.ndarray,
+             live: np.ndarray, gamma: float) -> np.ndarray:
+    """r + gamma * V(next) * live as one (B, N_max) array, 0.0 on padding."""
+    targets = rewards + gamma * _values(critic, next_batch) * live
+    targets[~next_batch.agents] = 0.0
+    return targets
+
+
 def td_targets(critic: CriticNetwork, trans: list[Transition], gamma: float,
                next_batch: PaddedBatch | None = None) -> list[np.ndarray]:
     """r + gamma * V(next) with bootstrap 0 on terminal rows.
@@ -406,14 +482,12 @@ def td_targets(critic: CriticNetwork, trans: list[Transition], gamma: float,
     """
     if next_batch is None:
         next_batch = PaddedBatch.of(trans).with_next_obs(trans)
-    next_vals = critic_values(critic, trans, next_batch)
-    return [tr.reward + gamma * next_vals[k] * (~tr.terminal).astype(float)
-            for k, tr in enumerate(trans)]
+    return next_batch.split(_td_rows(critic, next_batch,
+                                     *_bootstrap_columns(trans, next_batch), gamma))
 
 
-def _td_loss(critic: CriticNetwork, batch: PaddedBatch, targets: np.ndarray) -> Tensor:
-    v = critic.values(*batch.inputs())
-    return ((v - Tensor(targets)) ** 2 * batch.agents).sum()
+def _td_loss(values: Tensor, targets: np.ndarray, agents: np.ndarray) -> Tensor:
+    return ((values - Tensor(targets)) ** 2 * agents).sum()
 
 
 def critic_loss_given_targets(critic: CriticNetwork, trans: list[Transition],
@@ -423,17 +497,17 @@ def critic_loss_given_targets(critic: CriticNetwork, trans: list[Transition],
     `batch`, when given, is `PaddedBatch.of(trans)` built already."""
     if batch is None:
         batch = PaddedBatch.of(trans)
-    return _td_loss(critic, batch, batch.rows(targets))
+    return _td_loss(critic.values(*batch.inputs()), batch.rows(targets), batch.agents)
 
 
-def _clipped_surrogate(actor: PolicyNetwork, batch: PaddedBatch, actions: np.ndarray,
-                       logp_old: np.ndarray, advantages: np.ndarray, clip: float) -> Tensor:
-    mean = actor.action_mean(*batch.inputs())
+def _clipped_surrogate(actor: PolicyNetwork, mean: Tensor, agents: np.ndarray,
+                       actions: np.ndarray, logp_old: np.ndarray, advantages: np.ndarray,
+                       clip: float) -> Tensor:
     logp_new = actor.log_prob(Tensor(actions), mean)
     ratio = (logp_new - Tensor(logp_old)).exp()
     adv = Tensor(advantages)   # zero on padded rows
     surr = (ratio * adv).minimum(ratio.clip(1.0 - clip, 1.0 + clip) * adv)
-    return (surr * batch.agents).sum()
+    return (surr * agents).sum()
 
 
 def _surrogate_columns(trans: list[Transition], advantages: list[np.ndarray],
@@ -450,8 +524,8 @@ def surrogate_objective(actor: PolicyNetwork, trans: list[Transition],
     `batch`, when given, is `PaddedBatch.of(trans)` built already."""
     if batch is None:
         batch = PaddedBatch.of(trans)
-    return _clipped_surrogate(actor, batch, *_surrogate_columns(trans, advantages, batch),
-                              clip)
+    return _clipped_surrogate(actor, actor.action_mean(*batch.inputs()), batch.agents,
+                              *_surrogate_columns(trans, advantages, batch), clip)
 
 
 def _params_finite(params: dict[str, Tensor]) -> bool:
@@ -545,22 +619,25 @@ def critic_update(trans: list[Transition], critic: CriticNetwork,
     The initial loss and epoch 0 share one set of targets: both see the
     starting parameters, which a NaN-guard retry restores. All passes share
     one layout of `trans` (`batch`, built here when omitted) and of their
-    next observations; minibatches are slices of it.
+    next observations; minibatches are slices of it. The full-batch passes
+    (targets, initial loss) run off the tape in blocks (`PaddedBatch.forward`).
     """
     if batch is None:
         batch = PaddedBatch.of(trans)
     next_batch = batch.with_next_obs(trans)
-    start_targets = batch.rows(td_targets(critic, trans, ppo.gamma, next_batch))
-    initial = _td_loss(critic, batch, start_targets).data
+    bootstrap = _bootstrap_columns(trans, batch)
+    start_targets = _td_rows(critic, next_batch, *bootstrap, ppo.gamma)
+    initial = _td_loss(batch.forward(critic.values), start_targets, batch.agents).data
     check_finite(initial, "the initial critic loss")
 
     def passes(scale: float) -> None:
         for epoch in range(ppo.epochs):
             targets = (start_targets if epoch == 0
-                       else batch.rows(td_targets(critic, trans, ppo.gamma, next_batch)))
+                       else _td_rows(critic, next_batch, *bootstrap, ppo.gamma))
             for chunk in _minibatches(trans, ppo.minibatch_size, rng):
                 sub, sub_targets = batch.take(chunk, targets)
-                guard.minibatch_step(lambda: _td_loss(critic, sub, sub_targets), scale)
+                guard.minibatch_step(lambda: _td_loss(
+                    critic.values(*sub.inputs()), sub_targets, sub.agents), scale)
 
     guard.run(passes)
     return float(initial)
@@ -570,20 +647,24 @@ def actor_update(trans: list[Transition], advantages: list[np.ndarray],
                  actor: PolicyNetwork, guard: _GuardedOptimizer, ppo: PpoConfig,
                  rng: np.random.Generator, batch: PaddedBatch | None = None) -> float:
     """Minibatched ascent on the clipped surrogate; returns the initial
-    objective, taken on `batch` (`PaddedBatch.of(trans)`, built here when
-    omitted), which the minibatches slice."""
+    objective, taken off the tape in blocks (`PaddedBatch.forward`) on
+    `batch` (`PaddedBatch.of(trans)`, built here when omitted), which the
+    minibatches slice."""
     if batch is None:
         batch = PaddedBatch.of(trans)
     columns = _surrogate_columns(trans, advantages, batch)
-    initial = _clipped_surrogate(actor, batch, *columns, ppo.clip).data
+    with no_grad():
+        initial = _clipped_surrogate(actor, batch.forward(actor.action_mean), batch.agents,
+                                     *columns, ppo.clip).data
     check_finite(initial, "the initial surrogate objective")
 
     def passes(scale: float) -> None:
         for _ in range(ppo.epochs):
             for chunk in _minibatches(trans, ppo.minibatch_size, rng):
                 sub, *sub_columns = batch.take(chunk, *columns)
-                guard.minibatch_step(
-                    lambda: -_clipped_surrogate(actor, sub, *sub_columns, ppo.clip), scale)
+                guard.minibatch_step(lambda: -_clipped_surrogate(
+                    actor, actor.action_mean(*sub.inputs()), sub.agents, *sub_columns,
+                    ppo.clip), scale)
 
     guard.run(passes)
     return float(initial)

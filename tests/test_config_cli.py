@@ -258,6 +258,26 @@ def test_checkpoint_is_the_json_of_its_payload(tmp_path):
         assert np.array_equal(params[name], p.data)
 
 
+def test_checkpoint_save_holds_one_parameter_at_a_time(tmp_path):
+    # the default networks hold 50,179 floats, the largest parameter 8,192;
+    # a save that turned them all into Python floats and one string at once
+    # peaked at about 6.6 MB, 25 times the largest one's floats
+    import tracemalloc
+    bundle = make_policy(NetConfig(), init_stream(2))
+    params = bundle.parameters()
+    largest = max(p.data.size for p in params.values())
+    as_floats = largest * (sys.getsizeof(1.0) + 8)   # the float objects and their list
+    assert sum(p.data.size for p in params.values()) > 6 * largest
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "ckpt.json", params, bundle.architecture(),
+                        extra={"episode": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * as_floats
+
+
 def test_checkpoint_format_guard(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps({"format": "other", "version": 1}))

@@ -18,7 +18,7 @@ from cavlab.networks import RingSpec
 from cavlab.rewards import RingEightReward, reward_ring_eight
 from cavlab.selfcheck import fd_grad, rel_err
 from cavlab.sim import SimOptions
-from cavlab.tensor import Tensor
+from cavlab.tensor import Tensor, no_grad
 from cavlab.trainer import (
     EnvSpec, PaddedBatch, PpoConfig, collect_rollout, compute_advantages,
     critic_loss_given_targets, critic_update, critic_values, episode_streams, make_policy,
@@ -744,6 +744,164 @@ def test_minibatch_slices_equal_their_own_layouts():
                 assert taken.shape == own.shape and np.array_equal(taken, own)
             trimmed += sub.agents.shape[1] < full.agents.shape[1]
     assert trimmed > 0
+
+
+# ---------------------------------------------------------------------------
+# full-batch passes in blocks, off the tape
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture(scope="module")
+def update_layouts():
+    """(bundle, transitions) of a rollout per shipped scenario: ring_smoke
+    (4 CAVs), figure_eight (7 CAVs) and merge (padded to its N_max)."""
+    from cavlab.config import parse_config
+    out = {}
+    for name, horizon in (("ring_smoke", 150), ("figure_eight", 100), ("merge", 400)):
+        cfg = parse_config(CONFIGS / f"{name}.json")
+        bundle = make_policy(cfg.net_config(), init_stream(1))
+        ppo = PpoConfig(horizon=horizon)
+        out[name] = bundle, collect_rollout(bundle, cfg.env_spec(), ppo,
+                                            *episode_streams(1, 0)).transitions
+    return out
+
+
+def _one_shot(net_fn, batch):
+    with no_grad():
+        return net_fn(*batch.inputs()).data
+
+
+@pytest.mark.parametrize("block_rows", [48, 256])
+@pytest.mark.parametrize("scenario", ["ring_smoke", "figure_eight", "merge"])
+def test_blockwise_forward_is_the_one_shot_forward_bit_for_bit(monkeypatch, update_layouts,
+                                                               scenario, block_rows):
+    monkeypatch.setattr(trainer_module, "FORWARD_BLOCK_ROWS", block_rows)
+    bundle, trans = update_layouts[scenario]
+    batch = PaddedBatch.of(trans)
+    n_max = batch.agents.shape[1]
+    if scenario == "merge":
+        assert not batch.agents.all() and len({len(tr.agent_ids) for tr in trans}) > 2
+    blocks = batch.blocks()
+    step = blocks[0].stop
+    assert blocks == [slice(s, min(s + step, len(trans))) for s in range(0, len(trans), step)]
+    assert step * n_max % trainer_module.BLOCK_ROW_ALIGN == 0
+    assert step * n_max <= max(block_rows, trainer_module.BLOCK_ROW_ALIGN * n_max)
+    assert len(blocks) > 2 and blocks[-1].stop - blocks[-1].start < step   # a remainder
+    single = batch.take(list(range(5)))[0]
+    assert single.blocks() == [slice(0, 5)]
+    for layout in (batch, batch.with_next_obs(trans), single):
+        for net_fn in (bundle.critic.values, bundle.actor.action_mean):
+            out = layout.forward(net_fn)
+            assert not out._parents   # off the tape
+            assert out.data.tobytes() == _one_shot(net_fn, layout).tobytes()
+
+
+def _layout(steps, n, seed=0, density=0.4):
+    """Transitions of `n` agents with random observations and graphs."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(steps):
+        mask = rng.random((n, n)) < density
+        mask |= mask.T
+        np.fill_diagonal(mask, True)
+        out.append(trainer_module.Transition(
+            step_index=t, agent_ids=list(range(n)), obs=rng.standard_normal((n, 6)),
+            weights=np.where(mask, rng.random((n, n)), 0.0), mask=mask,
+            actions=rng.standard_normal(n), logp_old=rng.standard_normal(n),
+            reward=float(rng.standard_normal()), next_obs=rng.standard_normal((n, 6)),
+            terminal=rng.random(n) < 0.1))
+    return out
+
+
+def test_blocks_hold_no_single_row(monkeypatch):
+    # one agent per step in blocks of 256: 257 steps would leave a one-row
+    # block, whose products numpy runs as matrix-vector products, in other
+    # last bits; that row joins the block before it
+    monkeypatch.setattr(trainer_module, "FORWARD_BLOCK_ROWS", 256)
+    critic = small_bundle().critic
+    for steps, blocks in ((257, [slice(0, 257)]), (258, [slice(0, 256), slice(256, 258)])):
+        batch = PaddedBatch.of(_layout(steps, 1))
+        assert batch.blocks() == blocks
+        assert (batch.forward(critic.values).data.tobytes()
+                == _one_shot(critic.values, batch).tobytes())
+
+
+def test_blocks_keep_the_whole_batch_attention_kernel():
+    # 40 agents: a step whose agents see only themselves is 1/40 full, under
+    # the edge kernel's cut-off, while the whole batch is denser; a block of
+    # such steps alone would switch kernels, so the batch runs in one block
+    from cavlab.layers import uses_edge_kernel
+    trans = _layout(12, 40, density=0.3)
+    for tr in trans[6:]:
+        tr.mask = np.eye(40, dtype=bool)
+        tr.weights = np.where(tr.mask, tr.weights, 0.0)
+    batch = PaddedBatch.of(trans)
+    assert not uses_edge_kernel(batch.mask) and uses_edge_kernel(batch.mask[6:])
+    assert batch.blocks() == [slice(0, 12)]
+    dense = PaddedBatch.of(trans[:6] * 2)
+    assert len(dense.blocks()) == 2
+
+
+def test_td_targets_are_one_array_zero_on_padding(update_layouts):
+    bundle, trans = update_layouts["merge"]
+    gamma = 0.9
+    batch = PaddedBatch.of(trans)
+    assert not batch.agents.all()
+    next_batch = batch.with_next_obs(trans)
+    rows = trainer_module._td_rows(bundle.critic, next_batch,
+                                   *trainer_module._bootstrap_columns(trans, batch), gamma)
+    next_vals = critic_values(bundle.critic, trans, next_batch)
+    per_transition = [tr.reward + gamma * next_vals[k] * (~tr.terminal).astype(float)
+                      for k, tr in enumerate(trans)]
+    assert rows.tobytes() == batch.rows(per_transition).tobytes()
+    assert not np.signbit(rows[~batch.agents]).any() and not rows[~batch.agents].any()
+    listed = td_targets(bundle.critic, trans, gamma)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(listed, per_transition))
+
+
+class _NoPasses(trainer_module._GuardedOptimizer):
+    """A guard that runs no minibatch pass: the update stops at its initial
+    loss or objective."""
+
+    def run(self, pass_fn):
+        pass
+
+
+def _traced_peak_mb(fn) -> float:
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("which", ["critic_values", "initial_critic_loss",
+                                   "initial_surrogate"])
+def test_full_batch_passes_stay_block_sized(which):
+    # 600 steps of 16 agents: at once, a critic pass allocates about 40 MB
+    # and the initial loss's tape about 54 MB; in blocks, under 2 MB each
+    trans = _layout(600, 16)
+    bundle = make_policy(NetConfig(), init_stream(0))
+    batch = PaddedBatch.of(trans)
+    ppo = PpoConfig()
+    if which == "critic_values":
+        def run():
+            critic_values(bundle.critic, trans, batch)
+    elif which == "initial_critic_loss":
+        def run():
+            critic_update(trans, bundle.critic, _NoPasses(bundle.critic.parameters(), 1e-3, 0),
+                          ppo, np.random.default_rng(0), batch)
+    else:
+        def run():
+            trainer_module.actor_update(
+                trans, [np.ones(16)] * len(trans), bundle.actor,
+                _NoPasses(bundle.actor.parameters(), 1e-3, 0), ppo,
+                np.random.default_rng(0), batch)
+    assert _traced_peak_mb(run) < 4.0
 
 
 # ---------------------------------------------------------------------------
