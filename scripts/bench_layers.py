@@ -25,7 +25,8 @@ reports the median and quartiles, in milliseconds, of
   the rings above at 16, 64 and 256 CAVs (`forward_B1_N16`,
   `forward_B1_N64`, `forward_B1_N256`) with the graph of configs/ring.json
   (30 m scan, as in the benchmark's 256-CAV ring: 24%, 6% and 1.5% of
-  the mask set); one minibatch loss plus backward at B=64, N=4 for the
+  the mask set); one minibatch loss plus backward at B=64, N=4, on a
+  layout built beforehand as an update's minibatches are, for the
   critic (`critic_minibatch_B64_N4`, TD loss against fixed targets) and
   the actor (`actor_minibatch_B64_N4`, clipped surrogate), and for the
   critic on one 256-CAV step (`critic_minibatch_B1_N256`); and one
@@ -34,19 +35,21 @@ reports the median and quartiles, in milliseconds, of
   forward row above timed on each kernel (`dense`, `edge`) with the mask's
   density: the crossover behind `layers.EDGE_KERNEL_MAX_DENSITY`.
 - `full_batch`: one critic pass without a tape over the whole layout of an
-  update, as the TD targets run it, on a rollout of configs/ring_smoke.json
-  (500 steps of 4 CAVs) and of configs/ring.json (3,000 steps of 16 CAVs,
-  safety clamp on so that the untrained policy does not crash): in one
-  forward (`one_shot`) and, for a checkout with `PaddedBatch.forward`, in
-  blocks of each size of FULL_BATCH_BLOCK_ROWS agent rows (`blocks_<rows>`,
-  the sweep behind `trainer.FORWARD_BLOCK_ROWS`). Each entry adds the minor
+  update, as the TD targets run it (on the next observations), on a
+  rollout of configs/ring_smoke.json (500 steps of 4 CAVs) and of
+  configs/ring.json (3,000 steps of 16 CAVs, safety clamp on so that the
+  untrained policy does not crash): in one forward (`one_shot`) and, for a
+  checkout with `PaddedBatch.forward`, in blocks of each size of
+  FULL_BATCH_BLOCK_ROWS agent rows (`blocks_<rows>`, the sweep behind
+  `trainer.FORWARD_BLOCK_ROWS`). Each entry adds the minor
   page faults per pass (`minflt_per_call`) and the pass's `tracemalloc`
   peak in MB, both taken apart from the timing.
 `--src` picks the checkout to import, so two commits compare under the
 same script; the per-agent observation API of checkouts that predate
 `sim.cav_pairs` is timed the way those rollouts called it (no `pairs`
 row), and a `cav_pairs` that takes no scan scale (the all-pairs matrices)
-is timed as it is. Prints one JSON object.
+is timed as it is. The loss rows need a checkout with `trainer._td_loss`
+and `trainer._clipped_surrogate`. Prints one JSON object.
 """
 from __future__ import annotations
 
@@ -147,21 +150,16 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
     if hasattr(layers, "EDGE_KERNEL_MAX_DENSITY"):
         out["kernels"] = kernel_rows(rows, forward, reps)
 
-    targets = trainer.td_targets(bundle.critic, trans, ppo.gamma)
     advantages = trainer.normalize_advantages(
         trainer.compute_advantages(episode, bundle.critic, ppo))
-    large = large_ring_steps(root)
-    large_targets = trainer.td_targets(bundle.critic, large, ppo.gamma)
+    critic_loss, actor_loss = minibatch_losses(trainer, bundle, trans, advantages, ppo)
+    large = large_ring_steps(root)[:1]
+    large_loss, _ = minibatch_losses(trainer, bundle, large,
+                                     [np.zeros(len(large[0].agent_ids))], ppo)
     losses = {
-        "critic_minibatch_B64_N4": (
-            bundle.critic, lambda: trainer.critic_loss_given_targets(bundle.critic, trans,
-                                                                     targets)),
-        "actor_minibatch_B64_N4": (
-            bundle.actor, lambda: -trainer.surrogate_objective(bundle.actor, trans,
-                                                               advantages, ppo.clip)),
-        "critic_minibatch_B1_N256": (
-            bundle.critic, lambda: trainer.critic_loss_given_targets(
-                bundle.critic, large[:1], large_targets[:1])),
+        "critic_minibatch_B64_N4": (bundle.critic, critic_loss),
+        "actor_minibatch_B64_N4": (bundle.actor, actor_loss),
+        "critic_minibatch_B1_N256": (bundle.critic, large_loss),
     }
     for name, (network, loss_fn) in losses.items():
         params = network.parameters()
@@ -180,6 +178,30 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
     opt = layers.Adam(params, 1e-9)   # a tiny step keeps the weights in place
     out["adam_step"] = timed(opt.step, reps)
     return out
+
+
+def minibatch_losses(trainer, bundle, trans: list, advantages, ppo) -> tuple:
+    """(critic loss fn, actor loss fn): the TD loss and the negated clipped
+    surrogate of `trans` as a minibatch step of an update computes them, on
+    a layout built up front (an update slices its minibatches off the
+    round's layout)."""
+    batch = trainer.PaddedBatch.of(trans)
+    targets = batch.rows(trainer.td_targets(bundle.critic, trans, ppo.gamma))
+
+    def critic_loss():
+        return trainer._td_loss(bundle.critic.values(*batch.inputs()), targets, batch.agents)
+
+    if hasattr(batch, "actions"):   # the round's record holds every column
+        columns = (batch, batch.rows(advantages))
+    else:   # loose columns beside the layout
+        columns = (batch.agents, batch.rows([tr.actions for tr in trans]),
+                   batch.rows([tr.logp_old for tr in trans]), batch.rows(advantages))
+
+    def actor_loss():
+        mean = bundle.actor.action_mean(*batch.inputs())
+        return -trainer._clipped_surrogate(bundle.actor, mean, *columns, ppo.clip)
+
+    return critic_loss, actor_loss
 
 
 def kernel_rows(rows: dict, forward, reps: int) -> dict:
@@ -222,6 +244,8 @@ def large_ring_steps(root: Path) -> list:
 def full_batch_rows(root: Path, reps: int) -> dict:
     """One full-batch critic pass per layout, whole and in blocks (see the
     module doc)."""
+    import dataclasses
+
     import numpy as np
     from cavlab import config, tensor, trainer
 
@@ -235,6 +259,10 @@ def full_batch_rows(root: Path, reps: int) -> dict:
                                         np.random.SeedSequence(8),
                                         np.random.default_rng(9)).transitions
         batch = trainer.PaddedBatch.of(trans)
+        if hasattr(batch, "next_obs"):   # the TD targets' next-state layout
+            batch = dataclasses.replace(batch, obs=batch.next_obs)
+        elif hasattr(batch, "with_next_obs"):
+            batch = batch.with_next_obs(trans)
         critic = bundle.critic
 
         def one_shot():

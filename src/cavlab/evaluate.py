@@ -270,6 +270,19 @@ def run_sweep(spec: SweepSpec, cfg: RunConfig, horizon: int | None = None) -> Sw
     def evaluate_on(cell: RunConfig, bundle: PolicyBundle, seed: int) -> EvalReport:
         return evaluate(bundle, cell.env_spec(), horizon, spec.episodes_per_value, [seed])
 
+    def train_and_evaluate(value, seed: int) -> EvalReport:
+        cell_cfg = _cell_config(cfg, spec.variable, value)
+        return evaluate_on(cell_cfg, train_on(cell_cfg, seed), seed)
+
+    def measured(value, seed: int, report_fn) -> SweepCell:
+        """The cell of `report_fn()`'s figures, or failed with its CavlabError."""
+        try:
+            report = report_fn()
+        except CavlabError as exc:
+            return SweepCell(spec.variable, value, seed, failed=True, error=_describe(exc))
+        return SweepCell(spec.variable, value, seed, report.episode_return,
+                         report.mean_velocity, report.mean_abs_accel)
+
     if spec.variable == "target_speed":
         for seed in spec.seeds:
             try:
@@ -282,17 +295,10 @@ def run_sweep(spec: SweepSpec, cfg: RunConfig, horizon: int | None = None) -> Sw
                 continue
             baseline_return = None
             for value in spec.values:
-                cell = SweepCell(spec.variable, value, seed)
-                try:
-                    report = evaluate_on(_cell_config(cfg, spec.variable, value), bundle, seed)
-                    cell.episode_return = report.episode_return
-                    cell.mean_velocity = report.mean_velocity
-                    cell.mean_abs_accel = report.mean_abs_accel
-                    if math.isclose(float(value), TRAIN_TARGET_SPEED_BASE):
-                        baseline_return = report.episode_return
-                except CavlabError as exc:
-                    cell.failed = True
-                    cell.error = _describe(exc)
+                cell = measured(value, seed, lambda: evaluate_on(
+                    _cell_config(cfg, spec.variable, value), bundle, seed))
+                if not cell.failed and math.isclose(float(value), TRAIN_TARGET_SPEED_BASE):
+                    baseline_return = cell.episode_return
                 cells.append(cell)
             if baseline_return is None:
                 baseline_return = evaluate_on(base, bundle, seed).episode_return
@@ -304,17 +310,7 @@ def run_sweep(spec: SweepSpec, cfg: RunConfig, horizon: int | None = None) -> Sw
 
     for value in spec.values:
         for seed in spec.seeds:
-            cell = SweepCell(spec.variable, value, seed)
-            try:
-                cell_cfg = _cell_config(cfg, spec.variable, value)
-                report = evaluate_on(cell_cfg, train_on(cell_cfg, seed), seed)
-                cell.episode_return = report.episode_return
-                cell.mean_velocity = report.mean_velocity
-                cell.mean_abs_accel = report.mean_abs_accel
-            except CavlabError as exc:
-                cell.failed = True
-                cell.error = _describe(exc)
-            cells.append(cell)
+            cells.append(measured(value, seed, lambda: train_and_evaluate(value, seed)))
     return SweepResult(cells=cells)
 
 

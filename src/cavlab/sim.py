@@ -818,8 +818,7 @@ _SENTINEL_GAP = 1.0
 
 
 def local_observation(state: SimState, agent_ids: list[int], target_speed: float,
-                      scan_scale: float | None = None,
-                      pairs: CavPairs | None = None) -> np.ndarray:
+                      scan_scale: float, pairs: CavPairs | None = None) -> np.ndarray:
     """Feature rows of the listed CAVs, shape (len(agent_ids), OBS_DIM).
 
     Row: [own speed, own position, leader-CAV rel speed, leader-CAV distance,
@@ -830,8 +829,8 @@ def local_observation(state: SimState, agent_ids: list[int], target_speed: float
     Leaders and followers come from `pairs` (computed here when omitted),
     so observing every CAV of a step costs one call.
     """
-    if pairs is None:   # the observations read only the nearest neighbours
-        pairs = cav_pairs(state, 0.0 if scan_scale is None else scan_scale)
+    if pairs is None:
+        pairs = cav_pairs(state, scan_scale)
     rows = slice(None)
     if agent_ids != pairs.ids:
         index = {vid: i for i, vid in enumerate(pairs.ids)}
@@ -845,7 +844,7 @@ def local_observation(state: SimState, agent_ids: list[int], target_speed: float
     obs = np.empty((len(speed), OBS_DIM))
     obs[:, 0] = speed / target_speed
     obs[:, 1] = pairs.pos / pairs.route_len
-    seen = gaps <= scan_scale if scan_scale is not None else gaps < math.inf
+    seen = gaps <= scan_scale
     # columns 2, 4: leader, follower rel speed; 3, 5: their distances
     obs[:, 2::2] = np.where(seen, (speed[pairs.neighbors] - speed) / target_speed,
                             _SENTINEL_REL_SPEED).T

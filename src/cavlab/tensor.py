@@ -10,8 +10,7 @@ node's masked softmax is `softmax_forward` / `softmax_backward` here.
 Backward functions compute gradients only for the parents that need one
 (a parameter, or a node downstream of one); constants such as the
 observations get None, and the graph conv takes the adjacency as no parent
-at all. A matmul of a batched operand by a 2-D weight takes the weight
-gradient as one (d, B*N) @ (B*N, d') GEMM.
+at all.
 
 Finiteness is checked at the boundaries, not after every op: tensor
 construction raises NonFiniteValue on NaN/Inf inputs, and the trainer
@@ -255,10 +254,7 @@ class Tensor:
             if needs[0]:
                 ga = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
             if needs[1]:
-                if b.ndim == 2:   # shared weight: one GEMM over all batch rows
-                    gb = a.reshape(-1, a.shape[-1]).T @ grad.reshape(-1, grad.shape[-1])
-                else:
-                    gb = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
+                gb = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
             return ga, gb
 
         return Tensor._make(data, (self, other), backward, "matmul")

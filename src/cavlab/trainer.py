@@ -8,7 +8,8 @@ decentralization check all step the simulator through it.
 A `Transition` holds one step at that step's agent count N. Updates stack
 transitions into one padded (B, N_max) batch (`PaddedBatch`): agents first,
 zeros after, plus an agent mask, so a scenario whose agent count changes
-every step (merge) still needs one forward per minibatch.
+every step (merge) still needs one forward per minibatch. That batch is the
+one record of an update round: it holds every column the updates read.
 
 Updates run at episode boundaries once the buffer holds at least
 `batch_size` agent-transitions (the advantage estimator needs complete
@@ -17,7 +18,7 @@ transition feeds at most one update round. Episodes collected after the last
 update that do not fill a batch are never updated on;
 `TrainResult.unused_agent_transitions` counts their agent-transitions.
 An update lays its transitions out once; each minibatch is a slice of that
-layout (`PaddedBatch.take`), trimmed to the minibatch's own N_max.
+record (`PaddedBatch.take`), trimmed to the minibatch's own N_max.
 The passes over the whole layout that need no gradient (advantage
 baselines, TD targets, the initial loss and surrogate) run off the tape
 in blocks of at most `FORWARD_BLOCK_ROWS` agent rows (`PaddedBatch.forward`),
@@ -327,19 +328,25 @@ BLOCK_ROW_ALIGN = 16
 class PaddedBatch:
     """Transitions stacked to (B, N_max): each step's agents first, zeros after.
 
-    Padded agents get a self-loop in `mask`, so every neighbour set is
-    nonempty; real agents never see them (mask and weights are zero there).
-    Losses multiply by `agents`, True on real rows only. At a fixed agent
-    count nothing is padded and the batch equals a plain stack. The layout
-    is the dense kernel's input; on a sparse mask the networks read it as
-    an edge list, where padded agents are isolated nodes.
+    The record of an update round: every column the critic and actor
+    updates read. Padded agents get a self-loop in `mask`, so every
+    neighbour set is nonempty; real agents never see them (mask and weights
+    are zero there). Losses multiply by `agents`, True on real rows only.
+    At a fixed agent count nothing is padded and the batch equals a plain
+    stack. The layout is the dense kernel's input; on a sparse mask the
+    networks read it as an edge list, where padded agents are isolated nodes.
     """
 
-    obs: np.ndarray       # (B, N_max, OBS_DIM)
-    weights: np.ndarray   # (B, N_max, N_max)
-    mask: np.ndarray      # (B, N_max, N_max) bool
-    agents: np.ndarray    # (B, N_max) bool
-    dinv_m: np.ndarray    # D^-1 M of weights and mask, (B, N_max, N_max)
+    obs: np.ndarray        # (B, N_max, OBS_DIM)
+    next_obs: np.ndarray   # (B, N_max, OBS_DIM)
+    weights: np.ndarray    # (B, N_max, N_max)
+    mask: np.ndarray       # (B, N_max, N_max) bool
+    agents: np.ndarray     # (B, N_max) bool
+    dinv_m: np.ndarray     # D^-1 M of weights and mask, (B, N_max, N_max)
+    actions: np.ndarray    # (B, N_max)
+    logp_old: np.ndarray   # (B, N_max)
+    reward: np.ndarray     # (B, 1): the step's team reward
+    live: np.ndarray       # (B, N_max): 1.0 where the agent's next state is not terminal
 
     @classmethod
     def of(cls, trans: list[Transition]) -> PaddedBatch:
@@ -351,27 +358,26 @@ class PaddedBatch:
         mask[:, diag, diag] = True
         weights = _pad([tr.weights for tr in trans], pairs)
         return cls(obs=_pad([tr.obs for tr in trans], agents),
+                   next_obs=_pad([tr.next_obs for tr in trans], agents),
                    weights=weights, mask=mask, agents=agents,
-                   dinv_m=degree_normalize(weights, mask.sum(-1)))
+                   dinv_m=degree_normalize(weights, mask.sum(-1)),
+                   actions=_pad([tr.actions for tr in trans], agents),
+                   logp_old=_pad([tr.logp_old for tr in trans], agents),
+                   reward=np.array([[tr.reward] for tr in trans]),
+                   live=_pad([(~tr.terminal).astype(float) for tr in trans], agents))
 
-    def with_next_obs(self, trans: list[Transition]) -> PaddedBatch:
-        """The batch of the same `trans` with their `next_obs` as observations,
-        on this layout (`self` is `PaddedBatch.of(trans)`)."""
-        return replace(self, obs=_pad([tr.next_obs for tr in trans], self.agents))
-
-    def take(self, rows: list[int], *columns: np.ndarray) -> tuple:
-        """The batch of transitions `rows`, trimmed to their own N_max, then
-        the same rows of each padded (B, N_max) column.
-
-        Equal, in shape, dtype and value, to `PaddedBatch.of` and `rows` of
-        those transitions: past its own agent count a row holds padding
-        either way.
-        """
+    def take(self, rows: list[int]) -> PaddedBatch:
+        """The batch of transitions `rows`, every column trimmed to their own
+        N_max: in shape, dtype and value `PaddedBatch.of` of those transitions,
+        as past its own agent count a row holds padding either way."""
+        rows = np.asarray(rows)   # converted once, not once per column
         n = int(self.agents[rows].sum(axis=1).max())
-        sub = PaddedBatch(obs=self.obs[rows, :n], weights=self.weights[rows, :n, :n],
-                          mask=self.mask[rows, :n, :n], agents=self.agents[rows, :n],
-                          dinv_m=self.dinv_m[rows, :n, :n])
-        return (sub, *(column[rows, :n] for column in columns))
+        return PaddedBatch(
+            obs=self.obs[rows, :n], next_obs=self.next_obs[rows, :n],
+            weights=self.weights[rows, :n, :n], mask=self.mask[rows, :n, :n],
+            agents=self.agents[rows, :n], dinv_m=self.dinv_m[rows, :n, :n],
+            actions=self.actions[rows, :n], logp_old=self.logp_old[rows, :n],
+            reward=self.reward[rows], live=self.live[rows, :n])
 
     def inputs(self) -> tuple:
         """Network inputs (obs, M, D^-1 M, mask)."""
@@ -426,15 +432,12 @@ def _values(critic: CriticNetwork, batch: PaddedBatch) -> np.ndarray:
     return values
 
 
-def critic_values(critic: CriticNetwork, trans: list[Transition],
-                  batch: PaddedBatch | None = None) -> list[np.ndarray]:
-    """Per-transition value vectors from a padded forward of `batch`, a
-    layout of `trans` (`PaddedBatch.of(trans)` when omitted). It needs no
-    gradient, so it runs off the tape in minibatch-sized blocks
+def critic_values(critic: CriticNetwork, trans: list[Transition]) -> list[np.ndarray]:
+    """Per-transition value vectors from a padded forward of `trans`. It
+    needs no gradient, so it runs off the tape in minibatch-sized blocks
     (`PaddedBatch.forward`): the same bits as one pass over a whole rollout,
     without that pass's rollout-sized temporaries."""
-    if batch is None:
-        batch = PaddedBatch.of(trans)
+    batch = PaddedBatch.of(trans)
     return batch.split(_values(critic, batch))
 
 
@@ -457,33 +460,23 @@ def compute_advantages(episode: EpisodeResult, critic: CriticNetwork,
 # Updates
 
 
-def _bootstrap_columns(trans: list[Transition], batch: PaddedBatch) -> tuple:
-    """The rewards (B, 1) and the live indicators, 1.0 where an agent's next
-    state is not terminal, padded to `batch` (B, N_max)."""
-    return (np.array([[tr.reward] for tr in trans]),
-            batch.rows([(~tr.terminal).astype(float) for tr in trans]))
-
-
-def _td_rows(critic: CriticNetwork, next_batch: PaddedBatch, rewards: np.ndarray,
-             live: np.ndarray, gamma: float) -> np.ndarray:
-    """r + gamma * V(next) * live as one (B, N_max) array, 0.0 on padding."""
-    targets = rewards + gamma * _values(critic, next_batch) * live
-    targets[~next_batch.agents] = 0.0
+def _td_rows(critic: CriticNetwork, batch: PaddedBatch, gamma: float) -> np.ndarray:
+    """r + gamma * V(next) * live as one (B, N_max) array, 0.0 on padding;
+    V(next) reads `next_obs` on the adjacency recorded at decision time."""
+    next_values = _values(critic, replace(batch, obs=batch.next_obs))
+    targets = batch.reward + gamma * next_values * batch.live
+    targets[~batch.agents] = 0.0
     return targets
 
 
-def td_targets(critic: CriticNetwork, trans: list[Transition], gamma: float,
-               next_batch: PaddedBatch | None = None) -> list[np.ndarray]:
+def td_targets(critic: CriticNetwork, trans: list[Transition],
+               gamma: float) -> list[np.ndarray]:
     """r + gamma * V(next) with bootstrap 0 on terminal rows.
 
-    The adjacency recorded at decision time is reused for the next-state
-    value. Targets are treated as constants (semi-gradient TD). `next_batch`
-    is `PaddedBatch.of(trans).with_next_obs(trans)`, built here when omitted.
+    Targets are treated as constants (semi-gradient TD).
     """
-    if next_batch is None:
-        next_batch = PaddedBatch.of(trans).with_next_obs(trans)
-    return next_batch.split(_td_rows(critic, next_batch,
-                                     *_bootstrap_columns(trans, next_batch), gamma))
+    batch = PaddedBatch.of(trans)
+    return batch.split(_td_rows(critic, batch, gamma))
 
 
 def _td_loss(values: Tensor, targets: np.ndarray, agents: np.ndarray) -> Tensor:
@@ -491,41 +484,27 @@ def _td_loss(values: Tensor, targets: np.ndarray, agents: np.ndarray) -> Tensor:
 
 
 def critic_loss_given_targets(critic: CriticNetwork, trans: list[Transition],
-                              targets: list[np.ndarray],
-                              batch: PaddedBatch | None = None) -> Tensor:
-    """Sum over agents of squared TD errors against detached targets;
-    `batch`, when given, is `PaddedBatch.of(trans)` built already."""
-    if batch is None:
-        batch = PaddedBatch.of(trans)
+                              targets: list[np.ndarray]) -> Tensor:
+    """Sum over agents of squared TD errors against detached targets."""
+    batch = PaddedBatch.of(trans)
     return _td_loss(critic.values(*batch.inputs()), batch.rows(targets), batch.agents)
 
 
-def _clipped_surrogate(actor: PolicyNetwork, mean: Tensor, agents: np.ndarray,
-                       actions: np.ndarray, logp_old: np.ndarray, advantages: np.ndarray,
-                       clip: float) -> Tensor:
-    logp_new = actor.log_prob(Tensor(actions), mean)
-    ratio = (logp_new - Tensor(logp_old)).exp()
-    adv = Tensor(advantages)   # zero on padded rows
+def _clipped_surrogate(actor: PolicyNetwork, mean: Tensor, batch: PaddedBatch,
+                       advantages: np.ndarray, clip: float) -> Tensor:
+    logp_new = actor.log_prob(Tensor(batch.actions), mean)
+    ratio = (logp_new - Tensor(batch.logp_old)).exp()
+    adv = Tensor(advantages)   # (B, N_max), zero on padded rows
     surr = (ratio * adv).minimum(ratio.clip(1.0 - clip, 1.0 + clip) * adv)
-    return (surr * agents).sum()
-
-
-def _surrogate_columns(trans: list[Transition], advantages: list[np.ndarray],
-                       batch: PaddedBatch) -> tuple:
-    """Actions, rollout log-densities and advantages, padded to `batch`."""
-    return (batch.rows([tr.actions for tr in trans]),
-            batch.rows([tr.logp_old for tr in trans]), batch.rows(advantages))
+    return (surr * batch.agents).sum()
 
 
 def surrogate_objective(actor: PolicyNetwork, trans: list[Transition],
-                        advantages: list[np.ndarray], clip: float,
-                        batch: PaddedBatch | None = None) -> Tensor:
-    """Clipped PPO objective: sum over agents of min(r*A, clip(r)*A);
-    `batch`, when given, is `PaddedBatch.of(trans)` built already."""
-    if batch is None:
-        batch = PaddedBatch.of(trans)
-    return _clipped_surrogate(actor, actor.action_mean(*batch.inputs()), batch.agents,
-                              *_surrogate_columns(trans, advantages, batch), clip)
+                        advantages: list[np.ndarray], clip: float) -> Tensor:
+    """Clipped PPO objective: sum over agents of min(r*A, clip(r)*A)."""
+    batch = PaddedBatch.of(trans)
+    return _clipped_surrogate(actor, actor.action_mean(*batch.inputs()), batch,
+                              batch.rows(advantages), clip)
 
 
 def _params_finite(params: dict[str, Tensor]) -> bool:
@@ -593,16 +572,17 @@ class _GuardedOptimizer:
         vars(self).update(state["guard"])
 
 
-def _minibatches(trans: list[Transition], size: int,
+def _minibatches(batch: PaddedBatch, size: int,
                  rng: np.random.Generator) -> list[list[int]]:
     """Shuffled index chunks holding roughly `size` agent-transitions each."""
-    order = rng.permutation(len(trans))
+    counts = batch.agents.sum(axis=1).tolist()
+    order = rng.permutation(len(counts))
     chunks: list[list[int]] = []
     current: list[int] = []
     count = 0
-    for idx in order:
-        current.append(int(idx))
-        count += len(trans[idx].agent_ids)
+    for idx in order.tolist():
+        current.append(idx)
+        count += counts[idx]
         if count >= size:
             chunks.append(current)
             current, count = [], 0
@@ -611,31 +591,26 @@ def _minibatches(trans: list[Transition], size: int,
     return chunks
 
 
-def critic_update(trans: list[Transition], critic: CriticNetwork,
-                  guard: _GuardedOptimizer, ppo: PpoConfig,
-                  rng: np.random.Generator, batch: PaddedBatch | None = None) -> float:
-    """Minibatched TD passes; returns the full-batch loss at the start.
+def critic_update(batch: PaddedBatch, critic: CriticNetwork, guard: _GuardedOptimizer,
+                  ppo: PpoConfig, rng: np.random.Generator) -> float:
+    """Minibatched TD passes on the round's record `batch`; returns the
+    full-batch loss at the start.
 
     The initial loss and epoch 0 share one set of targets: both see the
-    starting parameters, which a NaN-guard retry restores. All passes share
-    one layout of `trans` (`batch`, built here when omitted) and of their
-    next observations; minibatches are slices of it. The full-batch passes
-    (targets, initial loss) run off the tape in blocks (`PaddedBatch.forward`).
+    starting parameters, which a NaN-guard retry restores. Minibatches are
+    slices of `batch`. The full-batch passes (targets, initial loss) run off
+    the tape in blocks (`PaddedBatch.forward`).
     """
-    if batch is None:
-        batch = PaddedBatch.of(trans)
-    next_batch = batch.with_next_obs(trans)
-    bootstrap = _bootstrap_columns(trans, batch)
-    start_targets = _td_rows(critic, next_batch, *bootstrap, ppo.gamma)
+    start_targets = _td_rows(critic, batch, ppo.gamma)
     initial = _td_loss(batch.forward(critic.values), start_targets, batch.agents).data
     check_finite(initial, "the initial critic loss")
 
     def passes(scale: float) -> None:
         for epoch in range(ppo.epochs):
-            targets = (start_targets if epoch == 0
-                       else _td_rows(critic, next_batch, *bootstrap, ppo.gamma))
-            for chunk in _minibatches(trans, ppo.minibatch_size, rng):
-                sub, sub_targets = batch.take(chunk, targets)
+            targets = start_targets if epoch == 0 else _td_rows(critic, batch, ppo.gamma)
+            for chunk in _minibatches(batch, ppo.minibatch_size, rng):
+                sub = batch.take(chunk)
+                sub_targets = targets[chunk, :sub.agents.shape[1]]
                 guard.minibatch_step(lambda: _td_loss(
                     critic.values(*sub.inputs()), sub_targets, sub.agents), scale)
 
@@ -643,27 +618,24 @@ def critic_update(trans: list[Transition], critic: CriticNetwork,
     return float(initial)
 
 
-def actor_update(trans: list[Transition], advantages: list[np.ndarray],
-                 actor: PolicyNetwork, guard: _GuardedOptimizer, ppo: PpoConfig,
-                 rng: np.random.Generator, batch: PaddedBatch | None = None) -> float:
-    """Minibatched ascent on the clipped surrogate; returns the initial
-    objective, taken off the tape in blocks (`PaddedBatch.forward`) on
-    `batch` (`PaddedBatch.of(trans)`, built here when omitted), which the
-    minibatches slice."""
-    if batch is None:
-        batch = PaddedBatch.of(trans)
-    columns = _surrogate_columns(trans, advantages, batch)
+def actor_update(batch: PaddedBatch, advantages: np.ndarray, actor: PolicyNetwork,
+                 guard: _GuardedOptimizer, ppo: PpoConfig, rng: np.random.Generator) -> float:
+    """Minibatched ascent on the clipped surrogate over the round's record
+    `batch`, with (B, N_max) `advantages`, zero on padding; returns the
+    initial objective, taken off the tape in blocks (`PaddedBatch.forward`).
+    Minibatches are slices of `batch`."""
     with no_grad():
-        initial = _clipped_surrogate(actor, batch.forward(actor.action_mean), batch.agents,
-                                     *columns, ppo.clip).data
+        initial = _clipped_surrogate(actor, batch.forward(actor.action_mean), batch,
+                                     advantages, ppo.clip).data
     check_finite(initial, "the initial surrogate objective")
 
     def passes(scale: float) -> None:
         for _ in range(ppo.epochs):
-            for chunk in _minibatches(trans, ppo.minibatch_size, rng):
-                sub, *sub_columns = batch.take(chunk, *columns)
+            for chunk in _minibatches(batch, ppo.minibatch_size, rng):
+                sub = batch.take(chunk)
+                sub_advantages = advantages[chunk, :sub.agents.shape[1]]
                 guard.minibatch_step(lambda: -_clipped_surrogate(
-                    actor, actor.action_mean(*sub.inputs()), sub.agents, *sub_columns,
+                    actor, actor.action_mean(*sub.inputs()), sub, sub_advantages,
                     ppo.clip), scale)
 
     guard.run(passes)
@@ -756,7 +728,7 @@ def _update_round(trans: list[Transition], advantages: list[np.ndarray],
                   bundle: PolicyBundle, critic_guard: _GuardedOptimizer,
                   actor_guard: _GuardedOptimizer, ppo: PpoConfig, master_seed: int,
                   update_idx: int) -> tuple[float, float]:
-    """The critic update, then the actor update, on one layout of `trans`:
+    """The critic update, then the actor update, on one record of `trans`:
     (initial critic loss, initial actor objective). The actor update runs in
     a child process beside the critic's when `updates_overlap()`."""
     critic_rng = np.random.default_rng(
@@ -766,13 +738,14 @@ def _update_round(trans: list[Transition], advantages: list[np.ndarray],
     if ppo.normalize_advantages:
         advantages = normalize_advantages(advantages)
     batch = PaddedBatch.of(trans)
+    padded_advantages = batch.rows(advantages)
 
     def critic() -> float:
-        return critic_update(trans, bundle.critic, critic_guard, ppo, critic_rng, batch)
+        return critic_update(batch, bundle.critic, critic_guard, ppo, critic_rng)
 
     def actor() -> float:
-        return actor_update(trans, advantages, bundle.actor, actor_guard, ppo, actor_rng,
-                            batch)
+        return actor_update(batch, padded_advantages, bundle.actor, actor_guard, ppo,
+                            actor_rng)
 
     if not updates_overlap():
         return critic(), actor()

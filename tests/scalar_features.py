@@ -85,7 +85,7 @@ def cav_neighbors(state: SimState, ego: VehicleState, scan_scale: float | None =
 
 
 def local_observation(state: SimState, cav_id: int, target_speed: float,
-                      scan_scale: float | None = None) -> np.ndarray:
+                      scan_scale: float) -> np.ndarray:
     """One agent's feature vector (see `cavlab.sim.local_observation`)."""
     ego = state.find(cav_id)
     if ego.kind is not VehicleKind.CAV:

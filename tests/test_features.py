@@ -72,15 +72,14 @@ def assert_features_match(state, scan_scale, target_speed=8.0):
         assert np.array_equal(new.neighbor_mask, old.neighbor_mask)
         assert np.array_equal(build_adjacency(state, scheme, scan_scale, pairs).weights,
                               old.weights)
-    for scan in (scan_scale, None):
-        new = local_observation(state, ids, target_speed, scan)
-        old = np.array([scalar.local_observation(state, vid, target_speed, scan)
-                        for vid in ids])
-        assert np.array_equal(new, old)
-        # any subset, in any order, picks the same rows
-        picked = ids[::-2]
-        assert np.array_equal(local_observation(state, picked, target_speed, scan, pairs),
-                              old[[ids.index(vid) for vid in picked]])
+    new = local_observation(state, ids, target_speed, scan_scale)
+    old = np.array([scalar.local_observation(state, vid, target_speed, scan_scale)
+                    for vid in ids])
+    assert np.array_equal(new, old)
+    # any subset, in any order, picks the same rows
+    picked = ids[::-2]
+    assert np.array_equal(local_observation(state, picked, target_speed, scan_scale, pairs),
+                          old[[ids.index(vid) for vid in picked]])
     for vid in ids:
         assert (receptive_closure(state, vid, scan_scale, pairs=pairs)
                 == scalar.receptive_closure(state, vid, scan_scale))

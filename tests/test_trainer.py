@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import signal
@@ -228,8 +229,8 @@ def test_update_log_density_at_theta_old_is_the_rollouts():
     assert len(trans) == 60
     batch = PaddedBatch.of(trans)
     mean = bundle.actor.action_mean(*batch.inputs())
-    logp = bundle.actor.log_prob(Tensor(batch.rows([tr.actions for tr in trans])), mean)
-    assert np.array_equal(logp.data, batch.rows([tr.logp_old for tr in trans]))
+    logp = bundle.actor.log_prob(Tensor(batch.actions), mean)
+    assert np.array_equal(logp.data, batch.logp_old)
     advs = [np.linspace(-1.0, 1.0, len(tr.agent_ids)) for tr in trans]
     obj = surrogate_objective(bundle.actor, trans, advs, clip=0.2)
     assert float(obj.data) == float((batch.rows(advs) * batch.agents).sum())
@@ -251,8 +252,8 @@ def test_merge_update_log_density_at_theta_old_is_the_rollouts_to_rounding():
         assert len({len(tr.agent_ids) for tr in trans}) > 1
         batch = PaddedBatch.of(trans)
         mean = bundle.actor.action_mean(*batch.inputs())
-        logp = bundle.actor.log_prob(Tensor(batch.rows([tr.actions for tr in trans])), mean)
-        gap = np.abs(logp.data - batch.rows([tr.logp_old for tr in trans]))[batch.agents]
+        logp = bundle.actor.log_prob(Tensor(batch.actions), mean)
+        gap = np.abs(logp.data - batch.logp_old)[batch.agents]
         assert gap.max() <= 1e-12
 
 
@@ -315,9 +316,9 @@ def test_critic_loss_matches_replayed_td_errors():
     targets = td_targets(bundle.critic, trans, ppo.gamma)
     loss = float(critic_loss_given_targets(bundle.critic, trans, targets).data)
 
-    from cavlab.trainer import critic_values
     v_now = critic_values(bundle.critic, trans)
-    v_next = critic_values(bundle.critic, trans, PaddedBatch.of(trans).with_next_obs(trans))
+    v_next = critic_values(bundle.critic, [dataclasses.replace(tr, obs=tr.next_obs)
+                                           for tr in trans])
     expected = 0.0
     for k, tr in enumerate(trans):
         target = tr.reward + ppo.gamma * v_next[k] * (~tr.terminal).astype(float)
@@ -356,11 +357,12 @@ def _critic_update_with_fresh_targets(trans, critic, guard, ppo, rng):
     """critic_update as it was before epoch 0 reused the initial targets."""
     targets = td_targets(critic, trans, ppo.gamma)
     initial = float(critic_loss_given_targets(critic, trans, targets).data)
+    batch = PaddedBatch.of(trans)
 
     def passes(scale):
         for _ in range(ppo.epochs):
             targets = td_targets(critic, trans, ppo.gamma)
-            for chunk in trainer_module._minibatches(trans, ppo.minibatch_size, rng):
+            for chunk in trainer_module._minibatches(batch, ppo.minibatch_size, rng):
                 subset = [trans[i] for i in chunk]
                 sub_targets = [targets[i] for i in chunk]
                 guard.minibatch_step(
@@ -377,7 +379,8 @@ def test_critic_update_reuses_initial_targets(retry):
     trans = collect_rollout(small_bundle(seed=9), small_env(), ppo, 12, rng).transitions
     guard_cls = _FailingOnceGuard if retry else trainer_module._GuardedOptimizer
     results = []
-    for update in (critic_update, _critic_update_with_fresh_targets):
+    for update in (lambda trans, *args: critic_update(PaddedBatch.of(trans), *args),
+                   _critic_update_with_fresh_targets):
         critic = small_bundle(seed=9).critic
         guard = guard_cls(critic.parameters(), ppo.critic_lr, ppo.max_lr_halvings)
         initial = update(trans, critic, guard, ppo, np.random.default_rng(4))
@@ -423,11 +426,13 @@ def test_non_finite_loss_halves_the_step_and_restores(monkeypatch, which):
     start = {k: p.data.copy() for k, p in net.parameters().items()}
     guard = trainer_module._GuardedOptimizer(net.parameters(), 1e-2, ppo.max_lr_halvings)
     seen, errors = _nan_loss_on_second_step(monkeypatch)
+    batch = PaddedBatch.of(trans)
     if which == "critic":
-        critic_update(trans, net, guard, ppo, np.random.default_rng(0))
+        critic_update(batch, net, guard, ppo, np.random.default_rng(0))
     else:
         advs = normalize_advantages(compute_advantages(episode, bundle.critic, ppo))
-        trainer_module.actor_update(trans, advs, net, guard, ppo, np.random.default_rng(0))
+        trainer_module.actor_update(batch, batch.rows(advs), net, guard, ppo,
+                                    np.random.default_rng(0))
     scales = [scale for scale, _, _ in seen]
     assert scales[:3] == [1.0, 1.0, 0.5] and set(scales[2:]) == {0.5}
     (_, first, t_first), (_, failing, _), (_, retry, t_retry) = seen[:3]
@@ -520,7 +525,8 @@ def test_critic_forwards_per_update(monkeypatch):
     compute_advantages(episode, bundle.critic, ppo)
     guard = trainer_module._GuardedOptimizer(bundle.critic.parameters(), ppo.critic_lr,
                                              ppo.max_lr_halvings)
-    critic_update(episode.transitions, bundle.critic, guard, ppo, np.random.default_rng(0))
+    critic_update(PaddedBatch.of(episode.transitions), bundle.critic, guard, ppo,
+                  np.random.default_rng(0))
     assert len(chunks) == ppo.epochs
     per_epoch = {len(c) for c in chunks}
     assert len(per_epoch) == 1 and per_epoch.pop() > 1
@@ -724,26 +730,44 @@ def test_minibatch_slices_equal_their_own_layouts():
     trans = collect_rollout(bundle, cfg.env_spec(), ppo, *episode_streams(0, 0)).transitions
     assert len({len(tr.agent_ids) for tr in trans}) > 2
     full = PaddedBatch.of(trans)
-    full_next = full.with_next_obs(trans)
     advs = [np.linspace(-1.0, 1.0, len(tr.agent_ids)) for tr in trans]
-    columns = (full.rows(advs), full.rows([tr.actions for tr in trans]))
+    padded_advs = full.rows(advs)
     trimmed = 0
     for size in (16, ppo.minibatch_size):
-        for chunk in trainer_module._minibatches(trans, size, np.random.default_rng(size)):
-            subset = [trans[i] for i in chunk]
-            sub, sub_advs, sub_actions = full.take(chunk, *columns)
-            built = PaddedBatch.of(subset)
-            pairs = [(sub, built), (full_next.take(chunk)[0], built.with_next_obs(subset))]
-            for taken, own in pairs:
-                for name in ("obs", "weights", "mask", "agents", "dinv_m"):
-                    a, b = getattr(taken, name), getattr(own, name)
-                    assert a.shape == b.shape and a.dtype == b.dtype, name
-                    assert a.flags.c_contiguous and np.array_equal(a, b), name
-            for taken, own in ((sub_advs, built.rows([advs[i] for i in chunk])),
-                               (sub_actions, built.rows([tr.actions for tr in subset]))):
-                assert taken.shape == own.shape and np.array_equal(taken, own)
+        for chunk in trainer_module._minibatches(full, size, np.random.default_rng(size)):
+            sub = full.take(chunk)
+            built = PaddedBatch.of([trans[i] for i in chunk])
+            for column in dataclasses.fields(PaddedBatch):   # every column of the record
+                a, b = getattr(sub, column.name), getattr(built, column.name)
+                assert a.shape == b.shape and a.dtype == b.dtype, column.name
+                assert a.flags.c_contiguous and np.array_equal(a, b), column.name
+            # the updates slice the advantages as `take` slices the record
+            sub_advs = padded_advs[chunk, :sub.agents.shape[1]]
+            own = built.rows([advs[i] for i in chunk])
+            assert sub_advs.shape == own.shape and np.array_equal(sub_advs, own)
             trimmed += sub.agents.shape[1] < full.agents.shape[1]
     assert trimmed > 0
+
+
+def test_minibatches_count_each_steps_agents(merge_episode):
+    # the chunks that counting len(tr.agent_ids) draws from the same generator
+    _, _, episode = merge_episode
+    trans = episode.transitions
+    assert len({len(tr.agent_ids) for tr in trans}) > 1
+    batch = PaddedBatch.of(trans)
+    for size in (7, 30, 256):
+        rng = np.random.default_rng(size)
+        expected, current, count = [], [], 0
+        for idx in rng.permutation(len(trans)):
+            current.append(int(idx))
+            count += len(trans[idx].agent_ids)
+            if count >= size:
+                expected.append(current)
+                current, count = [], 0
+        if current:
+            expected.append(current)
+        assert len(expected) > 1 or size == 256
+        assert trainer_module._minibatches(batch, size, np.random.default_rng(size)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -789,9 +813,9 @@ def test_blockwise_forward_is_the_one_shot_forward_bit_for_bit(monkeypatch, upda
     assert step * n_max % trainer_module.BLOCK_ROW_ALIGN == 0
     assert step * n_max <= max(block_rows, trainer_module.BLOCK_ROW_ALIGN * n_max)
     assert len(blocks) > 2 and blocks[-1].stop - blocks[-1].start < step   # a remainder
-    single = batch.take(list(range(5)))[0]
+    single = batch.take(list(range(5)))
     assert single.blocks() == [slice(0, 5)]
-    for layout in (batch, batch.with_next_obs(trans), single):
+    for layout in (batch, dataclasses.replace(batch, obs=batch.next_obs), single):
         for net_fn in (bundle.critic.values, bundle.actor.action_mean):
             out = layout.forward(net_fn)
             assert not out._parents   # off the tape
@@ -849,10 +873,9 @@ def test_td_targets_are_one_array_zero_on_padding(update_layouts):
     gamma = 0.9
     batch = PaddedBatch.of(trans)
     assert not batch.agents.all()
-    next_batch = batch.with_next_obs(trans)
-    rows = trainer_module._td_rows(bundle.critic, next_batch,
-                                   *trainer_module._bootstrap_columns(trans, batch), gamma)
-    next_vals = critic_values(bundle.critic, trans, next_batch)
+    rows = trainer_module._td_rows(bundle.critic, batch, gamma)
+    next_vals = critic_values(bundle.critic, [dataclasses.replace(tr, obs=tr.next_obs)
+                                              for tr in trans])
     per_transition = [tr.reward + gamma * next_vals[k] * (~tr.terminal).astype(float)
                       for k, tr in enumerate(trans)]
     assert rows.tobytes() == batch.rows(per_transition).tobytes()
@@ -890,17 +913,18 @@ def test_full_batch_passes_stay_block_sized(which):
     ppo = PpoConfig()
     if which == "critic_values":
         def run():
-            critic_values(bundle.critic, trans, batch)
+            batch.split(trainer_module._values(bundle.critic, batch))
     elif which == "initial_critic_loss":
         def run():
-            critic_update(trans, bundle.critic, _NoPasses(bundle.critic.parameters(), 1e-3, 0),
-                          ppo, np.random.default_rng(0), batch)
+            critic_update(batch, bundle.critic, _NoPasses(bundle.critic.parameters(), 1e-3, 0),
+                          ppo, np.random.default_rng(0))
     else:
+        advantages = batch.rows([np.ones(16)] * len(trans))
+
         def run():
             trainer_module.actor_update(
-                trans, [np.ones(16)] * len(trans), bundle.actor,
-                _NoPasses(bundle.actor.parameters(), 1e-3, 0), ppo,
-                np.random.default_rng(0), batch)
+                batch, advantages, bundle.actor,
+                _NoPasses(bundle.actor.parameters(), 1e-3, 0), ppo, np.random.default_rng(0))
     assert _traced_peak_mb(run) < 4.0
 
 
