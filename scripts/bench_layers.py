@@ -44,6 +44,14 @@ reports the median and quartiles, in milliseconds, of
   `trainer.FORWARD_BLOCK_ROWS`). Each entry adds the minor
   page faults per pass (`minflt_per_call`) and the pass's `tracemalloc`
   peak in MB, both taken apart from the timing.
+- `rollout_step`: one `trainer.collect_rollout` of ROLLOUT_STEPS steps on
+  configs/ring.json scaled to 16, 64 and 256 CAVs (safety clamp on, fresh
+  seeded policy weights, as the benchmark's large ring): milliseconds and
+  minor page faults per step, and the bytes the episode's transitions
+  keep per step (`tracemalloc`, taken apart from the timing). These rows
+  run first: the larger rows leave the allocator keeping freed memory,
+  after which no rollout faults, and a rollout alone faults as the
+  benchmark's does.
 `--src` picks the checkout to import, so two commits compare under the
 same script; the per-agent observation API of checkouts that predate
 `sim.cav_pairs` is timed the way those rollouts called it (no `pairs`
@@ -76,6 +84,8 @@ TARGET_SPEED = 30.0 / 3.6
 MERGE_WARM_STEPS = 600
 FULL_BATCH_LAYOUTS = {"ring_smoke": 500, "ring": 3000}   # config: rollout steps
 FULL_BATCH_BLOCK_ROWS = (64, 128, 256, 512, 1024, 4096)
+ROLLOUT_CAVS = (16, 64, 256)
+ROLLOUT_STEPS = 30
 
 
 def ring_state(sim, networks, idm_mod, n_cav: int, seed: int = 0):
@@ -222,23 +232,58 @@ def kernel_rows(rows: dict, forward, reps: int) -> dict:
     return out
 
 
-def large_ring_steps(root: Path) -> list:
-    """Two rollout transitions of configs/ring.json scaled to 256 CAVs at the
-    same density and CAV share, the benchmark's large ring."""
-    import numpy as np
-    from cavlab import config, trainer
+def scaled_ring_config(root: Path, n_cav: int, horizon: int):
+    """configs/ring.json scaled to `n_cav` CAVs at the same density and CAV
+    share, safety clamp on (256 CAVs: the benchmark's large ring)."""
+    from cavlab import config
 
     raw = json.loads((root / "configs" / "ring.json").read_text())
     scen = raw["scenario"]
-    n_human = 256 * scen["n_human"] // scen["n_cav"]
-    scen.update(ring_length=scen["ring_length"] * (256 + n_human)
+    n_human = n_cav * scen["n_human"] // scen["n_cav"]
+    scen.update(ring_length=scen["ring_length"] * (n_cav + n_human)
                 / (scen["n_human"] + scen["n_cav"]),
-                n_human=n_human, n_cav=256, safety_clamp=True, horizon=2)
-    cfg = config.config_from_dict(raw)
+                n_human=n_human, n_cav=n_cav, safety_clamp=True, horizon=horizon)
+    return config.config_from_dict(raw)
+
+
+def ring_rollout(root: Path, n_cav: int, horizon: int):
+    """A function that collects one seeded rollout of `scaled_ring_config`."""
+    import numpy as np
+    from cavlab import trainer
+
+    cfg = scaled_ring_config(root, n_cav, horizon)
+    env, ppo = cfg.env_spec(), cfg.ppo_config()
     bundle = trainer.make_policy(cfg.net_config(), np.random.SeedSequence(4))
-    return trainer.collect_rollout(bundle, cfg.env_spec(), cfg.ppo_config(),
-                                   np.random.SeedSequence(5),
-                                   np.random.default_rng(6)).transitions
+    return lambda: trainer.collect_rollout(bundle, env, ppo, np.random.SeedSequence(5),
+                                           np.random.default_rng(6))
+
+
+def large_ring_steps(root: Path) -> list:
+    """Two rollout transitions of the benchmark's large ring."""
+    return ring_rollout(root, 256, 2)().transitions
+
+
+def rollout_rows(root: Path, reps: int) -> dict:
+    """Per-step cost and kept bytes of a ring rollout (see the module doc)."""
+    out = {}
+    for n_cav in ROLLOUT_CAVS:
+        rollout = ring_rollout(root, n_cav, ROLLOUT_STEPS)
+        steps = rollout().length
+        entry = measured(rollout, max(4, reps // 4))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            episode = rollout()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        out[str(n_cav)] = {
+            "steps": steps,
+            **{f"{q}_ms_per_step": entry[f"{q}_ms"] / steps for q in ("median", "q1", "q3")},
+            "minflt_per_step": entry["minflt_per_call"] / steps,
+            "kept_bytes_per_transition": kept / len(episode.transitions),
+        }
+    return out
 
 
 def full_batch_rows(root: Path, reps: int) -> dict:
@@ -357,6 +402,7 @@ def main() -> None:
            "nproc": os.cpu_count(), "src": str(Path(args.src).resolve()),
            "reps": args.reps, "features": {}, "pairs": {}, "step": {}}
     root = Path(args.src).resolve().parent
+    out["rollout_step"] = rollout_rows(root, args.reps)
     for n_cav in FEATURE_CAVS:
         state = ring_state(sim, networks, idm, n_cav)
         out["features"][str(n_cav)] = timed(lambda: features(state), args.reps)

@@ -18,6 +18,15 @@ bit prints the same JSON:
     python scripts/identity_digest.py --src ../parent/src > before.json
     diff before.json after.json
 
+`--golden FILE` records the digest in FILE instead, under the fingerprint
+of the numerics it was computed with (`fingerprint`): the numpy version,
+the BLAS build numpy reports, and the machine architecture. The digest of
+`tests/golden/identity_digest.json` is checked by
+`tests/test_identity_digest.py`; a change that moves bits on purpose
+regenerates it:
+
+    PYTHONPATH=src python scripts/identity_digest.py --golden tests/golden/identity_digest.json
+
 It takes about 10 seconds on 2 cores.
 """
 from __future__ import annotations
@@ -29,6 +38,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -90,39 +100,69 @@ def cli_digest(cli, config_path: Path, checkpoint: Path, name: str) -> dict:
             "baseline": tree_digest(Path(f"baseline_{name}"))}
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="the `src` directory of the checkout to digest")
-    args = ap.parse_args()
-    src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    import cavlab
-    if not Path(cavlab.__file__).resolve().is_relative_to(src):
-        raise SystemExit(f"cavlab imported from {cavlab.__file__}, not from {src}")
+def fingerprint() -> str:
+    """What the digest's bits depend on besides the code: the numpy version,
+    the BLAS name and version numpy was built with, and the architecture."""
+    import numpy as np
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        library = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):   # numpy before 1.26 has no mode="dicts"
+        library = "unknown BLAS"
+    return f"numpy {np.__version__}, {library}, {platform.machine()}"
+
+
+def digest() -> dict:
+    """The digest of the imported `cavlab` (see the module doc)."""
     from cavlab import cli
     from cavlab.checkpoint import save_checkpoint
     from cavlab.config import emit_config, parse_config
     from cavlab.trainer import train
 
     out = {"train": {}, "cli": {}}
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)   # the outputs record their (relative) paths
-        for name in SHORT_RUNS:
-            cfg = shortened(parse_config(ROOT / "configs" / f"{name}.json"), name)
-            result = train(cfg.env_spec(), cfg.ppo_config(), cfg.net_config(),
-                           master_seed=0)
-            out["train"][name] = train_digest(result)
-            checkpoint = Path(f"{name}_checkpoint.json")
-            save_checkpoint(checkpoint, result.bundle.parameters(),
-                            result.bundle.architecture())
-            out["train"][name]["checkpoint"] = sha(checkpoint.read_bytes())
-            config_path = Path(f"{name}_eval.json")
-            emit_config(dataclasses.replace(cfg, scenario=dataclasses.replace(
-                cfg.scenario, horizon=EVAL_HORIZON), seeds=(0,)), config_path)
-            out["cli"][name] = cli_digest(cli, config_path, checkpoint, name)
-    json.dump(out, sys.stdout, indent=1, sort_keys=True)
-    print()
+        try:
+            for name in SHORT_RUNS:
+                cfg = shortened(parse_config(ROOT / "configs" / f"{name}.json"), name)
+                result = train(cfg.env_spec(), cfg.ppo_config(), cfg.net_config(),
+                               master_seed=0)
+                out["train"][name] = train_digest(result)
+                checkpoint = Path(f"{name}_checkpoint.json")
+                save_checkpoint(checkpoint, result.bundle.parameters(),
+                                result.bundle.architecture())
+                out["train"][name]["checkpoint"] = sha(checkpoint.read_bytes())
+                config_path = Path(f"{name}_eval.json")
+                emit_config(dataclasses.replace(cfg, scenario=dataclasses.replace(
+                    cfg.scenario, horizon=EVAL_HORIZON), seeds=(0,)), config_path)
+                out["cli"][name] = cli_digest(cli, config_path, checkpoint, name)
+        finally:
+            os.chdir(cwd)
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="the `src` directory of the checkout to digest")
+    ap.add_argument("--golden", type=Path,
+                    help="record the digest in this file under this machine's fingerprint")
+    args = ap.parse_args()
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import cavlab
+    if not Path(cavlab.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"cavlab imported from {cavlab.__file__}, not from {src}")
+    out = digest()
+    if args.golden is None:
+        json.dump(out, sys.stdout, indent=1, sort_keys=True)
+        print()
+        return
+    recorded = json.loads(args.golden.read_text()) if args.golden.exists() else {}
+    recorded[fingerprint()] = out
+    args.golden.parent.mkdir(parents=True, exist_ok=True)
+    args.golden.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

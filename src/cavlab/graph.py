@@ -6,15 +6,21 @@ speed difference dominates. Two ablation schemes keep only position or
 only velocity information. Entries beyond the scan scale are masked to
 zero; the diagonal always carries the self-connection with weight 1.
 
-The matrix is scattered from the step's in-range pairs (`sim.cav_pairs`,
-found from sorted positions), the pass the observations also read. The
-Gaussian kernel is taken with `math.exp` over those pairs: `np.exp`
-differs from it in the last bit on some inputs, and the weights are kept
-bit-identical to a per-pair scalar evaluation.
+Each scheme's formula is evaluated once per in-range pair
+(`pair_weights`), over the step's pairs (`sim.cav_pairs`, found from
+sorted positions), the pass the observations also read. `build_adjacency`
+scatters the values into the dense (N, N) matrix; `sparse_adjacency` keeps
+them as the mask's entries (`SparseAdjacency`), the form in which a
+rollout step that runs the edge kernel reads and stores its graph without
+any N x N array. The Gaussian kernel is taken with `math.exp` over the
+pairs: `np.exp` differs from it in the last bit on some inputs, and the
+weights are kept bit-identical to a per-pair scalar evaluation.
 
-`degree_normalize` is the one D^-1 M: the rollout applies it to a step's
-(N, N) weights with the degrees counted from the pairs, and the padded
-update batches to their (B, N, N) stacks with their masks' row sums.
+D^-1 M of a dense adjacency is `degree_normalize`: the rollout's dense
+steps apply it to a step's (N, N) weights with the degrees counted from
+the pairs, and the padded update batches to their (B, N, N) stacks with
+their masks' row sums. An edge step divides each entry's M by its agent's
+degree instead (`layers.EdgeList.of_adjacency`), the same division.
 """
 from __future__ import annotations
 
@@ -76,15 +82,64 @@ class AdjacencyMatrix:
     neighbor_mask: np.ndarray     # N x N bool incl. the diagonal
 
 
+@dataclass(frozen=True)
+class SparseAdjacency:
+    """An AdjacencyMatrix held as its mask's entries: N + 2E of them for E
+    in-range pairs, where the matrix holds 2 N^2 numbers.
+
+    `weights` and `neighbor_mask` scatter them into the dense (N, N)
+    arrays on each read: equal to `build_adjacency`'s, read-only, and not
+    kept.
+    """
+
+    agent_ids: list[int]
+    index: np.ndarray     # (E,) flat positions i*N + j of the mask's entries, ascending
+    values: np.ndarray    # (E,) M at those entries
+
+    def _dense(self, dtype, values) -> np.ndarray:
+        n = len(self.agent_ids)
+        out = np.zeros(n * n, dtype)
+        out[self.index] = values
+        out.flags.writeable = False
+        return out.reshape(n, n)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._dense(float, self.values)
+
+    @property
+    def neighbor_mask(self) -> np.ndarray:
+        return self._dense(bool, True)
+
+
+def pair_weights(pairs: CavPairs, scheme: AdjacencyScheme) -> tuple[np.ndarray, np.ndarray]:
+    """M at the in-range pairs of `pairs`: (M[i, j], M[j, i]), each (E,).
+
+    Every scheme's formula is here once; `build_adjacency` scatters these
+    values and `sparse_adjacency` keeps them. The Gaussian kernel takes
+    `math.exp` per pair rather than `np.exp`, whose last bits differ on
+    some inputs, so the weights match a scalar evaluation bit for bit.
+    """
+    i, j = pairs.i, pairs.j
+    vi, vj = pairs.speed[i], pairs.speed[j]
+    if isinstance(scheme, GaussianSpeedField):
+        d = pairs.dist
+        exponent = (-(d * d) / (2.0 * scheme.kernel.length_scale ** 2)).tolist()
+        k = np.fromiter(map(math.exp, exponent), float, len(exponent))
+        return k * (vj - vi), k * (vi - vj)
+    if isinstance(scheme, PositionOnly):
+        return tuple(pairs.signed)
+    ts, eps = scheme.target_speed, scheme.epsilon
+    return ts / (vi * np.abs(vj - vi) + eps), ts / (vj * np.abs(vi - vj) + eps)
+
+
 def build_adjacency(state: SimState, scheme: AdjacencyScheme, scan_scale: float,
                     pairs: CavPairs | None = None) -> AdjacencyMatrix:
     """Adjacency over the live CAVs, in vehicle-list order.
 
     Scattered from the step's in-range pairs (`pairs`, found here when
     omitted; they must be found at this scan scale), each entry evaluated
-    once. The Gaussian kernel takes `math.exp` per pair rather than
-    `np.exp`, whose last bits differ on some inputs, so the weights match a
-    scalar evaluation bit for bit.
+    once (`pair_weights`).
     """
     if pairs is None:
         pairs = cav_pairs(state, scan_scale)
@@ -98,20 +153,19 @@ def build_adjacency(state: SimState, scheme: AdjacencyScheme, scan_scale: float,
     mask = np.eye(n, dtype=bool)
     mask[i, j] = mask[j, i] = True
     weights = np.eye(n)
-    vi, vj = pairs.speed[i], pairs.speed[j]
-    if isinstance(scheme, GaussianSpeedField):
-        d = pairs.dist
-        exponent = (-(d * d) / (2.0 * scheme.kernel.length_scale ** 2)).tolist()
-        k = np.fromiter(map(math.exp, exponent), float, len(exponent))
-        weights[i, j] = k * (vj - vi)
-        weights[j, i] = k * (vi - vj)
-    elif isinstance(scheme, PositionOnly):
-        weights[i, j], weights[j, i] = pairs.signed
-    else:
-        ts, eps = scheme.target_speed, scheme.epsilon
-        weights[i, j] = ts / (vi * np.abs(vj - vi) + eps)
-        weights[j, i] = ts / (vj * np.abs(vi - vj) + eps)
+    weights[i, j], weights[j, i] = pair_weights(pairs, scheme)
     return AdjacencyMatrix(weights=weights, agent_ids=pairs.ids, neighbor_mask=mask)
+
+
+def sparse_adjacency(pairs: CavPairs, scheme: AdjacencyScheme) -> SparseAdjacency:
+    """The adjacency of `build_adjacency(state, scheme, pairs.scan_scale,
+    pairs)` as its mask's entries, with no N x N array."""
+    n = len(pairs.ids)
+    i, j = pairs.i, pairs.j
+    index = np.concatenate((i * n + j, j * n + i, np.arange(n) * (n + 1)))
+    values = np.concatenate((*pair_weights(pairs, scheme), np.ones(n)))
+    order = np.argsort(index)
+    return SparseAdjacency(agent_ids=pairs.ids, index=index[order], values=values[order])
 
 
 def degree_normalize(weights: np.ndarray, degree: np.ndarray) -> np.ndarray:

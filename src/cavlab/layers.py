@@ -21,13 +21,18 @@ softmax over N; its cost grows with B*N^2. The edge kernel works on an
 `EdgeList`, the mask's entries as edges of one disjoint union of the B
 graphs, and sums messages, scores and softmaxes over each agent's
 neighbours alone; its cost grows with the number of edges, plus a fixed
-overhead per call. `_Trunk` picks the kernel from its input
-(`select_edges`): the edge kernel when the mask holds fewer than
-`EDGE_KERNEL_MAX_DENSITY` of its entries, so a 256-CAV ring whose agents
-see about 4 neighbours each stops paying for 256, while small graphs and
-the padded (B, N_max) update batches, whose masks are a quarter full or
-more, keep the dense kernel and its exact results. The two kernels agree
-to rounding (tests/test_layers.py).
+overhead per call. It gathers, scales and sums a slot of edges at a time
+(`_Segments`), so its temporaries are node-sized, not edge-sized. `_Trunk`
+picks the kernel from its input (`select_edges`): the edge kernel when the
+mask holds fewer than `EDGE_KERNEL_MAX_DENSITY` of its entries
+(`sparse_enough`), so a 256-CAV ring whose agents see about 4 neighbours
+each stops paying for 256, while small graphs and the padded (B, N_max)
+update batches, whose masks are a quarter full or more, keep the dense
+kernel and its exact results. A rollout step makes the same choice from
+its in-range pairs and, for the edge kernel, hands the trunk an edge list
+built from the adjacency's entries (`EdgeList.of_adjacency`) that carries
+M and D^-1 M, in place of the dense mask and matrices. The two kernels
+agree to rounding (tests/test_layers.py).
 """
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidSpec, ShapeMismatch
-from .tensor import Tensor, _unbroadcast, softmax_backward, softmax_forward
+from .tensor import Tensor, _unbroadcast, check_finite, softmax_backward, softmax_forward
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -112,7 +117,7 @@ class _Segments:
     """
 
     def __init__(self, keys: np.ndarray, nodes: int):
-        counts = np.bincount(keys, minlength=nodes)
+        self.counts = counts = np.bincount(keys, minlength=nodes)   # edges per node
         self.rank = np.empty(nodes, dtype=np.intp)
         self.rank[np.argsort(-counts, kind="stable")] = np.arange(nodes)
         by_key = np.argsort(keys, kind="stable")
@@ -121,15 +126,22 @@ class _Segments:
         self.order = by_key[np.argsort(slot * nodes + self.rank[sorted_keys])]   # edge ids
         self.nodes = nodes
         sizes = np.bincount(slot).tolist()
-        self.blocks = list(zip(np.cumsum(sizes[:-1]).tolist(), sizes[1:]))  # (start, size)
+        # the edges of each slot, in `order`: the first slot holds one per node
+        self.spans = [slice(end - size, end)
+                      for end, size in zip(np.cumsum(sizes).tolist(), sizes)]
 
-    def reduce(self, ufunc, x: np.ndarray) -> np.ndarray:
+    def reduce(self, ufunc, x) -> np.ndarray:
         """(E, ...) values in `order` -> (nodes, ...): `ufunc` over each node's
-        edges, in slot order."""
-        out = x[:self.nodes].copy()
-        for start, size in self.blocks:
-            part = out[:size]
-            ufunc(part, x[start:start + size], out=part)
+        edges, in slot order. `x` is the values, or a function that returns
+        the values of a slice of the edges, so that no (E, ...) array is made."""
+        first, *rest = self.spans
+        if callable(x):
+            out = x(first)
+        else:
+            out, x = x[first].copy(), x.__getitem__
+        for span in rest:
+            part = out[:span.stop - span.start]
+            ufunc(part, x(span), out=part)
         return out[self.rank]
 
 
@@ -144,14 +156,39 @@ class EdgeList:
     neighbour, so that every node has an edge in and an edge out.
     """
 
+    # M and D^-1 M at the edges, (E,), when the list carries them (`of_adjacency`)
+    m: np.ndarray | None = None
+    dinv_m: np.ndarray | None = None
+
     def __init__(self, mask: np.ndarray):
         b, n, n2 = mask.shape
         if n != n2 or not mask.reshape(b, n * n)[:, ::n + 1].all():
             raise ShapeMismatch(
                 f"an edge list needs a (B, N, N) mask whose agents are their own "
                 f"neighbours, got {mask.shape}")
-        self.shape = mask.shape
-        index = np.flatnonzero(mask)
+        self._arrange(np.flatnonzero(mask), mask.shape)
+
+    @classmethod
+    def of_adjacency(cls, n: int, index: np.ndarray, values: np.ndarray) -> EdgeList:
+        """The edge list of one graph of `n` agents given as its mask's entries,
+        carrying M and D^-1 M at its edges: `index` holds the entries' flat
+        positions i*N + j in ascending order, every i*N + i among them;
+        `values` M at each. D^-1 M is M over each agent's in-degree.
+
+        The same edges, in the same order, as `EdgeList(mask[None])`, with no
+        pass over the N^2 entries. Non-finite values raise NonFiniteValue.
+        """
+        check_finite(values, "the adjacency at the edges")
+        edges = cls.__new__(cls)
+        edges._arrange(index, (1, n, n))
+        edges.m = values[edges._at_dst.order]
+        edges.dinv_m = edges.m / edges._at_dst.counts[edges.dst]
+        return edges
+
+    def _arrange(self, index: np.ndarray, shape: tuple[int, int, int]) -> None:
+        """Edges from the ascending flat positions `index` in a `shape` array."""
+        self.shape = shape
+        b, n, _ = shape
         self._at_dst = _Segments(index // n, b * n)
         self.index = index[self._at_dst.order]
         self.dst = self.index // n
@@ -168,6 +205,24 @@ class EdgeList:
     def sum_at_dst(self, x: np.ndarray) -> np.ndarray:
         """(E, ...) -> (B*N, ...): each node's sum over its incoming edges."""
         return self._at_dst.reduce(np.add, x)
+
+    def dot(self, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """(B*N, h, d) node values -> (E, h): q[dst] . k[src] per head, a slot
+        at a time, with no (E, h, d) temporary (see `weighted_sum_at_dst`)."""
+        out = np.empty((len(self.index), q.shape[1]))
+        dst, src = self.dst, self.src
+        for span in self._at_dst.spans:
+            out[span] = np.einsum("ehk,ehk->eh", q[dst[span]], k[src[span]])
+        return out
+
+    def weighted_sum_at_dst(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(E, ...) weights, (B*N, ...) node values -> (B*N, ...): each node's
+        sum of w * x[src] over its incoming edges, the bits of
+        `sum_at_dst(w * x[src])`, a slot at a time. At 256 CAVs each (E, ...)
+        temporary is 0.5 MB, and the allocator handed such pages back
+        between rollout steps, to fault them in afresh on the next one."""
+        src = self.src
+        return self._at_dst.reduce(np.add, lambda span: w[span] * x[src[span]])
 
     def sum_at_src(self, x: np.ndarray) -> np.ndarray:
         """(E, ...) -> (B*N, ...): each node's sum over its outgoing edges."""
@@ -186,10 +241,16 @@ class EdgeList:
         return probs * (grad - self.sum_at_dst(grad * probs)[self.dst])
 
 
+def sparse_enough(nnz: int, entries: int) -> bool:
+    """Whether a forward over masks that set `nnz` of their `entries` runs
+    the edge kernel: when that is fewer than EDGE_KERNEL_MAX_DENSITY of them."""
+    return nnz < EDGE_KERNEL_MAX_DENSITY * entries
+
+
 def uses_edge_kernel(mask: np.ndarray) -> bool:
-    """Whether a forward over the (B, N, N) `mask` runs the edge kernel: when
-    the mask holds fewer than EDGE_KERNEL_MAX_DENSITY of its entries."""
-    return np.count_nonzero(mask) < EDGE_KERNEL_MAX_DENSITY * mask.size
+    """Whether a forward over the (B, N, N) `mask` runs the edge kernel
+    (`sparse_enough`)."""
+    return sparse_enough(np.count_nonzero(mask), mask.size)
 
 
 def select_edges(mask: np.ndarray) -> EdgeList | None:
@@ -238,7 +299,9 @@ class GraphConvLayer:
     (N, N) matrices. One tape node with parents H and W: an M or D^-1 M
     that would need a gradient raises InvalidSpec. With `edges` (batched
     inputs only) the products run over the edge list, which reads M and
-    D^-1 M at its edges only.
+    D^-1 M at its edges only; an edge list that carries them
+    (`EdgeList.of_adjacency`) takes the place of M and D^-1 M, which are
+    then None.
     """
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
@@ -248,33 +311,38 @@ class GraphConvLayer:
                         requires_grad=True, name=f"{name}.W")
         self.activation = activation
 
-    def __call__(self, H: Tensor, M: Tensor, Dinv_M: Tensor,
+    def __call__(self, H: Tensor, M: Tensor | None, Dinv_M: Tensor | None,
                  edges: EdgeList | None = None) -> Tensor:
         W, act = self.W, self.activation
-        if H.shape[-2] != M.shape[-1] or M.shape[-1] != M.shape[-2]:
-            raise ShapeMismatch(
-                f"adjacency {M.shape} incompatible with features {H.shape}")
         if 2 * H.shape[-1] != W.shape[0]:
             raise ShapeMismatch(
                 f"feature width {H.shape[-1]} incompatible with W {W.shape}")
-        if M.requires_grad or M._parents or Dinv_M.requires_grad or Dinv_M._parents:
-            raise InvalidSpec("the graph conv takes M and D^-1 M as constants; "
-                              "it computes no gradient for them")
-        h, m, dm = H.data, M.data, Dinv_M.data
+        carried = edges is not None and edges.m is not None
+        if carried != (M is None) or carried != (Dinv_M is None):
+            raise InvalidSpec("the graph conv takes M and D^-1 M either as "
+                              "Tensors or from an edge list that carries them")
+        if not carried:
+            if H.shape[-2] != M.shape[-1] or M.shape[-1] != M.shape[-2] or (
+                    edges is not None and not edges.shape == M.shape == Dinv_M.shape):
+                raise ShapeMismatch(
+                    f"adjacency {M.shape} incompatible with features {H.shape}")
+            if M.requires_grad or M._parents or Dinv_M.requires_grad or Dinv_M._parents:
+                raise InvalidSpec("the graph conv takes M and D^-1 M as constants; "
+                                  "it computes no gradient for them")
+        h = H.data
         d = h.shape[-1]
         if edges is None:
+            m, dm = M.data, Dinv_M.data
             mixed = np.concatenate([m @ h, dm @ h], axis=-1)
         else:
-            if edges.shape != m.shape or edges.shape != dm.shape \
-                    or edges.shape[:2] != h.shape[:-1]:
-                raise ShapeMismatch(f"inputs {H.shape}, {M.shape} do not match the "
-                                    f"edge list's mask {edges.shape}")
-            h_src = _rows(h)[edges.src]                                # (E, d)
-            m_e, dm_e = edges.at(m)[:, None], edges.at(dm)[:, None]    # (E, 1)
-            # two (E, d) halves: one (E, 2d) temporary, about 1 MB at 256 CAVs,
-            # was faulted in afresh on every call and made this 3x slower
-            mixed = np.concatenate([edges.sum_at_dst(m_e * h_src),
-                                    edges.sum_at_dst(dm_e * h_src)], axis=-1
+            if edges.shape[:2] != h.shape[:-1]:
+                raise ShapeMismatch(f"features {H.shape} do not match the edge "
+                                    f"list's mask {edges.shape}")
+            m_e, dm_e = ((edges.m, edges.dinv_m) if carried
+                         else (edges.at(M.data), edges.at(Dinv_M.data)))
+            m_e, dm_e = m_e[:, None], dm_e[:, None]                    # (E, 1)
+            mixed = np.concatenate([edges.weighted_sum_at_dst(m_e, _rows(h)),
+                                    edges.weighted_sum_at_dst(dm_e, _rows(h))], axis=-1
                                    ).reshape(h.shape[:-1] + (2 * d,))
         mixed2d = _rows(mixed)
         out2d = _activate(mixed2d @ W.data, act)
@@ -306,8 +374,8 @@ class AttentionLayer:
     The forward is one tape node: Q, K and V come from one GEMM against the
     stacked weights [Wq | Wk | Wv], per-head weights phi = softmax(q k^T /
     sqrt(d_head)) over the mask, and the heads' phi v are merged and
-    projected by Wo. With `edges` (the edge list of `mask`) the scores,
-    softmax and phi v run over the edges alone.
+    projected by Wo. With `edges` (the edge list of `mask`, which may then
+    be None) the scores, softmax and phi v run over the edges alone.
     """
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int, name: str = "attn"):
@@ -324,22 +392,23 @@ class AttentionLayer:
         self.Wv = Tensor(orthogonal(rng, (d, d)), requires_grad=True, name=f"{name}.Wv")
         self.Wo = Tensor(orthogonal(rng, (d, d)), requires_grad=True, name=f"{name}.Wo")
 
-    def _weights(self, H: Tensor, mask: np.ndarray, edges: EdgeList | None):
+    def _weights(self, H: Tensor, mask: np.ndarray | None, edges: EdgeList | None):
         """The rows of H, [Wq | Wk | Wv], q, k, v and phi.
 
         Dense: q, k, v (B, h, N, d_h) and phi (B, h, N, N). Edge list: q, k,
         v (B*N, h, d_h) and phi (E, h).
         """
         b, n, d = H.shape
-        if mask.shape != (b, n, n) or (edges is not None and edges.shape != mask.shape):
-            raise ShapeMismatch(f"mask {mask.shape} does not match features {H.shape}")
+        for graph in (mask, edges):
+            if graph is not None and graph.shape != (b, n, n):
+                raise ShapeMismatch(f"mask {graph.shape} does not match features {H.shape}")
         h, dh = self.heads, self.d_head
         w_qkv = np.concatenate([self.Wq.data, self.Wk.data, self.Wv.data], axis=1)  # (d, 3d)
         h2d = _rows(H.data)
         if edges is not None:
             qkv = (h2d @ w_qkv).reshape(b * n, 3, h, dh)
             q, k, v = qkv[:, 0], qkv[:, 1], qkv[:, 2]                  # (B*N, h, d_h)
-            scores = np.einsum("ehk,ehk->eh", q[edges.dst], k[edges.src])
+            scores = edges.dot(q, k)                                    # (E, h)
             scores *= 1.0 / math.sqrt(dh)
             return h2d, w_qkv, q, k, v, edges.softmax(scores)
         # (B*N, 3d) -> (3, B, h, N, d_h): q, k, v split into heads
@@ -349,7 +418,8 @@ class AttentionLayer:
         scores *= 1.0 / math.sqrt(dh)
         return h2d, w_qkv, q, k, v, softmax_forward(scores, mask[:, None])
 
-    def __call__(self, H: Tensor, mask: np.ndarray, edges: EdgeList | None = None) -> Tensor:
+    def __call__(self, H: Tensor, mask: np.ndarray | None,
+                 edges: EdgeList | None = None) -> Tensor:
         """H: (B, N, d); mask: (B, N, N) bool, diag True. Returns (B, N, d)."""
         b, n, d = H.shape
         h, dh, scale = self.heads, self.d_head, 1.0 / math.sqrt(self.d_head)
@@ -357,8 +427,7 @@ class AttentionLayer:
         if edges is None:
             merged = (phi @ v).transpose(0, 2, 1, 3).reshape(b * n, d)   # (B*N, d)
         else:
-            v_src = v[edges.src]                                        # (E, h, d_h)
-            merged = edges.sum_at_dst(phi[:, :, None] * v_src).reshape(b * n, d)
+            merged = edges.weighted_sum_at_dst(phi[:, :, None], v).reshape(b * n, d)
         out = merged @ self.Wo.data
 
         def backward(grad, needs):
@@ -373,7 +442,7 @@ class AttentionLayer:
             else:
                 g_dst = g_merged.reshape(b * n, h, dh)[edges.dst]         # (E, h, d_h)
                 g_scores = edges.softmax_backward(
-                    phi, np.einsum("ehk,ehk->eh", g_dst, v_src)) * scale
+                    phi, np.einsum("ehk,ehk->eh", g_dst, v[edges.src])) * scale
                 g_scores = g_scores[:, :, None]
                 g_qkv = np.stack([edges.sum_at_dst(g_scores * k[edges.src]),
                                   edges.sum_at_src(g_scores * q[edges.dst]),
@@ -454,7 +523,13 @@ class GaussianPolicyHead:
 
 class _Trunk:
     """Dense encoder -> graph conv -> (optional) attention; the graph conv
-    and the attention share one kernel choice and one edge list."""
+    and the attention share one kernel choice and one edge list.
+
+    The graph comes as a (B, N, N) `mask` with its M and D^-1 M, the kernel
+    picked by `select_edges`, or, for the edge kernel, as an edge list that
+    carries M and D^-1 M (`EdgeList.of_adjacency`) in place of the mask,
+    with M and D^-1 M None.
+    """
 
     def __init__(self, rng: np.random.Generator, cfg: NetConfig, name: str):
         self.encoder = Dense(rng, cfg.obs_dim, cfg.hidden, gain=math.sqrt(2.0),
@@ -465,8 +540,12 @@ class _Trunk:
         if cfg.heads > 0:
             self.attn = AttentionLayer(rng, cfg.hidden, cfg.heads, name=f"{name}.attn")
 
-    def __call__(self, obs: Tensor, M: Tensor, Dinv_M: Tensor, mask: np.ndarray) -> Tensor:
-        edges = select_edges(mask)
+    def __call__(self, obs: Tensor, M: Tensor | None, Dinv_M: Tensor | None,
+                 mask: np.ndarray | EdgeList) -> Tensor:
+        if isinstance(mask, EdgeList):
+            edges, mask = mask, None
+        else:
+            edges = select_edges(mask)
         h = self.encoder(obs)
         h = self.gconv(h, M, Dinv_M, edges)
         if self.attn is not None:
@@ -488,8 +567,9 @@ class PolicyNetwork:
         self.trunk = _Trunk(rng, cfg, "actor")
         self.head = GaussianPolicyHead(rng, cfg.hidden, cfg.action_low, cfg.action_high)
 
-    def action_mean(self, obs: Tensor, M: Tensor, Dinv_M: Tensor, mask: np.ndarray) -> Tensor:
-        """(B, N, obs_dim) -> per-agent action mean (B, N)."""
+    def action_mean(self, obs: Tensor, M: Tensor | None, Dinv_M: Tensor | None,
+                    mask: np.ndarray | EdgeList) -> Tensor:
+        """(B, N, obs_dim) -> per-agent action mean (B, N); the graph as in `_Trunk`."""
         h = self.trunk(obs, M, Dinv_M, mask)
         b, n, _ = h.shape
         return self.head.mean(h).reshape(b, n)
@@ -509,8 +589,9 @@ class CriticNetwork:
         self.trunk = _Trunk(rng, cfg, "critic")
         self.vhead = Dense(rng, cfg.hidden, 1, gain=1.0, name="critic_head")
 
-    def values(self, obs: Tensor, M: Tensor, Dinv_M: Tensor, mask: np.ndarray) -> Tensor:
-        """(B, N, obs_dim) -> per-agent value estimates (B, N)."""
+    def values(self, obs: Tensor, M: Tensor | None, Dinv_M: Tensor | None,
+               mask: np.ndarray | EdgeList) -> Tensor:
+        """(B, N, obs_dim) -> per-agent value estimates (B, N); the graph as in `_Trunk`."""
         h = self.trunk(obs, M, Dinv_M, mask)
         b, n, _ = h.shape
         return self.vhead(h).reshape(b, n)

@@ -47,12 +47,15 @@ import numpy as np
 
 from .errors import (InvalidSpec, NanGradient, NonFiniteAction, NonFiniteValue,
                      UpdateProcessLost)
-from .graph import AdjacencyScheme, build_adjacency, degree_normalize
+from .graph import (AdjacencyMatrix, AdjacencyScheme, SparseAdjacency, build_adjacency,
+                    degree_normalize, sparse_adjacency)
 from .idm import IdmParams
-from .layers import Adam, CriticNetwork, NetConfig, PolicyNetwork, uses_edge_kernel
+from .layers import (Adam, CriticNetwork, EdgeList, NetConfig, PolicyNetwork, sparse_enough,
+                     uses_edge_kernel)
 from .networks import RoadNetwork
 from .rewards import RewardSpec, step_reward
-from .sim import SimOptions, SimState, build_network, cav_pairs, local_observation, step
+from .sim import (CavPairs, SimOptions, SimState, build_network, cav_pairs, local_observation,
+                  step)
 from .tensor import Tensor, check_finite, no_grad
 
 
@@ -113,20 +116,34 @@ class Transition:
     """One environment step for all live agents, in vehicle-list order.
 
     `next_obs` is the next step's observation of the same agent (zeros for
-    an agent that exited). D^-1 M is not stored: batches derive it from
-    `weights` and `mask`.
+    an agent that exited). The adjacency is kept in the form the step's
+    forward read: dense for the dense kernel, and as its mask's entries
+    (`SparseAdjacency`, about N + 2E numbers for E in-range pairs) for the
+    edge kernel, where N x N arrays would dwarf the rest of the step.
+    `weights` and `mask` read it as (N, N) arrays either way: the stored
+    ones, or, on an edge step, read-only ones built on each read. D^-1 M
+    is not stored: batches derive it from `weights` and `mask`.
     """
 
     step_index: int
     agent_ids: list[int]
     obs: np.ndarray          # (N, OBS_DIM)
-    weights: np.ndarray      # adjacency M_t (N, N)
-    mask: np.ndarray         # (N, N) bool
+    adjacency: AdjacencyMatrix | SparseAdjacency   # M_t and its neighbour mask
     actions: np.ndarray      # (N,)
     logp_old: np.ndarray     # (N,)
     reward: float            # shared team scalar
     next_obs: np.ndarray     # (N, OBS_DIM)
     terminal: np.ndarray     # (N,) bool: agent exited or episode ended here
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The adjacency M_t, (N, N)."""
+        return self.adjacency.weights
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The neighbour mask, (N, N) bool."""
+        return self.adjacency.neighbor_mask
 
 
 @dataclass
@@ -168,18 +185,17 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
     """Sampled (or deterministic-mean) actions for the live CAVs.
 
     Returns (transition scaffold dict or None when no CAVs, actions dict).
+    The step's graph is read and stored in the form of its kernel
+    (`graph_inputs`).
     """
     pairs = cav_pairs(state, env.scan_scale)
     if not pairs.ids:
         return None, {}
-    adj = build_adjacency(state, env.scheme, env.scan_scale, pairs)
+    adj, graph = graph_inputs(state, pairs, env)
     obs = local_observation(state, pairs.ids, env.target_speed, env.scan_scale, pairs)
-    mask = adj.neighbor_mask
     actor = bundle.actor
     with no_grad():
-        mean = actor.action_mean(
-            Tensor(obs[None]), Tensor(adj.weights[None]),
-            Tensor(degree_normalize(adj.weights, pairs.degree)[None]), mask[None]).data[0]
+        mean = actor.action_mean(Tensor(obs[None]), *graph).data[0]
         if not np.isfinite(mean).all():
             raise NonFiniteAction(f"non-finite values produced by the rollout's action "
                                   f"mean at step {state.time_step}")
@@ -194,12 +210,32 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
     scaffold = {
         "agent_ids": adj.agent_ids,
         "obs": obs,
-        "weights": adj.weights,
-        "mask": mask,
+        "adjacency": adj,
         "actions": actions,
         "logp_old": logp,
     }
     return scaffold, {vid: float(a) for vid, a in zip(adj.agent_ids, actions)}
+
+
+def graph_inputs(state: SimState, pairs: CavPairs, env: EnvSpec) -> tuple:
+    """(adjacency, (M, D^-1 M, mask)): a step's adjacency as the transition
+    stores it and as the policy reads it (`layers._Trunk`).
+
+    The kernel is picked from the pairs as `layers.uses_edge_kernel` picks
+    it from the mask, which would hold N + 2E of its N^2 entries for E
+    pairs. Dense kernel: the (N, N) AdjacencyMatrix, with M and D^-1 M as
+    (1, N, N) Tensors and the (1, N, N) mask. Edge kernel: a
+    SparseAdjacency and the edge list that carries M and D^-1 M in place
+    of all three; no N x N array is built.
+    """
+    n = len(pairs.ids)
+    if sparse_enough(n + 2 * len(pairs.i), n * n):
+        adj = sparse_adjacency(pairs, env.scheme)
+        return adj, (None, None, EdgeList.of_adjacency(n, adj.index, adj.values))
+    adj = build_adjacency(state, env.scheme, env.scan_scale, pairs)
+    return adj, (Tensor(adj.weights[None]),
+                  Tensor(degree_normalize(adj.weights, pairs.degree)[None]),
+                  adj.neighbor_mask[None])
 
 
 def _link_next(tr: Transition, nxt: dict | None) -> None:

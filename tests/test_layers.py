@@ -9,14 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from cavlab import config
 from cavlab.errors import InvalidSpec, NonFiniteValue, ShapeMismatch
-from cavlab.graph import build_adjacency, degree_normalize
+from cavlab.graph import (
+    GaussianSpeedField, PositionOnly, SparseAdjacency, VelocityOnly, build_adjacency,
+    degree_normalize, sparse_adjacency,
+)
 from cavlab.layers import (
     EDGE_KERNEL_MAX_DENSITY, Adam, AttentionLayer, CriticNetwork, Dense, EdgeList,
     GaussianPolicyHead, GraphConvLayer, NetConfig, PolicyNetwork, orthogonal, select_edges,
+    uses_edge_kernel,
 )
 from cavlab.selfcheck import fd_grad, rel_err
+from cavlab.sim import cav_pairs, step
 from cavlab.tensor import Tensor, check_each_op, concat, no_grad
-from cavlab.trainer import PaddedBatch, collect_rollout, make_policy
+from cavlab.trainer import PaddedBatch, collect_rollout, graph_inputs, make_policy
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -588,6 +593,22 @@ def test_edge_kernel_backward_matches_finite_differences():
         assert rel_err(g, fd) < 1e-6
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_slotwise_edge_products_are_the_whole_ones_bit_for_bit(data):
+    # the forward's slot-at-a-time sums and scores against the same
+    # expressions over (E, ...) gathers
+    mask, r = _union_of_graphs(data)
+    b, n, _ = mask.shape
+    edges = EdgeList(mask)
+    w = r.standard_normal((edges.index.size, 2, 1))
+    x, q, k = (r.standard_normal((b * n, 2, 4)) for _ in range(3))
+    assert (edges.weighted_sum_at_dst(w, x).tobytes()
+            == edges.sum_at_dst(w * x[edges.src]).tobytes())
+    assert (edges.dot(q, k).tobytes()
+            == np.einsum("ehk,ehk->eh", q[edges.dst], k[edges.src]).tobytes())
+
+
 def test_edge_list_needs_self_loops():
     mask = np.ones((1, 3, 3), dtype=bool)
     mask[0, 1, 1] = False
@@ -626,3 +647,131 @@ def test_large_ring_runs_the_edge_kernel():
     assert mask.mean() < EDGE_KERNEL_MAX_DENSITY
     edges = select_edges(mask)
     assert isinstance(edges, EdgeList) and edges.index.size == mask.sum()
+
+
+# ---------------------------------------------------------------------------
+# the edge list of a step's adjacency held as its mask's entries
+
+
+def _assert_same_edges(edges, ref):
+    """The same edges in the same order, grouped the same way."""
+    assert edges.shape == ref.shape
+    for name in ("index", "dst", "src"):
+        assert np.array_equal(getattr(edges, name), getattr(ref, name))
+    for name in ("_at_dst", "_at_src"):
+        got, want = getattr(edges, name), getattr(ref, name)
+        assert np.array_equal(got.order, want.order)
+        assert np.array_equal(got.rank, want.rank)
+        assert got.spans == want.spans
+
+
+def _assert_carries(edges, ref, weights, degree):
+    """`edges` carries M and D^-1 M at its edges, bit for bit as the dense
+    kernel's inputs hold them."""
+    assert edges.m.tobytes() == ref.at(weights[None]).tobytes()
+    assert edges.dinv_m.tobytes() == ref.at(degree_normalize(weights, degree)[None]).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_edge_list_of_an_adjacency_is_the_edge_list_of_its_mask(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    density = data.draw(st.floats(0.0, 1.0), label="density")
+    r = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    mask = r.random((n, n)) < density
+    np.fill_diagonal(mask, True)
+    weights = r.standard_normal((n, n)) * mask
+    index = np.flatnonzero(mask)
+    edges = EdgeList.of_adjacency(n, index, weights.ravel()[index])
+    ref = EdgeList(mask[None])
+    _assert_same_edges(edges, ref)
+    _assert_carries(edges, ref, weights, mask.sum(-1))
+
+
+def _scenario_states(env, steps: int = 300, every: int = 50) -> list:
+    """States with CAVs of a zero-command run of `env`, every `every` steps."""
+    state, states = env.build(np.random.SeedSequence(0)), []
+    for t in range(steps):
+        if t % every == 0 and state.cavs():
+            states.append(state)
+        state, _ = step(state, {v.id: 0.0 for v in state.cavs()}, env.dt)
+        if state.collided:
+            break
+    return states
+
+
+def _scenario_envs() -> dict:
+    """The four shipped scenarios, and the 256-CAV ring at its 30 m scan and
+    at 60 m, where its mask is 3.2% full, just above the edge kernel's cut-off."""
+    envs = {name: config.parse_config(CONFIGS / f"{name}.json").env_spec()
+            for name in ("ring_smoke", "ring", "figure_eight", "merge")}
+    large = _large_ring_config().env_spec()
+    large = dataclasses.replace(
+        large, options=dataclasses.replace(large.options, safety_clamp=True))
+    envs["ring_256"] = large
+    envs["ring_256_scan_60"] = dataclasses.replace(large, scan_scale=60.0)
+    return envs
+
+
+@pytest.mark.parametrize("name", ["ring_smoke", "ring", "figure_eight", "merge", "ring_256",
+                                  "ring_256_scan_60"])
+def test_kernel_choice_from_the_pairs_is_the_masks(name):
+    env = _scenario_envs()[name]
+    large = name.startswith("ring_256")
+    states = _scenario_states(env, steps=30 if large else 300, every=10 if large else 50)
+    assert states
+    for state in states:
+        pairs = cav_pairs(state, env.scan_scale)
+        dense = build_adjacency(state, env.scheme, env.scan_scale, pairs)
+        adj, graph = graph_inputs(state, pairs, env)
+        edge_step = uses_edge_kernel(dense.neighbor_mask[None])
+        assert isinstance(adj, SparseAdjacency) == edge_step == (name == "ring_256")
+        if edge_step:   # the record and its edge list, against the dense adjacency's
+            ref = EdgeList(dense.neighbor_mask[None])
+            _assert_same_edges(graph[2], ref)
+            _assert_carries(graph[2], ref, dense.weights, pairs.degree)
+            assert adj.weights.tobytes() == dense.weights.tobytes()
+            assert np.array_equal(adj.neighbor_mask, dense.neighbor_mask)
+        else:
+            assert adj.weights.tobytes() == dense.weights.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["gaussian", "position", "velocity"])
+def test_sparse_adjacency_is_the_dense_one_for_every_scheme(scheme):
+    env = _scenario_envs()["figure_eight"]
+    schemes = {"gaussian": GaussianSpeedField(), "position": PositionOnly(),
+               "velocity": VelocityOnly()}
+    for state in _scenario_states(env):
+        pairs = cav_pairs(state, env.scan_scale)
+        dense = build_adjacency(state, schemes[scheme], env.scan_scale, pairs)
+        adj = sparse_adjacency(pairs, schemes[scheme])
+        assert len(np.unique(adj.index)) == len(adj.index) == len(pairs.ids) + 2 * len(pairs.i)
+        assert adj.weights.tobytes() == dense.weights.tobytes()
+        assert np.array_equal(adj.neighbor_mask, dense.neighbor_mask)
+
+
+def test_non_finite_edge_values_raise():
+    index = np.array([0, 1, 2, 3])
+    with pytest.raises(NonFiniteValue, match="adjacency at the edges"):
+        EdgeList.of_adjacency(2, index, np.array([1.0, np.nan, 0.5, 1.0]))
+    with pytest.raises(NonFiniteValue, match="adjacency at the edges"):
+        EdgeList.of_adjacency(2, index, np.array([1.0, 2.0, -np.inf, 1.0]))
+
+
+def test_graph_conv_takes_m_from_tensors_or_from_the_edge_list():
+    r = rng(95)
+    mask = np.eye(4, dtype=bool)
+    mask[0, 1] = mask[1, 0] = mask[2, 3] = True
+    index = np.flatnonzero(mask)
+    weights = r.standard_normal((4, 4)) * mask
+    carried = EdgeList.of_adjacency(4, index, weights.ravel()[index])
+    layer = GraphConvLayer(r, 3, 2)
+    H = Tensor(r.standard_normal((1, 4, 3)))
+    M = Tensor(weights[None])
+    Dinv = Tensor(degree_normalize(weights, mask.sum(-1))[None])
+    out = layer(H, None, None, carried).data
+    assert out.tobytes() == layer(H, M, Dinv, EdgeList(mask[None])).data.tobytes()
+    for args in ((M, Dinv, carried), (None, None, EdgeList(mask[None])), (None, None, None),
+                 (M, None, carried)):
+        with pytest.raises(InvalidSpec, match="either"):
+            layer(H, *args)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavlab.graph import GaussianSpeedField
+from cavlab.graph import AdjacencyMatrix, GaussianSpeedField
 from cavlab import trainer as trainer_module
 from cavlab.errors import NanGradient, NonFiniteAction, NonFiniteValue, UpdateProcessLost
 from cavlab.idm import IdmParams
@@ -658,6 +658,161 @@ def test_rollout_observes_each_agent_once_per_step(monkeypatch):
     assert last.terminal.all() and last.next_obs.any()
 
 
+# ---------------------------------------------------------------------------
+# the 256-CAV ring's rollout keeps its graph sparse
+
+LARGE_RING_CAVS = 256
+
+
+@pytest.fixture(scope="module")
+def large_ring():
+    """configs/ring.json scaled to 256 CAVs at the same density and CAV share,
+    safety clamp on, 30 steps: the benchmark's large ring, with its policy."""
+    import json
+
+    from cavlab.config import config_from_dict
+    raw = json.loads((CONFIGS / "ring.json").read_text())
+    scen = raw["scenario"]
+    n_human = LARGE_RING_CAVS * scen["n_human"] // scen["n_cav"]
+    scen.update(ring_length=scen["ring_length"] * (LARGE_RING_CAVS + n_human)
+                / (scen["n_human"] + scen["n_cav"]), n_human=n_human,
+                n_cav=LARGE_RING_CAVS, safety_clamp=True, horizon=30)
+    cfg = config_from_dict(raw)
+    return cfg.env_spec(), cfg.ppo_config(), make_policy(cfg.net_config(),
+                                                         np.random.SeedSequence(4))
+
+
+def large_rollout(large_ring, on_step=None):
+    env, ppo, bundle = large_ring
+    return collect_rollout(bundle, env, ppo, np.random.SeedSequence(5),
+                           np.random.default_rng(6), on_step=on_step).transitions
+
+
+def dense_graph_inputs(state, pairs, env):
+    """`trainer.graph_inputs` through the dense adjacency on every step: the
+    (N, N) M, D^-1 M and mask, from which the networks pick the edge kernel
+    by counting the mask."""
+    from cavlab.graph import build_adjacency, degree_normalize
+    adj = build_adjacency(state, env.scheme, env.scan_scale, pairs)
+    return adj, (Tensor(adj.weights[None]),
+                 Tensor(degree_normalize(adj.weights, pairs.degree)[None]),
+                 adj.neighbor_mask[None])
+
+
+def test_large_ring_rollout_is_the_dense_input_edge_forward_bit_for_bit(monkeypatch,
+                                                                        large_ring):
+    from cavlab.graph import AdjacencyMatrix, SparseAdjacency
+    from cavlab.layers import uses_edge_kernel
+    sparse = large_rollout(large_ring)
+    monkeypatch.setattr(trainer_module, "graph_inputs", dense_graph_inputs)
+    dense = large_rollout(large_ring)
+    assert len(sparse) == len(dense) == 30
+    for a, b in zip(sparse, dense):
+        assert isinstance(a.adjacency, SparseAdjacency)
+        assert isinstance(b.adjacency, AdjacencyMatrix) and uses_edge_kernel(b.mask[None])
+        assert a.agent_ids == b.agent_ids
+        for name in ("actions", "logp_old", "obs", "next_obs", "terminal", "weights", "mask"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    # the update reads either kind of transition as the same padded record
+    for name in ("weights", "mask", "dinv_m", "obs"):
+        assert (getattr(PaddedBatch.of(sparse[:4]), name).tobytes()
+                == getattr(PaddedBatch.of(dense[:4]), name).tobytes())
+
+
+def test_edge_step_transition_reads_its_adjacency_read_only(large_ring):
+    from cavlab.graph import build_adjacency
+    env = large_ring[0]
+
+    def adjacency(state):
+        return build_adjacency(state, env.scheme, env.scan_scale)
+
+    # a step moves the vehicles in place: each state's adjacency is taken
+    # before the next step
+    expected = [adjacency(env.build(np.random.SeedSequence(5)))]
+    trans = large_rollout(large_ring, on_step=lambda t, state: expected.append(adjacency(state)))
+    for tr, adj in zip(trans, expected):
+        assert tr.weights.tobytes() == adj.weights.tobytes()
+        assert np.array_equal(tr.mask, adj.neighbor_mask)
+    tr = trans[4]
+    assert tr.weights is not tr.weights   # built on each read, not kept
+    with pytest.raises(ValueError, match="read-only"):
+        tr.weights[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="read-only"):
+        tr.mask[0, 1] = not tr.mask[0, 1]
+    assert tr.weights.tobytes() == expected[4].weights.tobytes()
+
+
+@pytest.mark.parametrize("edge_step", [True, False])
+def test_non_finite_adjacency_raises_on_either_kernel(monkeypatch, large_ring, edge_step):
+    from cavlab.sim import cav_pairs
+    env = large_ring[0]
+    if not edge_step:
+        monkeypatch.setattr(trainer_module, "graph_inputs", dense_graph_inputs)
+    state = env.build(np.random.SeedSequence(5))
+    pairs = cav_pairs(state, env.scan_scale)
+    speed = pairs.speed.copy()
+    speed[pairs.i[0]] = np.inf
+    with pytest.raises(NonFiniteValue):
+        trainer_module.graph_inputs(state, dataclasses.replace(pairs, speed=speed), env)
+
+
+def _arrays(obj):
+    """(name, array) of every array field of a dataclass, nested ones included."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            yield f.name, value
+        elif dataclasses.is_dataclass(value):
+            yield from _arrays(value)
+
+
+def test_large_ring_rollout_stores_and_builds_no_n_by_n_array(monkeypatch, large_ring):
+    import gc
+    import tracemalloc
+
+    from cavlab import layers
+    n = LARGE_RING_CAVS
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trans = large_rollout(large_ring)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trans) == 30
+    for tr in trans:
+        sizes = {name: a.size for name, a in _arrays(tr)}
+        assert "index" in sizes and max(sizes.values()) < n * n, sizes
+    # about 46 KB a step: obs, next_obs, actions, logp_old and the edges;
+    # the dense weights and mask alone were 590 KB
+    assert retained / len(trans) < 100_000
+
+    calls, largest = [], []
+    for module, name in ((trainer_module, "build_adjacency"),
+                         (trainer_module, "degree_normalize"),
+                         (layers, "select_edges"), (layers, "uses_edge_kernel")):
+        def spy(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    edge_list_of_mask, tensor_init = layers.EdgeList.__init__, Tensor.__init__
+
+    def of_mask(self, mask):
+        calls.append("EdgeList(mask)")
+        edge_list_of_mask(self, mask)
+
+    def tensor(self, data, *args, **kwargs):
+        tensor_init(self, data, *args, **kwargs)
+        largest.append(self.data.size)
+
+    monkeypatch.setattr(layers.EdgeList, "__init__", of_mask)
+    monkeypatch.setattr(Tensor, "__init__", tensor)
+    assert len(large_rollout(large_ring)) == 30
+    assert calls == [] and 0 < max(largest) < n * n
+
+
 def test_padded_batch_is_a_plain_stack_at_fixed_agent_count():
     episode = collect_rollout(small_bundle(), small_env(), small_ppo(horizon=10), 4, None)
     trans = episode.transitions
@@ -832,7 +987,8 @@ def _layout(steps, n, seed=0, density=0.4):
         np.fill_diagonal(mask, True)
         out.append(trainer_module.Transition(
             step_index=t, agent_ids=list(range(n)), obs=rng.standard_normal((n, 6)),
-            weights=np.where(mask, rng.random((n, n)), 0.0), mask=mask,
+            adjacency=AdjacencyMatrix(weights=np.where(mask, rng.random((n, n)), 0.0),
+                                      agent_ids=list(range(n)), neighbor_mask=mask),
             actions=rng.standard_normal(n), logp_old=rng.standard_normal(n),
             reward=float(rng.standard_normal()), next_obs=rng.standard_normal((n, 6)),
             terminal=rng.random(n) < 0.1))
@@ -859,8 +1015,8 @@ def test_blocks_keep_the_whole_batch_attention_kernel():
     from cavlab.layers import uses_edge_kernel
     trans = _layout(12, 40, density=0.3)
     for tr in trans[6:]:
-        tr.mask = np.eye(40, dtype=bool)
-        tr.weights = np.where(tr.mask, tr.weights, 0.0)
+        tr.mask[...] = np.eye(40, dtype=bool)
+        tr.weights[~tr.mask] = 0.0
     batch = PaddedBatch.of(trans)
     assert not uses_edge_kernel(batch.mask) and uses_edge_kernel(batch.mask[6:])
     assert batch.blocks() == [slice(0, 12)]
