@@ -31,6 +31,15 @@ reports the median and quartiles, in milliseconds, of
   the actor (`actor_minibatch_B64_N4`, clipped surrogate), and for the
   critic on one 256-CAV step (`critic_minibatch_B1_N256`); and one
   `Adam.step` over the actor's parameters (`adam_step`).
+- `loss_terms`: each loss term and its backward on a leaf network output
+  of that B=64, N=4 layout, taken apart from the networks: the Gaussian
+  log-density of the actions (`log_prob`, summed) and the clipped
+  surrogate (`clipped_surrogate`, through the log-density) on the action
+  mean, and the TD loss (`td_loss`) on the values.
+- `tape_nodes`: the nodes (`Tensor._make` calls) that one actor minibatch
+  loss and one critic minibatch loss put on the tape at B=64, N=4
+  (`actor_minibatch`, `critic_minibatch`), and that one configs/ring_smoke.json
+  rollout step makes under `no_grad` (`rollout_step`, `trainer.policy_actions`).
 - `kernels`: for a checkout whose layers have the edge-list kernel, every
   forward row above timed on each kernel (`dense`, `edge`) with the mask's
   density: the crossover behind `layers.EDGE_KERNEL_MAX_DENSITY`.
@@ -163,6 +172,14 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
     advantages = trainer.normalize_advantages(
         trainer.compute_advantages(episode, bundle.critic, ppo))
     critic_loss, actor_loss = minibatch_losses(trainer, bundle, trans, advantages, ppo)
+    out["loss_terms"] = loss_term_rows(trainer, bundle, trans, advantages, ppo, reps)
+    state = env.build(np.random.SeedSequence(1))
+    out["tape_nodes"] = {
+        "actor_minibatch": tape_nodes(tensor, actor_loss),
+        "critic_minibatch": tape_nodes(tensor, critic_loss),
+        "rollout_step": tape_nodes(tensor, lambda: trainer.policy_actions(
+            bundle, state, env, np.random.default_rng(2))),
+    }
     large = large_ring_steps(root)[:1]
     large_loss, _ = minibatch_losses(trainer, bundle, large,
                                      [np.zeros(len(large[0].agent_ids))], ppo)
@@ -190,28 +207,78 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
     return out
 
 
-def minibatch_losses(trainer, bundle, trans: list, advantages, ppo) -> tuple:
-    """(critic loss fn, actor loss fn): the TD loss and the negated clipped
-    surrogate of `trans` as a minibatch step of an update computes them, on
-    a layout built up front (an update slices its minibatches off the
-    round's layout)."""
+def loss_inputs(trainer, bundle, trans: list, advantages, ppo) -> tuple:
+    """(layout, TD targets, the surrogate's columns after the action mean) of
+    `trans`, built up front as an update builds the round's layout."""
     batch = trainer.PaddedBatch.of(trans)
     targets = batch.rows(trainer.td_targets(bundle.critic, trans, ppo.gamma))
-
-    def critic_loss():
-        return trainer._td_loss(bundle.critic.values(*batch.inputs()), targets, batch.agents)
-
     if hasattr(batch, "actions"):   # the round's record holds every column
         columns = (batch, batch.rows(advantages))
     else:   # loose columns beside the layout
         columns = (batch.agents, batch.rows([tr.actions for tr in trans]),
                    batch.rows([tr.logp_old for tr in trans]), batch.rows(advantages))
+    return batch, targets, columns
+
+
+def minibatch_losses(trainer, bundle, trans: list, advantages, ppo) -> tuple:
+    """(critic loss fn, actor loss fn): the TD loss and the negated clipped
+    surrogate of `trans` as a minibatch step of an update computes them, on
+    a layout built up front (an update slices its minibatches off the
+    round's layout)."""
+    batch, targets, columns = loss_inputs(trainer, bundle, trans, advantages, ppo)
+
+    def critic_loss():
+        return trainer._td_loss(bundle.critic.values(*batch.inputs()), targets, batch.agents)
 
     def actor_loss():
         mean = bundle.actor.action_mean(*batch.inputs())
         return -trainer._clipped_surrogate(bundle.actor, mean, *columns, ppo.clip)
 
     return critic_loss, actor_loss
+
+
+def loss_term_rows(trainer, bundle, trans: list, advantages, ppo, reps: int) -> dict:
+    """Each loss term with its backward on a leaf network output (see the
+    module doc)."""
+    from cavlab import tensor
+
+    batch, targets, columns = loss_inputs(trainer, bundle, trans, advantages, ppo)
+    actor, log_spread = bundle.actor, bundle.actor.head.log_spread
+    with tensor.no_grad():
+        mean = tensor.Tensor(actor.action_mean(*batch.inputs()).data, requires_grad=True)
+        values = tensor.Tensor(bundle.critic.values(*batch.inputs()).data,
+                               requires_grad=True)
+    actions = tensor.Tensor(columns[0].actions if len(columns) == 2 else columns[1])
+    terms = {
+        "log_prob": lambda: actor.log_prob(actions, mean).sum(),
+        "clipped_surrogate": lambda: trainer._clipped_surrogate(actor, mean, *columns,
+                                                                ppo.clip),
+        "td_loss": lambda: trainer._td_loss(values, targets, batch.agents),
+    }
+
+    def step(loss_fn):
+        mean.grad = values.grad = log_spread.grad = None
+        loss_fn().backward()
+
+    return {name: timed(lambda fn=fn: step(fn), reps) for name, fn in terms.items()}
+
+
+def tape_nodes(tensor, fn) -> int:
+    """The tape nodes (`Tensor._make` calls) that one call of `fn` makes."""
+    make = vars(tensor.Tensor)["_make"]
+    count = 0
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return make.__func__(*args)
+
+    tensor.Tensor._make = staticmethod(counting)
+    try:
+        fn()
+    finally:
+        tensor.Tensor._make = make
+    return count
 
 
 def kernel_rows(rows: dict, forward, reps: int) -> dict:

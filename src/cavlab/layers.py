@@ -6,9 +6,10 @@ mask built from the scan scale, so an agent's output depends on out-of-
 range agents only through exactly-zero coefficients. Its scores are scaled
 dot products, q.k / sqrt(d_head); there is no other scoring mode.
 
-Dense (with its activation), `GraphConvLayer` and `AttentionLayer` each
-record one tape node with a hand-written backward. Their weight products
-and weight gradients run as one GEMM over all B*N agent rows, and they
+Dense (with its activation), `GraphConvLayer`, `AttentionLayer` and the
+Gaussian log-density (`GaussianPolicyHead.log_prob`) each record one tape
+node with a hand-written backward. The layers' weight products and
+weight gradients run as one GEMM over all B*N agent rows, and they
 return no gradient for the observations. The adjacency is a constant
 input, as in a GCN (nothing learns the CAV graph): the graph conv's tape
 parents are H and W. `AttentionLayer.scores` returns the dense
@@ -286,7 +287,7 @@ class Dense:
                     g.sum(axis=0) if needs[2] else None)
 
         return Tensor._make(out2d.reshape(x.shape[:-1] + (W.shape[1],)), (x, W, b),
-                            backward, "dense")
+                            backward)
 
     def parameters(self) -> dict[str, Tensor]:
         return {self.W.name: self.W, self.b.name: self.b}
@@ -362,7 +363,7 @@ class GraphConvLayer:
             return g_h, mixed2d.T @ g if needs[1] else None
 
         return Tensor._make(out2d.reshape(mixed.shape[:-1] + (W.shape[1],)),
-                            (H, W), backward, "gconv")
+                            (H, W), backward)
 
     def parameters(self) -> dict[str, Tensor]:
         return {self.W.name: self.W}
@@ -454,7 +455,7 @@ class AttentionLayer:
                     merged.T @ g2d if needs[4] else None)
 
         return Tensor._make(out.reshape(b, n, d), (H, self.Wq, self.Wk, self.Wv, self.Wo),
-                            backward, "attention")
+                            backward)
 
     def scores(self, H: Tensor, mask: np.ndarray) -> Tensor:
         """The attention weights phi (B, h, N, N) of the dense forward, off
@@ -512,8 +513,30 @@ class GaussianPolicyHead:
         return self.log_spread.exp()
 
     def log_prob(self, actions: Tensor, mean: Tensor) -> Tensor:
-        z = (actions - mean) / self.spread()
-        return -0.5 * z ** 2 - self.log_spread - 0.5 * LOG_2PI
+        """The Gaussian log-density of `actions` around `mean`, one tape node
+        with parents actions, mean and log_spread."""
+        log_spread = self.log_spread
+        with np.errstate(all="ignore"):   # the boundary checks report blowups
+            spread = np.exp(log_spread.data)
+            diff = actions.data - mean.data
+            z = diff / spread
+            data = -0.5 * z ** 2 - log_spread.data - 0.5 * LOG_2PI
+
+        def backward(grad, needs):
+            # factors in the order the general ops `-`, `/`, `exp`, `**` and
+            # `*` apply them, so the gradients have the bits of that
+            # composition (tests/test_losses.py)
+            g_z = grad * -0.5 * 2 * z
+            g_diff = g_z / spread
+            g_log_spread = None
+            if needs[2]:
+                g_spread = _unbroadcast(-g_z * diff / spread ** 2, spread.shape)
+                g_log_spread = g_spread * spread - _unbroadcast(grad, spread.shape)
+            return (_unbroadcast(g_diff, actions.shape) if needs[0] else None,
+                    -_unbroadcast(g_diff, mean.shape) if needs[1] else None,
+                    g_log_spread)
+
+        return Tensor._make(data, (actions, mean, log_spread), backward)
 
     def parameters(self) -> dict[str, Tensor]:
         out = self.mean_layer.parameters()

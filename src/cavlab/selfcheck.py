@@ -6,6 +6,7 @@ post-install gate, not a replacement for pytest.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from .layers import AttentionLayer, Dense, GraphConvLayer, NetConfig, PolicyNetw
 from .networks import RingSpec
 from .sim import build_network, step
 from .tensor import Tensor
+from .trainer import _clipped_surrogate, _td_loss
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -37,44 +39,58 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1e-12)
 
 
+def _grad_agrees(loss_fn, leaf: Tensor) -> bool:
+    """Whether the tape's gradient of the scalar `loss_fn()` w.r.t. `leaf`
+    agrees with finite differences."""
+    leaf.grad = None
+    loss_fn().backward()
+    orig = leaf.data.copy()
+
+    def f(x):
+        leaf.data = x
+        return float(loss_fn().data)
+
+    fd = fd_grad(f, orig)
+    leaf.data = orig
+    return rel_err(leaf.grad, fd) < 1e-4
+
+
 def check_gradients() -> bool:
+    """Every hand-written backward against finite differences: the layers,
+    the Gaussian log-density, the TD loss and the clipped surrogate."""
     rng = np.random.default_rng(0)
     ok = True
     for trial in range(5):
         dense = Dense(rng, 4, 3)
-        x = rng.standard_normal((2, 4))
-
-        def loss_fn(w):
-            dense.W.data = w
-            return float((dense(Tensor(x)) ** 2).sum().data)
-
-        dense.W.grad = None
-        (dense(Tensor(x)) ** 2).sum().backward()
-        ok &= rel_err(dense.W.grad, fd_grad(loss_fn, dense.W.data.copy())) < 1e-4
+        x = Tensor(rng.standard_normal((2, 4)))
+        ok &= _grad_agrees(lambda: (dense(x) ** 2).sum(), dense.W)
 
         gconv = GraphConvLayer(rng, 3, 3)
-        Hg = rng.standard_normal((4, 3))
+        Hg = Tensor(rng.standard_normal((4, 3)))
         Mg = rng.standard_normal((4, 4)) * 0.5
-
-        def gloss(w):
-            gconv.W.data = w
-            return float((gconv(Tensor(Hg), Tensor(Mg), Tensor(Mg / 2.0)) ** 2).sum().data)
-
-        gconv.W.grad = None
-        (gconv(Tensor(Hg), Tensor(Mg), Tensor(Mg / 2.0)) ** 2).sum().backward()
-        ok &= rel_err(gconv.W.grad, fd_grad(gloss, gconv.W.data.copy())) < 1e-4
+        ok &= _grad_agrees(lambda: (gconv(Hg, Tensor(Mg), Tensor(Mg / 2.0)) ** 2).sum(),
+                           gconv.W)
 
         attn = AttentionLayer(rng, 4, heads=2)
-        H = rng.standard_normal((1, 3, 4))
+        H = Tensor(rng.standard_normal((1, 3, 4)))
         mask = np.ones((1, 3, 3), dtype=bool)
+        ok &= _grad_agrees(lambda: (attn(H, mask) ** 2).sum(), attn.Wq)
 
-        def aloss(w):
-            attn.Wq.data = w
-            return float((attn(Tensor(H), mask) ** 2).sum().data)
-
-        attn.Wq.grad = None
-        (attn(Tensor(H), mask) ** 2).sum().backward()
-        ok &= rel_err(attn.Wq.grad, fd_grad(aloss, attn.Wq.data.copy())) < 1e-4
+        # the loss nodes on a (2, 3) layout whose last agent of step 1 is padding
+        actor = PolicyNetwork(rng, NetConfig(hidden=4, heads=1))
+        actor.head.log_spread.data[:] = rng.uniform(-0.5, 0.5)
+        agents = np.array([[True, True, True], [True, True, False]])
+        out = Tensor(rng.uniform(-2.0, 2.0, (2, 3)), requires_grad=True)  # means or values
+        actions = Tensor(rng.uniform(-2.0, 2.0, (2, 3)) * agents)
+        # the columns `_clipped_surrogate` reads; ratios spread over the clip band
+        batch = SimpleNamespace(actions=actions.data, agents=agents,
+                                logp_old=rng.normal(-1.5, 0.5, (2, 3)) * agents)
+        adv = rng.standard_normal((2, 3)) * agents
+        targets = rng.standard_normal((2, 3)) * agents
+        for leaf in (out, actor.head.log_spread):
+            ok &= _grad_agrees(lambda: (actor.log_prob(actions, out) ** 2).sum(), leaf)
+            ok &= _grad_agrees(lambda: _clipped_surrogate(actor, out, batch, adv, 0.2), leaf)
+        ok &= _grad_agrees(lambda: _td_loss(out, targets, agents), out)
     return bool(ok)
 
 
@@ -151,7 +167,7 @@ def check_determinism() -> bool:
 
 def run_all() -> int:
     suites = [
-        ("gradient checks (dense, graph conv, attention)", check_gradients),
+        ("gradient checks (layers, log-density, TD loss, clipped surrogate)", check_gradients),
         ("attention normalization + mask", check_attention_normalization),
         ("adjacency kernel/mask/antisymmetry", check_adjacency),
         ("IDM ring equilibrium persistence", check_idm_equilibrium),

@@ -1,11 +1,12 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
 Small define-by-run tape sized for the control networks in this package:
-elementwise arithmetic with broadcasting, batched matmul, tanh/relu/exp,
-sums, reshape/transpose/concat and minimum/clip gating. `cavlab.layers`
-adds fused nodes (dense + activation, graph convolution, attention) that
-record one tape node each with a hand-written backward; the attention
-node's masked softmax is `softmax_forward` / `softmax_backward` here.
+elementwise + - * / and scalar powers with broadcasting, exp, sums and
+reshape. Every other node is fused, with a hand-written backward:
+`cavlab.layers` records dense + activation, graph convolution, attention
+and the Gaussian log-density as one node each, and `cavlab.trainer` the
+TD loss and the clipped PPO surrogate. The attention node's masked softmax
+is `softmax_forward` / `softmax_backward` here.
 
 Backward functions compute gradients only for the parents that need one
 (a parameter, or a node downstream of one); constants such as the
@@ -15,9 +16,7 @@ at all.
 Finiteness is checked at the boundaries, not after every op: tensor
 construction raises NonFiniteValue on NaN/Inf inputs, and the trainer
 checks rollout action means, critic values, losses, gradients and
-parameters. Inside `check_each_op()` every op also checks its output, so
-a numerical blowup surfaces at the op that produced it (a debugging aid;
-the tensor tests run under it).
+parameters.
 """
 from __future__ import annotations
 
@@ -28,7 +27,6 @@ import numpy as np
 from .errors import NonFiniteValue, ShapeMismatch
 
 _grad_enabled = True
-_check_ops = False
 
 
 @contextmanager
@@ -41,18 +39,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-@contextmanager
-def check_each_op():
-    """Check the output of every op for NaN/Inf while the context is open."""
-    global _check_ops
-    prev = _check_ops
-    _check_ops = True
-    try:
-        yield
-    finally:
-        _check_ops = prev
 
 
 def check_finite(data: np.ndarray, what: str) -> None:
@@ -142,10 +128,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def __repr__(self) -> str:
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag})"
@@ -153,15 +135,13 @@ class Tensor:
     # -- graph construction ------------------------------------------------
 
     @staticmethod
-    def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> "Tensor":
+    def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> "Tensor":
         """Wrap an op's output, recording it on the tape if a parent needs a gradient.
 
         `backward_fn(grad, needs)` gets the output gradient and, per parent,
         whether that parent needs a gradient; it returns one gradient (or
         None) per parent.
         """
-        if _check_ops:
-            check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -188,12 +168,12 @@ class Tensor:
             return (_unbroadcast(grad, self.shape) if needs[0] else None,
                     _unbroadcast(grad, other.shape) if needs[1] else None)
 
-        return Tensor._make(data, (self, other), backward, "add")
+        return Tensor._make(data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Tensor._make(-self.data, (self,), lambda g, needs: (-g,), "neg")
+        return Tensor._make(-self.data, (self,), lambda g, needs: (-g,))
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
@@ -209,7 +189,7 @@ class Tensor:
             return (_unbroadcast(grad * other.data, self.shape) if needs[0] else None,
                     _unbroadcast(grad * self.data, other.shape) if needs[1] else None)
 
-        return Tensor._make(data, (self, other), backward, "mul")
+        return Tensor._make(data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -223,7 +203,7 @@ class Tensor:
                     _unbroadcast(-grad * self.data / other.data ** 2, other.shape)
                     if needs[1] else None)
 
-        return Tensor._make(data, (self, other), backward, "div")
+        return Tensor._make(data, (self, other), backward)
 
     def __rtruediv__(self, other):
         return as_tensor(other) / self
@@ -237,29 +217,7 @@ class Tensor:
         def backward(grad, needs):
             return (grad * exponent * self.data ** (exponent - 1),)
 
-        return Tensor._make(data, (self,), backward, "pow")
-
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        if self.ndim < 2 or other.ndim < 2:
-            raise ShapeMismatch("matmul operands must have ndim >= 2")
-        try:
-            data = self.data @ other.data
-        except ValueError as exc:
-            raise ShapeMismatch(str(exc)) from None
-
-        def backward(grad, needs):
-            a, b = self.data, other.data
-            ga = gb = None
-            if needs[0]:
-                ga = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
-            if needs[1]:
-                gb = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
-            return ga, gb
-
-        return Tensor._make(data, (self, other), backward, "matmul")
-
-    # -- elementwise nonlinearities -------------------------------------------
+        return Tensor._make(data, (self,), backward)
 
     def exp(self):
         with np.errstate(all="ignore"):
@@ -268,38 +226,16 @@ class Tensor:
         def backward(grad, needs):
             return (grad * data,)
 
-        return Tensor._make(data, (self,), backward, "exp")
+        return Tensor._make(data, (self,), backward)
 
-    def tanh(self):
-        data = np.tanh(self.data)
+    # -- sum and reshape ----------------------------------------------------------
 
+    def sum(self):
+        """The sum of all entries, a 0-d Tensor."""
         def backward(grad, needs):
-            return (grad * (1.0 - data ** 2),)
+            return (np.broadcast_to(grad, self.shape).copy(),)
 
-        return Tensor._make(data, (self,), backward, "tanh")
-
-    def relu(self):
-        data = np.maximum(self.data, 0.0)
-
-        def backward(grad, needs):
-            return (grad * (self.data > 0.0),)
-
-        return Tensor._make(data, (self,), backward, "relu")
-
-    # -- reductions ------------------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False):
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad, needs):
-            g = np.asarray(grad)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.shape).copy(),)
-
-        return Tensor._make(np.asarray(data), (self,), backward, "sum")
-
-    # -- shape ops ---------------------------------------------------------------
+        return Tensor._make(np.asarray(self.data.sum()), (self,), backward)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -310,36 +246,7 @@ class Tensor:
         def backward(grad, needs):
             return (grad.reshape(old),)
 
-        return Tensor._make(data, (self,), backward, "reshape")
-
-    def swapaxes(self, a: int, b: int):
-        data = np.swapaxes(self.data, a, b)
-
-        def backward(grad, needs):
-            return (np.swapaxes(grad, a, b),)
-
-        return Tensor._make(data, (self,), backward, "swapaxes")
-
-    # -- gating -----------------------------------------------------------------
-
-    def minimum(self, other):
-        other = as_tensor(other)
-        data = np.minimum(self.data, other.data)
-
-        def backward(grad, needs):
-            take_self = self.data <= other.data
-            return (_unbroadcast(grad * take_self, self.shape) if needs[0] else None,
-                    _unbroadcast(grad * ~take_self, other.shape) if needs[1] else None)
-
-        return Tensor._make(data, (self, other), backward, "minimum")
-
-    def clip(self, lo: float, hi: float):
-        data = np.clip(self.data, lo, hi)
-
-        def backward(grad, needs):
-            return (grad * ((self.data >= lo) & (self.data <= hi)),)
-
-        return Tensor._make(data, (self,), backward, "clip")
+        return Tensor._make(data, (self,), backward)
 
     # -- backprop --------------------------------------------------------------
 
@@ -386,14 +293,3 @@ class Tensor:
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
-
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    datas = [t.data for t in tensors]
-    data = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(grad, needs):
-        return tuple(np.split(grad, splits, axis=axis))
-
-    return Tensor._make(data, tuple(tensors), backward, "concat")

@@ -449,7 +449,7 @@ class PaddedBatch:
                 net_fn(Tensor(self.obs[span]), Tensor(self.weights[span]),
                        Tensor(self.dinv_m[span]), self.mask[span]).data
                 for span in self.blocks()])
-        return Tensor._make(out, (), None, "blocks")
+        return Tensor._make(out, (), None)
 
     def rows(self, per_agent: list[np.ndarray]) -> np.ndarray:
         """Per-transition (N_i,) vectors padded to (B, N_max)."""
@@ -516,7 +516,19 @@ def td_targets(critic: CriticNetwork, trans: list[Transition],
 
 
 def _td_loss(values: Tensor, targets: np.ndarray, agents: np.ndarray) -> Tensor:
-    return ((values - Tensor(targets)) ** 2 * agents).sum()
+    """The sum over real agents of (values - targets)^2, one tape node with
+    parent `values`."""
+    keep = agents.astype(np.float64)
+    with np.errstate(all="ignore"):   # the loss is checked finite where it is used
+        err = values.data - targets
+        data = np.asarray((err ** 2 * keep).sum())
+
+    def backward(grad, needs):
+        # factors in the order the general ops `*`, `**` and `sum` apply them,
+        # so the gradient has the bits of that composition
+        return (grad * keep * 2 * err,)
+
+    return Tensor._make(data, (values,), backward)
 
 
 def critic_loss_given_targets(critic: CriticNetwork, trans: list[Transition],
@@ -528,11 +540,28 @@ def critic_loss_given_targets(critic: CriticNetwork, trans: list[Transition],
 
 def _clipped_surrogate(actor: PolicyNetwork, mean: Tensor, batch: PaddedBatch,
                        advantages: np.ndarray, clip: float) -> Tensor:
+    """The sum over real agents of min(r A, clip(r) A) for the ratio r of the
+    new to the old density: one tape node over the log-density's node.
+    `advantages` is (B, N_max), zero on padded rows."""
     logp_new = actor.log_prob(Tensor(batch.actions), mean)
-    ratio = (logp_new - Tensor(batch.logp_old)).exp()
-    adv = Tensor(advantages)   # (B, N_max), zero on padded rows
-    surr = (ratio * adv).minimum(ratio.clip(1.0 - clip, 1.0 + clip) * adv)
-    return (surr * batch.agents).sum()
+    keep = batch.agents.astype(np.float64)
+    with np.errstate(all="ignore"):   # the objective is checked finite where it is used
+        ratio = np.exp(logp_new.data - batch.logp_old)
+        unclipped = ratio * advantages
+        clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip) * advantages
+        data = np.asarray((np.minimum(unclipped, clipped) * keep).sum())
+
+    def backward(grad, needs):
+        # factors in the order general ops for min, clip, exp and `*` apply
+        # them; the ratio's gradient is zero where the clipped term is the
+        # minimum and r is outside the band
+        g = grad * keep
+        take = unclipped <= clipped
+        in_band = (ratio >= 1.0 - clip) & (ratio <= 1.0 + clip)
+        g_ratio = g * take * advantages + g * ~take * advantages * in_band
+        return (g_ratio * ratio,)
+
+    return Tensor._make(data, (logp_new,), backward)
 
 
 def surrogate_objective(actor: PolicyNetwork, trans: list[Transition],

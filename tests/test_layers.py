@@ -20,7 +20,7 @@ from cavlab.layers import (
 )
 from cavlab.selfcheck import fd_grad, rel_err
 from cavlab.sim import cav_pairs, step
-from cavlab.tensor import Tensor, check_each_op, concat, no_grad
+from cavlab.tensor import Tensor, no_grad
 from cavlab.trainer import PaddedBatch, collect_rollout, graph_inputs, make_policy
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -347,32 +347,34 @@ def test_adam_matches_textbook_and_skips_parameters_without_gradient():
 
 
 # ---------------------------------------------------------------------------
-# fused nodes against the unfused composition of tape ops
+# fused nodes against numpy forwards of their formulas
 
 
-def _unfused_act(x, activation):
-    return {"tanh": Tensor.tanh, "relu": Tensor.relu, None: lambda t: t}[activation](x)
+def _numpy_act(x, activation):
+    return {"tanh": np.tanh, "relu": lambda a: np.maximum(a, 0.0), None: lambda a: a}[activation](x)
 
 
-def _unfused_dense(layer, x):
-    return _unfused_act(x @ layer.W + layer.b, layer.activation)
+def _numpy_dense(layer, x):
+    return _numpy_act(x.data @ layer.W.data + layer.b.data, layer.activation)
 
 
-def _unfused_gconv(layer, H, M, Dinv):
-    return _unfused_act(concat([M @ H, Dinv @ H], axis=-1) @ layer.W, layer.activation)
+def _numpy_gconv(layer, H, M, Dinv):
+    h = H.data
+    mixed = np.concatenate([M.data @ h, Dinv.data @ h], axis=-1)
+    return _numpy_act(mixed @ layer.W.data, layer.activation)
 
 
-def _unfused_attention(layer, H, mask):
+def _numpy_attention(layer, H, mask):
     b, n, d = H.shape
 
     def split(x):
         return x.reshape(b, n, layer.heads, layer.d_head).swapaxes(1, 2)
 
-    q, k, v = split(H @ layer.Wq), split(H @ layer.Wk), split(H @ layer.Wv)
+    q, k, v = (split(H.data @ w.data) for w in (layer.Wq, layer.Wk, layer.Wv))
     s = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(layer.d_head))
-    e = (s - Tensor(s.data.max(axis=-1, keepdims=True))).exp() * mask[:, None]
+    e = np.exp(s - s.max(axis=-1, keepdims=True)) * mask[:, None]
     phi = e / e.sum(axis=-1, keepdims=True)
-    return ((phi @ v).swapaxes(1, 2).reshape(b, n, d)) @ layer.Wo
+    return (phi @ v).swapaxes(1, 2).reshape(b, n, d) @ layer.Wo.data
 
 
 def _values_and_grads(forward, inputs, params, weights):
@@ -384,16 +386,14 @@ def _values_and_grads(forward, inputs, params, weights):
     return out.data, [t.grad for t in (*inputs, *params)]
 
 
-def _check_fused(fused, unfused, inputs, params, out_shape, seed):
+def _check_fused(fused, reference, inputs, params, out_shape, seed):
+    """The fused node's value against the numpy `reference`, and its
+    gradients against finite differences of the fused forward."""
     weights = rng(seed).standard_normal(out_shape)
     value, grads = _values_and_grads(fused, inputs, params, weights)
-    ref_value, ref_grads = _values_and_grads(unfused, inputs, params, weights)
-    assert np.allclose(value, ref_value, rtol=1e-12, atol=1e-13)
-    for g, ref in zip(grads, ref_grads):
-        assert g.shape == ref.shape
-        assert np.allclose(g, ref, rtol=1e-10, atol=1e-12)
-    # and each gradient against finite differences of the fused forward
+    assert np.allclose(value, reference(), rtol=1e-12, atol=1e-13)
     for t, g in zip((*inputs, *params), grads):
+        assert g.shape == t.shape
         orig = t.data.copy()
 
         def f(x, t=t):
@@ -411,7 +411,7 @@ def test_fused_dense_matches_unfused(activation, lead):
     layer = Dense(rng(20), 4, 3, name="d", activation=activation)
     layer.b.data = rng(21).standard_normal(3)
     x = Tensor(rng(22).standard_normal(lead + (4,)), requires_grad=True)
-    _check_fused(lambda: layer(x), lambda: _unfused_dense(layer, x), [x],
+    _check_fused(lambda: layer(x), lambda: _numpy_dense(layer, x), [x],
                  [layer.W, layer.b], lead + (3,), seed=23)
 
 
@@ -423,7 +423,7 @@ def test_fused_graph_conv_matches_unfused(activation, batch):
     H = Tensor(rng(31).standard_normal(lead + (4, 3)), requires_grad=True)
     M = Tensor(rng(32).standard_normal(lead + (4, 4)))
     Dinv = Tensor(M.data / 3.0)
-    _check_fused(lambda: layer(H, M, Dinv), lambda: _unfused_gconv(layer, H, M, Dinv),
+    _check_fused(lambda: layer(H, M, Dinv), lambda: _numpy_gconv(layer, H, M, Dinv),
                  [H], [layer.W], lead + (4, 4), seed=33)
 
 
@@ -433,7 +433,7 @@ def test_fused_attention_matches_unfused(heads, n):
     H = Tensor(rng(41).standard_normal((2, n, 8)), requires_grad=True)
     mask = rng(42).random((2, n, n)) > 0.4
     mask[:, np.arange(n), np.arange(n)] = True
-    _check_fused(lambda: layer(H, mask), lambda: _unfused_attention(layer, H, mask), [H],
+    _check_fused(lambda: layer(H, mask), lambda: _numpy_attention(layer, H, mask), [H],
                  [layer.Wq, layer.Wk, layer.Wv, layer.Wo], (2, n, 8), seed=43)
 
 
@@ -469,17 +469,6 @@ def test_graph_conv_rejects_an_adjacency_that_needs_a_gradient():
             layer(H, m, dinv)
     with no_grad():   # no tape, so nothing downstream of `learned`
         assert layer(H, M, M * learned).shape == (2, 4, 3)
-
-
-def test_per_op_checks_are_a_debug_context():
-    x = Tensor(np.array([1.0, 1000.0]))
-    assert np.isinf(x.exp().data[1])       # passes through; the boundaries report it
-    with check_each_op():
-        with pytest.raises(NonFiniteValue):
-            x.exp()
-        with no_grad(), pytest.raises(NonFiniteValue):
-            x.exp()
-    assert np.isinf(x.exp().data[1])
 
 
 # ---------------------------------------------------------------------------
