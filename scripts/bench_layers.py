@@ -25,12 +25,15 @@ reports the median and quartiles, in milliseconds, of
   the rings above at 16, 64 and 256 CAVs (`forward_B1_N16`,
   `forward_B1_N64`, `forward_B1_N256`) with the graph of configs/ring.json
   (30 m scan, as in the benchmark's 256-CAV ring: 24%, 6% and 1.5% of
-  the mask set); one minibatch loss plus backward at B=64, N=4, on a
+  the mask set), each ring's graph in the form `trainer.graph_inputs`
+  hands it to the networks, so the 256-CAV row runs the edge kernel as
+  its rollout does; one minibatch loss plus backward at B=64, N=4, on a
   layout built beforehand as an update's minibatches are, for the
   critic (`critic_minibatch_B64_N4`, TD loss against fixed targets) and
   the actor (`actor_minibatch_B64_N4`, clipped surrogate), and for the
-  critic on one 256-CAV step (`critic_minibatch_B1_N256`); and one
-  `Adam.step` over the actor's parameters (`adam_step`).
+  critic on one 256-CAV step on the dense kernel, the update's
+  (`critic_minibatch_B1_N256_dense`); and one `Adam.step` over the
+  actor's parameters (`adam_step`).
 - `loss_terms`: each loss term and its backward on a leaf network output
   of that B=64, N=4 layout, taken apart from the networks: the Gaussian
   log-density of the actions (`log_prob`, summed) and the clipped
@@ -40,9 +43,10 @@ reports the median and quartiles, in milliseconds, of
   loss and one critic minibatch loss put on the tape at B=64, N=4
   (`actor_minibatch`, `critic_minibatch`), and that one configs/ring_smoke.json
   rollout step makes under `no_grad` (`rollout_step`, `trainer.policy_actions`).
-- `kernels`: for a checkout whose layers have the edge-list kernel, every
-  forward row above timed on each kernel (`dense`, `edge`) with the mask's
-  density: the crossover behind `layers.EDGE_KERNEL_MAX_DENSITY`.
+- `kernels`: every one-step forward row above (B=1) timed on each kernel
+  (`dense`, `edge`), its graph built by `trainer.graph_inputs` with the
+  cut-off moved out of the way, with the mask's density: the crossover
+  behind `layers.EDGE_KERNEL_MAX_DENSITY`.
 - `full_batch`: one critic pass without a tape over the whole layout of an
   update, as the TD targets run it (on the next observations), on a
   rollout of configs/ring_smoke.json (500 steps of 4 CAVs) and of
@@ -58,19 +62,28 @@ reports the median and quartiles, in milliseconds, of
   seeded policy weights, as the benchmark's large ring): milliseconds and
   minor page faults per step, and the bytes the episode's transitions
   keep per step (`tracemalloc`, taken apart from the timing). These rows
-  run first: the larger rows leave the allocator keeping freed memory,
-  after which no rollout faults, and a rollout alone faults as the
-  benchmark's does.
+  run first, and `update_round` next: the larger rows leave the
+  allocator keeping freed memory, after which neither faults, while
+  alone each faults as a training or benchmark process does.
+- `update_round`: one update round of configs/ring_smoke.json (the
+  critic and actor updates on one 500-step episode, `trainer._update_round`)
+  with the actor update after the critic's (`in_order`) and beside it in
+  a forked child (`overlapped`), whatever `trainer.updates_overlap` would
+  say: milliseconds per round, and minor page faults per round in this
+  process and in the child (`RUSAGE_CHILDREN`). Every round starts from
+  the same weights.
 `--src` picks the checkout to import, so two commits compare under the
 same script; the per-agent observation API of checkouts that predate
 `sim.cav_pairs` is timed the way those rollouts called it (no `pairs`
 row), and a `cav_pairs` that takes no scan scale (the all-pairs matrices)
 is timed as it is. The loss rows need a checkout with `trainer._td_loss`
-and `trainer._clipped_surrogate`. Prints one JSON object.
+and `trainer._clipped_surrogate`, the network rows one with
+`trainer.graph_inputs`. Prints one JSON object.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import os
@@ -131,7 +144,7 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
     import dataclasses
 
     import numpy as np
-    from cavlab import config, graph, layers, tensor, trainer
+    from cavlab import config, layers, tensor, trainer
 
     cfg = config.parse_config(root / "configs" / "ring_smoke.json")
     env, net = cfg.env_spec(), cfg.net_config()
@@ -158,16 +171,13 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
                                  np.stack([tr.mask for tr in trans])),
     }
     ring_env = config.parse_config(root / "configs" / "ring.json").env_spec()
+    states = {"forward_B1_N4": (env, env.build(np.random.SeedSequence(1)))}   # trans[0]'s
     for n_cav in (16, 64, 256):
-        state = ring_state(sim, networks, idm_mod, n_cav)
-        adj = graph.build_adjacency(state, ring_env.scheme, ring_env.scan_scale)
-        obs = sim.local_observation(state, adj.agent_ids, ring_env.target_speed,
-                                    ring_env.scan_scale)
-        rows[f"forward_B1_N{n_cav}"] = inputs(obs[None], adj.weights[None],
-                                              adj.neighbor_mask[None])
+        states[f"forward_B1_N{n_cav}"] = (ring_env, ring_state(sim, networks, idm_mod, n_cav))
+        rows[f"forward_B1_N{n_cav}"] = step_inputs(sim, trainer, tensor,
+                                                   *states[f"forward_B1_N{n_cav}"])
     out = {name: timed(lambda a=args: forward(a), reps) for name, args in rows.items()}
-    if hasattr(layers, "EDGE_KERNEL_MAX_DENSITY"):
-        out["kernels"] = kernel_rows(rows, forward, reps)
+    out["kernels"] = kernel_rows(sim, trainer, tensor, states, forward, reps)
 
     advantages = trainer.normalize_advantages(
         trainer.compute_advantages(episode, bundle.critic, ppo))
@@ -181,22 +191,19 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
             bundle, state, env, np.random.default_rng(2))),
     }
     large = large_ring_steps(root)[:1]
-    large_loss, _ = minibatch_losses(trainer, bundle, large,
-                                     [np.zeros(len(large[0].agent_ids))], ppo)
     losses = {
         "critic_minibatch_B64_N4": (bundle.critic, critic_loss),
         "actor_minibatch_B64_N4": (bundle.actor, actor_loss),
-        "critic_minibatch_B1_N256": (bundle.critic, large_loss),
     }
     for name, (network, loss_fn) in losses.items():
-        params = network.parameters()
-
-        def step(params=params, loss_fn=loss_fn):
-            for p in params.values():
-                p.grad = None
-            loss_fn().backward()
-
-        out[name] = timed(step, reps)
+        out[name] = timed(lambda n=network, f=loss_fn: loss_step(n, f), reps)
+    # a checkout whose networks chose the kernel from the mask took the edge
+    # kernel on this step; the cut-off at 0 keeps every checkout on the dense one
+    with edge_kernel_cutoff(layers, 0.0):
+        large_loss, _ = minibatch_losses(trainer, bundle, large,
+                                         [np.zeros(len(large[0].agent_ids))], ppo)
+        out["critic_minibatch_B1_N256_dense"] = timed(
+            lambda: loss_step(bundle.critic, large_loss), reps)
 
     params = bundle.actor.parameters()
     rng = np.random.default_rng(3)
@@ -205,6 +212,22 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
     opt = layers.Adam(params, 1e-9)   # a tiny step keeps the weights in place
     out["adam_step"] = timed(opt.step, reps)
     return out
+
+
+def step_inputs(sim, trainer, tensor, env, state) -> tuple:
+    """The policy's inputs on `state`, the graph in the form a rollout step
+    hands it to the networks (`trainer.graph_inputs`)."""
+    pairs = sim.cav_pairs(state, env.scan_scale)
+    _, graph = trainer.graph_inputs(state, pairs, env)
+    obs = sim.local_observation(state, pairs.ids, env.target_speed, env.scan_scale, pairs)
+    return (tensor.Tensor(obs[None]), *graph)
+
+
+def loss_step(network, loss_fn) -> None:
+    """One minibatch loss and its backward, the gradients cleared first."""
+    for p in network.parameters().values():
+        p.grad = None
+    loss_fn().backward()
 
 
 def loss_inputs(trainer, bundle, trans: list, advantages, ppo) -> tuple:
@@ -281,21 +304,32 @@ def tape_nodes(tensor, fn) -> int:
     return count
 
 
-def kernel_rows(rows: dict, forward, reps: int) -> dict:
-    """Each forward row on the dense and on the edge-list kernel, with its
-    mask's density, by moving the selection's cut-off out of the way."""
-    from cavlab import layers
-
+@contextlib.contextmanager
+def edge_kernel_cutoff(layers, value: float):
+    """`layers.EDGE_KERNEL_MAX_DENSITY` set to `value` for the block."""
     cutoff = layers.EDGE_KERNEL_MAX_DENSITY
-    out = {}
+    layers.EDGE_KERNEL_MAX_DENSITY = value
     try:
-        for name, args in rows.items():
-            out[name] = {"density": float(args[3].mean())}
-            for kernel, forced in (("dense", 0.0), ("edge", 2.0)):
-                layers.EDGE_KERNEL_MAX_DENSITY = forced
-                out[name][kernel] = timed(lambda a=args: forward(a), reps)
+        yield
     finally:
         layers.EDGE_KERNEL_MAX_DENSITY = cutoff
+
+
+def kernel_rows(sim, trainer, tensor, states: dict, forward, reps: int) -> dict:
+    """Each one-step forward row on the dense and on the edge-list kernel,
+    with its mask's density: the graph of each (env, state) in `states` as
+    `trainer.graph_inputs` builds it with the cut-off moved out of the way."""
+    from cavlab import layers
+
+    out = {}
+    for name, (env, state) in states.items():
+        pairs = sim.cav_pairs(state, env.scan_scale)
+        n = len(pairs.ids)
+        out[name] = {"density": (n + 2 * len(pairs.i)) / n ** 2}
+        for kernel, forced in (("dense", 0.0), ("edge", 2.0)):
+            with edge_kernel_cutoff(layers, forced):   # a mask-choosing trunk too
+                args = step_inputs(sim, trainer, tensor, env, state)
+                out[name][kernel] = timed(lambda a=args: forward(a), reps)
     return out
 
 
@@ -397,6 +431,57 @@ def full_batch_rows(root: Path, reps: int) -> dict:
     return out
 
 
+def update_round_rows(root: Path, reps: int) -> dict:
+    """One configs/ring_smoke.json update round, in order and overlapped
+    (see the module doc)."""
+    import numpy as np
+    from cavlab import config, trainer
+
+    cfg = config.parse_config(root / "configs" / "ring_smoke.json")
+    env, ppo, net = cfg.env_spec(), cfg.ppo_config(), cfg.net_config()
+    seed = 10
+    bundle = trainer.make_policy(net, trainer.init_stream(seed))
+    episode = trainer.collect_rollout(bundle, env, ppo, *trainer.episode_streams(seed, 0))
+    advantages = trainer.compute_advantages(episode, bundle.critic, ppo)
+
+    def fresh() -> tuple:
+        bundle = trainer.make_policy(net, trainer.init_stream(seed))
+        return bundle, *(trainer._GuardedOptimizer(network.parameters(), lr,
+                                                   ppo.max_lr_halvings)
+                         for network, lr in ((bundle.critic, ppo.critic_lr),
+                                             (bundle.actor, ppo.actor_lr)))
+
+    def faults() -> tuple[int, int]:
+        return tuple(resource.getrusage(who).ru_minflt
+                     for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
+    out = {"agent_transitions": sum(len(tr.agent_ids) for tr in episode.transitions)}
+    decide = trainer.updates_overlap
+    try:
+        for mode, overlap in (("in_order", False), ("overlapped", True)):
+            trainer.updates_overlap = lambda overlap=overlap: overlap
+            samples, own, child = [], [], []
+            for k in range(max(4, reps // 8) + 1):   # the first round warms up
+                args = fresh()
+                before = faults()
+                start = time.perf_counter()
+                trainer._update_round(episode.transitions, advantages, *args, ppo, seed, 0)
+                seconds = time.perf_counter() - start
+                after = faults()
+                if k:
+                    samples.append(seconds)
+                    own.append(after[0] - before[0])
+                    child.append(after[1] - before[1])
+            q1, med, q3 = statistics.quantiles(samples, n=4)
+            out[mode] = {"median_ms": med * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3,
+                         "rounds": len(samples),
+                         "minflt_per_round": statistics.median(own),
+                         "child_minflt_per_round": statistics.median(child)}
+    finally:
+        trainer.updates_overlap = decide
+    return out
+
+
 def measured(fn, reps: int, footprint_calls: int = 3) -> dict:
     """`timed`, plus the minor page faults per call and one call's
     `tracemalloc` peak in MB."""
@@ -470,6 +555,7 @@ def main() -> None:
            "reps": args.reps, "features": {}, "pairs": {}, "step": {}}
     root = Path(args.src).resolve().parent
     out["rollout_step"] = rollout_rows(root, args.reps)
+    out["update_round"] = update_round_rows(root, args.reps)
     for n_cav in FEATURE_CAVS:
         state = ring_state(sim, networks, idm, n_cav)
         out["features"][str(n_cav)] = timed(lambda: features(state), args.reps)

@@ -9,7 +9,12 @@ Prints one JSON object of sha256 digests:
   checkpoint file of the final parameters;
 - `cli`: for each config, every file that `cavlab eval --dump-adjacency`
   (on the checkpoint of that training) and `cavlab baseline` write, and
-  what they print.
+  what they print;
+- `rollout`: a LARGE_RING_STEPS-step rollout on the benchmark's large ring
+  (configs/ring.json scaled to 256 CAVs, safety clamp on), the only
+  scenario whose steps run the edge kernel, at fixed seeds: every
+  transition's actions, logp_old, obs and next_obs, and the entries of
+  its adjacency (the mask's flat positions and M at them).
 
 Run it on two checkouts and compare the output; a change that keeps every
 bit prints the same JSON:
@@ -54,6 +59,7 @@ SHORT_RUNS = {
     "merge": (300, 3, 400),
 }
 EVAL_HORIZON = 250   # adjacency dumps at steps 0, 100 and 200
+LARGE_RING_CAVS, LARGE_RING_STEPS = 256, 30
 
 
 def sha(data) -> str:
@@ -100,6 +106,39 @@ def cli_digest(cli, config_path: Path, checkpoint: Path, name: str) -> dict:
             "baseline": tree_digest(Path(f"baseline_{name}"))}
 
 
+def large_ring_config():
+    """configs/ring.json scaled to LARGE_RING_CAVS CAVs at the same density
+    and CAV share, safety clamp on, LARGE_RING_STEPS steps."""
+    from cavlab.config import config_from_dict
+
+    raw = json.loads((ROOT / "configs" / "ring.json").read_text())
+    scen = raw["scenario"]
+    n_human = LARGE_RING_CAVS * scen["n_human"] // scen["n_cav"]
+    scen.update(ring_length=scen["ring_length"] * (LARGE_RING_CAVS + n_human)
+                / (scen["n_human"] + scen["n_cav"]), n_human=n_human,
+                n_cav=LARGE_RING_CAVS, safety_clamp=True, horizon=LARGE_RING_STEPS)
+    return config_from_dict(raw)
+
+
+def rollout_digest() -> dict:
+    """The large ring's rollout, field by field over all its transitions."""
+    import numpy as np
+    from cavlab.trainer import collect_rollout, make_policy
+
+    cfg = large_ring_config()
+    bundle = make_policy(cfg.net_config(), np.random.SeedSequence(0))
+    trans = collect_rollout(bundle, cfg.env_spec(), cfg.ppo_config(),
+                            np.random.SeedSequence(1), np.random.default_rng(2)).transitions
+    index = [np.flatnonzero(tr.mask) for tr in trans]
+    fields = {name: [getattr(tr, name) for tr in trans]
+              for name in ("actions", "logp_old", "obs", "next_obs")}
+    fields["adjacency_index"] = index
+    fields["adjacency_values"] = [tr.weights.ravel()[i] for tr, i in zip(trans, index)]
+    out = {name: sha(b"".join(a.tobytes() for a in arrays)) for name, arrays in fields.items()}
+    out["transitions"] = str(len(trans))
+    return out
+
+
 def fingerprint() -> str:
     """What the digest's bits depend on besides the code: the numpy version,
     the BLAS name and version numpy was built with, and the architecture."""
@@ -139,6 +178,7 @@ def digest() -> dict:
                 out["cli"][name] = cli_digest(cli, config_path, checkpoint, name)
         finally:
             os.chdir(cwd)
+    out["rollout"] = {"ring_large": rollout_digest()}
     return out
 
 

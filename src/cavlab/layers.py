@@ -19,32 +19,32 @@ same softmax, without a tape.
 The graph conv and the attention forward have two kernels for one
 formula. The dense kernel multiplies (B, N, N) matrices and takes a masked
 softmax over N; its cost grows with B*N^2. The edge kernel works on an
-`EdgeList`, the mask's entries as edges of one disjoint union of the B
-graphs, and sums messages, scores and softmaxes over each agent's
-neighbours alone; its cost grows with the number of edges, plus a fixed
-overhead per call. It gathers, scales and sums a slot of edges at a time
-(`_Segments`), so its temporaries are node-sized, not edge-sized. `_Trunk`
-picks the kernel from its input (`select_edges`): the edge kernel when the
-mask holds fewer than `EDGE_KERNEL_MAX_DENSITY` of its entries
-(`sparse_enough`), so a 256-CAV ring whose agents see about 4 neighbours
-each stops paying for 256, while small graphs and the padded (B, N_max)
-update batches, whose masks are a quarter full or more, keep the dense
-kernel and its exact results. A rollout step makes the same choice from
-its in-range pairs and, for the edge kernel, hands the trunk an edge list
-built from the adjacency's entries (`EdgeList.of_adjacency`) that carries
-M and D^-1 M, in place of the dense mask and matrices. The two kernels
-agree to rounding (tests/test_layers.py).
+`EdgeList`, one graph's mask entries as edges, and sums messages, scores
+and softmaxes over each agent's neighbours alone; its cost grows with the
+number of edges, plus a fixed overhead per call. It gathers, scales and
+sums a slot of edges at a time (`_Segments`), so its temporaries are
+node-sized, not edge-sized. It runs forward only: a forward on it under a
+recording tape raises InvalidSpec.
+
+The networks do not choose: `_Trunk` runs the dense kernel on every
+(B, N, N) mask and the edge kernel on an edge list, which only a rollout
+step builds, when its in-range pairs say that its mask would hold fewer
+than `EDGE_KERNEL_MAX_DENSITY` of its entries (`trainer.graph_inputs`):
+a 256-CAV ring whose agents see about 4 neighbours each then stops paying
+for 256. No graph of 32 agents or fewer is that sparse, and the update
+batches, which need gradients, run dense. The two kernels agree to
+rounding (tests/test_layers.py).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidSpec, ShapeMismatch
-from .tensor import Tensor, _unbroadcast, check_finite, softmax_backward, softmax_forward
+from .tensor import (Tensor, _unbroadcast, check_finite, recording, softmax_backward,
+                     softmax_forward)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -94,19 +94,20 @@ def _rows(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Edge lists
 
-# The edge kernel runs when the masks hold fewer than this share of their
-# B*N*N entries. Policy forwards on 2 vCPUs (`scripts/bench_layers.py`, and
-# rings of other scan ranges): the kernels break even between 6% and 10%
-# full at N=64 and N=128; the edge kernel is 5x faster at N=256 and 1.5%
-# full (the 256-CAV ring); dense wins at N=32 even on self-loops alone
-# (1/32 full), and by 1.6x at N=4. Below 1/32, no graph of 32 agents or
-# fewer leaves the dense kernel; the shipped scenarios stay well below that.
+# A rollout step runs the edge kernel when its graph's mask holds fewer
+# than this share of its N*N entries (`sparse_enough`). Policy forwards on
+# 2 vCPUs (`scripts/bench_layers.py`, and rings of other scan ranges): the
+# kernels break even between 6% and 10% full at N=64 and N=128; the edge
+# kernel is 5x faster at N=256 and 1.5% full (the 256-CAV ring); dense
+# wins at N=32 even on self-loops alone (1/32 full), and by 1.6x at N=4.
+# Below 1/32, no graph of 32 agents or fewer leaves the dense kernel; the
+# shipped scenarios have 16 CAVs at most.
 EDGE_KERNEL_MAX_DENSITY = 1.0 / 32.0
 
 
 class _Segments:
-    """Edges grouped by the node they belong to (their destination, or their
-    source) for reductions over each node's edges.
+    """Edges grouped by the node they belong to (in `EdgeList`, their
+    destination) for reductions over each node's edges.
 
     Nodes are ranked by their edge count, most first. Edges go slot by slot:
     slot s holds the (s+1)-th edge of every node that has one, in rank
@@ -147,61 +148,47 @@ class _Segments:
 
 
 class EdgeList:
-    """A (B, N, N) neighbour mask as the edges of one disjoint union of the
-    B graphs, whose node b*N + i is agent i of graph b.
+    """One graph of N agents as the edges of its neighbour mask, carrying M
+    and D^-1 M at each edge: the edge kernel's input, which a rollout step
+    builds from its adjacency's entries (`of_adjacency`) when its graph is
+    sparse enough (`trainer.graph_inputs`).
 
-    The entry mask[b, i, j] is the edge from node b*N + j (`src`) to node
-    b*N + i (`dst`): agent i aggregates over its neighbours j. `index` is
-    each edge's flat position in a (B, N, N) array. Edges are ordered for
-    sums at their destinations (`_Segments`). Every agent must be its own
-    neighbour, so that every node has an edge in and an edge out.
+    The entry mask[i, j] is the edge from node j (`src`) to node i (`dst`):
+    agent i aggregates over its neighbours j. `index` is each edge's flat
+    position i*N + j. Edges are ordered for sums at their destinations
+    (`_Segments`). Every agent must own an edge: in the rollout's graphs,
+    every agent is its own neighbour.
     """
-
-    # M and D^-1 M at the edges, (E,), when the list carries them (`of_adjacency`)
-    m: np.ndarray | None = None
-    dinv_m: np.ndarray | None = None
-
-    def __init__(self, mask: np.ndarray):
-        b, n, n2 = mask.shape
-        if n != n2 or not mask.reshape(b, n * n)[:, ::n + 1].all():
-            raise ShapeMismatch(
-                f"an edge list needs a (B, N, N) mask whose agents are their own "
-                f"neighbours, got {mask.shape}")
-        self._arrange(np.flatnonzero(mask), mask.shape)
 
     @classmethod
     def of_adjacency(cls, n: int, index: np.ndarray, values: np.ndarray) -> EdgeList:
         """The edge list of one graph of `n` agents given as its mask's entries,
         carrying M and D^-1 M at its edges: `index` holds the entries' flat
-        positions i*N + j in ascending order, every i*N + i among them;
-        `values` M at each. D^-1 M is M over each agent's in-degree.
+        positions i*N + j in ascending order; `values` M at each. D^-1 M is M
+        over each agent's in-degree, the bits of `graph.degree_normalize`.
 
-        The same edges, in the same order, as `EdgeList(mask[None])`, with no
-        pass over the N^2 entries. Non-finite values raise NonFiniteValue.
+        Non-finite values raise NonFiniteValue, and an agent that owns no
+        entry ShapeMismatch.
         """
         check_finite(values, "the adjacency at the edges")
         edges = cls.__new__(cls)
         edges._arrange(index, (1, n, n))
+        if not edges._at_dst.counts.all():
+            raise ShapeMismatch(f"an edge list needs each of its {n} agents to own an edge")
         edges.m = values[edges._at_dst.order]
         edges.dinv_m = edges.m / edges._at_dst.counts[edges.dst]
         return edges
 
     def _arrange(self, index: np.ndarray, shape: tuple[int, int, int]) -> None:
-        """Edges from the ascending flat positions `index` in a `shape` array."""
+        """Edges from the ascending flat positions `index` in a `shape`
+        (B, N, N) array, as one disjoint union of the B graphs whose node
+        b*N + i is agent i of graph b."""
         self.shape = shape
         b, n, _ = shape
         self._at_dst = _Segments(index // n, b * n)
         self.index = index[self._at_dst.order]
         self.dst = self.index // n
         self.src = self.index // (n * n) * n + self.index % n
-
-    @cached_property
-    def _at_src(self) -> _Segments:
-        return _Segments(self.src, self._at_dst.nodes)
-
-    def at(self, dense: np.ndarray) -> np.ndarray:
-        """The entries of a (B, N, N) array at the edges, (E,)."""
-        return np.take(dense, self.index)
 
     def sum_at_dst(self, x: np.ndarray) -> np.ndarray:
         """(E, ...) -> (B*N, ...): each node's sum over its incoming edges."""
@@ -225,10 +212,6 @@ class EdgeList:
         src = self.src
         return self._at_dst.reduce(np.add, lambda span: w[span] * x[src[span]])
 
-    def sum_at_src(self, x: np.ndarray) -> np.ndarray:
-        """(E, ...) -> (B*N, ...): each node's sum over its outgoing edges."""
-        return self._at_src.reduce(np.add, x[self._at_src.order])
-
     def softmax(self, scores: np.ndarray) -> np.ndarray:
         """Softmax of (E, ...) scores over each node's incoming edges, each
         shifted by the largest score among them."""
@@ -237,27 +220,19 @@ class EdgeList:
         e /= self.sum_at_dst(e)[self.dst]
         return e
 
-    def softmax_backward(self, probs: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. the scores of `softmax`, given its output."""
-        return probs * (grad - self.sum_at_dst(grad * probs)[self.dst])
-
 
 def sparse_enough(nnz: int, entries: int) -> bool:
-    """Whether a forward over masks that set `nnz` of their `entries` runs
-    the edge kernel: when that is fewer than EDGE_KERNEL_MAX_DENSITY of them."""
+    """Whether a rollout step whose graph sets `nnz` of its mask's `entries`
+    runs the edge kernel: when that is fewer than EDGE_KERNEL_MAX_DENSITY
+    of them (`trainer.graph_inputs`)."""
     return nnz < EDGE_KERNEL_MAX_DENSITY * entries
 
 
-def uses_edge_kernel(mask: np.ndarray) -> bool:
-    """Whether a forward over the (B, N, N) `mask` runs the edge kernel
-    (`sparse_enough`)."""
-    return sparse_enough(np.count_nonzero(mask), mask.size)
-
-
-def select_edges(mask: np.ndarray) -> EdgeList | None:
-    """The edge list that sends a forward over `mask` to the edge kernel, or
-    None for the dense kernel (`uses_edge_kernel`)."""
-    return EdgeList(mask) if uses_edge_kernel(mask) else None
+def _forward_only(edges: EdgeList | None) -> None:
+    """The edge kernel has no backward: an edge-list forward must run off
+    the tape."""
+    if edges is not None and recording():
+        raise InvalidSpec("the edge kernel runs forward only; call it under no_grad")
 
 
 class Dense:
@@ -297,12 +272,11 @@ class GraphConvLayer:
     """f(concat[M H, D^-1 M H] W): raw and degree-normalized message passing.
 
     H is (B, N, d) with M and D^-1 M (B, N, N), or unbatched (N, d) with
-    (N, N) matrices. One tape node with parents H and W: an M or D^-1 M
-    that would need a gradient raises InvalidSpec. With `edges` (batched
-    inputs only) the products run over the edge list, which reads M and
-    D^-1 M at its edges only; an edge list that carries them
-    (`EdgeList.of_adjacency`) takes the place of M and D^-1 M, which are
-    then None.
+    (N, N) matrices: the dense kernel, one tape node with parents H and W;
+    an M or D^-1 M that would need a gradient raises InvalidSpec. Or H is
+    (1, N, d) with `edges`, the edge list of a rollout step that carries M
+    and D^-1 M in their place (M and D^-1 M then None): the edge kernel,
+    forward only.
     """
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
@@ -318,33 +292,29 @@ class GraphConvLayer:
         if 2 * H.shape[-1] != W.shape[0]:
             raise ShapeMismatch(
                 f"feature width {H.shape[-1]} incompatible with W {W.shape}")
-        carried = edges is not None and edges.m is not None
-        if carried != (M is None) or carried != (Dinv_M is None):
+        if (edges is None) != (M is not None) or (edges is None) != (Dinv_M is not None):
             raise InvalidSpec("the graph conv takes M and D^-1 M either as "
                               "Tensors or from an edge list that carries them")
-        if not carried:
-            if H.shape[-2] != M.shape[-1] or M.shape[-1] != M.shape[-2] or (
-                    edges is not None and not edges.shape == M.shape == Dinv_M.shape):
+        _forward_only(edges)
+        h = H.data
+        d = h.shape[-1]
+        if edges is None:
+            if H.shape[-2] != M.shape[-1] or M.shape[-1] != M.shape[-2]:
                 raise ShapeMismatch(
                     f"adjacency {M.shape} incompatible with features {H.shape}")
             if M.requires_grad or M._parents or Dinv_M.requires_grad or Dinv_M._parents:
                 raise InvalidSpec("the graph conv takes M and D^-1 M as constants; "
                                   "it computes no gradient for them")
-        h = H.data
-        d = h.shape[-1]
-        if edges is None:
             m, dm = M.data, Dinv_M.data
             mixed = np.concatenate([m @ h, dm @ h], axis=-1)
         else:
             if edges.shape[:2] != h.shape[:-1]:
                 raise ShapeMismatch(f"features {H.shape} do not match the edge "
                                     f"list's mask {edges.shape}")
-            m_e, dm_e = ((edges.m, edges.dinv_m) if carried
-                         else (edges.at(M.data), edges.at(Dinv_M.data)))
-            m_e, dm_e = m_e[:, None], dm_e[:, None]                    # (E, 1)
-            mixed = np.concatenate([edges.weighted_sum_at_dst(m_e, _rows(h)),
-                                    edges.weighted_sum_at_dst(dm_e, _rows(h))], axis=-1
-                                   ).reshape(h.shape[:-1] + (2 * d,))
+            mixed = np.concatenate(
+                [edges.weighted_sum_at_dst(edges.m[:, None], _rows(h)),
+                 edges.weighted_sum_at_dst(edges.dinv_m[:, None], _rows(h))], axis=-1
+            ).reshape(h.shape[:-1] + (2 * d,))
         mixed2d = _rows(mixed)
         out2d = _activate(mixed2d @ W.data, act)
 
@@ -353,13 +323,8 @@ class GraphConvLayer:
             g_h = None
             if needs[0]:
                 g_mixed = (g @ W.data.T).reshape(mixed.shape)
-                g_a, g_c = g_mixed[..., :d], g_mixed[..., d:]
-                if edges is not None:
-                    g_a, g_c = _rows(g_a)[edges.dst], _rows(g_c)[edges.dst]   # (E, d)
-                    g_h = edges.sum_at_src(m_e * g_a + dm_e * g_c).reshape(h.shape)
-                else:
-                    g_h = _unbroadcast(np.swapaxes(m, -1, -2) @ g_a
-                                       + np.swapaxes(dm, -1, -2) @ g_c, h.shape)
+                g_h = _unbroadcast(np.swapaxes(m, -1, -2) @ g_mixed[..., :d]
+                                   + np.swapaxes(dm, -1, -2) @ g_mixed[..., d:], h.shape)
             return g_h, mixed2d.T @ g if needs[1] else None
 
         return Tensor._make(out2d.reshape(mixed.shape[:-1] + (W.shape[1],)),
@@ -375,8 +340,9 @@ class AttentionLayer:
     The forward is one tape node: Q, K and V come from one GEMM against the
     stacked weights [Wq | Wk | Wv], per-head weights phi = softmax(q k^T /
     sqrt(d_head)) over the mask, and the heads' phi v are merged and
-    projected by Wo. With `edges` (the edge list of `mask`, which may then
-    be None) the scores, softmax and phi v run over the edges alone.
+    projected by Wo. The dense kernel takes a (B, N, N) `mask`; with
+    `edges` instead (a rollout step's edge list, `mask` None) the scores,
+    softmax and phi v run over the edges alone, forward only.
     """
 
     def __init__(self, rng: np.random.Generator, d: int, heads: int, name: str = "attn"):
@@ -424,6 +390,7 @@ class AttentionLayer:
         """H: (B, N, d); mask: (B, N, N) bool, diag True. Returns (B, N, d)."""
         b, n, d = H.shape
         h, dh, scale = self.heads, self.d_head, 1.0 / math.sqrt(self.d_head)
+        _forward_only(edges)
         h2d, w_qkv, q, k, v, phi = self._weights(H, mask, edges)
         if edges is None:
             merged = (phi @ v).transpose(0, 2, 1, 3).reshape(b * n, d)   # (B*N, d)
@@ -433,22 +400,11 @@ class AttentionLayer:
 
         def backward(grad, needs):
             g2d = _rows(grad)
-            g_merged = g2d @ self.Wo.data.T
-            if edges is None:
-                g_merged = g_merged.reshape(b, n, h, dh).transpose(0, 2, 1, 3)
-                g_scores = softmax_backward(phi, g_merged @ v.swapaxes(-1, -2)) * scale
-                g_qkv = np.stack([g_scores @ k, g_scores.swapaxes(-1, -2) @ q,
-                                  phi.swapaxes(-1, -2) @ g_merged])       # (3, B, h, N, d_h)
-                g_qkv = g_qkv.transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * d)
-            else:
-                g_dst = g_merged.reshape(b * n, h, dh)[edges.dst]         # (E, h, d_h)
-                g_scores = edges.softmax_backward(
-                    phi, np.einsum("ehk,ehk->eh", g_dst, v[edges.src])) * scale
-                g_scores = g_scores[:, :, None]
-                g_qkv = np.stack([edges.sum_at_dst(g_scores * k[edges.src]),
-                                  edges.sum_at_src(g_scores * q[edges.dst]),
-                                  edges.sum_at_src(phi[:, :, None] * g_dst)], axis=1)
-                g_qkv = g_qkv.reshape(b * n, 3 * d)           # from (B*N, 3, h, d_h)
+            g_merged = (g2d @ self.Wo.data.T).reshape(b, n, h, dh).transpose(0, 2, 1, 3)
+            g_scores = softmax_backward(phi, g_merged @ v.swapaxes(-1, -2)) * scale
+            g_qkv = np.stack([g_scores @ k, g_scores.swapaxes(-1, -2) @ q,
+                              phi.swapaxes(-1, -2) @ g_merged])       # (3, B, h, N, d_h)
+            g_qkv = g_qkv.transpose(1, 3, 0, 2, 4).reshape(b * n, 3 * d)
             g_w = h2d.T @ g_qkv if any(needs[1:4]) else None
             return ((g_qkv @ w_qkv.T).reshape(b, n, d) if needs[0] else None,
                     *(g_w[:, i * d:(i + 1) * d] if needs[1 + i] else None for i in range(3)),
@@ -546,12 +502,12 @@ class GaussianPolicyHead:
 
 class _Trunk:
     """Dense encoder -> graph conv -> (optional) attention; the graph conv
-    and the attention share one kernel choice and one edge list.
+    and the attention run on one kernel, which the graph's form picks.
 
-    The graph comes as a (B, N, N) `mask` with its M and D^-1 M, the kernel
-    picked by `select_edges`, or, for the edge kernel, as an edge list that
-    carries M and D^-1 M (`EdgeList.of_adjacency`) in place of the mask,
-    with M and D^-1 M None.
+    A (B, N, N) `mask` with its M and D^-1 M runs the dense kernel, however
+    sparse the mask. An `EdgeList` in place of the mask, with M and D^-1 M
+    None, runs the edge kernel, forward only: a rollout step hands one over
+    when its graph is sparse enough (`trainer.graph_inputs`).
     """
 
     def __init__(self, rng: np.random.Generator, cfg: NetConfig, name: str):
@@ -568,7 +524,7 @@ class _Trunk:
         if isinstance(mask, EdgeList):
             edges, mask = mask, None
         else:
-            edges = select_edges(mask)
+            edges = None
         h = self.encoder(obs)
         h = self.gconv(h, M, Dinv_M, edges)
         if self.attn is not None:

@@ -41,6 +41,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def recording() -> bool:
+    """Whether ops record tape nodes (outside `no_grad`)."""
+    return _grad_enabled
+
+
 def check_finite(data: np.ndarray, what: str) -> None:
     """Raise NonFiniteValue if `data` holds a NaN or an infinity."""
     if not np.isfinite(data).all():

@@ -50,8 +50,7 @@ from .errors import (InvalidSpec, NanGradient, NonFiniteAction, NonFiniteValue,
 from .graph import (AdjacencyMatrix, AdjacencyScheme, SparseAdjacency, build_adjacency,
                     degree_normalize, sparse_adjacency)
 from .idm import IdmParams
-from .layers import (Adam, CriticNetwork, EdgeList, NetConfig, PolicyNetwork, sparse_enough,
-                     uses_edge_kernel)
+from .layers import Adam, CriticNetwork, EdgeList, NetConfig, PolicyNetwork, sparse_enough
 from .networks import RoadNetwork
 from .rewards import RewardSpec, step_reward
 from .sim import (CavPairs, SimOptions, SimState, build_network, cav_pairs, local_observation,
@@ -221,12 +220,12 @@ def graph_inputs(state: SimState, pairs: CavPairs, env: EnvSpec) -> tuple:
     """(adjacency, (M, D^-1 M, mask)): a step's adjacency as the transition
     stores it and as the policy reads it (`layers._Trunk`).
 
-    The kernel is picked from the pairs as `layers.uses_edge_kernel` picks
-    it from the mask, which would hold N + 2E of its N^2 entries for E
-    pairs. Dense kernel: the (N, N) AdjacencyMatrix, with M and D^-1 M as
-    (1, N, N) Tensors and the (1, N, N) mask. Edge kernel: a
-    SparseAdjacency and the edge list that carries M and D^-1 M in place
-    of all three; no N x N array is built.
+    This is where the edge kernel is chosen, and the only place: from the
+    pairs, whose mask would hold N + 2E of its N^2 entries for E pairs
+    (`layers.sparse_enough`). Dense kernel: the (N, N) AdjacencyMatrix,
+    with M and D^-1 M as (1, N, N) Tensors and the (1, N, N) mask. Edge
+    kernel: a SparseAdjacency and the edge list that carries M and D^-1 M
+    in place of all three; no N x N array is built.
     """
     n = len(pairs.ids)
     if sparse_enough(n + 2 * len(pairs.i), n * n):
@@ -369,8 +368,9 @@ class PaddedBatch:
     neighbour set is nonempty; real agents never see them (mask and weights
     are zero there). Losses multiply by `agents`, True on real rows only.
     At a fixed agent count nothing is padded and the batch equals a plain
-    stack. The layout is the dense kernel's input; on a sparse mask the
-    networks read it as an edge list, where padded agents are isolated nodes.
+    stack. The networks run the dense kernel on it, whatever the steps'
+    kernel in the rollout: the update needs gradients, which the edge
+    kernel does not give.
     """
 
     obs: np.ndarray        # (B, N_max, OBS_DIM)
@@ -424,20 +424,14 @@ class PaddedBatch:
         FORWARD_BLOCK_ROWS agent rows each (or the fewest transitions whose
         rows fill a multiple of BLOCK_ROW_ALIGN, if that is more), every
         block but the last a multiple of BLOCK_ROW_ALIGN rows, and no block
-        a single row. One block if some block would pick the other attention
-        kernel than the whole batch (`layers.uses_edge_kernel`): the two
-        kernels agree only to rounding."""
+        a single row."""
         b, n = self.agents.shape
         unit = BLOCK_ROW_ALIGN // math.gcd(n, BLOCK_ROW_ALIGN)   # transitions
         step = max(unit, FORWARD_BLOCK_ROWS // n // unit * unit)
         starts = list(range(0, b, step))
         if len(starts) > 1 and n * (b - starts[-1]) == 1:
             starts.pop()
-        spans = [slice(s, e) for s, e in zip(starts, starts[1:] + [b])]
-        sparse = uses_edge_kernel(self.mask)
-        if any(uses_edge_kernel(self.mask[span]) != sparse for span in spans):
-            return [slice(0, b)]
-        return spans
+        return [slice(s, e) for s, e in zip(starts, starts[1:] + [b])]
 
     def forward(self, net_fn) -> Tensor:
         """`net_fn(obs, M, D^-1 M, mask)`, a network forward to (B, N_max),

@@ -10,18 +10,17 @@ from hypothesis import given, settings, strategies as st
 from cavlab import config
 from cavlab.errors import InvalidSpec, NonFiniteValue, ShapeMismatch
 from cavlab.graph import (
-    GaussianSpeedField, PositionOnly, SparseAdjacency, VelocityOnly, build_adjacency,
-    degree_normalize, sparse_adjacency,
+    AdjacencyMatrix, GaussianSpeedField, PositionOnly, SparseAdjacency, VelocityOnly,
+    build_adjacency, degree_normalize, sparse_adjacency,
 )
 from cavlab.layers import (
     EDGE_KERNEL_MAX_DENSITY, Adam, AttentionLayer, CriticNetwork, Dense, EdgeList,
-    GaussianPolicyHead, GraphConvLayer, NetConfig, PolicyNetwork, orthogonal, select_edges,
-    uses_edge_kernel,
+    GaussianPolicyHead, GraphConvLayer, NetConfig, PolicyNetwork, orthogonal, sparse_enough,
 )
 from cavlab.selfcheck import fd_grad, rel_err
 from cavlab.sim import cav_pairs, step
 from cavlab.tensor import Tensor, no_grad
-from cavlab.trainer import PaddedBatch, collect_rollout, graph_inputs, make_policy
+from cavlab.trainer import collect_rollout, graph_inputs, make_policy, train
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -475,22 +474,25 @@ def test_graph_conv_rejects_an_adjacency_that_needs_a_gradient():
 # the edge-list kernel against the dense kernel
 
 
-def _union_of_graphs(data):
-    """A random (B, N_max, N_max) mask over graphs of 1 to 6 agents each.
-
-    A sparse draw leaves agents isolated (a self-loop only), and graphs
-    below N_max get padded agents, which also have a self-loop only, as in
-    `PaddedBatch`.
-    """
+def _graphs(data):
+    """Random graphs of 1 to 6 agents each, as (mask, M) pairs, and the
+    generator they were drawn from. A sparse draw leaves agents isolated (a
+    self-loop only)."""
     sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3), label="sizes")
     density = data.draw(st.floats(0.0, 1.0), label="density")
     r = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-    n = max(sizes)
-    mask = np.zeros((len(sizes), n, n), dtype=bool)
-    for g, size in enumerate(sizes):
-        mask[g, :size, :size] = r.random((size, size)) < density
-    mask[:, np.arange(n), np.arange(n)] = True
-    return mask, r
+    graphs = []
+    for n in sizes:
+        mask = r.random((n, n)) < density
+        np.fill_diagonal(mask, True)
+        graphs.append((mask, r.standard_normal((n, n)) * mask))
+    return graphs, r
+
+
+def _edge_list(mask, weights):
+    """The edge list a rollout step builds of the graph `mask` with M = `weights`."""
+    index = np.flatnonzero(mask)
+    return EdgeList.of_adjacency(len(mask), index, weights.ravel()[index])
 
 
 def _agree(edge, dense):
@@ -498,88 +500,64 @@ def _agree(edge, dense):
     assert np.abs(edge - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def _run_both_kernels(mask, forward, inputs, params, weights):
-    """Value and gradients (of sum(weights * out)) of `forward(edges)` on the
-    dense kernel and on the edge kernel."""
-    return [_values_and_grads(lambda: forward(edges), inputs, params, weights)
-            for edges in (None, EdgeList(mask))]
-
-
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_edge_graph_conv_matches_dense(data):
-    mask, r = _union_of_graphs(data)
-    b, n, _ = mask.shape
+    graphs, r = _graphs(data)
     layer = GraphConvLayer(r, 4, 3, activation=data.draw(st.sampled_from(["tanh", "relu"])))
-    H = Tensor(r.standard_normal((b, n, 4)), requires_grad=True)
-    M = Tensor(r.standard_normal(mask.shape) * mask)
-    Dinv = Tensor(degree_normalize(M.data, mask.sum(-1)))
-    (ref_value, ref_grads), (value, grads) = _run_both_kernels(
-        mask, lambda edges: layer(H, M, Dinv, edges), [H], [layer.W],
-        r.standard_normal((b, n, 3)))
-    _agree(value, ref_value)
-    for g, ref in zip(grads, ref_grads):
-        _agree(g, ref)
+    for mask, weights in graphs:
+        H = Tensor(r.standard_normal((1, len(mask), 4)))
+        M = Tensor(weights[None])
+        Dinv = Tensor(degree_normalize(weights, mask.sum(-1))[None])
+        with no_grad():
+            _agree(layer(H, None, None, _edge_list(mask, weights)).data,
+                   layer(H, M, Dinv).data)
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_edge_attention_matches_dense(data):
-    mask, r = _union_of_graphs(data)
-    b, n, _ = mask.shape
+    graphs, r = _graphs(data)
     heads = data.draw(st.sampled_from([1, 2, 4]))
+    d_head = 8 // heads
     layer = AttentionLayer(r, 8, heads=heads)
-    H = r.standard_normal((b, n, 8))
-    outside = np.argwhere(~mask[0])
-    if len(outside):
-        # agent j is out of agent i's range and scores 800 above i's row in every head
-        i, j = outside[0]
-        layer.Wq.data, layer.Wk.data = np.eye(8), np.eye(8)
-        H[0, i] = 1.0
-        d_head = 8 // heads
-        # with h_i all ones, agent k scores sum(h_k over a head's dims) / sqrt(d_head)
-        row = H[0, mask[0, i]].reshape(-1, heads, d_head).sum(-1) / math.sqrt(d_head)
-        H[0, j] = (800.0 + row.max()) / math.sqrt(d_head)   # scores 800 + row.max()
-    H = Tensor(H, requires_grad=True)
-    params = [layer.Wq, layer.Wk, layer.Wv, layer.Wo]
-    (ref_value, ref_grads), (value, grads) = _run_both_kernels(
-        mask, lambda edges: layer(H, mask, edges), [H], params,
-        r.standard_normal((b, n, 8)))
-    assert np.isfinite(value).all()
-    _agree(value, ref_value)
-    for g, ref in zip(grads, ref_grads):
-        _agree(g, ref)
-    phi = layer.scores(H, mask).data
-    assert not phi[np.broadcast_to(~mask[:, None], phi.shape)].any()
+    for g, (mask, weights) in enumerate(graphs):
+        H = r.standard_normal((1, len(mask), 8))
+        outside = np.argwhere(~mask)
+        if g == 0 and len(outside):
+            # agent j is out of agent i's range and scores 800 above i's row in every head
+            i, j = outside[0]
+            layer.Wq.data, layer.Wk.data = np.eye(8), np.eye(8)
+            H[0, i] = 1.0
+            # with h_i all ones, agent k scores sum(h_k over a head's dims) / sqrt(d_head)
+            row = H[0, mask[i]].reshape(-1, heads, d_head).sum(-1) / math.sqrt(d_head)
+            H[0, j] = (800.0 + row.max()) / math.sqrt(d_head)   # scores 800 + row.max()
+        H = Tensor(H)
+        with no_grad():
+            value = layer(H, None, _edge_list(mask, weights)).data
+            assert np.isfinite(value).all()
+            _agree(value, layer(H, mask[None]).data)
+        phi = layer.scores(H, mask[None]).data
+        assert not phi[np.broadcast_to(~mask[None, None], phi.shape)].any()
 
 
-def test_edge_kernel_backward_matches_finite_differences():
+def test_edge_list_forward_on_a_recording_tape_raises():
+    # the edge kernel has no backward: asked to record, it refuses instead
+    # of putting a node on the tape that it cannot differentiate
     r = rng(90)
-    mask = np.eye(5, dtype=bool)[None].repeat(2, axis=0)
-    mask[0, 0, 1] = mask[0, 1, 0] = mask[0, 1, 2] = mask[0, 3, 1] = True   # agent 4 isolated
-    mask[1, 0, 2] = mask[1, 2, 0] = True      # graph 1: three agents, two padded ones
-    edges = EdgeList(mask)
-    gconv, attn = GraphConvLayer(r, 3, 4), AttentionLayer(r, 4, heads=2)
-    H = Tensor(r.standard_normal((2, 5, 3)), requires_grad=True)
-    M = Tensor(r.standard_normal(mask.shape) * mask)
-    Dinv = Tensor(degree_normalize(M.data, mask.sum(-1)))
-    inputs, params = [H], [gconv.W, attn.Wq, attn.Wk, attn.Wv, attn.Wo]
-    weights = r.standard_normal((2, 5, 4))
-
-    def forward():
-        return attn(gconv(H, M, Dinv, edges), mask, edges)
-
-    _, grads = _values_and_grads(forward, inputs, params, weights)
-    for t, g in zip(inputs + params, grads):
-        orig = t.data.copy()
-
-        def f(x, t=t):
-            t.data = x
-            return float((forward().data * weights).sum())
-
-        fd = fd_grad(f, orig)
-        t.data = orig
-        assert rel_err(g, fd) < 1e-6
+    mask = np.eye(4, dtype=bool)
+    mask[0, 1] = mask[1, 0] = True
+    edges = _edge_list(mask, mask.astype(float))
+    actor = PolicyNetwork(r, NetConfig(hidden=8, heads=2))
+    obs = Tensor(r.standard_normal((1, 4, 6)))
+    H = Tensor(r.standard_normal((1, 4, 8)))
+    for forward in (lambda: actor.action_mean(obs, None, None, edges),
+                    lambda: GraphConvLayer(r, 8, 8)(H, None, None, edges),
+                    lambda: AttentionLayer(r, 8, heads=2)(H, None, edges)):
+        with pytest.raises(InvalidSpec, match="forward only"):
+            forward()
+        with no_grad():
+            assert np.isfinite(forward().data).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -587,22 +565,24 @@ def test_edge_kernel_backward_matches_finite_differences():
 def test_slotwise_edge_products_are_the_whole_ones_bit_for_bit(data):
     # the forward's slot-at-a-time sums and scores against the same
     # expressions over (E, ...) gathers
-    mask, r = _union_of_graphs(data)
-    b, n, _ = mask.shape
-    edges = EdgeList(mask)
-    w = r.standard_normal((edges.index.size, 2, 1))
-    x, q, k = (r.standard_normal((b * n, 2, 4)) for _ in range(3))
-    assert (edges.weighted_sum_at_dst(w, x).tobytes()
-            == edges.sum_at_dst(w * x[edges.src]).tobytes())
-    assert (edges.dot(q, k).tobytes()
-            == np.einsum("ehk,ehk->eh", q[edges.dst], k[edges.src]).tobytes())
+    graphs, r = _graphs(data)
+    for mask, weights in graphs:
+        edges = _edge_list(mask, weights)
+        w = r.standard_normal((edges.index.size, 2, 1))
+        x, q, k = (r.standard_normal((len(mask), 2, 4)) for _ in range(3))
+        assert (edges.weighted_sum_at_dst(w, x).tobytes()
+                == edges.sum_at_dst(w * x[edges.src]).tobytes())
+        assert (edges.dot(q, k).tobytes()
+                == np.einsum("ehk,ehk->eh", q[edges.dst], k[edges.src]).tobytes())
 
 
 def test_edge_list_needs_self_loops():
-    mask = np.ones((1, 3, 3), dtype=bool)
-    mask[0, 1, 1] = False
-    with pytest.raises(ShapeMismatch, match="own neighbours"):
-        EdgeList(mask)
+    # agent 1 of 3 has no neighbour, not even itself: it owns no edge
+    mask = np.ones((3, 3), dtype=bool)
+    mask[1] = False
+    index = np.flatnonzero(mask)
+    with pytest.raises(ShapeMismatch, match="own an edge"):
+        EdgeList.of_adjacency(3, index, np.ones(index.size))
 
 
 def _large_ring_config():
@@ -617,6 +597,8 @@ def _large_ring_config():
 
 @pytest.mark.parametrize("name", ["ring_smoke", "ring", "figure_eight", "merge"])
 def test_shipped_configs_run_the_dense_kernel(name):
+    # every step's graph fails the pairs rule: its mask, N + 2E entries for
+    # E in-range pairs, is too full for the edge kernel
     cfg = config.parse_config(CONFIGS / f"{name}.json")
     ppo = dataclasses.replace(cfg.ppo_config(), horizon=150)
     bundle = make_policy(cfg.net_config(), np.random.SeedSequence(0))
@@ -624,17 +606,37 @@ def test_shipped_configs_run_the_dense_kernel(name):
                             np.random.default_rng(2)).transitions
     assert trans
     for tr in trans:
-        assert select_edges(tr.mask[None]) is None
-    assert select_edges(PaddedBatch.of(trans).mask) is None
+        assert isinstance(tr.adjacency, AdjacencyMatrix)
+        assert not sparse_enough(np.count_nonzero(tr.mask), tr.mask.size)
+
+
+@pytest.mark.parametrize("name", ["ring_smoke", "ring", "figure_eight", "merge"])
+def test_training_the_shipped_configs_builds_no_edge_list(monkeypatch, name):
+    built = []
+    arrange = EdgeList._arrange
+
+    def spy(self, *args):
+        built.append(args)
+        arrange(self, *args)
+
+    monkeypatch.setattr(EdgeList, "_arrange", spy)
+    cfg = config.parse_config(CONFIGS / f"{name}.json")
+    # long enough for the merge's CAVs to arrive; one update round
+    ppo = dataclasses.replace(cfg.ppo_config(), horizon=300 if name == "merge" else 60,
+                              episodes=1, batch_size=1, epochs=1)
+    result = train(cfg.env_spec(), ppo, cfg.net_config(), master_seed=0)
+    assert len(result.critic_losses) == 1
+    assert built == []
 
 
 def test_large_ring_runs_the_edge_kernel():
-    cfg = _large_ring_config()
-    env = cfg.env_spec()
-    adj = build_adjacency(env.build(np.random.SeedSequence(0)), env.scheme, env.scan_scale)
-    mask = adj.neighbor_mask[None]
+    env = _large_ring_config().env_spec()
+    state = env.build(np.random.SeedSequence(0))
+    pairs = cav_pairs(state, env.scan_scale)
+    mask = build_adjacency(state, env.scheme, env.scan_scale, pairs).neighbor_mask
     assert mask.mean() < EDGE_KERNEL_MAX_DENSITY
-    edges = select_edges(mask)
+    adj, (M, Dinv, edges) = graph_inputs(state, pairs, env)
+    assert isinstance(adj, SparseAdjacency) and M is None and Dinv is None
     assert isinstance(edges, EdgeList) and edges.index.size == mask.sum()
 
 
@@ -642,23 +644,21 @@ def test_large_ring_runs_the_edge_kernel():
 # the edge list of a step's adjacency held as its mask's entries
 
 
-def _assert_same_edges(edges, ref):
-    """The same edges in the same order, grouped the same way."""
-    assert edges.shape == ref.shape
-    for name in ("index", "dst", "src"):
-        assert np.array_equal(getattr(edges, name), getattr(ref, name))
-    for name in ("_at_dst", "_at_src"):
-        got, want = getattr(edges, name), getattr(ref, name)
-        assert np.array_equal(got.order, want.order)
-        assert np.array_equal(got.rank, want.rank)
-        assert got.spans == want.spans
-
-
-def _assert_carries(edges, ref, weights, degree):
-    """`edges` carries M and D^-1 M at its edges, bit for bit as the dense
-    kernel's inputs hold them."""
-    assert edges.m.tobytes() == ref.at(weights[None]).tobytes()
-    assert edges.dinv_m.tobytes() == ref.at(degree_normalize(weights, degree)[None]).tobytes()
+def _assert_edge_list_of(edges, mask, weights, degree):
+    """`edges` is the graph `mask`: one edge per entry, from agent j to agent
+    i at entry (i, j), grouped by agent for the sums at each agent, carrying
+    M and D^-1 M bit for bit as the dense kernel's inputs hold them."""
+    n = len(mask)
+    assert edges.shape == (1, n, n)
+    assert np.array_equal(np.sort(edges.index), np.flatnonzero(mask))
+    assert np.array_equal(edges.dst, edges.index // n)
+    assert np.array_equal(edges.src, edges.index % n)
+    # integer-valued sums are exact in any order
+    flat = np.arange(n * n, dtype=float).reshape(n, n)
+    assert np.array_equal(edges.sum_at_dst(edges.index.astype(float)), (flat * mask).sum(1))
+    assert edges.m.tobytes() == np.take(weights, edges.index).tobytes()
+    assert (edges.dinv_m.tobytes()
+            == np.take(degree_normalize(weights, degree), edges.index).tobytes())
 
 
 @settings(max_examples=80, deadline=None)
@@ -670,11 +670,7 @@ def test_edge_list_of_an_adjacency_is_the_edge_list_of_its_mask(data):
     mask = r.random((n, n)) < density
     np.fill_diagonal(mask, True)
     weights = r.standard_normal((n, n)) * mask
-    index = np.flatnonzero(mask)
-    edges = EdgeList.of_adjacency(n, index, weights.ravel()[index])
-    ref = EdgeList(mask[None])
-    _assert_same_edges(edges, ref)
-    _assert_carries(edges, ref, weights, mask.sum(-1))
+    _assert_edge_list_of(_edge_list(mask, weights), mask, weights, mask.sum(-1))
 
 
 def _scenario_states(env, steps: int = 300, every: int = 50) -> list:
@@ -705,6 +701,8 @@ def _scenario_envs() -> dict:
 @pytest.mark.parametrize("name", ["ring_smoke", "ring", "figure_eight", "merge", "ring_256",
                                   "ring_256_scan_60"])
 def test_kernel_choice_from_the_pairs_is_the_masks(name):
+    # the rollout's rule on the pairs is the density rule on the mask they
+    # stand for, whose N + 2E entries they count
     env = _scenario_envs()[name]
     large = name.startswith("ring_256")
     states = _scenario_states(env, steps=30 if large else 300, every=10 if large else 50)
@@ -712,17 +710,19 @@ def test_kernel_choice_from_the_pairs_is_the_masks(name):
     for state in states:
         pairs = cav_pairs(state, env.scan_scale)
         dense = build_adjacency(state, env.scheme, env.scan_scale, pairs)
-        adj, graph = graph_inputs(state, pairs, env)
-        edge_step = uses_edge_kernel(dense.neighbor_mask[None])
-        assert isinstance(adj, SparseAdjacency) == edge_step == (name == "ring_256")
-        if edge_step:   # the record and its edge list, against the dense adjacency's
-            ref = EdgeList(dense.neighbor_mask[None])
-            _assert_same_edges(graph[2], ref)
-            _assert_carries(graph[2], ref, dense.weights, pairs.degree)
-            assert adj.weights.tobytes() == dense.weights.tobytes()
-            assert np.array_equal(adj.neighbor_mask, dense.neighbor_mask)
+        adj, (M, Dinv, graph) = graph_inputs(state, pairs, env)
+        n, nnz = len(pairs.ids), np.count_nonzero(dense.neighbor_mask)
+        assert nnz == n + 2 * len(pairs.i)
+        edge_step = sparse_enough(nnz, n * n)
+        assert (isinstance(adj, SparseAdjacency) == isinstance(graph, EdgeList) == edge_step
+                == (name == "ring_256"))
+        assert adj.weights.tobytes() == dense.weights.tobytes()
+        assert np.array_equal(adj.neighbor_mask, dense.neighbor_mask)
+        if edge_step:   # the edge list, against the dense adjacency
+            assert M is None and Dinv is None
+            _assert_edge_list_of(graph, dense.neighbor_mask, dense.weights, pairs.degree)
         else:
-            assert adj.weights.tobytes() == dense.weights.tobytes()
+            assert np.array_equal(graph, dense.neighbor_mask[None])
 
 
 @pytest.mark.parametrize("scheme", ["gaussian", "position", "velocity"])
@@ -751,16 +751,15 @@ def test_graph_conv_takes_m_from_tensors_or_from_the_edge_list():
     r = rng(95)
     mask = np.eye(4, dtype=bool)
     mask[0, 1] = mask[1, 0] = mask[2, 3] = True
-    index = np.flatnonzero(mask)
     weights = r.standard_normal((4, 4)) * mask
-    carried = EdgeList.of_adjacency(4, index, weights.ravel()[index])
+    carried = _edge_list(mask, weights)
     layer = GraphConvLayer(r, 3, 2)
     H = Tensor(r.standard_normal((1, 4, 3)))
     M = Tensor(weights[None])
     Dinv = Tensor(degree_normalize(weights, mask.sum(-1))[None])
-    out = layer(H, None, None, carried).data
-    assert out.tobytes() == layer(H, M, Dinv, EdgeList(mask[None])).data.tobytes()
-    for args in ((M, Dinv, carried), (None, None, EdgeList(mask[None])), (None, None, None),
-                 (M, None, carried)):
-        with pytest.raises(InvalidSpec, match="either"):
-            layer(H, *args)
+    with no_grad():
+        _agree(layer(H, None, None, carried).data, layer(H, M, Dinv).data)
+        for args in ((M, Dinv, carried), (None, None, None), (M, None, carried),
+                     (M, None, None), (None, Dinv, None)):
+            with pytest.raises(InvalidSpec, match="either"):
+                layer(H, *args)

@@ -258,13 +258,25 @@ def test_merge_update_log_density_at_theta_old_is_the_rollouts_to_rounding():
 
 
 def test_in_band_clip_equals_unclipped_hand_oracle():
-    # scalar oracle: ratios inside [1-eps, 1+eps] leave min() at the raw term
-    eps = 0.2
-    ratios = np.array([0.85, 1.0, 1.15])
-    adv = np.array([2.0, -1.0, 0.5])
-    raw = ratios * adv
-    clipped = np.clip(ratios, 1 - eps, 1 + eps) * adv
-    assert np.array_equal(np.minimum(raw, clipped), raw)
+    # ratios inside [1-eps, 1+eps], advantages of both signs: min() keeps the
+    # raw term, so the surrogate is the unclipped sum bit for bit, and its
+    # gradient for the action mean is the unclipped one's
+    bundle, trans, _ = _one_transition_batch(1.0)
+    actor, eps = bundle.actor, 0.2
+    batch = PaddedBatch.of(trans)
+    with no_grad():
+        mean = Tensor(actor.action_mean(*batch.inputs()).data, requires_grad=True)
+        logp = actor.log_prob(Tensor(batch.actions), mean).data
+    adv = np.array([[2.0, -1.0, 0.5, -0.3]])
+    batch = dataclasses.replace(batch, logp_old=logp - np.log([[0.85, 0.95, 1.05, 1.15]]))
+    ratio = np.exp(logp - batch.logp_old)
+    assert ((ratio > 1 - eps) & (ratio < 1 + eps)).all()
+    obj = trainer_module._clipped_surrogate(actor, mean, batch, adv, eps)
+    assert obj.data.tobytes() == np.asarray((ratio * adv * 1.0).sum()).tobytes()
+    obj.backward()
+    spread = np.exp(actor.head.log_spread.data)
+    expected = ratio * adv * (batch.actions - mean.data) / spread ** 2
+    assert np.allclose(mean.grad, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_out_of_band_disadvantageous_sample_has_zero_gradient():
@@ -690,33 +702,12 @@ def large_rollout(large_ring, on_step=None):
 
 def dense_graph_inputs(state, pairs, env):
     """`trainer.graph_inputs` through the dense adjacency on every step: the
-    (N, N) M, D^-1 M and mask, from which the networks pick the edge kernel
-    by counting the mask."""
+    (N, N) M, D^-1 M and mask of the dense kernel."""
     from cavlab.graph import build_adjacency, degree_normalize
     adj = build_adjacency(state, env.scheme, env.scan_scale, pairs)
     return adj, (Tensor(adj.weights[None]),
                  Tensor(degree_normalize(adj.weights, pairs.degree)[None]),
                  adj.neighbor_mask[None])
-
-
-def test_large_ring_rollout_is_the_dense_input_edge_forward_bit_for_bit(monkeypatch,
-                                                                        large_ring):
-    from cavlab.graph import AdjacencyMatrix, SparseAdjacency
-    from cavlab.layers import uses_edge_kernel
-    sparse = large_rollout(large_ring)
-    monkeypatch.setattr(trainer_module, "graph_inputs", dense_graph_inputs)
-    dense = large_rollout(large_ring)
-    assert len(sparse) == len(dense) == 30
-    for a, b in zip(sparse, dense):
-        assert isinstance(a.adjacency, SparseAdjacency)
-        assert isinstance(b.adjacency, AdjacencyMatrix) and uses_edge_kernel(b.mask[None])
-        assert a.agent_ids == b.agent_ids
-        for name in ("actions", "logp_old", "obs", "next_obs", "terminal", "weights", "mask"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    # the update reads either kind of transition as the same padded record
-    for name in ("weights", "mask", "dinv_m", "obs"):
-        assert (getattr(PaddedBatch.of(sparse[:4]), name).tobytes()
-                == getattr(PaddedBatch.of(dense[:4]), name).tobytes())
 
 
 def test_edge_step_transition_reads_its_adjacency_read_only(large_ring):
@@ -789,25 +780,21 @@ def test_large_ring_rollout_stores_and_builds_no_n_by_n_array(monkeypatch, large
     # the dense weights and mask alone were 590 KB
     assert retained / len(trans) < 100_000
 
+    # no dense adjacency, D^-1 M or masked softmax (the dense kernel's)
     calls, largest = [], []
     for module, name in ((trainer_module, "build_adjacency"),
                          (trainer_module, "degree_normalize"),
-                         (layers, "select_edges"), (layers, "uses_edge_kernel")):
+                         (layers, "softmax_forward")):
         def spy(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, spy)
-    edge_list_of_mask, tensor_init = layers.EdgeList.__init__, Tensor.__init__
-
-    def of_mask(self, mask):
-        calls.append("EdgeList(mask)")
-        edge_list_of_mask(self, mask)
+    tensor_init = Tensor.__init__
 
     def tensor(self, data, *args, **kwargs):
         tensor_init(self, data, *args, **kwargs)
         largest.append(self.data.size)
 
-    monkeypatch.setattr(layers.EdgeList, "__init__", of_mask)
     monkeypatch.setattr(Tensor, "__init__", tensor)
     assert len(large_rollout(large_ring)) == 30
     assert calls == [] and 0 < max(largest) < n * n
@@ -1006,22 +993,6 @@ def test_blocks_hold_no_single_row(monkeypatch):
         assert batch.blocks() == blocks
         assert (batch.forward(critic.values).data.tobytes()
                 == _one_shot(critic.values, batch).tobytes())
-
-
-def test_blocks_keep_the_whole_batch_attention_kernel():
-    # 40 agents: a step whose agents see only themselves is 1/40 full, under
-    # the edge kernel's cut-off, while the whole batch is denser; a block of
-    # such steps alone would switch kernels, so the batch runs in one block
-    from cavlab.layers import uses_edge_kernel
-    trans = _layout(12, 40, density=0.3)
-    for tr in trans[6:]:
-        tr.mask[...] = np.eye(40, dtype=bool)
-        tr.weights[~tr.mask] = 0.0
-    batch = PaddedBatch.of(trans)
-    assert not uses_edge_kernel(batch.mask) and uses_edge_kernel(batch.mask[6:])
-    assert batch.blocks() == [slice(0, 12)]
-    dense = PaddedBatch.of(trans[:6] * 2)
-    assert len(dense.blocks()) == 2
 
 
 def test_td_targets_are_one_array_zero_on_padding(update_layouts):
