@@ -75,8 +75,9 @@ reports the median and quartiles, in milliseconds, of
 `--src` picks the checkout to import, so two commits compare under the
 same script; the per-agent observation API of checkouts that predate
 `sim.cav_pairs` is timed the way those rollouts called it (no `pairs`
-row), and a `cav_pairs` that takes no scan scale (the all-pairs matrices)
-is timed as it is. The loss rows need a checkout with `trainer._td_loss`
+row), a `cav_pairs` that takes no scan scale (the all-pairs matrices)
+is timed as it is, and a `local_observation` that takes the agent ids is
+handed those of every CAV. The loss rows need a checkout with `trainer._td_loss`
 and `trainer._clipped_surrogate`, the network rows one with
 `trainer.graph_inputs`. Prints one JSON object.
 """
@@ -219,8 +220,19 @@ def step_inputs(sim, trainer, tensor, env, state) -> tuple:
     hands it to the networks (`trainer.graph_inputs`)."""
     pairs = sim.cav_pairs(state, env.scan_scale)
     _, graph = trainer.graph_inputs(state, pairs, env)
-    obs = sim.local_observation(state, pairs.ids, env.target_speed, env.scan_scale, pairs)
+    obs = observations(sim)(state, pairs, env.target_speed, env.scan_scale)
     return (tensor.Tensor(obs[None]), *graph)
+
+
+def observations(sim):
+    """`f(state, pairs, target_speed, scan_scale)`: every CAV's observation
+    row, by the checkout's `sim.local_observation`, which took the agent ids
+    before it observed every CAV of the step."""
+    if "agent_ids" in inspect.signature(sim.local_observation).parameters:
+        return lambda state, pairs, target, scan: sim.local_observation(
+            state, pairs.ids, target, scan, pairs)
+    return lambda state, pairs, target, scan: sim.local_observation(
+        state, target, scan, pairs)
 
 
 def loss_step(network, loss_fn) -> None:
@@ -545,10 +557,12 @@ def main() -> None:
         else:   # the all-pairs matrices, which take no scan scale
             pair_pass = sim.cav_pairs
 
+        observe = observations(sim)
+
         def features(state):
             pairs = pair_pass(state)
             graph.build_adjacency(state, scheme, scan, pairs)
-            sim.local_observation(state, pairs.ids, target, scan, pairs)
+            observe(state, pairs, target, scan)
 
     out = {"python": platform.python_version(), "numpy": np.__version__,
            "nproc": os.cpu_count(), "src": str(Path(args.src).resolve()),

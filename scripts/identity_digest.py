@@ -14,7 +14,11 @@ Prints one JSON object of sha256 digests:
   (configs/ring.json scaled to 256 CAVs, safety clamp on), the only
   scenario whose steps run the edge kernel, at fixed seeds: every
   transition's actions, logp_old, obs and next_obs, and the entries of
-  its adjacency (the mask's flat positions and M at them).
+  its adjacency (the mask's flat positions and M at them);
+- `sweep`: `run_sweep` on the tiny ring of tests/test_eval.py
+  (SWEEP_CONFIG) over `attention_heads` 0 and 2 and over `target_speed` at
+  20 and 30 km/h, seeds 0 and 1: its table rows, sorted (so the order of
+  the cells does not count), and its percentage-change rows.
 
 Run it on two checkouts and compare the output; a change that keeps every
 bit prints the same JSON:
@@ -60,6 +64,18 @@ SHORT_RUNS = {
 }
 EVAL_HORIZON = 250   # adjacency dumps at steps 0, 100 and 200
 LARGE_RING_CAVS, LARGE_RING_STEPS = 256, 30
+# `tiny_config()` of tests/test_eval.py: 4 CAVs and 2 humans, 30 steps, two
+# episodes, a 16-wide network
+SWEEP_CONFIG = {
+    "scenario": {"kind": "ring", "n_human": 2, "n_cav": 4, "target_speed": 20.0 / 3.6,
+                 "horizon": 30, "noise_mag": 0.2, "safety_clamp": True},
+    "graph": {"scan_scale": 60.0},
+    "nn": {"hidden": 16, "heads": 2},
+    "ppo": {"episodes": 2, "batch_size": 120, "epochs": 1, "minibatch_size": 64,
+            "gamma": 0.9},
+}
+SWEEPS = {"attention_heads": [0, 2], "target_speed": [20.0 / 3.6, 30.0 / 3.6]}
+SWEEP_SEEDS = [0, 1]
 
 
 def sha(data) -> str:
@@ -139,6 +155,23 @@ def rollout_digest() -> dict:
     return out
 
 
+def sweep_digest() -> dict:
+    """Each of SWEEPS's sweeps on SWEEP_CONFIG: its sorted table rows and its
+    percentage-change rows."""
+    from cavlab.config import config_from_dict
+    from cavlab.evaluate import SweepSpec, run_sweep
+
+    cfg = config_from_dict(SWEEP_CONFIG)
+    out = {}
+    for variable, values in SWEEPS.items():
+        result = run_sweep(SweepSpec(variable=variable, values=values, episodes_per_value=1,
+                                     seeds=SWEEP_SEEDS), cfg)
+        header, *rows = result.table_rows()
+        out[variable] = {"table_rows": sha("\n".join([header, *sorted(rows)])),
+                         "pct_change_rows": sha("\n".join(result.pct_change_rows))}
+    return out
+
+
 def fingerprint() -> str:
     """What the digest's bits depend on besides the code: the numpy version,
     the BLAS name and version numpy was built with, and the architecture."""
@@ -179,6 +212,7 @@ def digest() -> dict:
         finally:
             os.chdir(cwd)
     out["rollout"] = {"ring_large": rollout_digest()}
+    out["sweep"] = sweep_digest()
     return out
 
 

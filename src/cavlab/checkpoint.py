@@ -32,19 +32,35 @@ def save_checkpoint(path, params: dict[str, Tensor], architecture: dict,
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, dict]:
-    """Returns (params, architecture, extra)."""
+    """Returns (params, architecture, extra). A file that is not a
+    checkpoint of this format and version, or whose architecture or
+    parameters are missing or malformed, raises IncompatibleCheckpoint
+    naming it."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != FORMAT:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:   # not JSON, or not text
+            raise IncompatibleCheckpoint(f"{path} is not JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise IncompatibleCheckpoint(f"{path} is not a {FORMAT} file")
     if payload.get("version") != VERSION:
         raise IncompatibleCheckpoint(
-            f"checkpoint version {payload.get('version')} != {VERSION}")
-    params = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
-    }
-    return params, payload["architecture"], payload.get("extra", {})
+            f"{path}: checkpoint version {payload.get('version')} != {VERSION}")
+    architecture, entries = payload.get("architecture"), payload.get("params")
+    for key, value in (("architecture", architecture), ("params", entries)):
+        if not isinstance(value, dict):
+            raise IncompatibleCheckpoint(f"{path} holds no {key} object")
+    params = {}
+    for name, entry in entries.items():
+        if not (isinstance(entry, dict) and "shape" in entry and "data" in entry):
+            raise IncompatibleCheckpoint(f"{path}: parameter {name!r} has no shape and data")
+        try:
+            params[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (TypeError, ValueError) as exc:
+            raise IncompatibleCheckpoint(
+                f"{path}: parameter {name!r} does not read as shape {entry['shape']!r}: "
+                f"{exc}") from None
+    return params, architecture, payload.get("extra", {})
 
 
 def restore_params(target: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> None:

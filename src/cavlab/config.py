@@ -287,7 +287,8 @@ def _block_from(cls, block, where: str = ""):
 def _typed(value, tp, key: str):
     """`value` checked against the field type `tp`: an int passes for a
     float, a bool only for a bool, a list becomes a tuple of the declared
-    length, and None passes only where the field allows it."""
+    length, and None passes only where the field allows it. A float must
+    be finite: Python's `json` reads NaN, Infinity and -Infinity."""
     if dataclasses.is_dataclass(tp):
         return _block_from(tp, value, key)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -305,6 +306,8 @@ def _typed(value, tp, key: str):
     allowed = (int, float) if tp is float else tp
     if not isinstance(value, allowed) or (isinstance(value, bool) and tp is not bool):
         raise ParseError(f"{key} must be {_TYPE_NAMES[tp]}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"{key} must be a finite number, got {value!r}")
     return value
 
 

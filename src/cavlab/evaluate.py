@@ -3,15 +3,18 @@
 Evaluation runs the policy mean (no sampling), aggregates mean/std across
 seeds, and keeps the first episode per seed for space-time export. Every
 episode, the IDM-only baseline and the decentralization check's state
-sampler included, runs through `trainer.collect_rollout`. Sweeps train (or
-reuse) a policy per cell and evaluate it, continuing past cells that fail
-with a `CavlabError`. A sweep cell is the run's `RunConfig` with the one
-swept key replaced and validated; its specs are built from that config like
-any other run's.
+sampler included, runs through `trainer.collect_rollout`. A sweep is one
+loop over its (value, seed) cells, values outermost, continuing past cells
+that fail with a `CavlabError`. A sweep cell is the run's `RunConfig` with
+the one swept key replaced and validated; its specs are built from that
+config like any other run's. A cell evaluates the policy of its trained
+config (its own, or the 20 km/h cell's in a target-speed sweep), and each
+(trained config, seed) is trained once, however many cells use it.
 """
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -247,71 +250,65 @@ def _describe(exc: CavlabError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def run_sweep(spec: SweepSpec, cfg: RunConfig, horizon: int | None = None) -> SweepResult:
-    """Train and evaluate one cell per (value, seed).
+def run_sweep(spec: SweepSpec, cfg: RunConfig) -> SweepResult:
+    """Train and evaluate one cell per (value, seed), values outermost.
 
     Each cell is `cfg` with the one key the sweep variable names replaced,
-    so every other key of `cfg` holds in every cell. target_speed is a
-    generalization sweep: the policy is trained once per seed at 20 km/h
-    and evaluated under each target speed; the percentage return change
-    against the 20 km/h cell is emitted alongside. A cell that fails with a
-    `CavlabError` is marked and the sweep continues; any other exception is
-    a program error and propagates.
+    so every other key of `cfg` holds in every cell, and is evaluated over
+    `cfg.scenario.horizon` steps. A cell's policy is trained on its own
+    config, except that target_speed is a generalization sweep: every cell
+    evaluates the policy trained at 20 km/h, and the percentage return
+    change against the 20 km/h cell is emitted alongside. Each policy is
+    trained once per (trained config, seed), however many cells it serves.
+    A cell that fails with a `CavlabError` (a training's error marks every
+    cell that needs its policy) is marked and the sweep continues; any
+    other exception is a program error and propagates.
     """
     spec.validate()
-    horizon = horizon if horizon is not None else cfg.scenario.horizon
-    cells: list[SweepCell] = []
-    pct_rows = ["variable,value,seed,pct_return_change"]
 
-    def train_on(cell: RunConfig, seed: int) -> PolicyBundle:
-        return train(cell.env_spec(), cell.ppo_config(), cell.net_config(),
-                     master_seed=seed).bundle
-
-    def evaluate_on(cell: RunConfig, bundle: PolicyBundle, seed: int) -> EvalReport:
-        return evaluate(bundle, cell.env_spec(), horizon, spec.episodes_per_value, [seed])
-
-    def train_and_evaluate(value, seed: int) -> EvalReport:
-        cell_cfg = _cell_config(cfg, spec.variable, value)
-        return evaluate_on(cell_cfg, train_on(cell_cfg, seed), seed)
-
-    def measured(value, seed: int, report_fn) -> SweepCell:
-        """The cell of `report_fn()`'s figures, or failed with its CavlabError."""
+    @functools.cache
+    def policy(trained: RunConfig, seed: int) -> PolicyBundle | CavlabError:
         try:
-            report = report_fn()
+            return train(trained.env_spec(), trained.ppo_config(), trained.net_config(),
+                         master_seed=seed).bundle
         except CavlabError as exc:
-            return SweepCell(spec.variable, value, seed, failed=True, error=_describe(exc))
-        return SweepCell(spec.variable, value, seed, report.episode_return,
-                         report.mean_velocity, report.mean_abs_accel)
+            return exc
 
-    if spec.variable == "target_speed":
-        for seed in spec.seeds:
-            try:
-                base = _cell_config(cfg, spec.variable, TRAIN_TARGET_SPEED_BASE)
-                bundle = train_on(base, seed)
-            except CavlabError as exc:
-                for value in spec.values:
-                    cells.append(SweepCell(spec.variable, value, seed,
-                                           failed=True, error=_describe(exc)))
-                continue
-            baseline_return = None
-            for value in spec.values:
-                cell = measured(value, seed, lambda: evaluate_on(
-                    _cell_config(cfg, spec.variable, value), bundle, seed))
-                if not cell.failed and math.isclose(float(value), TRAIN_TARGET_SPEED_BASE):
-                    baseline_return = cell.episode_return
-                cells.append(cell)
-            if baseline_return is None:
-                baseline_return = evaluate_on(base, bundle, seed).episode_return
-            for cell in cells:
-                if cell.seed == seed and not cell.failed:
-                    pct = 100.0 * (cell.episode_return - baseline_return) / abs(baseline_return)
-                    pct_rows.append(f"{spec.variable},{cell.value},{seed},{pct!r}")
-        return SweepResult(cells=cells, pct_change_rows=pct_rows)
+    def evaluated(value, seed: int) -> EvalReport:
+        bundle = policy(_cell_config(cfg, spec.variable, TRAIN_TARGET_SPEED_BASE
+                                     if spec.variable == "target_speed" else value), seed)
+        if isinstance(bundle, CavlabError):
+            raise bundle
+        return evaluate(bundle, _cell_config(cfg, spec.variable, value).env_spec(),
+                        cfg.scenario.horizon, spec.episodes_per_value, [seed])
 
+    cells: list[SweepCell] = []
     for value in spec.values:
         for seed in spec.seeds:
-            cells.append(measured(value, seed, lambda: train_and_evaluate(value, seed)))
-    return SweepResult(cells=cells)
+            try:
+                report = evaluated(value, seed)
+            except CavlabError as exc:
+                cells.append(SweepCell(spec.variable, value, seed, failed=True,
+                                       error=_describe(exc)))
+                continue
+            cells.append(SweepCell(spec.variable, value, seed, report.episode_return,
+                                   report.mean_velocity, report.mean_abs_accel))
+    if spec.variable != "target_speed":
+        return SweepResult(cells=cells)
+    pct_rows = ["variable,value,seed,pct_return_change"]
+    for seed in spec.seeds:
+        done = [c for c in cells if c.seed == seed and not c.failed]
+        if not done:
+            continue
+        # the 20 km/h cell's return, or a 20 km/h evaluation when none was swept
+        base = [c.episode_return for c in done
+                if math.isclose(float(c.value), TRAIN_TARGET_SPEED_BASE)]
+        base_return = base[-1] if base else \
+            evaluated(TRAIN_TARGET_SPEED_BASE, seed).episode_return
+        for c in done:
+            pct = 100.0 * (c.episode_return - base_return) / abs(base_return)
+            pct_rows.append(f"{spec.variable},{c.value},{seed},{pct!r}")
+    return SweepResult(cells=cells, pct_change_rows=pct_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +359,16 @@ def receptive_closure(state: SimState, agent_id: int, scan_scale: float,
     return {pairs.ids[k] for k in np.flatnonzero(inside)}
 
 
-def _deterministic_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec) -> dict[int, float]:
-    _, actions = policy_actions(bundle, state, env, None)
-    return actions
+# an agent's deterministic action that moves by this much or more when only
+# vehicles outside its receptive field are perturbed is a violation
+DECENTRALIZATION_TOL = 1e-9
 
 
 def decentralization_check(bundle: PolicyBundle, env: EnvSpec, seed: int,
-                           samples: int = 100, horizon: int = 500,
-                           tol: float = 1e-9) -> DecentralizationReport:
+                           samples: int = 100, horizon: int = 500) -> DecentralizationReport:
     """Perturb vehicles outside each agent's receptive field; the agent's
-    deterministic action must not change (one-sided check).
+    deterministic action must not change by DECENTRALIZATION_TOL or more
+    (one-sided check).
 
     States are sampled every 7th step of deterministic episodes that are
     free of collisions up to that step.
@@ -395,7 +392,7 @@ def decentralization_check(bundle: PolicyBundle, env: EnvSpec, seed: int,
     violations: list[tuple[int, int, float]] = []
     checked = perturbed_total = 0
     for s_idx, state in enumerate(states):
-        base_actions = _deterministic_actions(bundle, state, env)
+        base_actions = policy_actions(bundle, state, env, None).commands()
         pairs = cav_pairs(state, env.scan_scale)
         for agent_id in pairs.ids:
             closure = receptive_closure(state, agent_id, env.scan_scale, pairs=pairs)
@@ -413,9 +410,9 @@ def decentralization_check(bundle: PolicyBundle, env: EnvSpec, seed: int,
                         % route_length(mutated, v.route_id)
                 elif v.id not in closure and v.id != agent_id:
                     v.speed = max(0.0, v.speed + float(rng.uniform(0.5, 1.5)))
-            new_actions = _deterministic_actions(bundle, mutated, env)
+            new_actions = policy_actions(bundle, mutated, env, None).commands()
             delta = abs(new_actions[agent_id] - base_actions[agent_id])
-            if delta >= tol:
+            if delta >= DECENTRALIZATION_TOL:
                 violations.append((s_idx, agent_id, delta))
     return DecentralizationReport(samples=len(states), checked_agents=checked,
                                   perturbed_agents=perturbed_total,

@@ -817,9 +817,10 @@ _SENTINEL_REL_SPEED = 0.0
 _SENTINEL_GAP = 1.0
 
 
-def local_observation(state: SimState, agent_ids: list[int], target_speed: float,
-                      scan_scale: float, pairs: CavPairs | None = None) -> np.ndarray:
-    """Feature rows of the listed CAVs, shape (len(agent_ids), OBS_DIM).
+def local_observation(state: SimState, target_speed: float, scan_scale: float,
+                      pairs: CavPairs | None = None) -> np.ndarray:
+    """Feature rows of every live CAV, in vehicle-list order (`pairs.ids`),
+    shape (N, OBS_DIM).
 
     Row: [own speed, own position, leader-CAV rel speed, leader-CAV distance,
     follower-CAV rel speed, follower-CAV distance]; speeds are normalized
@@ -831,15 +832,6 @@ def local_observation(state: SimState, agent_ids: list[int], target_speed: float
     """
     if pairs is None:
         pairs = cav_pairs(state, scan_scale)
-    rows = slice(None)
-    if agent_ids != pairs.ids:
-        index = {vid: i for i, vid in enumerate(pairs.ids)}
-        rows = []
-        for vid in agent_ids:
-            if vid not in index:
-                state.find(vid)  # raises for an id that is not in the network
-                raise UnknownVehicle(f"vehicle {vid} is not a CAV")
-            rows.append(index[vid])
     speed, gaps = pairs.speed, pairs.gaps
     obs = np.empty((len(speed), OBS_DIM))
     obs[:, 0] = speed / target_speed
@@ -849,7 +841,7 @@ def local_observation(state: SimState, agent_ids: list[int], target_speed: float
     obs[:, 2::2] = np.where(seen, (speed[pairs.neighbors] - speed) / target_speed,
                             _SENTINEL_REL_SPEED).T
     obs[:, 3::2] = np.where(seen, gaps / pairs.route_len, _SENTINEL_GAP).T
-    return obs[rows]
+    return obs
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ with the adjacency used at decision time. `collect_rollout` is the only
 episode loop: training, evaluation (also IDM-only, without a policy) and the
 decentralization check all step the simulator through it.
 
-A `Transition` holds one step at that step's agent count N. Updates stack
-transitions into one padded (B, N_max) batch (`PaddedBatch`): agents first,
-zeros after, plus an agent mask, so a scenario whose agent count changes
-every step (merge) still needs one forward per minibatch. That batch is the
-one record of an update round: it holds every column the updates read.
+A `Transition` holds one step at that step's agent count N: `policy_actions`
+makes it, and `collect_rollout` adds the reward, `next_obs` and `terminal`.
+Updates stack transitions into one padded (B, N_max) batch (`PaddedBatch`):
+agents first, zeros after, plus an agent mask, so a scenario whose agent
+count changes every step (merge) still needs one forward per minibatch.
+That batch is the one record of an update round: it holds every column the
+updates read.
 
 Updates run at episode boundaries once the buffer holds at least
 `batch_size` agent-transitions (the advantage estimator needs complete
@@ -18,7 +20,8 @@ transition feeds at most one update round. Episodes collected after the last
 update that do not fill a batch are never updated on;
 `TrainResult.unused_agent_transitions` counts their agent-transitions.
 An update lays its transitions out once; each minibatch is a slice of that
-record (`PaddedBatch.take`), trimmed to the minibatch's own N_max.
+record (`PaddedBatch.take`), trimmed to the minibatch's own N_max, in the
+one epoch/minibatch loop both updates run (`_minibatch_passes`).
 The passes over the whole layout that need no gradient (advantage
 baselines, TD targets, the initial loss and surrogate) run off the tape
 in blocks of at most `FORWARD_BLOCK_ROWS` agent rows (`PaddedBatch.forward`),
@@ -144,6 +147,10 @@ class Transition:
         """The neighbour mask, (N, N) bool."""
         return self.adjacency.neighbor_mask
 
+    def commands(self) -> dict[int, float]:
+        """The actions as `sim.step` takes them: {CAV id: acceleration}."""
+        return dict(zip(self.agent_ids, self.actions.tolist()))
+
 
 @dataclass
 class EpisodeResult:
@@ -180,18 +187,19 @@ def make_policy(net_cfg: NetConfig, seed_seq: np.random.SeedSequence) -> PolicyB
 
 
 def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
-                   action_rng: np.random.Generator | None):
-    """Sampled (or deterministic-mean) actions for the live CAVs.
-
-    Returns (transition scaffold dict or None when no CAVs, actions dict).
-    The step's graph is read and stored in the form of its kernel
+                   action_rng: np.random.Generator | None) -> Transition | None:
+    """The step's Transition, with sampled (or deterministic-mean) actions
+    for the live CAVs (None without CAVs); `collect_rollout` fills in its
+    reward, `next_obs` and `terminal`. The live agents are observed in one
+    call that shares the step's pass over the CAVs (`sim.cav_pairs`) with
+    the graph, which is read and stored in the form of its kernel
     (`graph_inputs`).
     """
     pairs = cav_pairs(state, env.scan_scale)
     if not pairs.ids:
-        return None, {}
+        return None
     adj, graph = graph_inputs(state, pairs, env)
-    obs = local_observation(state, pairs.ids, env.target_speed, env.scan_scale, pairs)
+    obs = local_observation(state, env.target_speed, env.scan_scale, pairs)
     actor = bundle.actor
     with no_grad():
         mean = actor.action_mean(Tensor(obs[None]), *graph).data[0]
@@ -206,14 +214,10 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
         # the density the update differentiates: the ratio at theta_old is 1,
         # exactly at a fixed agent count (padding can move a mean's last bit)
         logp = actor.log_prob(Tensor(actions), Tensor(mean)).data
-    scaffold = {
-        "agent_ids": adj.agent_ids,
-        "obs": obs,
-        "adjacency": adj,
-        "actions": actions,
-        "logp_old": logp,
-    }
-    return scaffold, {vid: float(a) for vid, a in zip(adj.agent_ids, actions)}
+    return Transition(step_index=state.time_step, agent_ids=adj.agent_ids, obs=obs,
+                      adjacency=adj, actions=actions, logp_old=logp, reward=0.0,
+                      next_obs=np.zeros_like(obs),
+                      terminal=np.zeros(len(adj.agent_ids), dtype=bool))
 
 
 def graph_inputs(state: SimState, pairs: CavPairs, env: EnvSpec) -> tuple:
@@ -237,17 +241,18 @@ def graph_inputs(state: SimState, pairs: CavPairs, env: EnvSpec) -> tuple:
                   adj.neighbor_mask[None])
 
 
-def _link_next(tr: Transition, nxt: dict | None) -> None:
-    """Fill `tr.next_obs` from the next step's scaffold (None: no CAVs left).
+def _link_next(tr: Transition, ids: list[int], obs: np.ndarray | None) -> None:
+    """Fill `tr.next_obs` from the next step's observations `obs` of its
+    CAVs `ids` (none left: `[]`, None).
 
     An agent missing from the next step exited: its row stays zero and is
     terminal.
     """
-    row = {aid: j for j, aid in enumerate(nxt["agent_ids"])} if nxt else {}
+    row = {aid: j for j, aid in enumerate(ids)}
     idx = np.array([row.get(aid, -1) for aid in tr.agent_ids], dtype=np.intp)
     tr.terminal[:] = idx < 0
     if row:
-        tr.next_obs[idx >= 0] = nxt["obs"][idx[idx >= 0]]
+        tr.next_obs[idx >= 0] = obs[idx[idx >= 0]]
 
 
 def collect_rollout(bundle: PolicyBundle | None, env: EnvSpec, ppo: PpoConfig,
@@ -257,10 +262,10 @@ def collect_rollout(bundle: PolicyBundle | None, env: EnvSpec, ppo: PpoConfig,
 
     `bundle=None` runs IDM-only traffic, which needs a scenario without
     CAVs. `on_step(t, state)` sees the state after each step and ends the
-    episode early by returning True. The live agents are observed once per
-    step, all in one call that shares the step's pass over the CAVs
-    (`sim.cav_pairs`) with the adjacency; the last transition's `next_obs`
-    takes one more pass over the final state, and all its rows are terminal.
+    episode early by returning True. A step's Transition
+    (`policy_actions`) gets its reward here and its `next_obs` and
+    `terminal` from the next step's; the last one's `next_obs` takes one
+    more pass over the final state, and all its rows are terminal.
     """
     state = env.build(env_seed)
     transitions: list[Transition] = []
@@ -275,12 +280,12 @@ def collect_rollout(bundle: PolicyBundle | None, env: EnvSpec, ppo: PpoConfig,
         if bundle is None:
             if state.cavs():
                 raise InvalidSpec("IDM-only rollout needs a scenario without CAVs")
-            scaffold, actions = None, {}
+            tr = None
         else:
-            scaffold, actions = policy_actions(bundle, state, env, action_rng)
+            tr = policy_actions(bundle, state, env, action_rng)
         if pending is not None:
-            _link_next(pending, scaffold)
-        state, info = step(state, actions, env.dt)
+            _link_next(pending, tr.agent_ids if tr else [], tr.obs if tr else None)
+        state, info = step(state, tr.commands() if tr else {}, env.dt)
         reward = step_reward(info, env.reward) if info.vehicle_ids else 0.0
         rewards.append(reward)
         if keep_infos:
@@ -290,19 +295,17 @@ def collect_rollout(bundle: PolicyBundle | None, env: EnvSpec, ppo: PpoConfig,
         cav_accels = info.cav_accels
         accel_sum += float(np.abs(cav_accels).sum())
         accel_count += len(cav_accels)
-        pending = None
-        if scaffold is not None:
-            pending = Transition(
-                step_index=t, reward=reward, next_obs=np.zeros_like(scaffold["obs"]),
-                terminal=np.zeros(len(scaffold["agent_ids"]), dtype=bool), **scaffold)
-            transitions.append(pending)
+        pending = tr
+        if tr is not None:
+            tr.reward = reward
+            transitions.append(tr)
         if (on_step is not None and on_step(t, state)) or state.collided:
             break
     if pending is not None:  # one more pass, over the final state
         pairs = cav_pairs(state, env.scan_scale)
         if pairs.ids:
-            _link_next(pending, {"agent_ids": pairs.ids, "obs": local_observation(
-                state, pairs.ids, env.target_speed, env.scan_scale, pairs)})
+            _link_next(pending, pairs.ids, local_observation(
+                state, env.target_speed, env.scan_scale, pairs))
         pending.terminal[:] = True
     return EpisodeResult(
         transitions=transitions,
@@ -650,30 +653,40 @@ def _minibatches(batch: PaddedBatch, size: int,
     return chunks
 
 
+def _minibatch_passes(batch: PaddedBatch, guard: _GuardedOptimizer, ppo: PpoConfig,
+                      rng: np.random.Generator, column_fn, loss_fn) -> None:
+    """`ppo.epochs` epochs of minibatch steps on slices of `batch`, run by
+    `guard`: a minibatch's loss is `loss_fn(sub, sub_column)` on its slice
+    of `batch` and of the epoch's (B, N_max) column `column_fn(epoch)`."""
+
+    def passes(scale: float) -> None:
+        for epoch in range(ppo.epochs):
+            column = column_fn(epoch)
+            for chunk in _minibatches(batch, ppo.minibatch_size, rng):
+                sub = batch.take(chunk)
+                sub_column = column[chunk, :sub.agents.shape[1]]
+                guard.minibatch_step(lambda: loss_fn(sub, sub_column), scale)
+
+    guard.run(passes)
+
+
 def critic_update(batch: PaddedBatch, critic: CriticNetwork, guard: _GuardedOptimizer,
                   ppo: PpoConfig, rng: np.random.Generator) -> float:
     """Minibatched TD passes on the round's record `batch`; returns the
     full-batch loss at the start.
 
-    The initial loss and epoch 0 share one set of targets: both see the
-    starting parameters, which a NaN-guard retry restores. Minibatches are
-    slices of `batch`. The full-batch passes (targets, initial loss) run off
+    The TD targets are refreshed each epoch; the initial loss and epoch 0
+    share one set: both see the starting parameters, which a NaN-guard
+    retry restores. The full-batch passes (targets, initial loss) run off
     the tape in blocks (`PaddedBatch.forward`).
     """
     start_targets = _td_rows(critic, batch, ppo.gamma)
     initial = _td_loss(batch.forward(critic.values), start_targets, batch.agents).data
     check_finite(initial, "the initial critic loss")
-
-    def passes(scale: float) -> None:
-        for epoch in range(ppo.epochs):
-            targets = start_targets if epoch == 0 else _td_rows(critic, batch, ppo.gamma)
-            for chunk in _minibatches(batch, ppo.minibatch_size, rng):
-                sub = batch.take(chunk)
-                sub_targets = targets[chunk, :sub.agents.shape[1]]
-                guard.minibatch_step(lambda: _td_loss(
-                    critic.values(*sub.inputs()), sub_targets, sub.agents), scale)
-
-    guard.run(passes)
+    _minibatch_passes(
+        batch, guard, ppo, rng,
+        lambda epoch: start_targets if epoch == 0 else _td_rows(critic, batch, ppo.gamma),
+        lambda sub, targets: _td_loss(critic.values(*sub.inputs()), targets, sub.agents))
     return float(initial)
 
 
@@ -681,23 +694,15 @@ def actor_update(batch: PaddedBatch, advantages: np.ndarray, actor: PolicyNetwor
                  guard: _GuardedOptimizer, ppo: PpoConfig, rng: np.random.Generator) -> float:
     """Minibatched ascent on the clipped surrogate over the round's record
     `batch`, with (B, N_max) `advantages`, zero on padding; returns the
-    initial objective, taken off the tape in blocks (`PaddedBatch.forward`).
-    Minibatches are slices of `batch`."""
+    initial objective, taken off the tape in blocks (`PaddedBatch.forward`)."""
     with no_grad():
         initial = _clipped_surrogate(actor, batch.forward(actor.action_mean), batch,
                                      advantages, ppo.clip).data
     check_finite(initial, "the initial surrogate objective")
-
-    def passes(scale: float) -> None:
-        for _ in range(ppo.epochs):
-            for chunk in _minibatches(batch, ppo.minibatch_size, rng):
-                sub = batch.take(chunk)
-                sub_advantages = advantages[chunk, :sub.agents.shape[1]]
-                guard.minibatch_step(lambda: -_clipped_surrogate(
-                    actor, actor.action_mean(*sub.inputs()), sub, sub_advantages,
-                    ppo.clip), scale)
-
-    guard.run(passes)
+    _minibatch_passes(
+        batch, guard, ppo, rng, lambda epoch: advantages,
+        lambda sub, adv: -_clipped_surrogate(actor, actor.action_mean(*sub.inputs()), sub,
+                                             adv, ppo.clip))
     return float(initial)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -182,6 +183,22 @@ def test_wrong_type_names_the_key(tmp_path, body, key):
         parse_config(write_config(tmp_path, body))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("body, key", [
+    (lambda x: {"scenario": {"dt": x}}, "scenario.dt"),
+    (lambda x: {"scenario": {"loop_radius": [x, 20.0]}}, "scenario.loop_radius[0]"),
+    (lambda x: {"scenario": {"idm": {"v0": x}}}, "scenario.idm.v0"),
+    (lambda x: {"graph": {"scan_scale": x}}, "graph.scan_scale"),
+    (lambda x: {"ppo": {"actor_lr": x}}, "ppo.actor_lr"),
+])
+def test_non_finite_number_names_the_key(tmp_path, body, key, value):
+    # json writes and reads NaN, Infinity and -Infinity; the config takes none
+    path = write_config(tmp_path, body(value))
+    assert json.dumps(value) in path.read_text()
+    with pytest.raises(ParseError, match=re.escape(f"{key} must be a finite number")):
+        parse_config(path)
+
+
 def test_lenient_types_accepted():
     # an int stands for a float, None for an optional field, a list for a tuple
     cfg = config_from_dict({"graph": {"scan_scale": 30}, "reward": {"w_v": None},
@@ -283,6 +300,54 @@ def test_checkpoint_format_guard(tmp_path):
     path.write_text(json.dumps({"format": "other", "version": 1}))
     with pytest.raises(IncompatibleCheckpoint):
         load_checkpoint(path)
+
+
+def _edited_checkpoint(edit):
+    """The text of a saved checkpoint's payload after `edit(payload)`."""
+    def text(tmp_path):
+        bundle = make_policy(NetConfig(hidden=16, heads=2), init_stream(0))
+        save_checkpoint(tmp_path / "good.json", bundle.parameters(), bundle.architecture())
+        payload = json.loads((tmp_path / "good.json").read_text())
+        edit(payload)
+        return json.dumps(payload)
+    return text
+
+
+def _first_param(payload):
+    return next(iter(payload["params"].values()))
+
+
+MALFORMED_CHECKPOINTS = {
+    "not_json": (lambda tmp_path: '{"format": "cavlab-checkpoint", ', "is not JSON"),
+    "not_an_object": (lambda tmp_path: "[1, 2]", "is not a cavlab-checkpoint file"),
+    "no_architecture": (_edited_checkpoint(lambda p: p.pop("architecture")),
+                        "holds no architecture object"),
+    "no_params": (_edited_checkpoint(lambda p: p.pop("params")), "holds no params object"),
+    "params_not_an_object": (_edited_checkpoint(lambda p: p.update(params=[1.0])),
+                             "holds no params object"),
+    "entry_without_shape": (_edited_checkpoint(lambda p: _first_param(p).pop("shape")),
+                            "has no shape and data"),
+    "entry_without_data": (_edited_checkpoint(lambda p: _first_param(p).pop("data")),
+                           "has no shape and data"),
+    "shape_disagrees_with_data": (
+        _edited_checkpoint(lambda p: _first_param(p)["data"].append(0.5)),
+        "does not read as shape"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_malformed_checkpoint_is_incompatible(tmp_path, capsys, case):
+    text, message = MALFORMED_CHECKPOINTS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text(tmp_path))
+    with pytest.raises(IncompatibleCheckpoint, match=re.escape(message)) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    # the CLI reports it on one line and exits 1
+    assert main(["eval", str(smoke_config(tmp_path)), "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: IncompatibleCheckpoint: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
 
 
 def test_checkpoint_shape_guard(tmp_path):
@@ -417,8 +482,7 @@ def test_cli_dump_adjacency(tmp_path):
         if t % 100 == 0:
             adj = build_adjacency(state, env.scheme, env.scan_scale)
             expected[f"adjacency_step{t:05d}.csv"] = "\n".join(adjacency_csv_rows(adj)) + "\n"
-        _, actions = policy_actions(bundle, state, env, None)
-        state, _ = step(state, actions, env.dt)
+        state, _ = step(state, policy_actions(bundle, state, env, None).commands(), env.dt)
         assert not state.collided
     assert {d.name: d.read_text() for d in dumps} == expected
 

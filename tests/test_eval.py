@@ -10,7 +10,7 @@ from cavlab.evaluate import (
     SweepSpec, decentralization_check, evaluate, import_space_time,
     receptive_closure, run_sweep, space_time_export,
 )
-from cavlab.graph import GaussianSpeedField, KernelSpec, VelocityOnly
+from cavlab.graph import GaussianSpeedField, KernelSpec, PositionOnly, VelocityOnly
 from cavlab.idm import IdmParams
 from cavlab.layers import NetConfig
 from cavlab.networks import RingSpec
@@ -146,9 +146,9 @@ def test_isolated_agent_action_invariant_to_far_speeds():
     a.speed, b.speed, c.speed = 3.0, 4.0, 5.0
 
     from cavlab.trainer import policy_actions
-    _, base = policy_actions(bundle, state, env, None)
+    base = policy_actions(bundle, state, env, None).commands()
     a.speed, b.speed = 9.0, 0.5  # perturb only the far pair
-    _, new = policy_actions(bundle, state, env, None)
+    new = policy_actions(bundle, state, env, None).commands()
     assert abs(new[c.id] - base[c.id]) < 1e-12
     # the coupled pair is allowed to change (one-sided check)
     assert abs(new[a.id] - base[a.id]) > 0.0
@@ -271,8 +271,9 @@ def test_sweep_cells_honour_graph_keys(monkeypatch):
                      episodes_per_value=1, seeds=[0])
     result = run_sweep(spec, cfg)
     assert all(c.error == "InvalidSpec: spec captured" for c in result.cells)
-    assert schemes == [GaussianSpeedField(KernelSpec(length_scale=9.0))] * 2 \
-        + [VelocityOnly(epsilon=0.5, target_speed=TARGET)] * 2
+    # the values name two configs, each trained (and failed) once
+    assert schemes == [GaussianSpeedField(KernelSpec(length_scale=9.0)),
+                       VelocityOnly(epsilon=0.5, target_speed=TARGET)]
 
 
 @pytest.mark.parametrize("v0", [None, 7.0])
@@ -305,3 +306,91 @@ def test_sweep_validation():
     with pytest.raises(InvalidSpec):
         SweepSpec(variable="scan_scale", values=[], episodes_per_value=1,
                   seeds=[0]).validate()
+
+
+def fake_runs(monkeypatch, fail_seed=None):
+    """Replace `train` and `evaluate` in the sweep by fakes; returns the list
+    of (env, net, seed, bundle) trainings and of (bundle, env) evaluations.
+    A training at `fail_seed` raises an InvalidSpec."""
+    import cavlab.evaluate as ev
+    trained, evaluated = [], []
+
+    def fake_train(env, ppo, net, master_seed):
+        if master_seed == fail_seed:
+            trained.append((env, net, master_seed, None))
+            raise InvalidSpec(f"training at seed {master_seed} failed")
+        bundle = object()
+        trained.append((env, net, master_seed, bundle))
+        return SimpleNamespace(bundle=bundle)
+
+    def fake_evaluate(bundle, env, horizon, episodes, seeds):
+        evaluated.append((bundle, env))
+        # a return of its own per evaluation
+        return SimpleNamespace(episode_return=-float(len(evaluated)), mean_velocity=1.0,
+                               mean_abs_accel=0.0)
+
+    monkeypatch.setattr(ev, "train", fake_train)
+    monkeypatch.setattr(ev, "evaluate", fake_evaluate)
+    return trained, evaluated
+
+
+@pytest.mark.parametrize("variable, values, trainings", [
+    ("target_speed", [TARGET, 10.0, 30.0 / 3.6], 2),
+    ("attention_heads", [0, 2], 4),
+])
+def test_sweep_trains_each_policy_once(monkeypatch, variable, values, trainings):
+    trained, evaluated = fake_runs(monkeypatch)
+    spec = SweepSpec(variable=variable, values=values, episodes_per_value=1, seeds=[0, 1])
+    result = run_sweep(spec, tiny_config())
+    assert len(trained) == trainings
+    assert len(evaluated) == len(values) * 2 and not any(c.failed for c in result.cells)
+    if variable == "target_speed":   # every cell evaluates its seed's 20 km/h policy
+        assert [env.target_speed for env, _, _, _ in trained] == [TARGET, TARGET]
+        by_seed = {seed: bundle for _, _, seed, bundle in trained}
+        assert [bundle for bundle, _ in evaluated] == [by_seed[s] for _ in values for s in (0, 1)]
+    else:
+        assert [(net.heads, seed) for _, net, seed, _ in trained] == [(0, 0), (0, 1), (2, 0),
+                                                                       (2, 1)]
+
+
+@pytest.mark.parametrize("variable, values", [
+    ("penetration_rate", [0.5, 0.34]),
+    ("target_speed", [10.0, TARGET]),
+    ("scan_scale", [40.0, 60.0]),
+    ("adjacency_scheme", ["position", "velocity"]),
+    ("attention_heads", [2, 0]),
+])
+def test_sweep_cells_are_value_major(monkeypatch, variable, values):
+    fake_runs(monkeypatch)
+    spec = SweepSpec(variable=variable, values=values, episodes_per_value=1, seeds=[1, 0])
+    result = run_sweep(spec, tiny_config())
+    assert [(c.value, c.seed) for c in result.cells] == [(v, s) for v in values for s in (1, 0)]
+    assert not any(c.failed for c in result.cells)
+
+
+def test_sweep_failed_training_marks_its_cells_once(monkeypatch):
+    trained, evaluated = fake_runs(monkeypatch, fail_seed=1)
+    values = [TARGET, 10.0, 30.0 / 3.6]
+    spec = SweepSpec(variable="target_speed", values=values, episodes_per_value=1,
+                     seeds=[0, 1])
+    result = run_sweep(spec, tiny_config())
+    assert [seed for _, _, seed, _ in trained] == [0, 1]   # the failure is not retried
+    assert len(evaluated) == 3
+    for c in result.cells:
+        assert c.failed == (c.seed == 1)
+        assert c.error == ("InvalidSpec: training at seed 1 failed" if c.seed == 1 else "")
+    # percentage rows for the seed whose policy trained, against its 20 km/h cell
+    assert [row.split(",")[1:3] for row in result.pct_change_rows[1:]] == \
+        [[str(v), "0"] for v in values]
+    assert result.pct_change_rows[1].endswith(",0.0")
+
+
+def test_sweep_values_naming_one_config_train_it_once(monkeypatch):
+    trained, evaluated = fake_runs(monkeypatch)
+    spec = SweepSpec(variable="adjacency_scheme",
+                     values=["both", "gaussian_speed_field", "position"],
+                     episodes_per_value=1, seeds=[0])
+    result = run_sweep(spec, tiny_config())
+    assert [env.scheme for env, _, _, _ in trained] == [GaussianSpeedField(), PositionOnly()]
+    assert [bundle for bundle, _ in evaluated] == [trained[0][3], trained[0][3], trained[1][3]]
+    assert [c.value for c in result.cells] == ["both", "gaussian_speed_field", "position"]

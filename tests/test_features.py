@@ -62,7 +62,7 @@ def assert_features_match(state, scan_scale, target_speed=8.0):
         for scheme in SCHEMES:
             with pytest.raises(NoAgents):
                 build_adjacency(state, scheme, scan_scale)
-        assert local_observation(state, [], target_speed, scan_scale).shape == (0, 6)
+        assert local_observation(state, target_speed, scan_scale).shape == (0, 6)
         return
     for scheme in SCHEMES:
         new = build_adjacency(state, scheme, scan_scale)
@@ -72,14 +72,12 @@ def assert_features_match(state, scan_scale, target_speed=8.0):
         assert np.array_equal(new.neighbor_mask, old.neighbor_mask)
         assert np.array_equal(build_adjacency(state, scheme, scan_scale, pairs).weights,
                               old.weights)
-    new = local_observation(state, ids, target_speed, scan_scale)
+    new = local_observation(state, target_speed, scan_scale)
     old = np.array([scalar.local_observation(state, vid, target_speed, scan_scale)
                     for vid in ids])
     assert np.array_equal(new, old)
-    # any subset, in any order, picks the same rows
-    picked = ids[::-2]
-    assert np.array_equal(local_observation(state, picked, target_speed, scan_scale, pairs),
-                          old[[ids.index(vid) for vid in picked]])
+    # the step's own pairs, handed in, give the same rows
+    assert np.array_equal(local_observation(state, target_speed, scan_scale, pairs), old)
     for vid in ids:
         assert (receptive_closure(state, vid, scan_scale, pairs=pairs)
                 == scalar.receptive_closure(state, vid, scan_scale))
@@ -188,7 +186,8 @@ def test_single_cav_and_tied_positions():
         v.route_pos, v.speed = x, 2.0 + v.id
     assert_features_match(state, 30.0)
     # CAV 0's leader and follower are its first tied mate in list order
-    obs = local_observation(state, [0, 1], 8.0, 30.0)
+    assert [v.id for v in state.cavs()] == [0, 1, 2, 3]
+    obs = local_observation(state, 8.0, 30.0)[:2]   # the rows of CAVs 0 and 1
     assert obs[0, 3] == obs[0, 5] == 0.0 and obs[0, 2] == obs[0, 4] == 1.0 / 8.0
     assert obs[1, 2] == obs[1, 4] == -1.0 / 8.0
 
@@ -201,7 +200,7 @@ def test_merge_level_cav_counts_as_behind():
                        VehicleState(id=1, kind=VehicleKind.CAV, route_pos=ramp_pos,
                                     speed=2.0, route_id=1)]
     assert_features_match(state, 30.0)
-    obs = local_observation(state, [0, 1], 8.0, 30.0)
+    obs = local_observation(state, 8.0, 30.0)   # the rows of CAVs 0 and 1
     # each is the other's follower at distance 0; neither has a leader
     assert obs[:, 3].tolist() == [1.0, 1.0] and obs[:, 5].tolist() == [0.0, 0.0]
 
@@ -270,7 +269,7 @@ def test_256_cav_ring_pairs_match_scalar(data):
     assert np.array_equal(adj.weights,
                           scalar.build_adjacency(state, GaussianSpeedField(), scan).weights)
     assert np.array_equal(pairs.degree, adj.neighbor_mask.sum(axis=1))
-    assert np.array_equal(local_observation(state, ids, 8.0, scan, pairs),
+    assert np.array_equal(local_observation(state, 8.0, scan, pairs),
                           [scalar.local_observation(state, vid, 8.0, scan) for vid in ids])
 
 

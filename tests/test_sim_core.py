@@ -220,7 +220,7 @@ def test_symmetric_ring_observations_identical():
         v.speed = 4.0
     target = 8.0
     # a scan over the whole ring: every CAV sees its neighbours 40 m away
-    obs = local_observation(state, [v.id for v in state.vehicles], target, 240.0)
+    obs = local_observation(state, target, 240.0)
     assert obs.shape == (6, 6)
     spacing = 240.0 / 6.0
     for o, v in zip(obs, state.vehicles):
@@ -237,25 +237,29 @@ def test_three_cav_ring_hand_computed():
     va.route_pos, vb.route_pos, vc.route_pos = 10.0, 30.0, 75.0
     va.speed, vb.speed, vc.speed = 2.0, 5.0, 1.0
     target = 10.0
-    o = local_observation(state, [va.id], target, 100.0)[0]   # the whole ring in range
+    o = local_observation(state, target, 100.0)[0]   # a's row; the whole ring in range
     # leader of a is b: dist 20, rel speed +3; follower is c: dist 35, rel -1
     assert o.tolist() == pytest.approx([0.2, 0.1, 0.3, 0.2, -0.1, 0.35])
 
 
 def test_single_cav_gets_sentinels():
     state = build_network(RingSpec(), 5, 1, seed=0)
-    cav = state.cavs()[0]
-    o = local_observation(state, [cav.id], 8.0, 60.0)[0]
+    o, = local_observation(state, 8.0, 60.0)   # the one CAV's row
     assert o[2] == 0.0 and o[3] == 1.0 and o[4] == 0.0 and o[5] == 1.0
 
 
 def test_unknown_vehicle_raises():
+    # an id that is not in the network, and an action for a vehicle that is
+    # not a CAV
     state = build_network(RingSpec(), 2, 1, seed=0)
     with pytest.raises(UnknownVehicle, match="not in network"):
-        local_observation(state, [999], 8.0, 60.0)
+        state.find(999)
+    cav = state.cavs()[0]
     human = next(v for v in state.vehicles if v.kind is VehicleKind.HUMAN)
-    with pytest.raises(UnknownVehicle, match="not a CAV"):
-        local_observation(state, [state.cavs()[0].id, human.id], 8.0, 60.0)
+    for vid in (999, human.id):
+        with pytest.raises(UnknownVehicle, match=f"non-CAV ids \\[{vid}\\]"):
+            step(state, {cav.id: 0.0, vid: 0.0}, 0.1)
+    assert state.time_step == 0
 
 
 # ---------------------------------------------------------------------------
