@@ -72,6 +72,11 @@ reports the median and quartiles, in milliseconds, of
   say: milliseconds per round, and minor page faults per round in this
   process and in the child (`RUSAGE_CHILDREN`). Every round starts from
   the same weights.
+- `checkpoint`: `checkpoint.save_checkpoint` and `checkpoint.load_checkpoint`
+  of freshly seeded networks at the default `NetConfig` (`default`, 50,179
+  parameters, as a `ring_smoke` run saves) and at hidden 256 (`hidden_256`,
+  790,531 parameters): milliseconds per call, each call's `tracemalloc`
+  peak in MB (taken apart from the timing), and the file's bytes.
 `--src` picks the checkout to import, so two commits compare under the
 same script; the per-agent observation API of checkouts that predate
 `sim.cav_pairs` is timed the way those rollouts called it (no `pairs`
@@ -109,6 +114,7 @@ FULL_BATCH_LAYOUTS = {"ring_smoke": 500, "ring": 3000}   # config: rollout steps
 FULL_BATCH_BLOCK_ROWS = (64, 128, 256, 512, 1024, 4096)
 ROLLOUT_CAVS = (16, 64, 256)
 ROLLOUT_STEPS = 30
+CHECKPOINT_NETS = {"default": {}, "hidden_256": {"hidden": 256}}   # NetConfig keys
 
 
 def ring_state(sim, networks, idm_mod, n_cav: int, seed: int = 0):
@@ -494,6 +500,44 @@ def update_round_rows(root: Path, reps: int) -> dict:
     return out
 
 
+def checkpoint_rows(reps: int) -> dict:
+    """Save and load of a checkpoint per network size (see the module doc)."""
+    import tempfile
+
+    import numpy as np
+    from cavlab import checkpoint, layers, trainer
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        for name, keys in CHECKPOINT_NETS.items():
+            bundle = trainer.make_policy(layers.NetConfig(**keys), np.random.SeedSequence(11))
+            params, arch = bundle.parameters(), bundle.architecture()
+
+            def save():
+                checkpoint.save_checkpoint(path, params, arch, extra={"episode": 0})
+
+            def load():
+                checkpoint.load_checkpoint(path)
+
+            save()
+            out[name] = {"parameters": sum(p.data.size for p in params.values()),
+                         "bytes": path.stat().st_size,
+                         "save": {**timed(save, reps), "tracemalloc_peak_mb": traced_peak(save)},
+                         "load": {**timed(load, reps), "tracemalloc_peak_mb": traced_peak(load)}}
+    return out
+
+
+def traced_peak(fn) -> float:
+    """The `tracemalloc` peak of one call of `fn`, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def measured(fn, reps: int, footprint_calls: int = 3) -> dict:
     """`timed`, plus the minor page faults per call and one call's
     `tracemalloc` peak in MB."""
@@ -502,14 +546,8 @@ def measured(fn, reps: int, footprint_calls: int = 3) -> dict:
     for _ in range(footprint_calls):
         fn()
     after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    tracemalloc.start()
-    try:
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     return {**out, "minflt_per_call": (after - before) / footprint_calls,
-            "tracemalloc_peak_mb": peak / 2**20}
+            "tracemalloc_peak_mb": traced_peak(fn)}
 
 
 def timed(fn, reps: int, sample_s: float = 0.005) -> dict:
@@ -591,6 +629,9 @@ def main() -> None:
                              "vehicles": vehicles}
     out["network"] = network_rows(root, sim, networks, idm, args.reps)
     out["full_batch"] = full_batch_rows(root, args.reps)
+    # fewer samples: a checkout that writes decimal text takes about 0.6 s
+    # per save at hidden 256
+    out["checkpoint"] = checkpoint_rows(max(4, args.reps // 8))
     print(json.dumps(out))
 
 

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -256,43 +257,102 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         assert np.array_equal(params[name], p.data)
 
 
-def test_checkpoint_is_the_json_of_its_payload(tmp_path):
-    from cavlab.checkpoint import FORMAT, VERSION
+def test_checkpoint_is_one_parameter_per_line(tmp_path):
     bundle = make_policy(NetConfig(hidden=16, heads=2), init_stream(1))
+    params = bundle.parameters()
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, bundle.parameters(), bundle.architecture(), extra={"episode": 5})
-    payload = {"format": FORMAT, "version": VERSION, "architecture": bundle.architecture(),
-               "params": {name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
-                          for name, p in bundle.parameters().items()},
-               "extra": {"episode": 5}}
-    expected = tmp_path / "dumped.json"
-    with open(expected, "w") as fh:   # the chunked writer gives the same bytes
-        json.dump(payload, fh)
-    assert path.read_text() == json.dumps(payload) == expected.read_text()
-    params, arch, extra = load_checkpoint(path)
+    save_checkpoint(path, params, bundle.architecture(), extra={"episode": 5})
+    # a header line, one line per parameter, a closing line
+    head, *lines, closing = path.read_text().splitlines()
+    assert head.endswith('"params": [') and closing == "]}"
+    records = [json.loads(line.removesuffix(",")) for line in lines]
+    assert [r["name"] for r in records] == list(params)
+    assert [line.endswith(",") for line in lines] == [True] * (len(lines) - 1) + [False]
+    # the whole file is the JSON of its payload
+    with open(path) as fh:
+        payload = json.load(fh)
+    assert payload == {"format": "cavlab-checkpoint", "version": 2,
+                       "architecture": bundle.architecture(), "extra": {"episode": 5},
+                       "params": records}
+    # the values are the parameters' float64 bytes, bit for bit
+    for record, p in zip(records, params.values()):
+        values = np.frombuffer(base64.b64decode(record["data"], validate=True), dtype="<f8")
+        assert record["shape"] == list(p.data.shape)
+        assert values.tobytes() == p.data.tobytes()
+    loaded, arch, extra = load_checkpoint(path)
     assert (arch, extra) == (bundle.architecture(), {"episode": 5})
-    for name, p in bundle.parameters().items():
-        assert np.array_equal(params[name], p.data)
+    for name, p in params.items():
+        assert loaded[name].tobytes() == p.data.tobytes()
+
+
+def _traced_peak(fn) -> int:
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _largest_as_floats(params) -> int:
+    """The bytes of the largest parameter as Python floats and their list;
+    the default networks hold 50,179 floats, the largest parameter 8,192."""
+    largest = max(p.data.size for p in params.values())
+    assert sum(p.data.size for p in params.values()) > 6 * largest
+    return largest * (sys.getsizeof(1.0) + 8)
 
 
 def test_checkpoint_save_holds_one_parameter_at_a_time(tmp_path):
-    # the default networks hold 50,179 floats, the largest parameter 8,192;
-    # a save that turned them all into Python floats and one string at once
-    # peaked at about 6.6 MB, 25 times the largest one's floats
-    import tracemalloc
+    # a save that turned every float into a Python float and one string at
+    # once peaked at about 6.6 MB, 25 times the largest parameter's floats
     bundle = make_policy(NetConfig(), init_stream(2))
     params = bundle.parameters()
-    largest = max(p.data.size for p in params.values())
-    as_floats = largest * (sys.getsizeof(1.0) + 8)   # the float objects and their list
-    assert sum(p.data.size for p in params.values()) > 6 * largest
-    tracemalloc.start()
-    try:
-        save_checkpoint(tmp_path / "ckpt.json", params, bundle.architecture(),
-                        extra={"episode": 1})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * as_floats
+    peak = _traced_peak(lambda: save_checkpoint(tmp_path / "ckpt.json", params,
+                                                bundle.architecture(), extra={"episode": 1}))
+    assert peak < 5 * _largest_as_floats(params)
+
+
+def test_checkpoint_load_holds_one_parameter_at_a_time(tmp_path):
+    # a load that parsed every float of the file at once peaked at 2.57 MB,
+    # about 10 times the largest parameter's floats
+    bundle = make_policy(NetConfig(), init_stream(2))
+    params = bundle.parameters()
+    save_checkpoint(tmp_path / "ckpt.json", params, bundle.architecture(), extra={"episode": 1})
+    peak = _traced_peak(lambda: load_checkpoint(tmp_path / "ckpt.json"))
+    assert peak < 5 * _largest_as_floats(params)
+
+
+def _v1_payload(bundle, extra=None) -> dict:
+    """A version 1 checkpoint's payload: the values as JSON numbers."""
+    payload = {"format": "cavlab-checkpoint", "version": 1,
+               "architecture": bundle.architecture(),
+               "params": {name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
+                          for name, p in bundle.parameters().items()}}
+    return {**payload, "extra": extra} if extra else payload
+
+
+def test_v1_checkpoint_loads_bit_identically(tmp_path, capsys):
+    cfg_path = smoke_config(tmp_path)
+    bundle = make_policy(parse_config(cfg_path).net_config(), init_stream(4))
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(json.dumps(_v1_payload(bundle, {"episode": 7})))   # version 1's bytes
+    save_checkpoint(v2, bundle.parameters(), bundle.architecture(), extra={"episode": 7})
+    params, arch, extra = load_checkpoint(v1)
+    assert (arch, extra) == (bundle.architecture(), {"episode": 7})
+    for name, p in bundle.parameters().items():
+        assert params[name].tobytes() == p.data.tobytes()
+    # `cavlab eval` writes the same files, and prints the same, from either version
+    out = tmp_path / "eval"
+
+    def evaluated(path):
+        assert main(["eval", str(cfg_path), "--checkpoint", str(path), "--episodes", "1",
+                     "--out", str(out)]) == 0
+        files = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        return files, capsys.readouterr().out
+
+    from_v1 = evaluated(v1)
+    assert from_v1[0] and from_v1 == evaluated(v2)
 
 
 def test_checkpoint_format_guard(tmp_path):
@@ -302,36 +362,138 @@ def test_checkpoint_format_guard(tmp_path):
         load_checkpoint(path)
 
 
-def _edited_checkpoint(edit):
-    """The text of a saved checkpoint's payload after `edit(payload)`."""
+def _small_bundle():
+    return make_policy(NetConfig(hidden=16, heads=2), init_stream(0))
+
+
+FIRST = "actor.encoder.W"   # the small bundle's first parameter, shape (6, 16)
+
+
+def _edited_v1(edit):
+    """The text of a version 1 checkpoint after `edit(payload)`."""
     def text(tmp_path):
-        bundle = make_policy(NetConfig(hidden=16, heads=2), init_stream(0))
-        save_checkpoint(tmp_path / "good.json", bundle.parameters(), bundle.architecture())
-        payload = json.loads((tmp_path / "good.json").read_text())
+        payload = _v1_payload(_small_bundle())
         edit(payload)
         return json.dumps(payload)
     return text
 
 
 def _first_param(payload):
-    return next(iter(payload["params"].values()))
+    return payload["params"][FIRST]
+
+
+def _set_first_value(value):
+    return _edited_v1(lambda p: _first_param(p)["data"].__setitem__(0, value))
+
+
+def _edited_v2(edit):
+    """The text of a saved (version 2) checkpoint after `edit(lines)` on its
+    lines, each with its line end."""
+    def text(tmp_path):
+        bundle = _small_bundle()
+        save_checkpoint(tmp_path / "good.json", bundle.parameters(), bundle.architecture())
+        lines = (tmp_path / "good.json").read_text().splitlines(keepends=True)
+        edit(lines)
+        return "".join(lines)
+    return text
+
+
+def _edited_record(edit, line=1):
+    """`_edited_v2` with `edit(record)` on the record of line `line` (the
+    first parameter's, by default)."""
+    def on_lines(lines):
+        body = lines[line].rstrip(",\n")
+        record = json.loads(body)
+        edit(record)
+        lines[line] = json.dumps(record) + lines[line][len(body):]
+    return _edited_v2(on_lines)
+
+
+def _edited_header(edit):
+    def on_lines(lines):
+        header = json.loads(lines[0].removesuffix(', "params": [\n') + "}")
+        edit(header)
+        lines[0] = json.dumps(header)[:-1] + ', "params": [\n'
+    return _edited_v2(on_lines)
+
+
+def _cut_inside_the_last_parameter(lines):
+    lines[-2:] = [lines[-2][:20]]
+
+
+def _data_of(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 MALFORMED_CHECKPOINTS = {
     "not_json": (lambda tmp_path: '{"format": "cavlab-checkpoint", ', "is not JSON"),
     "not_an_object": (lambda tmp_path: "[1, 2]", "is not a cavlab-checkpoint file"),
-    "no_architecture": (_edited_checkpoint(lambda p: p.pop("architecture")),
+    "not_text": (lambda tmp_path: b"\xff\xfe{}".decode("latin-1"), "is not JSON text"),
+    # version 1: one document
+    "no_architecture": (_edited_v1(lambda p: p.pop("architecture")),
                         "holds no architecture object"),
-    "no_params": (_edited_checkpoint(lambda p: p.pop("params")), "holds no params object"),
-    "params_not_an_object": (_edited_checkpoint(lambda p: p.update(params=[1.0])),
+    "no_params": (_edited_v1(lambda p: p.pop("params")), "holds no params object"),
+    "params_not_an_object": (_edited_v1(lambda p: p.update(params=[1.0])),
                              "holds no params object"),
-    "entry_without_shape": (_edited_checkpoint(lambda p: _first_param(p).pop("shape")),
-                            "has no shape and data"),
-    "entry_without_data": (_edited_checkpoint(lambda p: _first_param(p).pop("data")),
-                           "has no shape and data"),
+    "entry_without_shape": (_edited_v1(lambda p: _first_param(p).pop("shape")),
+                            f"parameter {FIRST!r} has no shape and data"),
+    "entry_without_data": (_edited_v1(lambda p: _first_param(p).pop("data")),
+                           f"parameter {FIRST!r} has no shape and data"),
     "shape_disagrees_with_data": (
-        _edited_checkpoint(lambda p: _first_param(p)["data"].append(0.5)),
-        "does not read as shape"),
+        _edited_v1(lambda p: _first_param(p)["data"].append(0.5)),
+        f"parameter {FIRST!r} does not read as shape [6, 16]"),
+    "v1_null": (_set_first_value(None), f"parameter {FIRST!r} data is not a list of numbers"),
+    "v1_string": (_set_first_value("0.5"),
+                  f"parameter {FIRST!r} data is not a list of numbers"),
+    "v1_boolean": (_set_first_value(True),
+                   f"parameter {FIRST!r} data is not a list of numbers"),
+    "v1_nested": (_set_first_value([0.5]),
+                  f"parameter {FIRST!r} data is not a list of numbers"),
+    "v1_nan": (_set_first_value(math.nan), f"parameter {FIRST!r} holds a non-finite value"),
+    "v1_infinity": (_set_first_value(-math.inf),
+                    f"parameter {FIRST!r} holds a non-finite value"),
+    "v1_overflow": (_set_first_value(10 ** 400), f"parameter {FIRST!r} holds a value beyond"),
+    "v1_labelled_version_2": (_edited_v1(lambda p: p.update(version=2)),
+                              "checkpoint version 2 != 1 (one document)"),
+    # version 2: one parameter per line
+    "v2_unknown_version": (_edited_header(lambda h: h.update(version=3)),
+                           "checkpoint version 3 != 2 (one parameter per line)"),
+    "v2_no_architecture": (_edited_header(lambda h: h.pop("architecture")),
+                           "holds no architecture object"),
+    "v2_extra_not_an_object": (_edited_header(lambda h: h.update(extra=[1])),
+                               "holds no extra object"),
+    "v2_header_not_json": (_edited_v2(lambda ls: ls.__setitem__(0, '{"format": x, "params": [\n')),
+                           "its header is not JSON"),
+    "v2_line_not_json": (_edited_v2(lambda ls: ls.__setitem__(1, "[1, 2,\n")),
+                         "the first parameter line is not JSON"),
+    "v2_line_not_a_record": (_edited_record(lambda r: r.pop("shape")),
+                             "the first parameter line is not a parameter's name, shape"),
+    "v2_shape_not_sizes": (_edited_record(lambda r: r.update(shape="6x16")),
+                           f"parameter {FIRST!r} shape '6x16' is not a list of sizes"),
+    "v2_data_not_base64": (_edited_record(lambda r: r.update(data=r["data"][:-4] + "!!!=")),
+                           f"parameter {FIRST!r} data is not base64"),
+    "v2_data_with_a_space": (_edited_record(lambda r: r.update(data=" " + r["data"])),
+                             f"parameter {FIRST!r} data is not base64"),
+    "v2_data_not_a_string": (_edited_record(lambda r: r.update(data=[0.5] * 96)),
+                             f"parameter {FIRST!r} data is not base64"),
+    "v2_one_value_short": (_edited_record(lambda r: r.update(data=_data_of(np.zeros(95)))),
+                           f"parameter {FIRST!r} data does not hold the 96 float64 values"),
+    "v2_nan": (_edited_record(lambda r: r.update(data=_data_of([math.nan] + [0.0] * 95))),
+               f"parameter {FIRST!r} holds a non-finite value"),
+    "v2_infinity": (_edited_record(lambda r: r.update(data=_data_of([0.0] * 95 + [math.inf]))),
+                    f"parameter {FIRST!r} holds a non-finite value"),
+    "v2_named_twice": (_edited_record(lambda r: r.update(name=FIRST), line=2),
+                       f"parameter {FIRST!r} is named twice"),
+    "v2_no_closing_line": (_edited_v2(lambda ls: ls.pop()),
+                           "is cut short after parameter 'critic_head.b': no closing line"),
+    "v2_cut_inside_a_line": (_edited_v2(_cut_inside_the_last_parameter),
+                             "is cut short after parameter 'critic_head.W': no closing line"),
+    "v2_missing_comma": (_edited_v2(lambda ls: ls.__setitem__(1, ls[1].replace(",\n", "\n"))),
+                         f"the line after parameter {FIRST!r} is not the closing line"),
+    "v2_comma_before_closing": (_edited_v2(lambda ls: ls.__setitem__(-2, ls[-2][:-1] + ",\n")),
+                                "the line after parameter 'critic_head.b' is not JSON"),
+    "v2_more_after_closing": (_edited_v2(lambda ls: ls.append("\n")),
+                              "holds more after its closing line"),
 }
 
 
@@ -339,7 +501,7 @@ MALFORMED_CHECKPOINTS = {
 def test_malformed_checkpoint_is_incompatible(tmp_path, capsys, case):
     text, message = MALFORMED_CHECKPOINTS[case]
     path = tmp_path / "bad.json"
-    path.write_text(text(tmp_path))
+    path.write_bytes(text(tmp_path).encode("latin-1"))
     with pytest.raises(IncompatibleCheckpoint, match=re.escape(message)) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
@@ -366,9 +528,10 @@ def test_v1_checkpoint_literal_ratio_flag(tmp_path, literal_ratio):
     # older checkpoints carry the removed switch; only "off" still loads
     from cavlab.cli import _bundle_from_checkpoint
     bundle = make_policy(NetConfig(hidden=16, heads=2), init_stream(3))
-    arch = dict(bundle.architecture(), literal_ratio_attention=literal_ratio)
+    payload = _v1_payload(bundle)
+    payload["architecture"]["literal_ratio_attention"] = literal_ratio
     path = tmp_path / "v1.json"
-    save_checkpoint(path, bundle.parameters(), arch)
+    path.write_text(json.dumps(payload))
     if literal_ratio:
         with pytest.raises(IncompatibleCheckpoint, match="literal-ratio"):
             _bundle_from_checkpoint(path)
