@@ -57,6 +57,11 @@ reports the median and quartiles, in milliseconds, of
   `trainer.FORWARD_BLOCK_ROWS`). Each entry adds the minor
   page faults per pass (`minflt_per_call`) and the pass's `tracemalloc`
   peak in MB, both taken apart from the timing.
+- `batch_of`: one `trainer.PaddedBatch.of`, the layout an update round
+  builds, over a rollout of configs/ring_smoke.json (500 steps of 4 CAVs)
+  and of configs/merge.json (300 steps whose CAV count varies, safety
+  clamp on), each entry with its transitions and their smallest and
+  largest agent counts.
 - `rollout_step`: one `trainer.collect_rollout` of ROLLOUT_STEPS steps on
   configs/ring.json scaled to 16, 64 and 256 CAVs (safety clamp on, fresh
   seeded policy weights, as the benchmark's large ring): milliseconds and
@@ -112,6 +117,7 @@ TARGET_SPEED = 30.0 / 3.6
 MERGE_WARM_STEPS = 600
 FULL_BATCH_LAYOUTS = {"ring_smoke": 500, "ring": 3000}   # config: rollout steps
 FULL_BATCH_BLOCK_ROWS = (64, 128, 256, 512, 1024, 4096)
+BATCH_OF_LAYOUTS = {"ring_smoke": 500, "merge": 300}   # config: rollout steps
 ROLLOUT_CAVS = (16, 64, 256)
 ROLLOUT_STEPS = 30
 CHECKPOINT_NETS = {"default": {}, "hidden_256": {"hidden": 256}}   # NetConfig keys
@@ -405,23 +411,45 @@ def rollout_rows(root: Path, reps: int) -> dict:
     return out
 
 
+def config_rollout(root: Path, name: str, steps: int):
+    """The policy bundle and transitions of one seeded rollout of `steps`
+    steps of configs/`name`.json, safety clamp on."""
+    import numpy as np
+    from cavlab import config, trainer
+
+    raw = json.loads((root / "configs" / f"{name}.json").read_text())
+    raw["scenario"].update(horizon=steps, safety_clamp=True)
+    cfg = config.config_from_dict(raw)
+    bundle = trainer.make_policy(cfg.net_config(), np.random.SeedSequence(7))
+    return bundle, trainer.collect_rollout(bundle, cfg.env_spec(), cfg.ppo_config(),
+                                           np.random.SeedSequence(8),
+                                           np.random.default_rng(9)).transitions
+
+
+def batch_of_rows(root: Path, reps: int) -> dict:
+    """`trainer.PaddedBatch.of` of one rollout per layout (see the module doc)."""
+    from cavlab import trainer
+
+    out = {}
+    for name, steps in BATCH_OF_LAYOUTS.items():
+        trans = config_rollout(root, name, steps)[1]
+        counts = [len(tr.agent_ids) for tr in trans]
+        out[name] = {"transitions": len(trans), "agents_min": min(counts),
+                     "agents_max": max(counts),
+                     **timed(lambda: trainer.PaddedBatch.of(trans), reps)}
+    return out
+
+
 def full_batch_rows(root: Path, reps: int) -> dict:
     """One full-batch critic pass per layout, whole and in blocks (see the
     module doc)."""
     import dataclasses
 
-    import numpy as np
-    from cavlab import config, tensor, trainer
+    from cavlab import tensor, trainer
 
     out = {}
     for name, steps in FULL_BATCH_LAYOUTS.items():
-        raw = json.loads((root / "configs" / f"{name}.json").read_text())
-        raw["scenario"].update(horizon=steps, safety_clamp=True)
-        cfg = config.config_from_dict(raw)
-        bundle = trainer.make_policy(cfg.net_config(), np.random.SeedSequence(7))
-        trans = trainer.collect_rollout(bundle, cfg.env_spec(), cfg.ppo_config(),
-                                        np.random.SeedSequence(8),
-                                        np.random.default_rng(9)).transitions
+        bundle, trans = config_rollout(root, name, steps)
         batch = trainer.PaddedBatch.of(trans)
         if hasattr(batch, "next_obs"):   # the TD targets' next-state layout
             batch = dataclasses.replace(batch, obs=batch.next_obs)
@@ -629,6 +657,7 @@ def main() -> None:
                              "vehicles": vehicles}
     out["network"] = network_rows(root, sim, networks, idm, args.reps)
     out["full_batch"] = full_batch_rows(root, args.reps)
+    out["batch_of"] = batch_of_rows(root, args.reps)
     # fewer samples: a checkout that writes decimal text takes about 0.6 s
     # per save at hidden 256
     out["checkpoint"] = checkpoint_rows(max(4, args.reps // 8))

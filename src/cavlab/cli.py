@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
-from .config import RunConfig, emit_config, parse_config
-from .errors import CavlabError, IncompatibleCheckpoint
+from .config import RunConfig, block_from, emit_config, parse_config
+from .errors import CavlabError, IncompatibleCheckpoint, InvalidSpec, ParseError
 from .evaluate import (SWEEP_VARIABLES, EvalReport, SweepSpec, decentralization_check,
                        evaluate, run_sweep, space_time_export)
 from .graph import adjacency_csv_rows
@@ -144,9 +144,12 @@ def _bundle_from_checkpoint(path) -> PolicyBundle:
     missing = [k for k in keys if k not in arch]
     if missing:
         raise IncompatibleCheckpoint(f"{path} records no architecture key {missing[0]!r}")
-    net = NetConfig(**{k: arch[k] for k in keys})
-    bundle = make_policy(net, init_stream(0))
-    restore_params(bundle.parameters(), params)
+    try:   # values of NetConfig's field types (numbers finite) that fit the parameters
+        net = block_from(NetConfig, {k: arch[k] for k in keys}, "architecture")
+        bundle = make_policy(net, init_stream(0))
+        restore_params(bundle.parameters(), params)
+    except (ParseError, InvalidSpec, IncompatibleCheckpoint) as exc:
+        raise IncompatibleCheckpoint(f"{path}: {exc}") from exc
     return bundle
 
 

@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import dataclass
@@ -272,7 +273,7 @@ def _field_types(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def _block_from(cls, block, where: str = ""):
+def block_from(cls, block, where: str = ""):
     """`cls` built from the JSON object `block` found at key `where`."""
     if not isinstance(block, dict):
         raise ParseError(f"{where or 'the top level of the config'} must be a JSON object")
@@ -287,10 +288,11 @@ def _block_from(cls, block, where: str = ""):
 def _typed(value, tp, key: str):
     """`value` checked against the field type `tp`: an int passes for a
     float, a bool only for a bool, a list becomes a tuple of the declared
-    length, and None passes only where the field allows it. A float must
-    be finite: Python's `json` reads NaN, Infinity and -Infinity."""
+    length, and None passes only where the field allows it. A number for a
+    float must be finite (Python's `json` reads NaN, Infinity and
+    -Infinity) and within float64's range."""
     if dataclasses.is_dataclass(tp):
-        return _block_from(tp, value, key)
+        return block_from(tp, value, key)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # `T | None`
         inner, = (a for a in args if a is not type(None))
@@ -306,7 +308,7 @@ def _typed(value, tp, key: str):
     allowed = (int, float) if tp is float else tp
     if not isinstance(value, allowed) or (isinstance(value, bool) and tp is not bool):
         raise ParseError(f"{key} must be {_TYPE_NAMES[tp]}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if tp is float and not abs(value) <= sys.float_info.max:   # NaN, ±Inf, past float64
         raise ParseError(f"{key} must be a finite number, got {value!r}")
     return value
 
@@ -317,7 +319,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         kind = scenario.get("kind", "ring")
         if isinstance(kind, str) and kind in _KIND_DEFAULTS:
             raw = {**raw, "scenario": {**_KIND_DEFAULTS[kind], **scenario}}
-    cfg = _block_from(RunConfig, raw)
+    cfg = block_from(RunConfig, raw)
     cfg.validate()
     return cfg
 

@@ -9,10 +9,10 @@ zero; the diagonal always carries the self-connection with weight 1.
 Each scheme's formula is evaluated once per in-range pair
 (`pair_weights`), over the step's pairs (`sim.cav_pairs`, found from
 sorted positions), the pass the observations also read. `build_adjacency`
-scatters the values into the dense (N, N) matrix; `sparse_adjacency` keeps
-them as the mask's entries (`SparseAdjacency`), the form in which a
-rollout step that runs the edge kernel reads and stores its graph without
-any N x N array. The Gaussian kernel is taken with `math.exp` over the
+is the one builder, and a step's graph has one record (`Adjacency`): the
+mask's N + 2E entries for E pairs, their flat positions and M at each,
+with no N x N array. Readers that need the dense (N, N) weights or mask
+build them from it. The Gaussian kernel is taken with `math.exp` over the
 pairs: `np.exp` differs from it in the last bit on some inputs, and the
 weights are kept bit-identical to a per-pair scalar evaluation.
 
@@ -75,21 +75,14 @@ class VelocityOnly:
 AdjacencyScheme = GaussianSpeedField | PositionOnly | VelocityOnly
 
 
-@dataclass
-class AdjacencyMatrix:
-    weights: np.ndarray           # N x N, diagonal 1, zero beyond the scan scale
-    agent_ids: list[int]
-    neighbor_mask: np.ndarray     # N x N bool incl. the diagonal
-
-
 @dataclass(frozen=True)
-class SparseAdjacency:
-    """An AdjacencyMatrix held as its mask's entries: N + 2E of them for E
-    in-range pairs, where the matrix holds 2 N^2 numbers.
+class Adjacency:
+    """A step's CAV graph as its neighbour mask's entries: N + 2E of them
+    for E in-range pairs, where the dense weights and mask hold 2 N^2
+    numbers. Zero beyond the scan scale, 1 on the diagonal.
 
-    `weights` and `neighbor_mask` scatter them into the dense (N, N)
-    arrays on each read: equal to `build_adjacency`'s, read-only, and not
-    kept.
+    `weights` and `neighbor_mask` scatter the entries into dense (N, N)
+    arrays on each read: read-only, and not kept.
     """
 
     agent_ids: list[int]
@@ -115,10 +108,10 @@ class SparseAdjacency:
 def pair_weights(pairs: CavPairs, scheme: AdjacencyScheme) -> tuple[np.ndarray, np.ndarray]:
     """M at the in-range pairs of `pairs`: (M[i, j], M[j, i]), each (E,).
 
-    Every scheme's formula is here once; `build_adjacency` scatters these
-    values and `sparse_adjacency` keeps them. The Gaussian kernel takes
-    `math.exp` per pair rather than `np.exp`, whose last bits differ on
-    some inputs, so the weights match a scalar evaluation bit for bit.
+    Every scheme's formula is here once, and `build_adjacency` keeps these
+    values. The Gaussian kernel takes `math.exp` per pair rather than
+    `np.exp`, whose last bits differ on some inputs, so the weights match a
+    scalar evaluation bit for bit.
     """
     i, j = pairs.i, pairs.j
     vi, vj = pairs.speed[i], pairs.speed[j]
@@ -134,10 +127,10 @@ def pair_weights(pairs: CavPairs, scheme: AdjacencyScheme) -> tuple[np.ndarray, 
 
 
 def build_adjacency(state: SimState, scheme: AdjacencyScheme, scan_scale: float,
-                    pairs: CavPairs | None = None) -> AdjacencyMatrix:
+                    pairs: CavPairs | None = None) -> Adjacency:
     """Adjacency over the live CAVs, in vehicle-list order.
 
-    Scattered from the step's in-range pairs (`pairs`, found here when
+    Built from the step's in-range pairs (`pairs`, found here when
     omitted; they must be found at this scan scale), each entry evaluated
     once (`pair_weights`).
     """
@@ -150,22 +143,10 @@ def build_adjacency(state: SimState, scheme: AdjacencyScheme, scan_scale: float,
     if not n:
         raise NoAgents("no CAVs in the network")
     i, j = pairs.i, pairs.j
-    mask = np.eye(n, dtype=bool)
-    mask[i, j] = mask[j, i] = True
-    weights = np.eye(n)
-    weights[i, j], weights[j, i] = pair_weights(pairs, scheme)
-    return AdjacencyMatrix(weights=weights, agent_ids=pairs.ids, neighbor_mask=mask)
-
-
-def sparse_adjacency(pairs: CavPairs, scheme: AdjacencyScheme) -> SparseAdjacency:
-    """The adjacency of `build_adjacency(state, scheme, pairs.scan_scale,
-    pairs)` as its mask's entries, with no N x N array."""
-    n = len(pairs.ids)
-    i, j = pairs.i, pairs.j
-    index = np.concatenate((i * n + j, j * n + i, np.arange(n) * (n + 1)))
+    index = np.concatenate((i * n + j, j * n + i, np.arange(0, n * n, n + 1)))
     values = np.concatenate((*pair_weights(pairs, scheme), np.ones(n)))
     order = np.argsort(index)
-    return SparseAdjacency(agent_ids=pairs.ids, index=index[order], values=values[order])
+    return Adjacency(agent_ids=pairs.ids, index=index[order], values=values[order])
 
 
 def degree_normalize(weights: np.ndarray, degree: np.ndarray) -> np.ndarray:
@@ -180,7 +161,7 @@ def degree_normalize(weights: np.ndarray, degree: np.ndarray) -> np.ndarray:
 def adjacency_csv_rows(adj) -> list[str]:
     """Agent-id header, then one row of weights per agent.
 
-    Takes anything with `agent_ids` and `weights`: an AdjacencyMatrix or a
+    Takes anything with `agent_ids` and `weights`: an Adjacency or a
     rollout Transition.
     """
     rows = [",".join(str(a) for a in adj.agent_ids)]

@@ -28,8 +28,9 @@ recording tape raises InvalidSpec.
 
 The networks do not choose: `_Trunk` runs the dense kernel on every
 (B, N, N) mask and the edge kernel on an edge list, which only a rollout
-step builds, when its in-range pairs say that its mask would hold fewer
-than `EDGE_KERNEL_MAX_DENSITY` of its entries (`trainer.graph_inputs`):
+step builds, from its graph record (`graph.Adjacency`), when that mask
+holds fewer than `EDGE_KERNEL_MAX_DENSITY` of its entries
+(`trainer.graph_inputs`):
 a 256-CAV ring whose agents see about 4 neighbours each then stops paying
 for 256. No graph of 32 agents or fewer is that sparse, and the update
 batches, which need gradients, run dense. The two kernels agree to

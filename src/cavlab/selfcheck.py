@@ -122,20 +122,20 @@ def check_adjacency() -> bool:
             v.route_pos = float(rng.uniform(0, 230.0))
             v.speed = float(rng.uniform(0, 12.0))
         sc = float(rng.uniform(10, 100))
-        adj = build_adjacency(state, GaussianSpeedField(KernelSpec(1.0, sigma)), sc)
+        weights = build_adjacency(state, GaussianSpeedField(KernelSpec(1.0, sigma)), sc).weights
         for i, vi in enumerate(state.vehicles):
             for j, vj in enumerate(state.vehicles):
                 d = abs(vi.route_pos - vj.route_pos)
                 d = min(d, 230.0 - d)
                 if i == j:
-                    if adj.weights[i, j] != 1.0:
+                    if weights[i, j] != 1.0:
                         return False
                 elif d > sc:
-                    if adj.weights[i, j] != 0.0:
+                    if weights[i, j] != 0.0:
                         return False
                 else:
                     want = math.exp(-d * d / (2 * sigma ** 2)) * (vj.speed - vi.speed)
-                    if abs(adj.weights[i, j] - want) > 1e-12:
+                    if abs(weights[i, j] - want) > 1e-12:
                         return False
     return True
 

@@ -7,11 +7,14 @@ decentralization check all step the simulator through it.
 
 A `Transition` holds one step at that step's agent count N: `policy_actions`
 makes it, and `collect_rollout` adds the reward, `next_obs` and `terminal`.
+Its graph is the step's one record (`graph.Adjacency`), the neighbour
+mask's entries, built once whichever kernel the step's forward ran.
 Updates stack transitions into one padded (B, N_max) batch (`PaddedBatch`):
 agents first, zeros after, plus an agent mask, so a scenario whose agent
 count changes every step (merge) still needs one forward per minibatch.
 That batch is the one record of an update round: it holds every column the
-updates read.
+updates read, the graphs scattered from their entries into (B, N_max,
+N_max) weights and masks.
 
 Updates run at episode boundaries once the buffer holds at least
 `batch_size` agent-transitions (the advantage estimator needs complete
@@ -50,8 +53,7 @@ import numpy as np
 
 from .errors import (InvalidSpec, NanGradient, NonFiniteAction, NonFiniteValue,
                      UpdateProcessLost)
-from .graph import (AdjacencyMatrix, AdjacencyScheme, SparseAdjacency, build_adjacency,
-                    degree_normalize, sparse_adjacency)
+from .graph import Adjacency, AdjacencyScheme, build_adjacency, degree_normalize
 from .idm import IdmParams
 from .layers import Adam, CriticNetwork, EdgeList, NetConfig, PolicyNetwork, sparse_enough
 from .networks import RoadNetwork
@@ -118,19 +120,17 @@ class Transition:
     """One environment step for all live agents, in vehicle-list order.
 
     `next_obs` is the next step's observation of the same agent (zeros for
-    an agent that exited). The adjacency is kept in the form the step's
-    forward read: dense for the dense kernel, and as its mask's entries
-    (`SparseAdjacency`, about N + 2E numbers for E in-range pairs) for the
-    edge kernel, where N x N arrays would dwarf the rest of the step.
-    `weights` and `mask` read it as (N, N) arrays either way: the stored
-    ones, or, on an edge step, read-only ones built on each read. D^-1 M
-    is not stored: batches derive it from `weights` and `mask`.
+    an agent that exited). The adjacency is kept as its mask's entries
+    (`Adjacency`, N + 2E numbers for E in-range pairs) whichever kernel
+    the step ran. Training reads neither `weights` nor `mask`, so a rollout
+    keeps no dense array. D^-1 M is not stored: batches derive it from the
+    weights and the mask.
     """
 
     step_index: int
     agent_ids: list[int]
     obs: np.ndarray          # (N, OBS_DIM)
-    adjacency: AdjacencyMatrix | SparseAdjacency   # M_t and its neighbour mask
+    adjacency: Adjacency     # M_t and its neighbour mask
     actions: np.ndarray      # (N,)
     logp_old: np.ndarray     # (N,)
     reward: float            # shared team scalar
@@ -140,12 +140,23 @@ class Transition:
     @property
     def weights(self) -> np.ndarray:
         """The adjacency M_t, (N, N)."""
-        return self.adjacency.weights
+        return self._dense("_weights", "weights")
 
     @property
     def mask(self) -> np.ndarray:
         """The neighbour mask, (N, N) bool."""
-        return self.adjacency.neighbor_mask
+        return self._dense("_mask", "neighbor_mask")
+
+    def _dense(self, name: str, read: str) -> np.ndarray:
+        """A dense read of the adjacency. A step that ran the edge kernel
+        builds it on each read, read-only, and keeps no N x N array; any
+        other keeps a writable copy from the first read, so an edit stays."""
+        out = self.__dict__.get(name)
+        if out is None:
+            out = getattr(self.adjacency, read)
+            if not sparse_enough(len(self.adjacency.index), out.size):
+                out = self.__dict__[name] = out.copy()
+        return out
 
     def commands(self) -> dict[int, float]:
         """The actions as `sim.step` takes them: {CAV id: acceleration}."""
@@ -192,8 +203,7 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
     for the live CAVs (None without CAVs); `collect_rollout` fills in its
     reward, `next_obs` and `terminal`. The live agents are observed in one
     call that shares the step's pass over the CAVs (`sim.cav_pairs`) with
-    the graph, which is read and stored in the form of its kernel
-    (`graph_inputs`).
+    the graph (`graph_inputs`).
     """
     pairs = cav_pairs(state, env.scan_scale)
     if not pairs.ids:
@@ -221,24 +231,22 @@ def policy_actions(bundle: PolicyBundle, state: SimState, env: EnvSpec,
 
 
 def graph_inputs(state: SimState, pairs: CavPairs, env: EnvSpec) -> tuple:
-    """(adjacency, (M, D^-1 M, mask)): a step's adjacency as the transition
-    stores it and as the policy reads it (`layers._Trunk`).
+    """(adjacency, (M, D^-1 M, mask)): a step's adjacency, built once, and
+    the policy's graph inputs taken from it (`layers._Trunk`).
 
     This is where the edge kernel is chosen, and the only place: from the
-    pairs, whose mask would hold N + 2E of its N^2 entries for E pairs
-    (`layers.sparse_enough`). Dense kernel: the (N, N) AdjacencyMatrix,
-    with M and D^-1 M as (1, N, N) Tensors and the (1, N, N) mask. Edge
-    kernel: a SparseAdjacency and the edge list that carries M and D^-1 M
-    in place of all three; no N x N array is built.
+    number of the mask's entries (`layers.sparse_enough`). Edge kernel: the
+    edge list that carries M and D^-1 M in place of all three; no N x N
+    array is built. Dense kernel: M and D^-1 M as (1, N, N) Tensors and the
+    (1, N, N) mask.
     """
-    n = len(pairs.ids)
-    if sparse_enough(n + 2 * len(pairs.i), n * n):
-        adj = sparse_adjacency(pairs, env.scheme)
-        return adj, (None, None, EdgeList.of_adjacency(n, adj.index, adj.values))
     adj = build_adjacency(state, env.scheme, env.scan_scale, pairs)
-    return adj, (Tensor(adj.weights[None]),
-                  Tensor(degree_normalize(adj.weights, pairs.degree)[None]),
-                  adj.neighbor_mask[None])
+    n = len(adj.agent_ids)
+    if sparse_enough(len(adj.index), n * n):
+        return adj, (None, None, EdgeList.of_adjacency(n, adj.index, adj.values))
+    weights = adj.weights
+    return adj, (Tensor(weights[None]), Tensor(degree_normalize(weights, pairs.degree)[None]),
+                 adj.neighbor_mask[None])
 
 
 def _link_next(tr: Transition, ids: list[int], obs: np.ndarray | None) -> None:
@@ -333,7 +341,7 @@ def reward_to_go(rewards: list[float], gamma: float) -> np.ndarray:
 
 
 def _pad(arrays: list[np.ndarray], where: np.ndarray) -> np.ndarray:
-    """Scatter per-transition arrays into zeros shaped like `where` (B, N_max[, N_max]).
+    """Scatter per-transition arrays into zeros shaped like `where` (B, N_max).
 
     The True entries of `where`, in row-major order, are the entries of the
     arrays' leading axes, one transition after the other.
@@ -390,12 +398,20 @@ class PaddedBatch:
     @classmethod
     def of(cls, trans: list[Transition]) -> PaddedBatch:
         counts = np.array([len(tr.agent_ids) for tr in trans])
-        diag = np.arange(counts.max())
+        b, n = len(trans), counts.max()
+        diag = np.arange(n)
         agents = diag[None, :] < counts[:, None]
-        pairs = agents[:, :, None] & agents[:, None, :]
-        mask = _pad([tr.mask for tr in trans], pairs)
+        # every step's mask entries at their flat positions in (B, N_max,
+        # N_max): entry i*N_b + j of step b goes to b*N_max^2 + i*N_max + j
+        sizes = [len(tr.adjacency.index) for tr in trans]
+        index = np.concatenate([tr.adjacency.index for tr in trans])
+        step_n = np.repeat(counts, sizes)
+        at = index + index // step_n * (n - step_n) + np.repeat(np.arange(b) * n * n, sizes)
+        weights = np.zeros((b, n, n))
+        weights.reshape(-1)[at] = np.concatenate([tr.adjacency.values for tr in trans])
+        mask = np.zeros((b, n, n), dtype=bool)
+        mask.reshape(-1)[at] = True
         mask[:, diag, diag] = True
-        weights = _pad([tr.weights for tr in trans], pairs)
         return cls(obs=_pad([tr.obs for tr in trans], agents),
                    next_obs=_pad([tr.next_obs for tr in trans], agents),
                    weights=weights, mask=mask, agents=agents,

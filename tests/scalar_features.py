@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from cavlab.errors import NoAgents, UnknownVehicle
-from cavlab.graph import AdjacencyMatrix, GaussianSpeedField, PositionOnly
+from cavlab.graph import Adjacency, GaussianSpeedField, PositionOnly
 from cavlab.networks import FigureEightSpec, MergeSpec
 from cavlab.sim import (OBS_DIM, SimState, VehicleKind, VehicleState, merge_effective_pos,
                         route_length)
@@ -122,7 +122,13 @@ def _entry(state: SimState, scheme, vi, vj, dist: float) -> float:
     return scheme.target_speed / (vi.speed * abs(vj.speed - vi.speed) + scheme.epsilon)
 
 
-def build_adjacency(state: SimState, scheme, scan_scale: float) -> AdjacencyMatrix:
+def adjacency_of(agent_ids: list[int], weights: np.ndarray, mask: np.ndarray) -> Adjacency:
+    """The record of a graph given as its dense (N, N) weights and mask."""
+    index = np.flatnonzero(mask)
+    return Adjacency(agent_ids=agent_ids, index=index, values=weights.ravel()[index])
+
+
+def build_adjacency(state: SimState, scheme, scan_scale: float) -> Adjacency:
     """Adjacency over the live CAVs, one pair at a time."""
     cavs = [v for v in state.vehicles if v.kind is VehicleKind.CAV]
     if not cavs:
@@ -138,8 +144,7 @@ def build_adjacency(state: SimState, scheme, scan_scale: float) -> AdjacencyMatr
             mask[i, j] = mask[j, i] = True
             weights[i, j] = _entry(state, scheme, cavs[i], cavs[j], dist)
             weights[j, i] = _entry(state, scheme, cavs[j], cavs[i], dist)
-    return AdjacencyMatrix(weights=weights, agent_ids=[v.id for v in cavs],
-                           neighbor_mask=mask)
+    return adjacency_of([v.id for v in cavs], weights, mask)
 
 
 def receptive_closure(state: SimState, agent_id: int, scan_scale: float,

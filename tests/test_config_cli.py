@@ -505,11 +505,60 @@ def test_malformed_checkpoint_is_incompatible(tmp_path, capsys, case):
     with pytest.raises(IncompatibleCheckpoint, match=re.escape(message)) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
-    # the CLI reports it on one line and exits 1
+    _assert_eval_rejects(tmp_path, capsys, path, message)
+
+
+def _assert_eval_rejects(tmp_path, capsys, path, message):
+    """`cavlab eval` reports the checkpoint at `path` as incompatible on one
+    line that names it, and exits 1."""
     assert main(["eval", str(smoke_config(tmp_path)), "--checkpoint", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: IncompatibleCheckpoint: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+    assert str(path) in err
+
+
+def _architecture(**values):
+    return _edited_header(lambda h: h["architecture"].update(values))
+
+
+# Checkpoints that load, whose architecture no network of theirs can take.
+MISMATCHED_ARCHITECTURES = {
+    "hidden_string": (_architecture(hidden="16"),
+                      "architecture.hidden must be an integer, got '16'"),
+    "heads_float": (_architecture(heads=2.0), "architecture.heads must be an integer, got 2.0"),
+    "obs_dim_boolean": (_architecture(obs_dim=True),
+                        "architecture.obs_dim must be an integer, got True"),
+    "activation_not_a_string": (_architecture(activation=1),
+                                "architecture.activation must be a string, got 1"),
+    "action_low_string": (_architecture(action_low="-3"),
+                          "architecture.action_low must be a number, got '-3'"),
+    "action_low_nan": (_architecture(action_low=math.nan),
+                       "architecture.action_low must be a finite number, got nan"),
+    "action_high_infinity": (_architecture(action_high=math.inf),
+                             "architecture.action_high must be a finite number, got inf"),
+    "action_high_past_float64": (_architecture(action_high=10 ** 400),
+                                 "architecture.action_high must be a finite number"),
+    "heads_not_a_divisor": (_architecture(heads=3), "hidden=16 must be divisible by heads=3"),
+    "unknown_activation": (_architecture(activation="sigmoid"), "activation must be one of"),
+    "bounds_reversed": (_architecture(action_low=5.0), "action_low=5.0 must be below"),
+    "obs_dim_disagrees": (_architecture(obs_dim=7),
+                          f"shape mismatch for {FIRST}: (6, 16) != (7, 16)"),
+    "heads_disagree": (_architecture(heads=0), "parameter name mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHED_ARCHITECTURES)
+def test_mismatched_architecture_is_incompatible(tmp_path, capsys, case):
+    from cavlab.cli import _bundle_from_checkpoint
+    text, message = MISMATCHED_ARCHITECTURES[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text(tmp_path))
+    load_checkpoint(path)
+    with pytest.raises(IncompatibleCheckpoint, match=re.escape(message)) as info:
+        _bundle_from_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+    _assert_eval_rejects(tmp_path, capsys, path, message)
 
 
 def test_checkpoint_shape_guard(tmp_path):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_features as scalar
 from cavlab import config
+from cavlab import trainer as trainer_module
 from cavlab.errors import InvalidSpec, NonFiniteValue, ShapeMismatch
 from cavlab.graph import (
-    AdjacencyMatrix, GaussianSpeedField, PositionOnly, SparseAdjacency, VelocityOnly,
-    build_adjacency, degree_normalize, sparse_adjacency,
+    GaussianSpeedField, PositionOnly, VelocityOnly, build_adjacency, degree_normalize,
 )
 from cavlab.layers import (
     EDGE_KERNEL_MAX_DENSITY, Adam, AttentionLayer, CriticNetwork, Dense, EdgeList,
@@ -596,17 +597,25 @@ def _large_ring_config():
 
 
 @pytest.mark.parametrize("name", ["ring_smoke", "ring", "figure_eight", "merge"])
-def test_shipped_configs_run_the_dense_kernel(name):
+def test_shipped_configs_run_the_dense_kernel(monkeypatch, name):
     # every step's graph fails the pairs rule: its mask, N + 2E entries for
     # E in-range pairs, is too full for the edge kernel
+    graphs = []
+
+    def spy(*args):
+        adj, inputs = graph_inputs(*args)
+        graphs.append(inputs[2])
+        return adj, inputs
+
+    monkeypatch.setattr(trainer_module, "graph_inputs", spy)
     cfg = config.parse_config(CONFIGS / f"{name}.json")
     ppo = dataclasses.replace(cfg.ppo_config(), horizon=150)
     bundle = make_policy(cfg.net_config(), np.random.SeedSequence(0))
     trans = collect_rollout(bundle, cfg.env_spec(), ppo, np.random.SeedSequence(1),
                             np.random.default_rng(2)).transitions
-    assert trans
-    for tr in trans:
-        assert isinstance(tr.adjacency, AdjacencyMatrix)
+    assert trans and len(graphs) == len(trans)
+    for tr, graph in zip(trans, graphs):
+        assert isinstance(graph, np.ndarray)
         assert not sparse_enough(np.count_nonzero(tr.mask), tr.mask.size)
 
 
@@ -635,9 +644,32 @@ def test_large_ring_runs_the_edge_kernel():
     pairs = cav_pairs(state, env.scan_scale)
     mask = build_adjacency(state, env.scheme, env.scan_scale, pairs).neighbor_mask
     assert mask.mean() < EDGE_KERNEL_MAX_DENSITY
-    adj, (M, Dinv, edges) = graph_inputs(state, pairs, env)
-    assert isinstance(adj, SparseAdjacency) and M is None and Dinv is None
+    _, (M, Dinv, edges) = graph_inputs(state, pairs, env)
+    assert M is None and Dinv is None
     assert isinstance(edges, EdgeList) and edges.index.size == mask.sum()
+
+
+@pytest.mark.parametrize("name", ["ring_smoke", "ring_256"])
+def test_a_rollout_builds_one_graph_per_step(monkeypatch, name):
+    # on either kernel, a step with CAVs builds its graph once, through the
+    # one builder
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return build_adjacency(*args)
+
+    monkeypatch.setattr(trainer_module, "build_adjacency", spy)
+    large = name == "ring_256"
+    cfg = _large_ring_config() if large else config.parse_config(CONFIGS / f"{name}.json")
+    ppo = cfg.ppo_config()
+    if large:
+        ppo = dataclasses.replace(ppo, horizon=5)
+    bundle = make_policy(cfg.net_config(), np.random.SeedSequence(0))
+    trans = collect_rollout(bundle, cfg.env_spec(), ppo, np.random.SeedSequence(1),
+                            np.random.default_rng(2)).transitions
+    assert trans and len(calls) == len(trans)
+    assert all(sparse_enough(np.count_nonzero(tr.mask), tr.mask.size) == large for tr in trans)
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +741,15 @@ def test_kernel_choice_from_the_pairs_is_the_masks(name):
     assert states
     for state in states:
         pairs = cav_pairs(state, env.scan_scale)
-        dense = build_adjacency(state, env.scheme, env.scan_scale, pairs)
+        dense = scalar.build_adjacency(state, env.scheme, env.scan_scale)
         adj, (M, Dinv, graph) = graph_inputs(state, pairs, env)
         n, nnz = len(pairs.ids), np.count_nonzero(dense.neighbor_mask)
         assert nnz == n + 2 * len(pairs.i)
         edge_step = sparse_enough(nnz, n * n)
-        assert (isinstance(adj, SparseAdjacency) == isinstance(graph, EdgeList) == edge_step
-                == (name == "ring_256"))
+        assert isinstance(graph, EdgeList) == edge_step == (name == "ring_256")
         assert adj.weights.tobytes() == dense.weights.tobytes()
         assert np.array_equal(adj.neighbor_mask, dense.neighbor_mask)
-        if edge_step:   # the edge list, against the dense adjacency
+        if edge_step:   # the edge list, against the scalar loop's adjacency
             assert M is None and Dinv is None
             _assert_edge_list_of(graph, dense.neighbor_mask, dense.weights, pairs.degree)
         else:
@@ -726,15 +757,19 @@ def test_kernel_choice_from_the_pairs_is_the_masks(name):
 
 
 @pytest.mark.parametrize("scheme", ["gaussian", "position", "velocity"])
-def test_sparse_adjacency_is_the_dense_one_for_every_scheme(scheme):
+def test_adjacency_is_the_scalar_one_for_every_scheme(scheme):
+    # the record's entries, N + 2E for E pairs, are the scalar loop's mask
+    # entries and weights, and its dense reads the scalar loop's arrays
     env = _scenario_envs()["figure_eight"]
     schemes = {"gaussian": GaussianSpeedField(), "position": PositionOnly(),
                "velocity": VelocityOnly()}
     for state in _scenario_states(env):
         pairs = cav_pairs(state, env.scan_scale)
-        dense = build_adjacency(state, schemes[scheme], env.scan_scale, pairs)
-        adj = sparse_adjacency(pairs, schemes[scheme])
+        adj = build_adjacency(state, schemes[scheme], env.scan_scale, pairs)
+        dense = scalar.build_adjacency(state, schemes[scheme], env.scan_scale)
         assert len(np.unique(adj.index)) == len(adj.index) == len(pairs.ids) + 2 * len(pairs.i)
+        assert np.array_equal(adj.index, dense.index)
+        assert adj.values.tobytes() == dense.values.tobytes()
         assert adj.weights.tobytes() == dense.weights.tobytes()
         assert np.array_equal(adj.neighbor_mask, dense.neighbor_mask)
 

@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from scalar_features import adjacency_of
 
-from cavlab.graph import AdjacencyMatrix
 from cavlab.layers import LOG_2PI, NetConfig, PolicyNetwork
 from cavlab.selfcheck import fd_grad, rel_err
 from cavlab.tensor import Tensor
@@ -32,8 +32,7 @@ def _layout(seed: int, log_spread: float):
         ids = list(range(n))
         trans.append(Transition(
             step_index=t, agent_ids=ids, obs=np.zeros((n, 6)),
-            adjacency=AdjacencyMatrix(weights=np.eye(n), agent_ids=ids,
-                                      neighbor_mask=np.eye(n, dtype=bool)),
+            adjacency=adjacency_of(ids, np.eye(n), np.eye(n, dtype=bool)),
             actions=rng.uniform(-3.0, 3.0, n), logp_old=np.zeros(n), reward=0.0,
             next_obs=np.zeros((n, 6)), terminal=np.zeros(n, dtype=bool)))
     batch = PaddedBatch.of(trans)

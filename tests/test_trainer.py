@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scalar_features import adjacency_of
 
-from cavlab.graph import AdjacencyMatrix, GaussianSpeedField
+from cavlab.graph import GaussianSpeedField
 from cavlab import trainer as trainer_module
 from cavlab.errors import NanGradient, NonFiniteAction, NonFiniteValue, UpdateProcessLost
 from cavlab.idm import IdmParams
@@ -733,6 +734,23 @@ def test_edge_step_transition_reads_its_adjacency_read_only(large_ring):
     assert tr.weights.tobytes() == expected[4].weights.tobytes()
 
 
+def test_dense_step_transition_keeps_its_adjacency_from_the_first_read():
+    trans = collect_rollout(small_bundle(), small_env(), small_ppo(horizon=10), 4,
+                            None).transitions
+    # the rollout reads no dense array of its own: each step holds its fields alone
+    fields = {f.name for f in dataclasses.fields(trainer_module.Transition)}
+    assert all(vars(tr).keys() == fields for tr in trans)
+    tr = trans[4]
+    weights, mask = tr.adjacency.weights, tr.adjacency.neighbor_mask
+    assert tr.weights is tr.weights and tr.mask is tr.mask
+    assert tr.weights.tobytes() == weights.tobytes() and np.array_equal(tr.mask, mask)
+    tr.weights[0, 1] += 1e-6
+    tr.mask[0, 1] = not tr.mask[0, 1]
+    assert tr.weights[0, 1] == weights[0, 1] + 1e-6 and tr.mask[0, 1] != mask[0, 1]
+    # a write reaches the kept arrays, not the entries
+    assert tr.adjacency.weights.tobytes() == weights.tobytes()
+
+
 @pytest.mark.parametrize("edge_step", [True, False])
 def test_non_finite_adjacency_raises_on_either_kernel(monkeypatch, large_ring, edge_step):
     from cavlab.sim import cav_pairs
@@ -762,6 +780,7 @@ def test_large_ring_rollout_stores_and_builds_no_n_by_n_array(monkeypatch, large
     import tracemalloc
 
     from cavlab import layers
+    from cavlab.graph import Adjacency
     n = LARGE_RING_CAVS
     gc.collect()
     tracemalloc.start()
@@ -780,9 +799,9 @@ def test_large_ring_rollout_stores_and_builds_no_n_by_n_array(monkeypatch, large
     # the dense weights and mask alone were 590 KB
     assert retained / len(trans) < 100_000
 
-    # no dense adjacency, D^-1 M or masked softmax (the dense kernel's)
+    # no dense read of the adjacency, D^-1 M or masked softmax (the dense kernel's)
     calls, largest = [], []
-    for module, name in ((trainer_module, "build_adjacency"),
+    for module, name in ((Adjacency, "_dense"),
                          (trainer_module, "degree_normalize"),
                          (layers, "softmax_forward")):
         def spy(*args, _name=name, _fn=getattr(module, name), **kwargs):
@@ -812,6 +831,21 @@ def test_padded_batch_is_a_plain_stack_at_fixed_agent_count():
     # D^-1 M as the rollout's forward computed it (graph.degree_normalize)
     assert np.array_equal(dinv.data, np.stack(
         [tr.weights / tr.mask.sum(axis=1).astype(float)[:, None] for tr in trans]))
+
+
+def test_padded_batch_scatters_each_steps_graph(merge_episode):
+    # each step's entries land in its own N x N corner, bit for bit; padding
+    # holds zero weights and a self-loop per padded agent
+    trans = merge_episode[2].transitions
+    assert len({len(tr.agent_ids) for tr in trans}) > 1
+    batch = PaddedBatch.of(trans)
+    n_max = batch.agents.shape[1]
+    for b, tr in enumerate(trans):
+        n = len(tr.agent_ids)
+        weights, mask = np.zeros((n_max, n_max)), np.eye(n_max, dtype=bool)
+        weights[:n, :n], mask[:n, :n] = tr.weights, tr.mask
+        assert batch.weights[b].tobytes() == weights.tobytes()
+        assert np.array_equal(batch.mask[b], mask)
 
 
 def test_padded_batch_matches_per_transition_passes(merge_episode):
@@ -974,8 +1008,8 @@ def _layout(steps, n, seed=0, density=0.4):
         np.fill_diagonal(mask, True)
         out.append(trainer_module.Transition(
             step_index=t, agent_ids=list(range(n)), obs=rng.standard_normal((n, 6)),
-            adjacency=AdjacencyMatrix(weights=np.where(mask, rng.random((n, n)), 0.0),
-                                      agent_ids=list(range(n)), neighbor_mask=mask),
+            adjacency=adjacency_of(list(range(n)), np.where(mask, rng.random((n, n)), 0.0),
+                                   mask),
             actions=rng.standard_normal(n), logp_old=rng.standard_normal(n),
             reward=float(rng.standard_normal()), next_obs=rng.standard_normal((n, 6)),
             terminal=rng.random(n) < 0.1))
