@@ -76,7 +76,10 @@ reports the median and quartiles, in milliseconds, of
   a forked child (`overlapped`), whatever `trainer.updates_overlap` would
   say: milliseconds per round, and minor page faults per round in this
   process and in the child (`RUSAGE_CHILDREN`). Every round starts from
-  the same weights.
+  the same weights, and is timed from the episode to the updated
+  networks, its advantages included: a checkout whose round is handed
+  the advantages gets them from `trainer.compute_advantages` inside the
+  timing.
 - `checkpoint`: `checkpoint.save_checkpoint` and `checkpoint.load_checkpoint`
   of freshly seeded networks at the default `NetConfig` (`default`, 50,179
   parameters, as a `ring_smoke` run saves) and at hidden 256 (`hidden_256`,
@@ -192,8 +195,7 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
     out = {name: timed(lambda a=args: forward(a), reps) for name, args in rows.items()}
     out["kernels"] = kernel_rows(sim, trainer, tensor, states, forward, reps)
 
-    advantages = trainer.normalize_advantages(
-        trainer.compute_advantages(episode, bundle.critic, ppo))
+    advantages = normalized_advantages(trainer, episode, bundle.critic, ppo)
     critic_loss, actor_loss = minibatch_losses(trainer, bundle, trans, advantages, ppo)
     out["loss_terms"] = loss_term_rows(trainer, bundle, trans, advantages, ppo, reps)
     state = env.build(np.random.SeedSequence(1))
@@ -225,6 +227,17 @@ def network_rows(root: Path, sim, networks, idm_mod, reps: int) -> dict:
     opt = layers.Adam(params, 1e-9)   # a tiny step keeps the weights in place
     out["adam_step"] = timed(opt.step, reps)
     return out
+
+
+def normalized_advantages(trainer, episode, critic, ppo) -> list:
+    """The episode's normalised advantages, one vector per transition, by
+    the checkout's `trainer.normalize_advantages`: of per-transition
+    vectors, or, since it takes the agent mask, of the padded column."""
+    advantages = trainer.compute_advantages(episode, critic, ppo)
+    if "agents" not in inspect.signature(trainer.normalize_advantages).parameters:
+        return trainer.normalize_advantages(advantages)
+    batch = trainer.PaddedBatch.of(episode.transitions)
+    return batch.split(trainer.normalize_advantages(batch.rows(advantages), batch.agents))
 
 
 def step_inputs(sim, trainer, tensor, env, state) -> tuple:
@@ -488,7 +501,18 @@ def update_round_rows(root: Path, reps: int) -> dict:
     seed = 10
     bundle = trainer.make_policy(net, trainer.init_stream(seed))
     episode = trainer.collect_rollout(bundle, env, ppo, *trainer.episode_streams(seed, 0))
-    advantages = trainer.compute_advantages(episode, bundle.critic, ppo)
+    trans = episode.transitions
+    if "rtg" in inspect.signature(trainer._update_round).parameters:
+        # the round forms its advantages from the episode's reward-to-go
+        rtg = trainer.reward_to_go(episode.rewards, ppo.gamma)[[tr.step_index for tr in trans]]
+
+        def update_round(*args) -> None:
+            trainer._update_round(trans, rtg, *args, ppo, seed, 0)
+    else:   # advantages handed in, from a layout of their own
+
+        def update_round(bundle, *guards) -> None:
+            advantages = trainer.compute_advantages(episode, bundle.critic, ppo)
+            trainer._update_round(trans, advantages, bundle, *guards, ppo, seed, 0)
 
     def fresh() -> tuple:
         bundle = trainer.make_policy(net, trainer.init_stream(seed))
@@ -501,7 +525,7 @@ def update_round_rows(root: Path, reps: int) -> dict:
         return tuple(resource.getrusage(who).ru_minflt
                      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
-    out = {"agent_transitions": sum(len(tr.agent_ids) for tr in episode.transitions)}
+    out = {"agent_transitions": sum(len(tr.agent_ids) for tr in trans)}
     decide = trainer.updates_overlap
     try:
         for mode, overlap in (("in_order", False), ("overlapped", True)):
@@ -511,7 +535,7 @@ def update_round_rows(root: Path, reps: int) -> dict:
                 args = fresh()
                 before = faults()
                 start = time.perf_counter()
-                trainer._update_round(episode.transitions, advantages, *args, ppo, seed, 0)
+                update_round(*args)
                 seconds = time.perf_counter() - start
                 after = faults()
                 if k:

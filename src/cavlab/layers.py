@@ -610,15 +610,11 @@ class Adam:
         self.v = {k: self._v[s].reshape(params[k].shape) for k, s in self._slices.items()}
 
     def step(self, lr_scale: float = 1.0) -> None:
-        """One Adam update, in place; a parameter without a gradient keeps
-        its value and its moments."""
+        """One Adam update, in place, of every parameter from its gradient."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        absent = [k for k, p in self.params.items() if p.grad is None]
-        kept = [(self.m[k].copy(), self.v[k].copy()) for k in absent]
-        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
-                            for p in self.params.values()])
+        g = np.concatenate([p.grad.ravel() for p in self.params.values()])
         m, v = self._m, self._v
         m *= self.beta1
         m += (1.0 - self.beta1) * g
@@ -632,12 +628,8 @@ class Adam:
         update = m / b1t
         update *= self.lr * lr_scale
         update /= denom
-        for k, (m_k, v_k) in zip(absent, kept):
-            self.m[k][...] = m_k
-            self.v[k][...] = v_k
         for k, p in self.params.items():
-            if p.grad is not None:
-                p.data -= update[self._slices[k]].reshape(p.shape)
+            p.data -= update[self._slices[k]].reshape(p.shape)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

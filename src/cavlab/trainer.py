@@ -14,7 +14,7 @@ agents first, zeros after, plus an agent mask, so a scenario whose agent
 count changes every step (merge) still needs one forward per minibatch.
 That batch is the one record of an update round: it holds every column the
 updates read, the graphs scattered from their entries into (B, N_max,
-N_max) weights and masks.
+N_max) weights and masks; D^-1 M is derived from them where it is read.
 
 Updates run at episode boundaries once the buffer holds at least
 `batch_size` agent-transitions (the advantage estimator needs complete
@@ -22,23 +22,26 @@ reward-to-go, so episodes are kept whole), then the buffer is cleared, so a
 transition feeds at most one update round. Episodes collected after the last
 update that do not fill a batch are never updated on;
 `TrainResult.unused_agent_transitions` counts their agent-transitions.
-An update lays its transitions out once; each minibatch is a slice of that
-record (`PaddedBatch.take`), trimmed to the minibatch's own N_max, in the
-one epoch/minibatch loop both updates run (`_minibatch_passes`).
-The passes over the whole layout that need no gradient (advantage
-baselines, TD targets, the initial loss and surrogate) run off the tape
+An update round lays its transitions out once (`_update_round`), however
+many episodes they come from; each minibatch is a slice of that record
+(`PaddedBatch.take`), trimmed to the minibatch's own N_max, in the one
+epoch/minibatch loop both updates run (`_minibatch_passes`).
+The passes over the whole layout that need no gradient (the critic's
+values at theta_old, TD targets, the initial surrogate) run off the tape
 in blocks of at most `FORWARD_BLOCK_ROWS` agent rows (`PaddedBatch.forward`),
 so their temporaries stay minibatch-sized however long the rollout; the
 outputs are the same bits as one forward over the whole layout.
 
-The critic and actor updates of a round are independent. The advantages
-come from the critic before its update and are normalised before either
-update starts; each update has its own network, optimiser and minibatch
-stream. So the actor update may run in a forked process beside the critic
-update, which stays in this process (`updates_overlap` says when). The
-child hands back its initial objective, the actor's parameters and the
-whole state of its NaN guard, so the result is bit-identical to running
-the two in order, which is what happens when they do not overlap.
+The critic and actor updates of a round are independent. One critic pass
+at theta_old over the round's record gives both the advantages' baselines
+and the critic update's initial loss; the advantages, a (B, N_max) column,
+are normalised over the real agents before either update starts. Each
+update has its own network, optimiser and minibatch stream. So the actor
+update may run in a forked process beside the critic update, which stays
+in this process (`updates_overlap` says when). The child hands back its
+initial objective, the actor's parameters and the whole state of its NaN
+guard, so the result is bit-identical to running the two in order, which
+is what happens when they do not overlap.
 """
 from __future__ import annotations
 
@@ -355,6 +358,12 @@ def _pad(arrays: list[np.ndarray], where: np.ndarray) -> np.ndarray:
     return out
 
 
+def _net_inputs(obs: np.ndarray, weights: np.ndarray, mask: np.ndarray) -> tuple:
+    """Network inputs (obs, M, D^-1 M, mask) of padded columns, D^-1 M
+    derived from the weights and the mask's row sums."""
+    return Tensor(obs), Tensor(weights), Tensor(degree_normalize(weights, mask.sum(-1))), mask
+
+
 # Agent rows per block of a full-batch forward (`PaddedBatch.forward`); the
 # default minibatch holds as many. A critic pass over a configs/ring.json
 # update (3,000 steps of 16 CAVs) allocates about 200 MB at once and 2 MB
@@ -389,7 +398,6 @@ class PaddedBatch:
     weights: np.ndarray    # (B, N_max, N_max)
     mask: np.ndarray       # (B, N_max, N_max) bool
     agents: np.ndarray     # (B, N_max) bool
-    dinv_m: np.ndarray     # D^-1 M of weights and mask, (B, N_max, N_max)
     actions: np.ndarray    # (B, N_max)
     logp_old: np.ndarray   # (B, N_max)
     reward: np.ndarray     # (B, 1): the step's team reward
@@ -415,7 +423,6 @@ class PaddedBatch:
         return cls(obs=_pad([tr.obs for tr in trans], agents),
                    next_obs=_pad([tr.next_obs for tr in trans], agents),
                    weights=weights, mask=mask, agents=agents,
-                   dinv_m=degree_normalize(weights, mask.sum(-1)),
                    actions=_pad([tr.actions for tr in trans], agents),
                    logp_old=_pad([tr.logp_old for tr in trans], agents),
                    reward=np.array([[tr.reward] for tr in trans]),
@@ -430,13 +437,13 @@ class PaddedBatch:
         return PaddedBatch(
             obs=self.obs[rows, :n], next_obs=self.next_obs[rows, :n],
             weights=self.weights[rows, :n, :n], mask=self.mask[rows, :n, :n],
-            agents=self.agents[rows, :n], dinv_m=self.dinv_m[rows, :n, :n],
+            agents=self.agents[rows, :n],
             actions=self.actions[rows, :n], logp_old=self.logp_old[rows, :n],
             reward=self.reward[rows], live=self.live[rows, :n])
 
     def inputs(self) -> tuple:
         """Network inputs (obs, M, D^-1 M, mask)."""
-        return Tensor(self.obs), Tensor(self.weights), Tensor(self.dinv_m), self.mask
+        return _net_inputs(self.obs, self.weights, self.mask)
 
     def blocks(self) -> list[slice]:
         """Runs of consecutive transitions for `forward`: at most
@@ -459,8 +466,7 @@ class PaddedBatch:
         temporaries."""
         with no_grad():
             out = np.concatenate([
-                net_fn(Tensor(self.obs[span]), Tensor(self.weights[span]),
-                       Tensor(self.dinv_m[span]), self.mask[span]).data
+                net_fn(*_net_inputs(self.obs[span], self.weights[span], self.mask[span])).data
                 for span in self.blocks()])
         return Tensor._make(out, (), None)
 
@@ -481,6 +487,30 @@ def _values(critic: CriticNetwork, batch: PaddedBatch) -> np.ndarray:
     return values
 
 
+def _rtg_rows(episode: EpisodeResult, gamma: float) -> np.ndarray:
+    """(B,): the discounted reward-to-go from each transition's step."""
+    return reward_to_go(episode.rewards, gamma)[[tr.step_index for tr in episode.transitions]]
+
+
+def _advantage_rows(rtg: np.ndarray, values: np.ndarray, agents: np.ndarray) -> np.ndarray:
+    """(B, N_max) advantages: each transition's reward-to-go `rtg` (B,) minus
+    the critic's `values`, 0.0 on padding."""
+    advantages = rtg[:, None] - values
+    advantages[~agents] = 0.0
+    return advantages
+
+
+def normalize_advantages(advantages: np.ndarray, agents: np.ndarray) -> np.ndarray:
+    """(B, N_max) `advantages` shifted to mean 0 and scaled to spread 1 over
+    the real agents (`agents`), only shifted if they do not spread; 0.0 on
+    padding."""
+    real = advantages[agents]
+    sd = real.std()
+    out = (advantages - real.mean()) / (1.0 if sd < 1e-12 else sd)
+    out[~agents] = 0.0
+    return out
+
+
 def critic_values(critic: CriticNetwork, trans: list[Transition]) -> list[np.ndarray]:
     """Per-transition value vectors from a padded forward of `trans`. It
     needs no gradient, so it runs off the tape in minibatch-sized blocks
@@ -492,17 +522,17 @@ def critic_values(critic: CriticNetwork, trans: list[Transition]) -> list[np.nda
 
 def compute_advantages(episode: EpisodeResult, critic: CriticNetwork,
                        ppo: PpoConfig) -> list[np.ndarray]:
-    """Per-agent discounted reward-to-go minus the critic baseline.
+    """Per-agent discounted reward-to-go minus the critic baseline, one
+    vector per transition of `episode`.
 
-    Raw (un-normalized) advantages; batch normalization happens in the
-    policy update.
+    Raw (un-normalized) advantages, as an update round forms them on its
+    own record (`_update_round`).
     """
     if not episode.transitions:
         return []
-    rtg = reward_to_go(episode.rewards, ppo.gamma)
-    baselines = critic_values(critic, episode.transitions)
-    return [rtg[tr.step_index] - baselines[k]
-            for k, tr in enumerate(episode.transitions)]
+    batch = PaddedBatch.of(episode.transitions)
+    return batch.split(_advantage_rows(_rtg_rows(episode, ppo.gamma),
+                                       _values(critic, batch), batch.agents))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +620,7 @@ def _params_finite(params: dict[str, Tensor]) -> bool:
 
 
 def _grads_finite(params: dict[str, Tensor]) -> bool:
-    return all(p.grad is None or np.isfinite(p.grad).all() for p in params.values())
+    return all(np.isfinite(p.grad).all() for p in params.values())
 
 
 class _GuardedOptimizer:
@@ -686,18 +716,19 @@ def _minibatch_passes(batch: PaddedBatch, guard: _GuardedOptimizer, ppo: PpoConf
     guard.run(passes)
 
 
-def critic_update(batch: PaddedBatch, critic: CriticNetwork, guard: _GuardedOptimizer,
-                  ppo: PpoConfig, rng: np.random.Generator) -> float:
-    """Minibatched TD passes on the round's record `batch`; returns the
-    full-batch loss at the start.
+def critic_update(batch: PaddedBatch, start_values: np.ndarray, critic: CriticNetwork,
+                  guard: _GuardedOptimizer, ppo: PpoConfig, rng: np.random.Generator) -> float:
+    """Minibatched TD passes on the round's record `batch`, whose (B, N_max)
+    values at the starting parameters are `start_values` (`_values`);
+    returns the full-batch loss at the start.
 
     The TD targets are refreshed each epoch; the initial loss and epoch 0
     share one set: both see the starting parameters, which a NaN-guard
-    retry restores. The full-batch passes (targets, initial loss) run off
-    the tape in blocks (`PaddedBatch.forward`).
+    retry restores. The targets' full-batch passes run off the tape in
+    blocks (`PaddedBatch.forward`).
     """
     start_targets = _td_rows(critic, batch, ppo.gamma)
-    initial = _td_loss(batch.forward(critic.values), start_targets, batch.agents).data
+    initial = _td_loss(Tensor(start_values), start_targets, batch.agents).data
     check_finite(initial, "the initial critic loss")
     _minibatch_passes(
         batch, guard, ppo, rng,
@@ -720,15 +751,6 @@ def actor_update(batch: PaddedBatch, advantages: np.ndarray, actor: PolicyNetwor
         lambda sub, adv: -_clipped_surrogate(actor, actor.action_mean(*sub.inputs()), sub,
                                              adv, ppo.clip))
     return float(initial)
-
-
-def normalize_advantages(advantages: list[np.ndarray]) -> list[np.ndarray]:
-    flat = np.concatenate([a.ravel() for a in advantages])
-    mu = flat.mean()
-    sd = flat.std()
-    if sd < 1e-12:
-        return [a - mu for a in advantages]
-    return [(a - mu) / sd for a in advantages]
 
 
 # ---------------------------------------------------------------------------
@@ -804,28 +826,30 @@ def _beside(child_fn, parent_fn, context: str) -> tuple:
     return mine, value
 
 
-def _update_round(trans: list[Transition], advantages: list[np.ndarray],
-                  bundle: PolicyBundle, critic_guard: _GuardedOptimizer,
-                  actor_guard: _GuardedOptimizer, ppo: PpoConfig, master_seed: int,
-                  update_idx: int) -> tuple[float, float]:
-    """The critic update, then the actor update, on one record of `trans`:
-    (initial critic loss, initial actor objective). The actor update runs in
-    a child process beside the critic's when `updates_overlap()`."""
+def _update_round(trans: list[Transition], rtg: np.ndarray, bundle: PolicyBundle,
+                  critic_guard: _GuardedOptimizer, actor_guard: _GuardedOptimizer,
+                  ppo: PpoConfig, master_seed: int, update_idx: int) -> tuple[float, float]:
+    """The critic update, then the actor update, on one record of `trans`,
+    whose reward-to-go is the (B,) `rtg`: (initial critic loss, initial
+    actor objective). One critic pass at theta_old over the record gives
+    the advantages' baselines and the critic's initial loss. The actor
+    update runs in a child process beside the critic's when
+    `updates_overlap()`."""
     critic_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(3, update_idx)))
     actor_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(4, update_idx)))
-    if ppo.normalize_advantages:
-        advantages = normalize_advantages(advantages)
     batch = PaddedBatch.of(trans)
-    padded_advantages = batch.rows(advantages)
+    values = _values(bundle.critic, batch)
+    advantages = _advantage_rows(rtg, values, batch.agents)
+    if ppo.normalize_advantages:
+        advantages = normalize_advantages(advantages, batch.agents)
 
     def critic() -> float:
-        return critic_update(batch, bundle.critic, critic_guard, ppo, critic_rng)
+        return critic_update(batch, values, bundle.critic, critic_guard, ppo, critic_rng)
 
     def actor() -> float:
-        return actor_update(batch, padded_advantages, bundle.actor, actor_guard, ppo,
-                            actor_rng)
+        return actor_update(batch, advantages, bundle.actor, actor_guard, ppo, actor_rng)
 
     if not updates_overlap():
         return critic(), actor()
@@ -915,17 +939,13 @@ def train(env: EnvSpec, ppo: PpoConfig, net_cfg: NetConfig, master_seed: int,
         buffered += sum(len(tr.agent_ids) for tr in episode.transitions)
 
         if buffered >= ppo.batch_size:
-            advantages: list[np.ndarray] = []
-            trans: list[Transition] = []
-            for epi in buffer:
-                advantages.extend(compute_advantages(epi, bundle.critic, ppo))
-                trans.extend(epi.transitions)
-            if trans:
-                loss, objective = _update_round(trans, advantages, bundle, critic_guard,
-                                                actor_guard, ppo, master_seed,
-                                                len(critic_losses))
-                critic_losses.append(loss)
-                actor_objectives.append(objective)
+            # at least one agent-transition: the round is never empty
+            trans = [tr for epi in buffer for tr in epi.transitions]
+            rtg = np.concatenate([_rtg_rows(epi, ppo.gamma) for epi in buffer])
+            loss, objective = _update_round(trans, rtg, bundle, critic_guard, actor_guard,
+                                            ppo, master_seed, len(critic_losses))
+            critic_losses.append(loss)
+            actor_objectives.append(objective)
             buffer.clear()
             buffered = 0
 

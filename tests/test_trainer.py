@@ -385,6 +385,12 @@ def _critic_update_with_fresh_targets(trans, critic, guard, ppo, rng):
     return initial
 
 
+def _critic_update_on_the_record(trans, critic, *args):
+    """critic_update on the record of `trans`, with its values at the start."""
+    batch = PaddedBatch.of(trans)
+    return critic_update(batch, trainer_module._values(critic, batch), critic, *args)
+
+
 @pytest.mark.parametrize("retry", [False, True])
 def test_critic_update_reuses_initial_targets(retry):
     ppo = small_ppo(horizon=20, epochs=3, minibatch_size=30)
@@ -392,8 +398,7 @@ def test_critic_update_reuses_initial_targets(retry):
     trans = collect_rollout(small_bundle(seed=9), small_env(), ppo, 12, rng).transitions
     guard_cls = _FailingOnceGuard if retry else trainer_module._GuardedOptimizer
     results = []
-    for update in (lambda trans, *args: critic_update(PaddedBatch.of(trans), *args),
-                   _critic_update_with_fresh_targets):
+    for update in (_critic_update_on_the_record, _critic_update_with_fresh_targets):
         critic = small_bundle(seed=9).critic
         guard = guard_cls(critic.parameters(), ppo.critic_lr, ppo.max_lr_halvings)
         initial = update(trans, critic, guard, ppo, np.random.default_rng(4))
@@ -441,11 +446,12 @@ def test_non_finite_loss_halves_the_step_and_restores(monkeypatch, which):
     seen, errors = _nan_loss_on_second_step(monkeypatch)
     batch = PaddedBatch.of(trans)
     if which == "critic":
-        critic_update(batch, net, guard, ppo, np.random.default_rng(0))
+        critic_update(batch, trainer_module._values(net, batch), net, guard, ppo,
+                      np.random.default_rng(0))
     else:
-        advs = normalize_advantages(compute_advantages(episode, bundle.critic, ppo))
-        trainer_module.actor_update(batch, batch.rows(advs), net, guard, ppo,
-                                    np.random.default_rng(0))
+        advs = normalize_advantages(batch.rows(compute_advantages(episode, bundle.critic, ppo)),
+                                    batch.agents)
+        trainer_module.actor_update(batch, advs, net, guard, ppo, np.random.default_rng(0))
     scales = [scale for scale, _, _ in seen]
     assert scales[:3] == [1.0, 1.0, 0.5] and set(scales[2:]) == {0.5}
     (_, first, t_first), (_, failing, _), (_, retry, t_retry) = seen[:3]
@@ -485,24 +491,91 @@ def test_non_finite_rollout_action_in_train_names_seed_episode_and_step():
 
 
 def test_one_full_batch_layout_per_update(monkeypatch):
-    # two episodes of 25 steps and 4 CAVs fill one batch; minibatches hold 10 steps
-    built = []
-    of = PaddedBatch.of.__func__
+    # 2 rounds of 2 episodes (25 steps, 4 CAVs), minibatches of 10 steps: per
+    # round one PaddedBatch.of and one critic pass over the record's
+    # observations, whose values give both the advantages and the initial
+    # critic loss
+    force_overlap(monkeypatch, False)
+    built, theta_old = [], []
+    of, forward = PaddedBatch.of.__func__, PaddedBatch.forward
 
-    def counted(cls, trans):
+    def counted_of(cls, trans):
         built.append(len(trans))
         return of(cls, trans)
 
-    monkeypatch.setattr(PaddedBatch, "of", classmethod(counted))
-    result = train(small_env(), small_ppo(episodes=2, batch_size=150, minibatch_size=40,
+    def counted_forward(self, net_fn):
+        if getattr(net_fn, "__func__", None) is CriticNetwork.values and \
+                self.obs is not self.next_obs:   # not a TD target's pass
+            theta_old.append(len(self.obs))
+        return forward(self, net_fn)
+
+    monkeypatch.setattr(PaddedBatch, "of", classmethod(counted_of))
+    monkeypatch.setattr(PaddedBatch, "forward", counted_forward)
+    result = train(small_env(), small_ppo(episodes=4, batch_size=150, minibatch_size=40,
                                           epochs=3),
                    NetConfig(hidden=16, heads=2), master_seed=0)
-    assert len(result.critic_losses) == 1
-    lengths = [r.length for r in result.records]
-    assert lengths == [25, 25]
-    # one advantage pass per episode, one full-batch layout, and no minibatch
-    # builds a layout of its own: each is a slice of the full batch
-    assert built == lengths + [sum(lengths)]
+    assert len(result.critic_losses) == 2
+    assert [r.length for r in result.records] == [25] * 4
+    # no advantage pass builds a layout of its own, and no minibatch: each
+    # is a slice of the round's
+    assert built == theta_old == [50, 50]
+
+
+def test_multi_episode_merge_round_advantages_come_from_its_one_record(monkeypatch):
+    # a round of two merge episodes whose agent counts vary: the advantages
+    # the actor update gets are the reward-to-go minus the values of the
+    # round's record at theta_old, normalised over the real agents, and
+    # exact zeros on padding
+    env, ppo = short_merge_env()
+    net = NetConfig(hidden=16, heads=2)
+    ppo = dataclasses.replace(ppo, horizon=250, episodes=2, epochs=1)
+    start = make_policy(net, init_stream(0))   # train's networks at theta_old
+    episodes = [collect_rollout(start, env, ppo, *episode_streams(0, ep)) for ep in (0, 1)]
+    counts = [sum(len(tr.agent_ids) for tr in epi.transitions) for epi in episodes]
+    ppo = dataclasses.replace(ppo, batch_size=sum(counts))   # one round, after episode 1
+    force_overlap(monkeypatch, False)
+    passes, updates = [], []
+    values_fn, actor_update = trainer_module._values, trainer_module.actor_update
+
+    def spied_values(critic, batch):
+        out = values_fn(critic, batch)
+        if batch.obs is not batch.next_obs:
+            passes.append((batch, out))
+        return out
+
+    def spied_actor_update(batch, advantages, *args):
+        updates.append((batch, advantages))
+        return actor_update(batch, advantages, *args)
+
+    monkeypatch.setattr(trainer_module, "_values", spied_values)
+    monkeypatch.setattr(trainer_module, "actor_update", spied_actor_update)
+    result = train(env, ppo, net, master_seed=0)
+    assert len(result.critic_losses) == 1 and len(passes) == len(updates) == 1
+    (batch, values), (actor_batch, advantages) = passes[0], updates[0]
+    assert actor_batch is batch
+    trans = [tr for epi in episodes for tr in epi.transitions]
+    assert len(batch.obs) == len(trans) and not batch.agents.all()
+    # one episode's own layout is narrower than the round's
+    assert sorted(max(len(tr.agent_ids) for tr in epi.transitions) for epi in episodes) == \
+        [3, 4]
+    assert values.tobytes() == values_fn(start.critic, PaddedBatch.of(trans)).tobytes()
+
+    agents = batch.agents
+    rtg = np.concatenate([reward_to_go(epi.rewards, ppo.gamma)[[tr.step_index
+                                                                for tr in epi.transitions]]
+                          for epi in episodes])
+    raw = rtg[:, None] - values
+    real = raw[agents]
+    expected = (raw - real.mean()) / real.std()
+    expected[~agents] = 0.0
+    assert advantages.tobytes() == expected.tobytes()
+    assert not advantages[~agents].any() and not np.signbit(advantages[~agents]).any()
+    assert advantages[agents].mean() == pytest.approx(0.0, abs=1e-12)
+    assert advantages[agents].std() == pytest.approx(1.0, abs=1e-12)
+    # each episode's own layout gives the same raw advantages to rounding
+    per_episode = np.concatenate([a for epi in episodes
+                                  for a in compute_advantages(epi, start.critic, ppo)])
+    np.testing.assert_allclose(per_episode, real, rtol=0, atol=1e-12)
 
 
 def test_non_finite_critic_values_raise():
@@ -515,9 +588,11 @@ def test_non_finite_critic_values_raise():
 
 
 def test_critic_forwards_per_update(monkeypatch):
-    """An update runs the critic 1 + 2 + epochs x (1 + minibatches) - 1 times:
-    advantages, the initial loss's targets and values, per epoch the
-    targets (epoch 0 reuses the initial ones) and one pass per minibatch."""
+    """An update round runs the critic 2 + epochs x (1 + minibatches) - 1
+    times: the values at theta_old (the advantages and the initial loss),
+    the initial targets, per epoch the targets (epoch 0 reuses the initial
+    ones) and one pass per minibatch."""
+    force_overlap(monkeypatch, False)
     ppo = small_ppo(horizon=20, epochs=3, minibatch_size=30)
     bundle = small_bundle(seed=10)
     _, rng = episode_streams(13, 0)
@@ -535,15 +610,45 @@ def test_critic_forwards_per_update(monkeypatch):
 
     monkeypatch.setattr(CriticNetwork, "values", counted_values)
     monkeypatch.setattr(trainer_module, "_minibatches", counted_minibatches)
-    compute_advantages(episode, bundle.critic, ppo)
-    guard = trainer_module._GuardedOptimizer(bundle.critic.parameters(), ppo.critic_lr,
-                                             ppo.max_lr_halvings)
-    critic_update(PaddedBatch.of(episode.transitions), bundle.critic, guard, ppo,
-                  np.random.default_rng(0))
-    assert len(chunks) == ppo.epochs
+    guards = [trainer_module._GuardedOptimizer(net.parameters(), 1e-3, ppo.max_lr_halvings)
+              for net in (bundle.critic, bundle.actor)]
+    rtg = reward_to_go(episode.rewards, ppo.gamma)[[tr.step_index
+                                                    for tr in episode.transitions]]
+    trainer_module._update_round(episode.transitions, rtg, bundle, *guards, ppo, 13, 0)
+    assert len(chunks) == 2 * ppo.epochs   # the critic's epochs, then the actor's
     per_epoch = {len(c) for c in chunks}
     assert len(per_epoch) == 1 and per_epoch.pop() > 1
-    assert len(calls) == 1 + 2 + ppo.epochs * (1 + len(chunks[0])) - 1
+    assert len(calls) == 2 + ppo.epochs * (1 + len(chunks[0])) - 1
+
+
+@pytest.mark.parametrize("heads", [8, 0])
+def test_minibatch_losses_give_every_parameter_a_gradient(heads):
+    # Adam.step updates every parameter from its gradient: one critic and one
+    # actor minibatch step, as the updates take them, reach every parameter
+    bundle = small_bundle(seed=12, heads=heads)
+    ppo = small_ppo(horizon=20)
+    episode = collect_rollout(bundle, small_env(), ppo, *episode_streams(12, 0))
+    batch = PaddedBatch.of(episode.transitions)
+    advantages = normalize_advantages(
+        batch.rows(compute_advantages(episode, bundle.critic, ppo)), batch.agents)
+    chunk = list(range(8))
+    sub = batch.take(chunk)
+    targets = trainer_module._td_rows(bundle.critic, sub, ppo.gamma)
+    losses = {
+        bundle.critic: lambda: trainer_module._td_loss(
+            bundle.critic.values(*sub.inputs()), targets, sub.agents),
+        bundle.actor: lambda: -trainer_module._clipped_surrogate(
+            bundle.actor, bundle.actor.action_mean(*sub.inputs()), sub,
+            advantages[chunk], ppo.clip),
+    }
+    for net, loss_fn in losses.items():
+        params = net.parameters()
+        start = {k: p.data.copy() for k, p in params.items()}
+        guard = trainer_module._GuardedOptimizer(params, 1e-3, 0)
+        guard.minibatch_step(loss_fn, 1.0)
+        for k, p in params.items():
+            assert p.grad is not None and p.grad.shape == p.data.shape, k
+            assert p.grad.any() and not np.array_equal(p.data, start[k]), k
 
 
 def test_terminal_rows_use_reward_only_target():
@@ -1077,8 +1182,9 @@ def test_full_batch_passes_stay_block_sized(which):
             batch.split(trainer_module._values(bundle.critic, batch))
     elif which == "initial_critic_loss":
         def run():
-            critic_update(batch, bundle.critic, _NoPasses(bundle.critic.parameters(), 1e-3, 0),
-                          ppo, np.random.default_rng(0))
+            critic_update(batch, trainer_module._values(bundle.critic, batch), bundle.critic,
+                          _NoPasses(bundle.critic.parameters(), 1e-3, 0), ppo,
+                          np.random.default_rng(0))
     else:
         advantages = batch.rows([np.ones(16)] * len(trans))
 
@@ -1094,11 +1200,15 @@ def test_full_batch_passes_stay_block_sized(which):
 
 
 def test_normalize_advantages_zero_mean_unit_spread():
-    advs = [np.array([1.0, 2.0]), np.array([5.0, -3.0, 0.5])]
-    out = normalize_advantages(advs)
-    flat = np.concatenate([a.ravel() for a in out])
-    assert flat.mean() == pytest.approx(0.0, abs=1e-12)
-    assert flat.std() == pytest.approx(1.0, abs=1e-12)
+    advs = np.array([[1.0, 2.0, 9.0], [5.0, -3.0, 0.5]])
+    agents = np.array([[True, True, False], [True, True, True]])
+    out = normalize_advantages(advs, agents)
+    assert out[agents].mean() == pytest.approx(0.0, abs=1e-12)
+    assert out[agents].std() == pytest.approx(1.0, abs=1e-12)
+    assert out[0, 2] == 0.0 and not np.signbit(out[0, 2])
+    # no spread: only shifted
+    assert normalize_advantages(np.full((2, 3), 4.0), agents).tobytes() == \
+        np.zeros((2, 3)).tobytes()
 
 
 def test_train_smoke_and_buffer_hygiene():
